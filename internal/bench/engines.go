@@ -12,16 +12,16 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "engines",
-		Title: "Simulation engine comparison: reference interpreter vs compiled op stream vs fused kernel",
+		Title: "Simulation engine comparison: reference interpreter vs fused kernel",
 		Run:   runEngines,
 	})
 }
 
-// runEngines solves the same 2-D Poisson problems on all three simulation
+// runEngines solves the same 2-D Poisson problems on both simulation
 // engines and reports per-engine solve wall time plus a bit-identity
-// check: the compiled and fused kernels must reproduce the reference
-// interpreter's solution exactly, element for element, or the speedup
-// column is meaningless. Wall times are host-dependent; the identity
+// check: the fused kernel must reproduce the reference interpreter's
+// solution exactly, element for element, or the speedup column is
+// meaningless. Wall times are host-dependent; the identity
 // column is deterministic.
 func runEngines(cfg Config) (*Table, error) {
 	const adcBits = 8
@@ -29,7 +29,7 @@ func runEngines(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		ls = []int{4, 6}
 	}
-	engines := []string{"interpreter", "compiled", "fused"}
+	engines := []string{"interpreter", "fused"}
 	t := &Table{
 		ID:    "engines",
 		Title: "Solve wall time (s) per simulation engine, 2-D Poisson, identical solutions required",
@@ -74,7 +74,7 @@ func runEngines(cfg Config) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"all three engines integrate the identical RK4 recurrence in the identical summation order, so the solutions must be bit-identical — any NO row is a bug, not noise",
+		"both engines integrate the identical RK4 recurrence in the identical summation order, so the solutions must be bit-identical — any NO row is a bug, not noise",
 		"wall times are this host's; the fused kernel's advantage is measured precisely by scripts/bench.sh 5 (BENCH_5.json)",
 	)
 	return t, nil

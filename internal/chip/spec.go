@@ -51,7 +51,7 @@ type Spec struct {
 	TrimBits    int
 	Seed        int64
 	// Engine names the simulation kernel the chip's datapath runs on
-	// ("auto", "interpreter", "compiled", "fused"; empty = auto). A
+	// ("auto", "interpreter", "fused"; empty = auto). A
 	// simulation-fidelity knob, not part of the Table I architecture:
 	// every engine is bit-identical, so it never changes answers.
 	Engine string

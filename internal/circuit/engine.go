@@ -6,7 +6,8 @@ import (
 )
 
 // Engine selects which evaluation kernel the simulator runs net updates
-// on. All engines are bit-identical (enforced by differential and fuzz
+// on: the fused kernel, or the reference interpreter it is checked
+// against. Both are bit-identical (enforced by differential and fuzz
 // tests); they differ only in speed.
 type Engine uint8
 
@@ -15,10 +16,8 @@ const (
 	// fused kernel). The zero value, so new simulators default to it.
 	EngineAuto Engine = iota
 	// EngineReference is the original block-walk interpreter: the
-	// executable specification the other engines are tested against.
+	// executable specification the fused kernel is tested against.
 	EngineReference
-	// EngineCompiled is the switch-dispatch op-stream engine (PR 1).
-	EngineCompiled
 	// EngineFused is the segmented step kernel: homogeneous op runs with
 	// no per-op dispatch, first-driver stores instead of a netVals clear,
 	// and level-scheduled parallel evaluation for large programs.
@@ -34,12 +33,10 @@ func ParseEngine(name string) (Engine, error) {
 		return EngineAuto, nil
 	case "interpreter", "reference":
 		return EngineReference, nil
-	case "compiled":
-		return EngineCompiled, nil
 	case "fused":
 		return EngineFused, nil
 	}
-	return EngineAuto, fmt.Errorf("circuit: unknown engine %q (want auto, interpreter, compiled, or fused)", name)
+	return EngineAuto, fmt.Errorf("circuit: unknown engine %q (want auto, interpreter, or fused)", name)
 }
 
 func (e Engine) String() string {
@@ -48,8 +45,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineReference:
 		return "interpreter"
-	case EngineCompiled:
-		return "compiled"
 	case EngineFused:
 		return "fused"
 	}

@@ -6,11 +6,12 @@ import (
 	"sync"
 )
 
-// Fused step kernel. The compiled engine (compiled.go) removed the block
-// interpreter's pointer-chasing but kept three per-eval costs on the RK4
+// Fused step kernel: the simulator's fast engine. Walking the op stream
+// (program.go) one op at a time, as evalRecord does, removes the block
+// interpreter's pointer-chasing but keeps three per-eval costs on the RK4
 // trial path: an opcode dispatch on every op, a full netVals clear before
 // every evaluation — four times per step — and five bounds-checked
-// parallel-array loads per op. The fused engine removes all three:
+// parallel-array loads per op. The fused kernel removes all three:
 //
 //   - At lower time the fast ops are re-materialised into a compact
 //     24-byte struct-of-ops stream in execution order, segmented into
@@ -967,8 +968,8 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 // folded into each loop, then an interpreted tail over the silent ops.
 // Silent ops read only completed nets (lower moves them past every
 // driver), and latching is order-independent, so streaming the fast
-// region first is value- and latch-identical to the compiled walk the
-// scalar engines use. Always serial: it runs once per lockstep tick, the
+// region first is value- and latch-identical to the stream-order walk the
+// scalar evalRecord uses. Always serial: it runs once per lockstep tick, the
 // same budget the scalar engines give evalRecord.
 func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
@@ -1019,7 +1020,7 @@ func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 // every loop: each op's raw value updates the owning block's per-lane
 // peak tracker and overflow latch before saturation. Raw values depend
 // only on completed input nets, so latch results are identical to the
-// compiled-order walk regardless of the phase-major reordering. opConst
+// stream-order walk regardless of the phase-major reordering. opConst
 // values come pre-saturated from the lane fold (laneG); their raws come
 // from laneCraw, exactly as the scalar fold keeps craw beside cval.
 func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, laneG, laneCraw []float64, uni []bool, B int) {

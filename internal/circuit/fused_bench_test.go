@@ -2,11 +2,11 @@ package circuit
 
 import "testing"
 
-// Suite-5 benchmarks: the fused kernel against the compiled op stream on
-// the fig8 Poisson gradient-flow netlist, at the classic 32×32 size
-// (1024 states, serial) and at 128×128 (16384 states, large enough for
-// the level-parallel path) across worker bounds. scripts/bench.sh 5
-// renders these into BENCH_5.json.
+// Suite-5 benchmarks: the fused kernel on the fig8 Poisson gradient-flow
+// netlist, at the classic 32×32 size (1024 states, serial) and at
+// 128×128 (16384 states, large enough for the level-parallel path)
+// across worker bounds. scripts/bench.sh 5 renders these into
+// BENCH_5.json.
 
 func benchEngineSim(tb testing.TB, l int, eng Engine, workers int) *Simulator {
 	tb.Helper()
@@ -37,17 +37,13 @@ func benchmarkStepEngine(b *testing.B, l int, eng Engine, workers int) {
 	}
 }
 
-func BenchmarkEval32Compiled(b *testing.B) { benchmarkEvalEngine(b, 32, EngineCompiled, 1) }
-func BenchmarkEval32Fused(b *testing.B)    { benchmarkEvalEngine(b, 32, EngineFused, 1) }
-func BenchmarkStep32Compiled(b *testing.B) { benchmarkStepEngine(b, 32, EngineCompiled, 1) }
-func BenchmarkStep32Fused(b *testing.B)    { benchmarkStepEngine(b, 32, EngineFused, 1) }
+func BenchmarkEval32Fused(b *testing.B) { benchmarkEvalEngine(b, 32, EngineFused, 1) }
+func BenchmarkStep32Fused(b *testing.B) { benchmarkStepEngine(b, 32, EngineFused, 1) }
 
-func BenchmarkEval128Compiled(b *testing.B) { benchmarkEvalEngine(b, 128, EngineCompiled, 1) }
-func BenchmarkEval128FusedW1(b *testing.B)  { benchmarkEvalEngine(b, 128, EngineFused, 1) }
-func BenchmarkEval128FusedW2(b *testing.B)  { benchmarkEvalEngine(b, 128, EngineFused, 2) }
-func BenchmarkEval128FusedW4(b *testing.B)  { benchmarkEvalEngine(b, 128, EngineFused, 4) }
+func BenchmarkEval128FusedW1(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused, 1) }
+func BenchmarkEval128FusedW2(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused, 2) }
+func BenchmarkEval128FusedW4(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused, 4) }
 
-func BenchmarkStep128Compiled(b *testing.B) { benchmarkStepEngine(b, 128, EngineCompiled, 1) }
-func BenchmarkStep128FusedW1(b *testing.B)  { benchmarkStepEngine(b, 128, EngineFused, 1) }
-func BenchmarkStep128FusedW2(b *testing.B)  { benchmarkStepEngine(b, 128, EngineFused, 2) }
-func BenchmarkStep128FusedW4(b *testing.B)  { benchmarkStepEngine(b, 128, EngineFused, 4) }
+func BenchmarkStep128FusedW1(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused, 1) }
+func BenchmarkStep128FusedW2(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused, 2) }
+func BenchmarkStep128FusedW4(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused, 4) }

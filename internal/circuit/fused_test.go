@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -120,8 +121,8 @@ func TestFusedChunkFloorClampsWorkers(t *testing.T) {
 	}
 }
 
-// TestFusedSettlesIdentically runs the settle-and-sample pattern on all
-// three engines and requires identical SettleResults and states.
+// TestFusedSettlesIdentically runs the settle-and-sample pattern on both
+// engines and requires identical SettleResults and states.
 func TestFusedSettlesIdentically(t *testing.T) {
 	run := func(eng Engine) (SettleResult, []float64) {
 		sim, err := NewSimulator(buildPoissonNetlist(t, 8, settleRHS), 0)
@@ -136,22 +137,20 @@ func TestFusedSettlesIdentically(t *testing.T) {
 	if !refRes.Settled {
 		t.Fatalf("reference did not settle: %+v", refRes)
 	}
-	for _, eng := range []Engine{EngineCompiled, EngineFused} {
-		res, state := run(eng)
-		if res != refRes {
-			t.Fatalf("%v settle result %+v != reference %+v", eng, res, refRes)
-		}
-		for i := range refState {
-			if state[i] != refState[i] {
-				t.Fatalf("%v state %d diverges", eng, i)
-			}
+	res, state := run(EngineFused)
+	if res != refRes {
+		t.Fatalf("fused settle result %+v != reference %+v", res, refRes)
+	}
+	for i := range refState {
+		if state[i] != refState[i] {
+			t.Fatalf("fused state %d diverges", i)
 		}
 	}
 }
 
 // TestLUTNaNInput pins the NaN guard: a stimulus returning NaN reaches a
 // LUT without tripping the implementation-defined float→int conversion,
-// resolves to table index 0, and does so identically on every engine.
+// resolves to table index 0, and does so identically on both engines.
 func TestLUTNaNInput(t *testing.T) {
 	build := func(eng Engine) (*Simulator, *Block) {
 		nl, err := NewNetlist(Config{Bandwidth: 20e3})
@@ -176,16 +175,16 @@ func TestLUTNaNInput(t *testing.T) {
 	if math.IsNaN(refV) {
 		t.Fatalf("NaN leaked through the LUT into the state")
 	}
-	for _, eng := range []Engine{EngineCompiled, EngineFused} {
-		sim, integ := build(eng)
-		sim.Run(10 * sim.Dt())
-		if v, _ := sim.IntegratorValue(integ); v != refV {
-			t.Fatalf("%v: state %v != reference %v", eng, v, refV)
-		}
+	sim, integ := build(EngineFused)
+	sim.Run(10 * sim.Dt())
+	if v, _ := sim.IntegratorValue(integ); v != refV {
+		t.Fatalf("fused: state %v != reference %v", v, refV)
 	}
 }
 
-// TestEngineParse covers the name round-trip and rejection.
+// TestEngineParse covers the name round-trip and rejection, including
+// the retired "compiled" engine: its name must fail rather than silently
+// select another kernel.
 func TestEngineParse(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -193,25 +192,29 @@ func TestEngineParse(t *testing.T) {
 	}{
 		{"", EngineAuto}, {"auto", EngineAuto},
 		{"interpreter", EngineReference}, {"reference", EngineReference},
-		{"compiled", EngineCompiled}, {"fused", EngineFused},
+		{"fused", EngineFused},
 	} {
 		got, err := ParseEngine(tc.name)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseEngine(%q) = (%v, %v), want %v", tc.name, got, err, tc.want)
 		}
 	}
-	if _, err := ParseEngine("vectorized"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
+	for _, name := range []string{"vectorized", "compiled"} {
+		_, err := ParseEngine(name)
+		if err == nil {
+			t.Fatalf("ParseEngine accepted unknown engine %q", name)
+		}
+		for _, valid := range []string{"auto", "interpreter", "fused"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Fatalf("ParseEngine(%q) error %q does not name valid engine %q", name, err, valid)
+			}
+		}
 	}
 	if EngineFused.String() != "fused" || EngineReference.String() != "interpreter" {
 		t.Fatal("Engine.String names drifted from ParseEngine")
 	}
-}
 
-// TestSetReferenceEngineCompat pins the legacy switch's meaning: off must
-// select the compiled engine explicitly (not auto/fused), so pre-existing
-// compiled-engine benchmarks keep measuring the compiled engine.
-func TestSetReferenceEngineCompat(t *testing.T) {
+	// A new simulator runs the fused kernel (auto); SetEngine switches.
 	nl, err := NewNetlist(Config{Bandwidth: 20e3})
 	if err != nil {
 		t.Fatal(err)
@@ -224,13 +227,9 @@ func TestSetReferenceEngineCompat(t *testing.T) {
 	if sim.EngineSelected() != EngineFused {
 		t.Fatalf("default engine %v, want fused via auto", sim.EngineSelected())
 	}
-	sim.SetReferenceEngine(true)
+	sim.SetEngine(EngineReference)
 	if sim.EngineSelected() != EngineReference {
-		t.Fatalf("SetReferenceEngine(true) selected %v", sim.EngineSelected())
-	}
-	sim.SetReferenceEngine(false)
-	if sim.EngineSelected() != EngineCompiled {
-		t.Fatalf("SetReferenceEngine(false) selected %v, want compiled", sim.EngineSelected())
+		t.Fatalf("SetEngine(EngineReference) selected %v", sim.EngineSelected())
 	}
 }
 

@@ -297,7 +297,7 @@ func TestLaneConfigValidation(t *testing.T) {
 	if err := sim2.ConfigureLanes(MaxLanes + 1); err == nil {
 		t.Fatal("lane mode accepted a width beyond MaxLanes")
 	}
-	sim2.SetEngine(EngineCompiled)
+	sim2.SetEngine(EngineReference)
 	if err := sim2.ConfigureLanes(2); err == nil {
 		t.Fatal("lane mode accepted a non-fused engine")
 	}

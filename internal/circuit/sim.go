@@ -42,9 +42,9 @@ type Simulator struct {
 	// a committed datapath runs; see ReloadBlockParams).
 	effOff  []float64
 	effGain []float64
-	// prog is the compiled op-stream lowering of the netlist (see
-	// compiled.go); fused is its segmented / level-scheduled view (see
-	// fused.go). engine selects which kernel eval dispatches to.
+	// prog is the op-stream lowering of the netlist (see program.go);
+	// fused is its segmented / level-scheduled view (see fused.go).
+	// engine selects which kernel eval dispatches to.
 	prog   *program
 	fused  *fusedProg
 	engine Engine
@@ -259,18 +259,6 @@ func (s *Simulator) ReloadBlockParams() {
 	}
 }
 
-// SetReferenceEngine selects the original block-walk interpreter (on) or
-// the compiled op-stream engine (off). Kept for callers predating
-// SetEngine: off deliberately means EngineCompiled, not EngineAuto, so
-// existing compiled-engine benchmarks keep measuring what they claim.
-func (s *Simulator) SetReferenceEngine(on bool) {
-	if on {
-		s.SetEngine(EngineReference)
-	} else {
-		s.SetEngine(EngineCompiled)
-	}
-}
-
 // Reset loads integrator initial conditions, rewinds time, and clears
 // exception latches. Probes are kept but their histories cleared.
 func (s *Simulator) Reset() {
@@ -316,32 +304,23 @@ func softSat(v, fs, sat float64) float64 {
 // eval computes all net values for the given state at time t. When record
 // is true it also latches overflow exceptions and updates peak trackers
 // (record is false during RK4 trial stages, which are not physical states).
-// It dispatches on the selected engine (SetEngine): fused by default,
-// with the compiled op-stream and reference block-walk engines
-// selectable. Record-mode evaluations always take the full op walk —
-// peak/overflow latching visits every op regardless of engine.
+// It dispatches on the selected engine (SetEngine): the fused kernel by
+// default, or the reference block-walk interpreter. Record-mode
+// evaluations always take the full op walk — peak/overflow latching
+// visits every op regardless of engine.
 func (s *Simulator) eval(t float64, state []float64, record bool) {
-	eng := s.engine
-	if eng == EngineAuto {
-		eng = EngineFused
-	}
-	if eng == EngineReference || s.prog == nil {
+	switch {
+	case s.engine == EngineReference:
 		s.evalReference(t, state, record)
-		return
-	}
-	if record {
+	case record:
 		s.prog.evalRecord(s, t, state)
-		return
-	}
-	if eng == EngineFused && s.fused != nil {
+	default:
 		s.fused.eval(s, t, state)
-		return
 	}
-	s.prog.evalFast(s, t, state)
 }
 
 // evalReference is the original block-walk interpreter: the executable
-// specification the compiled engine is differentially tested against.
+// specification the fused kernel is differentially tested against.
 func (s *Simulator) evalReference(t float64, state []float64, record bool) {
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
@@ -406,7 +385,7 @@ func (s *Simulator) evalReference(t float64, state []float64, record bool) {
 // tmp = state + c·dst into the same pass. Callers must have evaluated
 // netVals for the state the derivatives belong to.
 func (s *Simulator) stage(dst, tmp []float64, c float64) {
-	if s.engine != EngineReference && s.prog != nil {
+	if s.engine != EngineReference {
 		s.prog.stage(s, dst, tmp, c)
 		return
 	}

@@ -61,7 +61,9 @@ func benchSimulator(tb testing.TB, l int, rhs float64, reference bool) *Simulato
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim.SetReferenceEngine(reference)
+	if reference {
+		sim.SetEngine(EngineReference)
+	}
 	return sim
 }
 
@@ -86,8 +88,9 @@ func benchmarkEval(b *testing.B, reference bool) {
 	}
 }
 
+// The fused counterparts of these reference benchmarks are
+// BenchmarkEval32Fused and BenchmarkStep32Fused (fused_bench_test.go).
 func BenchmarkEvalReference(b *testing.B) { benchmarkEval(b, true) }
-func BenchmarkEvalCompiled(b *testing.B)  { benchmarkEval(b, false) }
 
 func benchmarkStep(b *testing.B, reference bool) {
 	sim := benchSimulator(b, 32, benchRHS, reference)
@@ -99,7 +102,6 @@ func benchmarkStep(b *testing.B, reference bool) {
 }
 
 func BenchmarkStepReference(b *testing.B) { benchmarkStep(b, true) }
-func BenchmarkStepCompiled(b *testing.B)  { benchmarkStep(b, false) }
 
 func benchmarkRunUntilSettled(b *testing.B, reference bool) {
 	sim := benchSimulator(b, 16, settleRHS, reference)
@@ -114,7 +116,7 @@ func benchmarkRunUntilSettled(b *testing.B, reference bool) {
 }
 
 func BenchmarkRunUntilSettledReference(b *testing.B) { benchmarkRunUntilSettled(b, true) }
-func BenchmarkRunUntilSettledCompiled(b *testing.B)  { benchmarkRunUntilSettled(b, false) }
+func BenchmarkRunUntilSettledFused(b *testing.B)     { benchmarkRunUntilSettled(b, false) }
 
 // TestBenchNetlistEnginesAgree keeps the benchmark netlist itself inside
 // the differential guarantee (it exercises the fanout-tree layout at a

@@ -80,7 +80,7 @@ type SolveParams struct {
 	// Calibrate runs the chip init sequence before solving.
 	Calibrate bool
 	// Engine names the simulation kernel for analog backends ("auto",
-	// "interpreter", "compiled", "fused"; empty = auto). Engines are
+	// "interpreter", "fused"; empty = auto). Engines are
 	// bit-identical, so this changes speed, never answers.
 	Engine string
 	// MaxLanes caps how many right-hand sides a batch solve drives

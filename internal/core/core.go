@@ -124,7 +124,7 @@ type engineSelector interface {
 }
 
 // SelectEngine switches the simulation kernel of the chip behind this
-// driver ("auto", "interpreter", "compiled", "fused"; workers <= 0 keeps
+// driver ("auto", "interpreter", "fused"; workers <= 0 keeps
 // the current bound). Engines are bit-identical, so this never changes a
 // solution — only how fast the simulated physics runs. It is a side-band
 // knob reachable only over the in-memory loopback; a driver bound to any

@@ -46,7 +46,7 @@ type SolveOptions struct {
 	// residual checks. The vector is copied, never mutated.
 	Guess la.Vector
 	// Engine, if non-empty, switches the simulated chip's evaluation
-	// kernel for this solve ("auto", "interpreter", "compiled", "fused").
+	// kernel for this solve ("auto", "interpreter", "fused").
 	// All engines are bit-identical — this is purely a speed knob — and
 	// it only works on simulated chips (ErrEngineUnavailable otherwise).
 	Engine string

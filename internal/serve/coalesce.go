@@ -17,10 +17,12 @@ import (
 // concurrent *solo* requests: in-flight solves of the same operator
 // (fingerprint + order + backend + tolerance) are grouped for a bounded
 // window and executed as one Session.SolveBatch wave on one checked-out
-// chip. Packing independence makes this invisible to callers — every lane
-// solves from batch-entry session state, so a coalesced answer is
+// chip. Every analog solo solve enrolls: a request nobody joins rides a
+// wave of one, which dispatches exactly like an uncoalesced solve.
+// Packing independence makes the grouping invisible to callers — every
+// lane solves from batch-entry session state, so a coalesced answer is
 // bit-identical to the solo answer (proven differentially in
-// coalesce_test.go).
+// coalesce_test.go and paths_test.go).
 //
 // The window is self-clocking, the shape inference servers use for
 // continuous batching: a group opened on an otherwise-idle server whose
@@ -40,16 +42,15 @@ type waveKey struct {
 	tol     float64
 }
 
-// waveResult is one lane's outcome, delivered to the member that
-// contributed the right-hand side.
+// waveResult is what executing a call produced: one outcome per
+// right-hand side, the serving chip's pool size class, and the width of
+// the wave a solo call rode (0 off the coalescer) — or the error. The
+// coalescer delivers one to each member, holding its lane's outcome.
 type waveResult struct {
-	out   cli.Outcome
-	class int // pool size class of the serving chip
-	lanes int // wave width the lane rode in (1 = effectively solo)
+	outs  []cli.Outcome
+	class int
+	lanes int
 	err   error
-	// checkout distinguishes a chip-checkout failure (mapped like the
-	// solo path's checkoutErr) from a solve failure (solveErr).
-	checkout bool
 }
 
 // waveMember is one enrolled request: its right-hand side, its own
@@ -68,6 +69,7 @@ type waveMember struct {
 type wave struct {
 	key     waveKey
 	a       *la.CSR
+	params  cli.SolveParams
 	members []*waveMember
 	// fire closes the window early; the buffered send carries the reason
 	// ("full", "resident") for the close-reason counters.
@@ -84,23 +86,21 @@ type coalescer struct {
 	maxLanes int
 
 	// lastMulti is the UnixNano seal time of the most recent multi-lane
-	// wave: the hysteresis signal that keeps the resident fast path from
-	// firing at wave boundaries (see solve).
+	// wave: the live-traffic signal that arms the boarding debounce (see
+	// run).
 	lastMulti atomic.Int64
 
 	mu     sync.Mutex
 	groups map[waveKey]*wave
 }
 
-// quiet is how long after a multi-lane seal the resident fast path stays
-// suppressed. Scaled to the window (the knob that already expresses the
+// quiet is how long after a multi-lane seal the boarding debounce stays
+// armed. Scaled to the window (the knob that already expresses the
 // operator's latency tolerance) with a floor comfortably above a loaded
 // wave boundary's response-to-next-request turnaround, which can run
 // tens of milliseconds when every lane's response encodes on a busy
 // CPU. A strictly sequential client never seals multi-lane waves, so it
-// never pays this: its solves still fire instantly on the resident
-// chip. A client arriving just after a burst ends pays one window of
-// added latency — microseconds — which is the right side of the trade.
+// never pays the debounce.
 func (c *coalescer) quiet() time.Duration {
 	q := 100 * c.window
 	if q < 250*time.Millisecond {
@@ -117,31 +117,21 @@ func newCoalescer(s *Server, window time.Duration) *coalescer {
 	return &coalescer{s: s, window: window, maxLanes: maxLanes, groups: make(map[waveKey]*wave)}
 }
 
-// solve enrolls one request and blocks for its lane's result. The second
-// return is false when the member's own context expired first — the wave
-// keeps running for everyone else, and this caller maps its own ctx error.
-func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vector) (waveResult, bool) {
+// solve enrolls one request and blocks for its lane's result. When the
+// member's own context expires first, the wave keeps running for
+// everyone else and the result carries this caller's ctx error.
+func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vector, params cli.SolveParams) waveResult {
 	m := &waveMember{ctx: ctx, b: b, joined: time.Now(), done: make(chan waveResult, 1)}
 	c.mu.Lock()
 	g := c.groups[key]
 	if g == nil {
-		g = &wave{key: key, a: a, fire: make(chan string, 1)}
+		g = &wave{key: key, a: a, params: params, fire: make(chan string, 1)}
 		g.members = append(g.members, m)
 		c.groups[key] = g
 		// An *unloaded* server with an idle chip already holding this
 		// operator gains nothing by waiting: fire now and the window adds
-		// ~zero latency to the lone hot-operator caller. "Unloaded" needs
-		// two probes, because both fail open at a wave boundary, where
-		// every lane finishes at once: the in-flight gauge briefly reads
-		// zero and the chip checks in resident-and-idle, so the next
-		// arrival — the herald of the next burst — would seal a one-lane
-		// wave on the very chip its companions are about to need. The
-		// hysteresis term covers that instant: a multi-lane seal in the
-		// recent past means coalescing traffic is live, and the window
-		// (not the fast path) is the right wait.
-		resident := c.s.metrics.InFlight() <= 1 &&
-			time.Duration(time.Now().UnixNano()-c.lastMulti.Load()) > c.quiet() &&
-			c.s.pool.HasIdleResident(a)
+		// ~zero latency to the lone hot-operator caller.
+		resident := c.s.metrics.InFlight() <= 1 && c.s.pool.HasIdleResident(a)
 		c.mu.Unlock()
 		if resident {
 			g.fire <- "resident"
@@ -165,9 +155,9 @@ func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vect
 	}
 	select {
 	case r := <-m.done:
-		return r, true
+		return r
 	case <-ctx.Done():
-		return waveResult{}, false
+		return waveResult{err: ctx.Err()}
 	}
 }
 
@@ -216,7 +206,7 @@ func (c *coalescer) run(g *wave) {
 		defer cancel()
 	}
 
-	pc, cerr := s.pool.Checkout(wctx, g.a)
+	pc, err := s.pool.Checkout(wctx, g.a)
 
 	// Boarding: with the chip in hand, under live coalescing traffic the
 	// wave lingers while companions are still streaming in. A closed set
@@ -228,7 +218,7 @@ func (c *coalescer) run(g *wave) {
 	// penalizing anyone: the wave already owns the chip, and each join it
 	// waits for is a solve that would otherwise idle in the next queue.
 	// Cold traffic (no recent multi-lane seal) skips this entirely.
-	if cerr == nil && time.Duration(time.Now().UnixNano()-c.lastMulti.Load()) <= c.quiet() {
+	if err == nil && time.Duration(time.Now().UnixNano()-c.lastMulti.Load()) <= c.quiet() {
 		idle := c.window
 		if idle < time.Millisecond {
 			idle = time.Millisecond
@@ -270,93 +260,29 @@ func (c *coalescer) run(g *wave) {
 		s.metrics.ObserveCoalesceWait(launch.Sub(m.joined))
 	}
 
-	if cerr != nil {
-		for _, m := range members {
-			m.done <- waveResult{err: cerr, checkout: true, lanes: len(members)}
-		}
-		return
-	}
-
-	params := cli.SolveParams{Tol: g.key.tol, ADCBits: s.cfg.Pool.ADCBits, Bandwidth: s.cfg.Pool.Bandwidth}
-	params.Acc = pc.Acc
-
+	// A wave of one runs under its member's own context, exactly as an
+	// uncoalesced solve would; a wider wave under the latest deadline.
+	ctx := wctx
 	if len(members) == 1 {
-		// A wave of one takes exactly the pre-coalescer solo path — the
-		// member's own context gates the solve, and the dispatch goes
-		// through s.solve (which tests may have swapped).
-		m := members[0]
-		out, err := s.solve(m.ctx, g.key.backend, g.a, m.b, params)
-		s.pool.Checkin(pc)
-		m.done <- waveResult{out: out, class: pc.Class, lanes: 1, err: err}
-		return
+		ctx = members[0].ctx
 	}
-
-	rhs := make([]la.Vector, len(members))
-	for i, m := range members {
-		rhs[i] = m.b
-	}
-	outs, err := s.solveBatch(wctx, g.key.backend, g.a, rhs, params)
-	s.pool.Checkin(pc)
-	if err != nil {
-		for _, m := range members {
-			m.done <- waveResult{err: err, lanes: len(members)}
+	var (
+		outs  []cli.Outcome
+		class int
+	)
+	if err == nil {
+		class = pc.Class
+		rhs := make([]la.Vector, len(members))
+		for i, m := range members {
+			rhs[i] = m.b
 		}
-		return
+		outs, err = s.execute(ctx, pc, g.key.backend, g.a, rhs, g.params)
 	}
 	for i, m := range members {
-		m.done <- waveResult{out: outs[i], class: pc.Class, lanes: len(members)}
-	}
-}
-
-// runSolveCoalesced is runSolve's analog arm when coalescing is enabled:
-// enroll, wait for the lane result, and render it with the solo path's
-// exact metrics and error mapping plus wave provenance. The caller
-// supplies the operator fingerprint (parsed off a by-reference request,
-// or hashed from a by-value matrix) so waves key without re-hashing.
-func (s *Server) runSolveCoalesced(ctx context.Context, backend string, fp uint64, a *la.CSR, b la.Vector, tol float64) (*SolveResponse, *APIError) {
-	key := waveKey{fp: fp, n: a.Dim(), backend: backend, tol: tol}
-	s.metrics.SolveStarted()
-	start := time.Now()
-	r, ok := s.coalesce.solve(ctx, key, a, b)
-	elapsed := time.Since(start)
-	s.metrics.SolveFinished()
-	s.metrics.ObserveLatency(elapsed)
-	if !ok {
-		// Our deadline expired while the wave ran on for the others.
-		return nil, s.solveErr(ctx, ctx.Err())
-	}
-	if r.err != nil {
-		if r.checkout {
-			return nil, s.checkoutErr(r.err)
+		r := waveResult{class: class, lanes: len(members), err: err}
+		if err == nil {
+			r.outs = outs[i : i+1]
 		}
-		return nil, s.solveErr(ctx, r.err)
+		m.done <- r
 	}
-	out := r.out
-	s.metrics.SolveOK(backend, out.AnalogTime, out.Runs, out.Rescales, out.Overflows, out.Refinements)
-	if r.lanes > 1 {
-		s.metrics.CoalescedRequest()
-	}
-	resp := newSolveResponse()
-	resp.U = []float64(out.U)
-	resp.N = a.Dim()
-	resp.Backend = backend
-	resp.Residual = la.RelativeResidual(a, out.U, b)
-	resp.ElapsedMs = float64(elapsed.Microseconds()) / 1000
-	resp.ServedBy = s.cfg.NodeName
-	resp.Coalesced = r.lanes > 1
-	resp.WaveLanes = r.lanes
-	if out.Analog {
-		resp.Analog = &AnalogStats{
-			AnalogSeconds: out.AnalogTime,
-			SettleSeconds: out.SettleTime,
-			Runs:          out.Runs,
-			Rescales:      out.Rescales,
-			Overflows:     out.Overflows,
-			Refinements:   out.Refinements,
-			ScaleS:        out.ScaleS,
-			ChipClass:     r.class,
-			Lanes:         out.Lanes,
-		}
-	}
-	return resp, nil
 }

@@ -11,20 +11,18 @@ import (
 
 // Bench suite 8: dynamic micro-batching on a hot operator. Sixteen
 // workers hammer one fingerprint through the full HTTP path against a
-// 4-chip pool; the coalesced and uncoalesced runs differ only in
-// Config.CoalesceWindow. Coalescing folds the sixteen solo streams into
-// shared lane waves — one checkout and one settle per wave instead of
-// per request — so solves/s is the headline, with wave occupancy and
-// the coalesced fraction reported alongside. SolveRoundTrip measures the
+// 4-chip pool. Coalescing folds the sixteen solo streams into shared
+// lane waves — one checkout and one settle per wave instead of per
+// request — so solves/s is the headline, with wave occupancy and the
+// coalesced fraction reported alongside. SolveRoundTrip measures the
 // serve path's per-request allocations (the sync.Pool scratch recycling
 // shows up in its allocs/op).
 
-func benchServer(b *testing.B, window time.Duration) (*Server, *Client, func()) {
+func benchServer(b *testing.B) (*Server, *Client, func()) {
 	b.Helper()
 	s, err := New(Config{
-		Pool:           PoolConfig{ChipsPerClass: 1, WarmSizes: []int{16}, MinClass: 2, MaxDim: 32},
-		QueueBound:     128,
-		CoalesceWindow: window,
+		Pool:       PoolConfig{ChipsPerClass: 1, WarmSizes: []int{16}, MinClass: 2, MaxDim: 32},
+		QueueBound: 128,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -55,8 +53,8 @@ func benchHotRequest() SolveRequest {
 	return req
 }
 
-func runHotOperatorBench(b *testing.B, window time.Duration) {
-	s, client, done := benchServer(b, window)
+func runHotOperatorBench(b *testing.B) {
+	s, client, done := benchServer(b)
 	defer done()
 	ctx := context.Background()
 	req := benchHotRequest()
@@ -104,13 +102,7 @@ func runHotOperatorBench(b *testing.B, window time.Duration) {
 // BenchmarkHotOperator16Coalesced is the tentpole measurement: one hot
 // fingerprint at concurrency 16 with the default coalescing window.
 func BenchmarkHotOperator16Coalesced(b *testing.B) {
-	runHotOperatorBench(b, 0) // 0 = default window (500µs)
-}
-
-// BenchmarkHotOperator16Uncoalesced is the PR 8 baseline: the identical
-// load with coalescing disabled, every request checking out its own chip.
-func BenchmarkHotOperator16Uncoalesced(b *testing.B) {
-	runHotOperatorBench(b, -1)
+	runHotOperatorBench(b)
 }
 
 // BenchmarkSolveRoundTrip is the allocation probe: one synchronous HTTP
@@ -118,7 +110,7 @@ func BenchmarkHotOperator16Uncoalesced(b *testing.B) {
 // encode/decode scratch (compare the federated 537k allocs/op noted in
 // BENCH_7 before pooling).
 func BenchmarkSolveRoundTrip(b *testing.B) {
-	_, client, done := benchServer(b, 0)
+	_, client, done := benchServer(b)
 	defer done()
 	ctx := context.Background()
 	req := benchHotRequest()

@@ -63,14 +63,19 @@ func TestCoalesceBitIdentity(t *testing.T) {
 						i, resps[i].Coalesced, resps[i].WaveLanes, lanes > 1, lanes)
 				}
 
-				// The solo reference: the same request as the first analog
-				// solve of a fresh, coalescing-disabled server — the exact
-				// chip entry state the wave saw.
-				_, soloClient, soloDone := newTestServer(t, Config{CoalesceWindow: -1})
+				// The solo reference: the same request alone as the first
+				// analog solve of a fresh server — a one-lane wave from the
+				// exact chip entry state the wide wave saw.
+				_, soloClient, soloDone := newTestServer(t, Config{})
 				solo, err := soloClient.Solve(ctx, operatorRequest(0, i))
 				if err != nil {
 					soloDone()
 					t.Fatalf("solo lane %d: %v", i, err)
+				}
+				if solo.WaveLanes != 1 || solo.Coalesced {
+					soloDone()
+					t.Fatalf("solo lane %d rode wave_lanes=%d coalesced=%t, want a one-lane wave",
+						i, solo.WaveLanes, solo.Coalesced)
 				}
 				if len(solo.U) != len(resps[i].U) {
 					soloDone()

@@ -169,136 +169,58 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 
-	var (
-		kind     string
-		payload  []byte
-		fp       uint64
-		affinity uint64
-		// pinned marks that this submission took a registry pin on its
-		// operator (released at the job's terminal transition — or right
-		// below, when the submission dedups or fails to enqueue).
-		pinned bool
-		pinFP  uint64
-	)
+	kind, wire := JobKindSolve, any(req.Solve)
+	if req.Batch != nil {
+		kind, wire = JobKindBatch, req.Batch
+	}
+	c, aerr := s.resolve(req.Solve, req.Batch)
+	if aerr != nil {
+		s.WriteAPIError(w, aerr)
+		return
+	}
+	opFP := c.fp
+	if !c.byRef {
+		opFP = la.Fingerprint(c.a)
+	}
+	fp := jobFingerprint(kind, c.backend, c.params.Tol, c.a, c.rhs)
+	var affinity uint64
+	if cli.IsAnalogBackend(c.backend) {
+		// The matrix fingerprint is the job's scheduling affinity: workers
+		// drain same-affinity jobs together so they arrive at the
+		// coalescer as one lane wave (fingerprint-sticky scheduling).
+		// Digital solves gain nothing from waves, so they keep affinity 0
+		// (FIFO).
+		affinity = opFP
+	}
+	// Persist the reference, not the matrix: a by-value submission
+	// registers its operator (journaled beside the WAL) and the job
+	// payload shrinks from O(nnz) to O(n·rhs) — crash replay re-resolves
+	// through the registry journal. The registration is pinned for the
+	// job's lifetime so no amount of registry churn can evict the
+	// operator out from under the accepted job (released at the job's
+	// terminal transition — or right below, when the submission dedups
+	// or fails to enqueue). If the operator exceeds the registry cap,
+	// keep the fat by-value payload: durability wins.
+	pinned := false
 	unpin := func() {
 		if pinned {
-			s.registry.unpin(pinFP)
-			pinned = false
+			s.registry.unpin(opFP)
 		}
 	}
-	if req.Solve != nil {
-		kind = JobKindSolve
-		if req.Solve.Backend == "" {
-			req.Solve.Backend = cli.BackendAnalogRefined
+	if _, _, rerr := s.registry.registerPinned(c.a); rerr == nil {
+		pinned = true
+		if !c.byRef {
+			wire = c.byReference(opFP)
 		}
-		if !cli.ValidBackend(req.Solve.Backend) {
-			s.writeError(w, http.StatusBadRequest, CodeBadBackend,
-				"unknown backend %q (known: %s)", req.Solve.Backend, cli.BackendUsage())
-			return
-		}
-		a, b, opFP, byRef, aerr := s.resolveSolve(req.Solve)
-		if aerr != nil {
-			s.WriteAPIError(w, aerr)
-			return
-		}
-		if !byRef {
-			opFP = la.Fingerprint(a)
-		}
-		tol := req.Solve.Tol
-		if tol <= 0 {
-			tol = s.cfg.Tol
-		}
-		fp = jobFingerprint(kind, req.Solve.Backend, tol, a, []la.Vector{b})
-		if cli.IsAnalogBackend(req.Solve.Backend) {
-			// The matrix fingerprint is the job's scheduling affinity:
-			// workers drain same-affinity jobs together so they arrive at
-			// the coalescer as one lane wave (fingerprint-sticky
-			// scheduling). Digital solves gain nothing from waves, so
-			// they keep affinity 0 (FIFO).
-			affinity = opFP
-		}
-		// Persist the reference, not the matrix: a by-value submission
-		// registers its operator (journaled beside the WAL) and the job
-		// payload shrinks from O(nnz) to O(n) — crash replay re-resolves
-		// through the registry journal. The registration is pinned for the
-		// job's lifetime so no amount of registry churn can evict the
-		// operator out from under the accepted job. If the operator
-		// exceeds the registry cap, keep the fat by-value payload:
-		// durability wins.
-		if _, _, rerr := s.registry.registerPinned(a); rerr == nil {
-			pinned, pinFP = true, opFP
-			if !byRef {
-				req.Solve = &SolveRequest{
-					Backend:     req.Solve.Backend,
-					Fingerprint: FormatFingerprint(opFP),
-					B:           []float64(b),
-					Tol:         req.Solve.Tol,
-					TimeoutMs:   req.Solve.TimeoutMs,
-					Workers:     req.Solve.Workers,
-				}
-			}
-		} else if byRef {
-			s.writeError(w, http.StatusInternalServerError, CodeInternal, "pinning operator: %v", rerr)
-			return
-		}
-		payload, err = json.Marshal(req.Solve)
-		if err != nil {
-			unpin()
-			s.writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-			return
-		}
-	} else {
-		kind = JobKindBatch
-		if req.Batch.Backend == "" {
-			req.Batch.Backend = cli.BackendAnalogRefined
-		}
-		if !cli.ValidBackend(req.Batch.Backend) || req.Batch.Backend == cli.BackendDecomposed {
-			s.writeError(w, http.StatusBadRequest, CodeBadBackend,
-				"backend %q cannot run batch jobs", req.Batch.Backend)
-			return
-		}
-		a, rhs, opFP, byRef, aerr := s.resolveBatch(req.Batch)
-		if aerr != nil {
-			s.WriteAPIError(w, aerr)
-			return
-		}
-		if !byRef {
-			opFP = la.Fingerprint(a)
-		}
-		if len(rhs) > s.cfg.MaxBatchRHS {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest,
-				"batch of %d right-hand sides exceeds the server limit %d", len(rhs), s.cfg.MaxBatchRHS)
-			return
-		}
-		tol := req.Batch.Tol
-		if tol <= 0 {
-			tol = s.cfg.Tol
-		}
-		fp = jobFingerprint(kind, req.Batch.Backend, tol, a, rhs)
-		// Same O(nnz)→O(n·rhs) payload shrink — and the same lifetime pin —
-		// as the solve branch.
-		if _, _, rerr := s.registry.registerPinned(a); rerr == nil {
-			pinned, pinFP = true, opFP
-			if !byRef {
-				req.Batch = &BatchSolveRequest{
-					Backend:     req.Batch.Backend,
-					Fingerprint: FormatFingerprint(opFP),
-					RHS:         req.Batch.RHS,
-					Tol:         req.Batch.Tol,
-					MaxLanes:    req.Batch.MaxLanes,
-					TimeoutMs:   req.Batch.TimeoutMs,
-				}
-			}
-		} else if byRef {
-			s.writeError(w, http.StatusInternalServerError, CodeInternal, "pinning operator: %v", rerr)
-			return
-		}
-		payload, err = json.Marshal(req.Batch)
-		if err != nil {
-			unpin()
-			s.writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-			return
-		}
+	} else if c.byRef {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, "pinning operator: %v", rerr)
+		return
+	}
+	payload, err := json.Marshal(wire)
+	if err != nil {
+		unpin()
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		return
 	}
 
 	j, err := s.jobs.SubmitAffinity(tenant, kind, fp, affinity, payload)
@@ -398,51 +320,51 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobStatus(j))
 }
 
-// executeJob is the worker callback: decode the payload, run it on the
-// same backend dispatch as the synchronous handlers (chip checkout,
+// executeJob is the worker callback: decode the payload, resolve and run
+// it on the same pipeline as the synchronous handlers (chip checkout,
 // deadline clamp, metrics and all), and return the marshalled response.
 // Error codes are the API's stable codes, so a failed job reports
 // exactly what the synchronous path would have.
 func (s *Server) executeJob(ctx context.Context, j *jobs.Job) ([]byte, string, string) {
+	var (
+		solo  *SolveRequest
+		batch *BatchSolveRequest
+		dst   any
+	)
 	switch j.Kind {
 	case JobKindSolve:
-		var req SolveRequest
-		if err := json.Unmarshal(j.Payload, &req); err != nil {
-			return nil, CodeBadRequest, fmt.Sprintf("decoding job payload: %v", err)
-		}
-		ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(req.TimeoutMs))
-		defer cancel()
-		// Job executions hold no admission slot; the detached-lane gauge
-		// keeps them visible to federation saturation gating.
-		s.metrics.DetachedLaneStarted()
-		resp, aerr := s.runSolve(ctx, &req)
-		s.metrics.DetachedLaneFinished()
-		if aerr != nil {
-			return nil, aerr.Code, aerr.Message
-		}
-		raw, err := json.Marshal(resp)
-		releaseSolveResponse(resp)
-		if err != nil {
-			return nil, CodeInternal, err.Error()
-		}
-		return raw, "", ""
+		solo = new(SolveRequest)
+		dst = solo
 	case JobKindBatch:
-		var req BatchSolveRequest
-		if err := json.Unmarshal(j.Payload, &req); err != nil {
-			return nil, CodeBadRequest, fmt.Sprintf("decoding job payload: %v", err)
-		}
-		ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(req.TimeoutMs))
-		defer cancel()
-		resp, aerr := s.runSolveBatch(ctx, &req)
-		if aerr != nil {
-			return nil, aerr.Code, aerr.Message
-		}
-		raw, err := json.Marshal(resp)
-		if err != nil {
-			return nil, CodeInternal, err.Error()
-		}
-		return raw, "", ""
+		batch = new(BatchSolveRequest)
+		dst = batch
 	default:
 		return nil, CodeBadRequest, fmt.Sprintf("unknown job kind %q", j.Kind)
 	}
+	if err := json.Unmarshal(j.Payload, dst); err != nil {
+		return nil, CodeBadRequest, fmt.Sprintf("decoding job payload: %v", err)
+	}
+	c, aerr := s.resolve(solo, batch)
+	if aerr != nil {
+		return nil, aerr.Code, aerr.Message
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(c.timeoutMs))
+	defer cancel()
+	// Job executions hold no admission slot; the detached-lane gauge
+	// keeps them — solve and batch jobs alike — visible to federation
+	// saturation gating.
+	s.metrics.DetachedLaneStarted()
+	resp, aerr := s.run(ctx, c)
+	s.metrics.DetachedLaneFinished()
+	if aerr != nil {
+		return nil, aerr.Code, aerr.Message
+	}
+	raw, err := json.Marshal(resp)
+	if r, ok := resp.(*SolveResponse); ok {
+		releaseSolveResponse(r)
+	}
+	if err != nil {
+		return nil, CodeInternal, err.Error()
+	}
+	return raw, "", ""
 }

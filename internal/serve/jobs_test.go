@@ -203,6 +203,117 @@ func TestJobFailureRecordsAPICode(t *testing.T) {
 	}
 }
 
+// TestJobCancelledMidSolve cancels a job while its solve is running and
+// checks the record says so in both fields: state cancelled, and the
+// error code cancelled — not internal, which is for server faults.
+func TestJobCancelledMidSolve(t *testing.T) {
+	s, client, done := newTestServer(t, Config{})
+	defer done()
+	started := make(chan struct{}, 1)
+	s.solve = func(ctx context.Context, _ string, _ *la.CSR, _ la.Vector, _ cli.SolveParams) (cli.Outcome, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return cli.Outcome{}, ctx.Err()
+	}
+	ctx := context.Background()
+
+	req := eq2Request("analog-refined")
+	st, err := client.SubmitJob(ctx, JobSubmitRequest{Solve: &req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never reached its solve")
+	}
+	if _, err := client.CancelJob(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	final, err := client.WaitJob(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != string(jobs.StateCancelled) {
+		t.Fatalf("job state %s, want cancelled", final.State)
+	}
+	if final.Error == nil || final.Error.Code != CodeCancelled {
+		t.Fatalf("job error %+v, want code %s", final.Error, CodeCancelled)
+	}
+}
+
+// TestJobsCountAsDetachedLanes holds a running job of each kind inside
+// its solve and checks /v1/peer/stats reports it as one extra lane — a
+// batch job holds a chip just as a solve job does, so federation
+// saturation gating must see both — and that the gauge returns to zero.
+func TestJobsCountAsDetachedLanes(t *testing.T) {
+	for _, kind := range []string{JobKindSolve, JobKindBatch} {
+		t.Run(kind, func(t *testing.T) {
+			s, client, done := newTestServer(t, Config{})
+			defer done()
+			started, release := make(chan struct{}, 1), make(chan struct{})
+			hold := func(ctx context.Context) error {
+				started <- struct{}{}
+				select {
+				case <-release:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			s.solve = func(ctx context.Context, backend string, a *la.CSR, b la.Vector, p cli.SolveParams) (cli.Outcome, error) {
+				if err := hold(ctx); err != nil {
+					return cli.Outcome{}, err
+				}
+				return cli.SolveSystem(ctx, backend, a, b, p)
+			}
+			s.solveBatch = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
+				if err := hold(ctx); err != nil {
+					return nil, err
+				}
+				return cli.SolveSystemBatch(ctx, backend, a, rhs, p)
+			}
+			ctx := context.Background()
+
+			sub := JobSubmitRequest{}
+			if kind == JobKindSolve {
+				req := eq2Request("analog-refined")
+				sub.Solve = &req
+			} else {
+				req := eq2BatchRequest("analog-refined")
+				sub.Batch = &req
+			}
+			st, err := client.SubmitJob(ctx, sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatal("job never reached its solve")
+			}
+			stats, err := client.PeerStats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.ExtraLanes != 1 {
+				t.Fatalf("running %s job: extra_lanes=%d, want 1", kind, stats.ExtraLanes)
+			}
+			close(release)
+			final, err := client.WaitJob(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != string(jobs.StateDone) {
+				t.Fatalf("job ended %s: %+v", final.State, final.Error)
+			}
+			if stats, err := client.PeerStats(ctx); err != nil || stats.ExtraLanes != 0 {
+				t.Fatalf("after the job: extra_lanes=%v (err %v), want 0", stats, err)
+			}
+		})
+	}
+}
+
 // TestAdaptiveRetryAfter checks the hint scales with queue depth and the
 // service-time moving average, and respects its floor.
 func TestAdaptiveRetryAfter(t *testing.T) {

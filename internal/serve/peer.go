@@ -261,7 +261,7 @@ func (s *Server) solveBlock(ctx context.Context, req *BlockSolveRequest) (*Block
 
 	pc, err := s.pool.Checkout(ctx, a)
 	if err != nil {
-		return nil, s.checkoutErr(err)
+		return nil, s.apiError(ctx, err)
 	}
 	defer s.pool.Checkin(pc)
 
@@ -274,7 +274,7 @@ func (s *Server) solveBlock(ctx context.Context, req *BlockSolveRequest) (*Block
 	}
 	us, sts, gains, err := sess.SolveBatchRefinedItems(ctx, items, req.Opt.toCore())
 	if err != nil {
-		return nil, s.solveErr(ctx, fmt.Errorf("block solve: %w", err))
+		return nil, s.apiError(ctx, fmt.Errorf("block solve: %w", err))
 	}
 	resp := &BlockSolveResponse{
 		Results:       make([]BlockWireResult, len(us)),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -55,8 +56,8 @@ type PoolConfig struct {
 	// rows; denser rows escalate to a larger class).
 	MulsPerMB int
 	// Engine names the simulation kernel every pooled chip runs on
-	// ("auto", "interpreter", "compiled", "fused"; empty = auto). All
-	// engines are bit-identical; this is the daemon's speed/debug knob.
+	// ("auto", "interpreter", "fused"; empty = auto). Both engines are
+	// bit-identical; this is the daemon's speed/debug knob.
 	Engine string
 	// SimWorkers bounds each chip's fused-engine worker pool (0 = auto).
 	SimWorkers int
@@ -158,6 +159,11 @@ type Pool struct {
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	p := &Pool{cfg: cfg, classes: make(map[int]*subpool)}
+	// A bad chip design (an unknown engine name, say) fails here, at
+	// startup, not at the first lazily built chip.
+	if err := p.specFor(cfg.MinClass).Validate(); err != nil {
+		return nil, fmt.Errorf("serve: pool chip design: %w", err)
+	}
 	for _, n := range cfg.WarmSizes {
 		if n > cfg.MaxDim {
 			return nil, fmt.Errorf("serve: warm size %d exceeds max dimension %d", n, cfg.MaxDim)
@@ -224,6 +230,10 @@ func (sp *subpool) reserve(cap int) (slot int, ok bool) {
 	return slot, true
 }
 
+// errChipBuild marks a pooled chip that would not build or calibrate:
+// the service's own fault, answered 500 internal rather than 422.
+var errChipBuild = errors.New("serve: building a pooled chip")
+
 // build fabricates (and unless configured otherwise, calibrates) one chip
 // for a subpool slot already reserved via sp.reserve.
 func (p *Pool) build(sp *subpool, slot int) (*PooledChip, error) {
@@ -234,7 +244,7 @@ func (p *Pool) build(sp *subpool, slot int) (*PooledChip, error) {
 		sp.mu.Lock()
 		sp.built--
 		sp.mu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errChipBuild, err)
 	}
 	p.builds.Add(1)
 	if !p.cfg.SkipCalibrate {
@@ -242,7 +252,7 @@ func (p *Pool) build(sp *subpool, slot int) (*PooledChip, error) {
 			sp.mu.Lock()
 			sp.built--
 			sp.mu.Unlock()
-			return nil, fmt.Errorf("serve: calibrating class-%d chip: %w", sp.dim, err)
+			return nil, fmt.Errorf("%w: calibrating class-%d chip: %w", errChipBuild, sp.dim, err)
 		}
 		p.calibrations.Add(1)
 	}

@@ -73,7 +73,7 @@ type SolveRequest struct {
 // form it was sent. Errors are client errors (HTTP 400). By-reference
 // (fingerprint) requests cannot be built standalone — only the server's
 // registry can resolve them — so they error here; server paths route
-// through Server.resolveSolve instead.
+// through Server.resolve instead.
 func (r *SolveRequest) BuildSystem() (*la.CSR, la.Vector, error) {
 	forms := 0
 	if len(r.A) > 0 || r.N > 0 {
@@ -304,7 +304,8 @@ type BatchSolveResponse struct {
 // ErrorResponse is the JSON body of every non-2xx answer.
 type ErrorResponse struct {
 	// Code is a stable machine-readable error class: bad_request,
-	// bad_backend, too_large, busy, deadline, solve_failed, internal.
+	// bad_backend, too_large, busy, deadline, cancelled, solve_failed,
+	// internal, quota, not_found, unknown_operator.
 	Code  string `json:"code"`
 	Error string `json:"error"`
 }
@@ -332,6 +333,10 @@ const (
 	// is not in this node's operator registry (never uploaded, or
 	// evicted). Stable so clients can register-and-retry.
 	CodeUnknownOperator = "unknown_operator"
+	// CodeCancelled marks a solve whose context was cancelled: the client
+	// went away, or its async job was cancelled mid-solve (503, distinct
+	// from deadline expiry and from server faults).
+	CodeCancelled = "cancelled"
 )
 
 // OperatorRequest registers a matrix in the operator registry

@@ -356,6 +356,34 @@ func TestServeDeadline(t *testing.T) {
 	}
 }
 
+// TestNewRejectsRetiredModes checks the startup errors that replaced two
+// retired modes: a negative coalesce window (every analog solve rides a
+// wave; there is no off switch) and the retired "compiled" engine, whose
+// error must name the engines that remain.
+func TestNewRejectsRetiredModes(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		wants []string
+	}{
+		{"negative window", Config{Pool: testPoolConfig(), CoalesceWindow: -time.Millisecond}, []string{"coalesce window"}},
+		{"compiled engine", Config{Pool: PoolConfig{MinClass: 2, MaxDim: 32, WarmSizes: []int{}, Engine: "compiled"}},
+			[]string{"compiled", "auto", "interpreter", "fused"}},
+	}
+	for _, c := range cases {
+		s, err := New(c.cfg)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: New accepted the config", c.name)
+		}
+		for _, want := range c.wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", c.name, err, want)
+			}
+		}
+	}
+}
+
 func TestServeBackendsEndpoint(t *testing.T) {
 	_, client, done := newTestServer(t, Config{})
 	defer done()

@@ -47,8 +47,9 @@ type Config struct {
 	// CoalesceWindow bounds how long an analog solo solve may wait for
 	// same-operator companions before its wave fires (default 500µs; a
 	// group also closes early when 16 lanes fill or the operator already
-	// has an idle resident chip). Negative disables coalescing entirely —
-	// every request checks out its own chip, the pre-coalescer behavior.
+	// has an idle resident chip). Every analog solo solve rides a wave —
+	// a lone request a wave of one — so there is no off switch: New
+	// rejects a negative window.
 	CoalesceWindow time.Duration
 
 	// JobStore is the async job journal path. Empty runs the job queue
@@ -160,8 +161,8 @@ type Server struct {
 	// scatter-gathers blocks across peer nodes.
 	decompProvider core.SessionProvider
 
-	// coalesce groups concurrent same-operator analog solves into lane
-	// waves (nil when Config.CoalesceWindow < 0).
+	// coalesce groups concurrent same-operator analog solo solves into
+	// lane waves; every analog solo solve goes through it.
 	coalesce *coalescer
 
 	// solve is the backend dispatch, swappable by tests that need a
@@ -175,6 +176,9 @@ type Server struct {
 // (reclaiming leases orphaned by a crash), and starts the async
 // executors.
 func New(cfg Config) (*Server, error) {
+	if cfg.CoalesceWindow < 0 {
+		return nil, fmt.Errorf("serve: negative coalesce window %v: every analog solve rides a wave (0 selects the default)", cfg.CoalesceWindow)
+	}
 	cfg = cfg.withDefaults()
 	pool, err := NewPool(cfg.Pool)
 	if err != nil {
@@ -189,9 +193,7 @@ func New(cfg Config) (*Server, error) {
 		solveBatch: cli.SolveSystemBatch,
 	}
 	s.decompProvider = pool.DecompProvider()
-	if cfg.CoalesceWindow > 0 {
-		s.coalesce = newCoalescer(s, cfg.CoalesceWindow)
-	}
+	s.coalesce = newCoalescer(s, cfg.CoalesceWindow)
 	// The job queue opens first so the registry can learn which operator
 	// fingerprints replayed (still-queued) by-reference payloads depend
 	// on: those are pinned through the registry's own replay, exempting
@@ -445,22 +447,43 @@ func (s *Server) admit() (release func(), aerr *APIError) {
 // calls it directly for locally served requests so routed and direct
 // traffic share one admission discipline.
 func (s *Server) SolveDecoded(ctx context.Context, req *SolveRequest) (*SolveResponse, *APIError) {
-	// Per-request deadline, clamped to the server's ceiling, propagated
-	// from here down to the chip's settle loop.
-	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(req.TimeoutMs))
-	defer cancel()
+	resp, aerr := s.admitAndRun(ctx, req, nil, req.TimeoutMs)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return resp.(*SolveResponse), nil
+}
 
+// SolveBatchDecoded is SolveDecoded's multi-RHS counterpart.
+func (s *Server) SolveBatchDecoded(ctx context.Context, req *BatchSolveRequest) (*BatchSolveResponse, *APIError) {
+	resp, aerr := s.admitAndRun(ctx, nil, req, req.TimeoutMs)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return resp.(*BatchSolveResponse), nil
+}
+
+// admitAndRun is the synchronous half of the request pipeline: the
+// per-request deadline, clamped to the server's ceiling and propagated
+// down to the chip's settle loop; one bounded admission slot; then
+// resolve and run, shared with the async executor.
+func (s *Server) admitAndRun(ctx context.Context, solo *SolveRequest, batch *BatchSolveRequest, timeoutMs int) (any, *APIError) {
+	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(timeoutMs))
+	defer cancel()
 	release, aerr := s.admit()
 	if aerr != nil {
 		return nil, aerr
 	}
 	defer release()
-	return s.runSolve(ctx, req)
+	c, aerr := s.resolve(solo, batch)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return s.run(ctx, c)
 }
 
 // handleSolve is the synchronous solve path: decode → admit (bounded,
-// backpressured) → run under deadline → respond. The solve itself lives
-// in runSolve, shared with the async executor.
+// backpressured) → resolve → run under deadline → respond.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
 	n, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
@@ -478,197 +501,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	releaseSolveResponse(resp)
 }
 
-// resolveSolve materializes one solve request's system. By-value forms
-// build exactly as before; the by-reference form resolves the fingerprint
-// through the operator registry, with a missing operator answered by the
-// stable unknown_operator code so clients can register-and-retry. byRef
-// reports which path ran (the fingerprint is only trustworthy when true).
-func (s *Server) resolveSolve(req *SolveRequest) (a *la.CSR, b la.Vector, fp uint64, byRef bool, aerr *APIError) {
-	if req.Fingerprint == "" {
-		a, b, err := req.BuildSystem()
-		if err != nil {
-			return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
-		return a, b, 0, false, nil
-	}
-	if req.N > 0 || len(req.A) > 0 || req.System != "" || req.MatrixMarket != "" {
-		return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"request carries both a fingerprint reference and a by-value matrix; send exactly one")
-	}
-	fp, err := ParseFingerprint(req.Fingerprint)
-	if err != nil {
-		return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
-	}
-	a, ok := s.registry.lookup(fp)
-	if !ok {
-		return nil, nil, 0, false, apiErrorf(http.StatusNotFound, CodeUnknownOperator,
-			"operator %s is not registered on this node; PUT /v1/operators and retry", req.Fingerprint)
-	}
-	b = la.Constant(a.Dim(), 1)
-	if len(req.B) > 0 {
-		if len(req.B) != a.Dim() {
-			return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-				"b has %d values, operator %s order is %d", len(req.B), req.Fingerprint, a.Dim())
-		}
-		b = la.Vector(req.B)
-	}
-	return a, b, fp, true, nil
-}
-
-// resolveBatch is resolveSolve's multi-RHS counterpart.
-func (s *Server) resolveBatch(req *BatchSolveRequest) (a *la.CSR, rhs []la.Vector, fp uint64, byRef bool, aerr *APIError) {
-	if req.Fingerprint == "" {
-		a, rhs, err := req.BuildSystem()
-		if err != nil {
-			return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
-		}
-		return a, rhs, 0, false, nil
-	}
-	if req.N > 0 || len(req.A) > 0 || req.System != "" || req.MatrixMarket != "" {
-		return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"request carries both a fingerprint reference and a by-value matrix; send exactly one")
-	}
-	fp, err := ParseFingerprint(req.Fingerprint)
-	if err != nil {
-		return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
-	}
-	a, ok := s.registry.lookup(fp)
-	if !ok {
-		return nil, nil, 0, false, apiErrorf(http.StatusNotFound, CodeUnknownOperator,
-			"operator %s is not registered on this node; PUT /v1/operators and retry", req.Fingerprint)
-	}
-	if len(req.RHS) == 0 {
-		return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"batch request needs at least one right-hand side in rhs")
-	}
-	rhs = make([]la.Vector, len(req.RHS))
-	for k, row := range req.RHS {
-		if len(row) != a.Dim() {
-			return nil, nil, 0, false, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-				"rhs %d has %d values, operator %s order is %d", k, len(row), req.Fingerprint, a.Dim())
-		}
-		rhs[k] = la.Vector(row)
-	}
-	return a, rhs, fp, true, nil
-}
-
-// runSolve validates, builds, and executes one solve request. It is the
-// shared engine behind POST /v1/solve and async solve jobs: chip
-// checkout, backend dispatch, and metrics behave identically on both
-// paths, so a job's recorded result is exactly what the synchronous
-// call would have returned.
-func (s *Server) runSolve(ctx context.Context, req *SolveRequest) (*SolveResponse, *APIError) {
-	if req.Backend == "" {
-		req.Backend = cli.BackendAnalogRefined
-	}
-	// Backend validation comes before the (potentially large) matrix is
-	// even assembled, mirroring alasolve's fail-fast rule.
-	if !cli.ValidBackend(req.Backend) {
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadBackend,
-			"unknown backend %q (known: %s)", req.Backend, cli.BackendUsage())
-	}
-	a, b, fp, byRef, aerr := s.resolveSolve(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-
-	params := cli.SolveParams{Tol: req.Tol, ADCBits: s.cfg.Pool.ADCBits, Bandwidth: s.cfg.Pool.Bandwidth}
-	if params.Tol <= 0 {
-		params.Tol = s.cfg.Tol
-	}
-	backendRun := req.Backend
-	decomposed := req.Backend == cli.BackendDecomposed
-	if !decomposed && cli.IsAnalogBackend(req.Backend) {
-		if ferr := s.pool.Fits(a); ferr != nil {
-			// No single size class can hold the system (or its density).
-			// Instead of the pre-decomposition ErrTooLarge rejection,
-			// partition it and fan the blocks out over the pool.
-			decomposed = true
-			backendRun = cli.BackendDecomposed
-		}
-	}
-	var chipClass int
-	switch {
-	case decomposed:
-		params.Provider = s.decompProvider
-		params.Workers = req.Workers
-		params.OnSweep = func(_ int, _ float64, elapsed time.Duration) {
-			s.metrics.ObserveSweep(elapsed)
-		}
-	case cli.IsAnalogBackend(req.Backend):
-		if s.coalesce != nil {
-			// The coalesced arm owns the whole checkout/solve/metrics
-			// lifecycle (one chip per wave, not per request). By-reference
-			// requests hand their already-parsed fingerprint straight to the
-			// wave key; only by-value requests pay the hash here.
-			if !byRef {
-				fp = la.Fingerprint(a)
-			}
-			return s.runSolveCoalesced(ctx, backendRun, fp, a, b, params.Tol)
-		}
-		pc, err := s.pool.Checkout(ctx, a)
-		if err != nil {
-			return nil, s.checkoutErr(err)
-		}
-		defer s.pool.Checkin(pc)
-		params.Acc = pc.Acc
-		chipClass = pc.Class
-	}
-
-	s.metrics.SolveStarted()
-	start := time.Now()
-	out, err := s.solve(ctx, backendRun, a, b, params)
-	elapsed := time.Since(start)
-	s.metrics.SolveFinished()
-	s.metrics.ObserveLatency(elapsed)
-	if err != nil {
-		return nil, s.solveErr(ctx, err)
-	}
-	s.metrics.SolveOK(backendRun, out.AnalogTime, out.Runs, out.Rescales, out.Overflows, out.Refinements)
-	if ds := out.Decompose; ds != nil {
-		s.metrics.DecomposedOK(ds.Blocks, ds.Sweeps, ds.Configs, ds.ReuseHits)
-	}
-
-	resp := newSolveResponse()
-	resp.U = []float64(out.U)
-	resp.N = a.Dim()
-	resp.Backend = backendRun
-	resp.Residual = la.RelativeResidual(a, out.U, b)
-	resp.ElapsedMs = float64(elapsed.Microseconds()) / 1000
-	resp.ServedBy = s.cfg.NodeName
-	if ds := out.Decompose; ds != nil {
-		resp.Decompose = &DecomposeInfo{
-			Blocks:                ds.Blocks,
-			Sweeps:                ds.Sweeps,
-			Chips:                 ds.Chips,
-			InnerRefinements:      ds.InnerRefinements,
-			Configs:               ds.Configs,
-			ReuseHits:             ds.ReuseHits,
-			AnalogCriticalSeconds: ds.AnalogCritical,
-		}
-	}
-	if out.Analog {
-		resp.Analog = &AnalogStats{
-			AnalogSeconds: out.AnalogTime,
-			SettleSeconds: out.SettleTime,
-			Runs:          out.Runs,
-			Rescales:      out.Rescales,
-			Overflows:     out.Overflows,
-			Refinements:   out.Refinements,
-			ScaleS:        out.ScaleS,
-			ChipClass:     chipClass,
-		}
-	} else if out.Iterations > 0 || out.MACs > 0 {
-		resp.Digital = &DigitalStats{Iterations: out.Iterations, MACs: out.MACs}
-	}
-	return resp, nil
-}
-
 // handleSolveBatch is the synchronous multi-RHS path: one admission
 // slot, one chip checkout, one matrix programming — then every
 // right-hand side solves on the resident configuration with only bias
-// rewrites in between. The batch itself lives in runSolveBatch, shared
-// with the async executor.
+// rewrites in between.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSolveRequest
 	n, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
@@ -683,137 +519,6 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.ObserveResponseBytes("solve_batch", int64(writeJSON(w, http.StatusOK, resp)))
-}
-
-// SolveBatchDecoded is SolveDecoded's multi-RHS counterpart: deadline
-// clamp, bounded admission, then the shared batch engine.
-func (s *Server) SolveBatchDecoded(ctx context.Context, req *BatchSolveRequest) (*BatchSolveResponse, *APIError) {
-	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(req.TimeoutMs))
-	defer cancel()
-
-	release, aerr := s.admit()
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-	return s.runSolveBatch(ctx, req)
-}
-
-// runSolveBatch validates, builds, and executes one batch request; the
-// shared engine behind POST /v1/solve/batch and async batch jobs.
-func (s *Server) runSolveBatch(ctx context.Context, req *BatchSolveRequest) (*BatchSolveResponse, *APIError) {
-	if req.Backend == "" {
-		req.Backend = cli.BackendAnalogRefined
-	}
-	if !cli.ValidBackend(req.Backend) {
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadBackend,
-			"unknown backend %q (known: %s)", req.Backend, cli.BackendUsage())
-	}
-	if req.Backend == cli.BackendDecomposed {
-		// The decomposed backend leases several chips per item; batching
-		// would hold the fan-out across the whole batch. Items that big
-		// should go through /v1/solve individually.
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadBackend,
-			"backend %q does not support batch solves", req.Backend)
-	}
-	a, rhs, _, _, aerr := s.resolveBatch(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if len(rhs) > s.cfg.MaxBatchRHS {
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"batch of %d right-hand sides exceeds the server limit %d; split into smaller batches",
-			len(rhs), s.cfg.MaxBatchRHS)
-	}
-
-	params := cli.SolveParams{Tol: req.Tol, ADCBits: s.cfg.Pool.ADCBits, Bandwidth: s.cfg.Pool.Bandwidth, MaxLanes: req.MaxLanes}
-	if params.Tol <= 0 {
-		params.Tol = s.cfg.Tol
-	}
-	var chipClass int
-	if cli.IsAnalogBackend(req.Backend) {
-		if ferr := s.pool.Fits(a); ferr != nil {
-			return nil, s.checkoutErr(ferr)
-		}
-		pc, err := s.pool.Checkout(ctx, a)
-		if err != nil {
-			return nil, s.checkoutErr(err)
-		}
-		defer s.pool.Checkin(pc)
-		params.Acc = pc.Acc
-		chipClass = pc.Class
-	}
-
-	s.metrics.SolveStarted()
-	s.metrics.BatchRHS(len(rhs))
-	start := time.Now()
-	outs, err := s.solveBatch(ctx, req.Backend, a, rhs, params)
-	elapsed := time.Since(start)
-	s.metrics.SolveFinished()
-	// Latency is per request, not per item: the histogram measures what a
-	// caller waited for, so one batch is one observation even though each
-	// item bumps the SolveOK counters below. Divide alad_batch_rhs_total
-	// by request counts for a per-item view.
-	s.metrics.ObserveLatency(elapsed)
-	if err != nil {
-		return nil, s.solveErr(ctx, err)
-	}
-
-	resp := &BatchSolveResponse{
-		N:         a.Dim(),
-		Backend:   req.Backend,
-		Items:     make([]BatchItem, len(outs)),
-		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-		ServedBy:  s.cfg.NodeName,
-	}
-	for k, out := range outs {
-		s.metrics.SolveOK(req.Backend, out.AnalogTime, out.Runs, out.Rescales, out.Overflows, out.Refinements)
-		// Wave provenance: the widest lane group any item rode, and
-		// whether at least two right-hand sides shared one (PR 9 stamped
-		// solo responses only; batch answers report occupancy too).
-		if out.Lanes > resp.WaveLanes {
-			resp.WaveLanes = out.Lanes
-		}
-		if out.Lanes >= 2 {
-			resp.Coalesced = true
-		}
-		item := BatchItem{
-			U:        []float64(out.U),
-			Residual: la.RelativeResidual(a, out.U, rhs[k]),
-		}
-		if out.Analog {
-			item.Analog = &AnalogStats{
-				AnalogSeconds: out.AnalogTime,
-				SettleSeconds: out.SettleTime,
-				Runs:          out.Runs,
-				Rescales:      out.Rescales,
-				Overflows:     out.Overflows,
-				Refinements:   out.Refinements,
-				ScaleS:        out.ScaleS,
-				ChipClass:     chipClass,
-				Lanes:         out.Lanes,
-			}
-		} else if out.Iterations > 0 || out.MACs > 0 {
-			item.Digital = &DigitalStats{Iterations: out.Iterations, MACs: out.MACs}
-		}
-		resp.Items[k] = item
-	}
-	return resp, nil
-}
-
-func (s *Server) checkoutErr(err error) *APIError {
-	switch {
-	case errors.Is(err, core.ErrTooLarge):
-		return apiErrorf(http.StatusRequestEntityTooLarge, CodeTooLarge, "%v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExceeded()
-		return apiErrorf(http.StatusGatewayTimeout, CodeDeadline, "deadline expired waiting for a chip: %v", err)
-	case errors.Is(err, context.Canceled):
-		return apiErrorf(http.StatusServiceUnavailable, CodeInternal, "request cancelled while queued: %v", err)
-	default:
-		s.metrics.SolveError()
-		return apiErrorf(http.StatusInternalServerError, CodeInternal, "%v", err)
-	}
 }
 
 // handleOperatorPut registers one operator (PUT /v1/operators): the
@@ -872,19 +577,4 @@ func (s *Server) handleOperatorList(w http.ResponseWriter, _ *http.Request) {
 		MaxOps:    s.registry.maxOps,
 		MaxBytes:  s.registry.maxBytes,
 	})
-}
-
-func (s *Server) solveErr(ctx context.Context, err error) *APIError {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.metrics.DeadlineExceeded()
-		return apiErrorf(http.StatusGatewayTimeout, CodeDeadline, "solve aborted by deadline: %v", err)
-	case errors.Is(err, context.Canceled):
-		return apiErrorf(http.StatusServiceUnavailable, CodeInternal, "solve cancelled: %v", err)
-	case errors.Is(err, core.ErrTooLarge):
-		return apiErrorf(http.StatusRequestEntityTooLarge, CodeTooLarge, "%v", err)
-	default:
-		s.metrics.SolveError()
-		return apiErrorf(http.StatusUnprocessableEntity, CodeSolveFailed, "%v", err)
-	}
 }

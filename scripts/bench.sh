@@ -9,7 +9,7 @@
 #   scripts/bench.sh 1       # BENCH_1.json: circuit hot-loop microbenchmarks
 #   scripts/bench.sh 3 10x   # BENCH_3.json: decomposition scaling
 #   scripts/bench.sh 4       # BENCH_4.json: session cache + batch solves
-#   scripts/bench.sh 5       # BENCH_5.json: fused vs compiled step kernel
+#   scripts/bench.sh 5       # BENCH_5.json: fused step kernel, serial and level-parallel
 #   scripts/bench.sh 6       # BENCH_6.json: lane-batched vs sequential batch
 #   scripts/bench.sh 7       # BENCH_7.json: federation zipf-load routing policies
 #   scripts/bench.sh 8       # BENCH_8.json: micro-batching coalescer on a hot operator
@@ -23,7 +23,7 @@ case "$SUITE" in
 	PKG=./internal/circuit
 	BENCH='Eval|Step|RunUntilSettled'
 	BENCHTIME="${2:-1s}"
-	DESC="internal/circuit hot loop (32x32 Poisson fig8 netlist)"
+	DESC="internal/circuit hot loop (32x32 Poisson fig8 netlist): reference interpreter vs fused kernel eval, RK4 step and settle"
 	;;
 3)
 	PKG=./internal/core
@@ -41,7 +41,7 @@ case "$SUITE" in
 	PKG=./internal/circuit
 	BENCH='(Eval|Step)(32|128)'
 	BENCHTIME="${2:-1s}"
-	DESC="fused kernel vs compiled op stream: eval and RK4 step on the fig8 Poisson netlist at 32x32 (serial) and 128x128 (level-parallel, 1/2/4 workers)"
+	DESC="fused kernel: eval and RK4 step on the fig8 Poisson netlist at 32x32 (serial) and 128x128 (level-parallel, 1/2/4 workers)"
 	;;
 6)
 	PKG=./internal/circuit
@@ -59,7 +59,7 @@ case "$SUITE" in
 	PKG=./internal/serve
 	BENCH='HotOperator16|SolveRoundTrip'
 	BENCHTIME="${2:-600x}"
-	DESC="dynamic micro-batching: 16 workers hammering one hot operator through the HTTP path, default coalescing window vs disabled (solves/s, wave occupancy, coalesced fraction), plus the single-stream round-trip allocation probe"
+	DESC="dynamic micro-batching: 16 workers hammering one hot operator through the HTTP path with the default coalescing window (solves/s, wave occupancy, coalesced fraction), plus the single-stream round-trip allocation probe"
 	;;
 9)
 	PKG=./internal/serve

@@ -50,7 +50,10 @@ go test -race -count=2 -run 'TestRegistry|TestOperator' ./internal/serve
 # window close, full close, checkout-stall boarding, and per-member
 # deadline abandonment — the churn test drives 96 requests over 4
 # operators with mixed deadlines through 16 workers, twice under -race.
-go test -race -count=2 -run 'TestCoalesce' ./internal/serve
+# The cross-path differential holds the solo, coalesced, batch, 1-RHS
+# batch, solve-job and batch-job paths (by value and by reference)
+# bit-identical to the solo answer on the one execution path.
+go test -race -count=2 -run 'TestCoalesce|TestCrossPath' ./internal/serve
 
 # Federation router: rendezvous routing, concurrent membership polls,
 # remote block scatter-gather, and the zipf load generator all mix
@@ -84,9 +87,9 @@ go run ./scripts/smoke -alad "$BIN/alad" -alasolve "$BIN/alasolve"
 # Engine equivalence: the fused kernel's parallel path is schedule-dependent
 # by construction (per-level worker chunks) but must stay bit-identical to
 # serial; -count=2 under -race shakes interleavings. The fuzz seed corpora
-# replay the checked-in differential cases through all three engines and
-# through lane widths 1/2/7/16 (16 is the AVX2 kernel path on amd64), and
-# the core lane-batch differentials hold wave answers equal to scalar
-# solves end-to-end.
+# replay the checked-in differential cases through both engines (the
+# reference interpreter and the fused kernel) and through lane widths
+# 1/2/7/16 (16 is the AVX2 kernel path on amd64), and the core lane-batch
+# differentials hold wave answers equal to scalar solves end-to-end.
 go test -race -count=2 -run 'Fused|Lane|EngineEquivalence|Fuzz' ./internal/circuit
 go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
