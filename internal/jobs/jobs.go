@@ -18,12 +18,13 @@
 // job goes back to the queue for another attempt — at its original
 // submit position, so re-queues never reorder the backlog.
 //
-// Durability invariants (see wal.go for the record format):
+// Durability invariants (internal/journal holds the file format and its
+// damage policy):
 //
 //   - every state transition is appended to the journal before the
-//     in-memory state changes are visible to callers; submissions and
-//     terminal transitions are fsynced, so an acknowledged submit and a
-//     recorded result survive power loss;
+//     in-memory state changes, and one whose append fails is not applied
+//     at all; submissions and terminal transitions are fsynced, so an
+//     acknowledged submit and a recorded result survive power loss;
 //   - lease/start/requeue records are appended without fsync: losing a
 //     tail of them in a crash only makes a job look queued, which is
 //     exactly what boot-time recovery does to leased jobs anyway (the
@@ -34,7 +35,9 @@
 //     cancel was requested), preserving attempt counts;
 //   - after replay the journal is compacted: live state is snapshotted
 //     to a fresh file which atomically replaces the old one, so the
-//     journal never grows without bound across restarts.
+//     journal never grows without bound across restarts;
+//   - damage other than a torn final frame fails Open and leaves the
+//     file as it was.
 //
 // The package is dependency-free (stdlib only) and knows nothing about
 // solving: payloads and results are opaque bytes, execution is a

@@ -2,12 +2,15 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"analogacc/internal/journal"
 )
 
 // Config sizes a queue. The zero value gives a memory-only queue with
@@ -92,7 +95,7 @@ type Queue struct {
 	cfg Config
 
 	mu   sync.Mutex
-	wal  *wal // nil in memory-only mode
+	log  *journal.Log // nil in memory-only mode
 	jobs map[string]*Job
 	// pending holds queued job IDs per tenant, each FIFO by SubmitSeq;
 	// rrOrder/rrNext implement round-robin fairness across tenants
@@ -121,12 +124,13 @@ type Queue struct {
 
 	submitted, completed, failedTot, cancelledTot int64
 	leaseExpired, replayed, deduped, compactions  int64
-	tornDropped                                   int64
+	tornDropped, walRecords                       int64
 }
 
 // Open loads (or creates) the queue at cfg.Path: replay, lease
-// reclamation, then snapshot compaction. A corrupt journal (checksum or
-// decode failure anywhere but a torn tail) fails Open.
+// reclamation, then snapshot compaction. Damage anywhere but a torn
+// final frame, or a record that does not decode or apply, fails Open and
+// leaves the journal as it was.
 func Open(cfg Config) (*Queue, error) {
 	cfg = cfg.withDefaults()
 	q := &Queue{
@@ -148,45 +152,53 @@ func Open(cfg Config) (*Queue, error) {
 			return nil, fmt.Errorf("jobs: creating journal directory: %w", err)
 		}
 	}
-	recs, torn, err := readWAL(cfg.Path)
+	frames, err := q.replay(cfg.Path)
 	if err != nil {
 		return nil, err
 	}
-	q.tornDropped = int64(torn)
-	if err := q.replay(recs); err != nil {
-		return nil, err
-	}
-	w, err := rewriteWAL(cfg.Path, q.snapshotRecords())
+	recs := q.snapshotRecords()
+	q.log, err = journal.Create(cfg.Path, walMagic, len(recs), func(i int) ([]byte, error) {
+		return json.Marshal(&recs[i])
+	})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: compacting journal: %w", err)
 	}
-	q.wal = w
-	if len(recs) > 0 {
+	q.walRecords = int64(len(recs))
+	if frames > 0 {
 		q.compactions++
 	}
 	return q, nil
 }
 
-// replay applies journal records in order, then reclaims orphaned
-// leases: the process that held every lease is the one that died, so
-// leased/running jobs go back to queued (or to cancelled if their
-// cancellation was already requested) with attempts preserved.
-func (q *Queue) replay(recs []walRecord) error {
-	for i := range recs {
-		rec := &recs[i]
+// replay streams the journal at path through applyLocked, then reclaims
+// orphaned leases: the process that held every lease is the one that
+// died, so leased/running jobs go back to queued (or to cancelled if
+// their cancellation was already requested) with attempts preserved.
+func (q *Queue) replay(path string) (frames int, err error) {
+	torn, err := journal.Read(path, walMagic, func(payload []byte) error {
+		frames++
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("undecodable record: %v", err)
+		}
 		if rec.Op == opMeta {
 			if rec.NextSeq > q.nextSeq {
 				q.nextSeq = rec.NextSeq
 			}
-			continue
+			return nil
 		}
-		if err := q.applyLocked(rec); err != nil {
-			return fmt.Errorf("jobs: replaying record %d (%s %s): %w", i, rec.Op, rec.ID, err)
+		if err := q.applyLocked(&rec); err != nil {
+			return fmt.Errorf("%s %s: %w", rec.Op, rec.ID, err)
 		}
 		if rec.Seq >= q.nextSeq {
 			q.nextSeq = rec.Seq + 1
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("jobs: replaying journal: %w", err)
 	}
+	q.tornDropped = int64(torn)
 	q.replayed = int64(len(q.jobs))
 
 	// Reclaim orphaned leases deterministically (submit order).
@@ -205,7 +217,7 @@ func (q *Queue) replay(recs []walRecord) error {
 		rec := &walRecord{Seq: q.nextSeq, Op: op, ID: j.ID, NowNs: j.UpdatedNs}
 		q.nextSeq++
 		if err := q.applyLocked(rec); err != nil {
-			return fmt.Errorf("jobs: reclaiming lease of %s: %w", j.ID, err)
+			return 0, fmt.Errorf("jobs: reclaiming lease of %s: %w", j.ID, err)
 		}
 		q.leaseExpired++
 	}
@@ -216,7 +228,7 @@ func (q *Queue) replay(recs []walRecord) error {
 		return q.jobs[q.doneOrder[a]].SubmitSeq < q.jobs[q.doneOrder[b]].SubmitSeq
 	})
 	q.evictDoneLocked()
-	return nil
+	return frames, nil
 }
 
 // snapshotRecords renders live state as a compact journal: one meta
@@ -235,15 +247,47 @@ func (q *Queue) snapshotRecords() []walRecord {
 	return recs
 }
 
-// applyLocked is the single source of truth for state mutation: live
-// operations build a record, apply it, then journal it; replay applies
-// the same records. It validates every edge against the state machine.
-func (q *Queue) applyLocked(rec *walRecord) error {
-	switch rec.Op {
-	case opSubmit, opSnap:
+// transitions maps each patch op to the state it moves a job into;
+// cancel_req only flags the job. checkLocked and applyLocked share it.
+var transitions = map[string]State{
+	opLease: StateLeased, opStart: StateRunning, opRequeue: StateQueued,
+	opDone: StateDone, opFail: StateFailed, opCancel: StateCancelled,
+}
+
+// checkLocked validates a record against the state machine without
+// applying it, so commit can journal a transition before making it.
+func (q *Queue) checkLocked(rec *walRecord) error {
+	if rec.Op == opSubmit || rec.Op == opSnap {
 		if rec.Job == nil {
 			return fmt.Errorf("%s record without job", rec.Op)
 		}
+		return nil
+	}
+	j, ok := q.jobs[rec.ID]
+	if !ok {
+		return ErrNotFound
+	}
+	to, ok := transitions[rec.Op]
+	switch {
+	case rec.Op == opCancelReq:
+		return nil
+	case !ok:
+		return fmt.Errorf("unknown op %q", rec.Op)
+	case !validNext(j.State, to):
+		return fmt.Errorf("%w: %s → %s", ErrBadTransition, j.State, to)
+	}
+	return nil
+}
+
+// applyLocked is the single source of truth for state mutation: live
+// operations check a record, journal it, then apply it (commit); replay
+// applies the same records. It validates every edge against the state
+// machine.
+func (q *Queue) applyLocked(rec *walRecord) error {
+	if err := q.checkLocked(rec); err != nil {
+		return err
+	}
+	if rec.Op == opSubmit || rec.Op == opSnap {
 		j := rec.Job.clone()
 		q.jobs[j.ID] = j
 		if j.SubmitSeq >= q.nextSeq {
@@ -264,29 +308,13 @@ func (q *Queue) applyLocked(rec *walRecord) error {
 		return nil
 	}
 
-	j, ok := q.jobs[rec.ID]
-	if !ok {
-		return ErrNotFound
-	}
-	to, ok := map[string]State{
-		opLease:   StateLeased,
-		opStart:   StateRunning,
-		opRequeue: StateQueued,
-		opDone:    StateDone,
-		opFail:    StateFailed,
-		opCancel:  StateCancelled,
-	}[rec.Op]
+	j := q.jobs[rec.ID]
 	if rec.Op == opCancelReq {
 		j.CancelRequested = true
 		j.UpdatedNs = rec.NowNs
 		return nil
 	}
-	if !ok {
-		return fmt.Errorf("unknown op %q", rec.Op)
-	}
-	if !validNext(j.State, to) {
-		return fmt.Errorf("%w: %s → %s", ErrBadTransition, j.State, to)
-	}
+	to := transitions[rec.Op]
 	if j.State == StateQueued {
 		q.dequeueLocked(j)
 	}
@@ -358,18 +386,25 @@ func (q *Queue) queuedCountLocked() int {
 	return n
 }
 
-// commit applies a record and journals it. sync=true forces an fsync
-// (submissions, terminal outcomes, cancel requests).
+// commit checks a record, journals it, then applies it: a transition
+// whose append fails never becomes visible, so a retry after the error
+// cannot dedup onto a job that was never journaled. sync=true forces an
+// fsync (submissions, terminal outcomes, cancel requests).
 func (q *Queue) commit(rec *walRecord, sync bool) error {
-	if err := q.applyLocked(rec); err != nil {
+	if err := q.checkLocked(rec); err != nil {
 		return err
 	}
-	if q.wal != nil {
-		if err := q.wal.append(rec, sync); err != nil {
-			return err
+	if q.log != nil {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("jobs: encoding wal record: %w", err)
 		}
+		if err := q.log.Append(sync, payload); err != nil {
+			return fmt.Errorf("jobs: %w", err)
+		}
+		q.walRecords++
 	}
-	return nil
+	return q.applyLocked(rec)
 }
 
 // wakeWorkers nudges one idle worker without blocking.
@@ -866,8 +901,8 @@ func (q *Queue) Close() error {
 	}
 	q.closed = true
 	close(q.closedCh)
-	if q.wal != nil {
-		return q.wal.close()
+	if q.log != nil {
+		return q.log.Close()
 	}
 	return nil
 }
@@ -903,9 +938,9 @@ func (q *Queue) Stats() Stats {
 			s.Cancelled++
 		}
 	}
-	if q.wal != nil {
-		s.WALRecords = q.wal.records
-		s.WALBytes = q.wal.bytes
+	s.WALRecords = q.walRecords
+	if q.log != nil {
+		s.WALBytes = q.log.Size()
 	}
 	return s
 }

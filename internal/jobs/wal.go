@@ -1,45 +1,11 @@
 package jobs
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-)
+// The job journal is an internal/journal file of JSON walRecords. After
+// replay, Open compacts it to one meta record carrying the sequence
+// counter, then one snap record per retained job, in submit order.
 
-// The journal is a flat file of length-prefixed, checksummed records:
-//
-//	magic "ALADWAL1" (8 bytes)
-//	repeat:
-//	  uint32 LE  payload length
-//	  uint32 LE  CRC-32 (IEEE) of payload
-//	  payload    JSON walRecord
-//
-// Append-only means exactly one failure geometry is survivable by
-// construction: a torn write at the tail. readWAL drops an incomplete
-// tail record (the transition it described is re-derived by recovery —
-// see the package comment) but refuses to replay any record whose
-// checksum does not match its bytes: mid-file corruption means the disk
-// or an editor rewrote history, and guessing at state is worse than
-// stopping with a clear error.
-//
-// Boot-time compaction rewrites the journal as a snapshot (one meta
-// record carrying the sequence counter, then one snap record per
-// retained job, in submit order) into <path>.tmp, fsyncs, and atomically
-// renames it over the old file — so appends always start on a freshly
-// verified, bounded-size journal.
-
-const (
-	walMagic = "ALADWAL1"
-	// walMaxRecord bounds a single record (a job payload can carry a
-	// full request body, so this tracks the serve body cap with slack).
-	// A length prefix beyond it is corruption, not a big record.
-	walMaxRecord = 64 << 20
-)
+// walMagic tags the job journal; bump it on any record format change.
+const walMagic = "ALADWAL2"
 
 // Record ops. Submit and snap carry the full job; the rest patch one.
 const (
@@ -74,167 +40,4 @@ type walRecord struct {
 	ErrMsg  string `json:"err_msg,omitempty"`
 	// NextSeq rides the meta record: the first unused sequence number.
 	NextSeq uint64 `json:"next_seq,omitempty"`
-}
-
-// wal is the live appender over a compacted journal file.
-type wal struct {
-	f       *os.File
-	path    string
-	records int64
-	bytes   int64
-}
-
-func encodeFrame(payload []byte) []byte {
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame
-}
-
-// append journals one record, fsyncing when the transition's durability
-// matters (submissions, terminal outcomes, cancel requests).
-func (w *wal) append(rec *walRecord, sync bool) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: encoding wal record: %w", err)
-	}
-	frame := encodeFrame(payload)
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("jobs: appending wal record: %w", err)
-	}
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("jobs: syncing wal: %w", err)
-		}
-	}
-	w.records++
-	w.bytes += int64(len(frame))
-	return nil
-}
-
-func (w *wal) close() error {
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
-}
-
-// readWAL loads every intact record from the journal at path. A missing
-// file is an empty journal; a truncated tail record is dropped (torn
-// write — the counted drop is returned so the caller can surface it); a
-// checksum or decode failure is a hard error.
-func readWAL(path string) (recs []walRecord, torn int, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-
-	var magic [len(walMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Shorter than the magic: a journal torn at creation.
-			return nil, 1, nil
-		}
-		return nil, 0, err
-	}
-	if string(magic[:]) != walMagic {
-		return nil, 0, fmt.Errorf("jobs: %s is not a job journal (bad magic %q)", path, magic)
-	}
-
-	offset := int64(len(walMagic))
-	for i := 0; ; i++ {
-		var hdr [8]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return recs, torn, nil
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, torn + 1, nil // torn inside a header
-			}
-			return nil, 0, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > walMaxRecord {
-			return nil, 0, fmt.Errorf(
-				"jobs: %s: record %d (offset %d): implausible length %d — journal corrupt, refusing to replay",
-				path, i, offset, length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, torn + 1, nil // torn inside a payload
-			}
-			return nil, 0, err
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return nil, 0, fmt.Errorf(
-				"jobs: %s: record %d (offset %d): checksum mismatch (stored %08x, computed %08x) — journal corrupt, refusing to replay",
-				path, i, offset, sum, got)
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, 0, fmt.Errorf(
-				"jobs: %s: record %d (offset %d): undecodable record with valid checksum: %v — journal corrupt, refusing to replay",
-				path, i, offset, err)
-		}
-		recs = append(recs, rec)
-		offset += int64(8 + length)
-	}
-}
-
-// rewriteWAL writes a compacted journal (meta + snapshot records) to
-// path atomically and returns an appender positioned at its end.
-func rewriteWAL(path string, recs []walRecord) (*wal, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := &wal{f: f, path: path}
-	if _, err := f.Write([]byte(walMagic)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.bytes = int64(len(walMagic))
-	for i := range recs {
-		if err := w.append(&recs[i], false); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, err
-	}
-	syncDir(filepath.Dir(path))
-	// Reopen for appends at the end of the compacted file.
-	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w.f = af
-	return w, nil
-}
-
-// syncDir makes the rename itself durable where the platform allows.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync() // best-effort: some filesystems reject directory fsync
-	d.Close()
 }

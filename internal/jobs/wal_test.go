@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,5 +185,137 @@ func TestWALBootCompactionBoundsJournal(t *testing.T) {
 	q3 := mustOpen(t, testConfig(t, path))
 	if s := q3.Stats(); s.Done != 10 || s.Queued != 0 {
 		t.Fatalf("state after double restart: %+v", s)
+	}
+}
+
+// TestWALCrashAtEveryOffset runs a real lifecycle (submit, lease, start,
+// done, fail, cancel, lease expiry, cancel request) on a live queue, then
+// reopens its journal cut at every byte offset. Every cut must open, and
+// replay exactly the jobs whose submit frame is complete, each in the
+// state its last complete record left it after lease reclamation.
+func TestWALCrashAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	cfg := Config{Path: filepath.Join(dir, "jobs.wal"), LeaseTTL: time.Second, Clock: clock.Now}
+	q := mustOpen(t, cfg)
+
+	// Each live operation appends one frame; record where it ends and
+	// the state it left its job in.
+	type event struct {
+		end       int64
+		id        string
+		state     State
+		cancelReq bool
+	}
+	var events []event
+	note := func(id string) {
+		j, _ := q.Get(id)
+		events = append(events, event{q.Stats().WALBytes, id, j.State, j.CancelRequested})
+	}
+	var ids []string
+	for i := 0; i < 6; i++ {
+		ids = append(ids, mustSubmit(t, q, "a", uint64(i+1), fmt.Sprintf("p%d", i)).ID)
+		note(ids[i])
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lease := func(want string) {
+		t.Helper()
+		if j := q.Lease("w"); j == nil || j.ID != want {
+			t.Fatalf("leased %+v, want %s", j, want)
+		}
+		note(want)
+	}
+	lease(ids[0])
+	must(q.Start(ids[0], "w"))
+	note(ids[0])
+	must(q.Complete(ids[0], "w", []byte("r0")))
+	note(ids[0])
+	lease(ids[1])
+	must(q.Start(ids[1], "w"))
+	note(ids[1])
+	must(q.Fail(ids[1], "w", "bad", "failed"))
+	note(ids[1])
+	_, err := q.Cancel(ids[2])
+	must(err)
+	note(ids[2])
+	lease(ids[3])
+	clock.Advance(2 * time.Second)
+	if n := q.ExpireLeases(); n != 1 {
+		t.Fatalf("expired %d leases, want 1", n)
+	}
+	note(ids[3])
+	lease(ids[3])
+	must(q.Start(ids[3], "w"))
+	note(ids[3])
+	lease(ids[4])
+	_, err = q.Cancel(ids[4])
+	must(err)
+	note(ids[4])
+	raw, err := os.ReadFile(cfg.Path)
+	must(err)
+	if last := events[len(events)-1].end; last != int64(len(raw)) {
+		t.Fatalf("journal is %d bytes, last frame ends at %d", len(raw), last)
+	}
+
+	cut := cfg
+	cut.Path = filepath.Join(dir, "cut.wal")
+	for off := 0; off <= len(raw); off++ {
+		want := map[string]State{}
+		cancelReq := map[string]bool{}
+		for _, ev := range events {
+			if ev.end <= int64(off) {
+				want[ev.id], cancelReq[ev.id] = ev.state, ev.cancelReq
+			}
+		}
+		for id, st := range want {
+			if st == StateLeased || st == StateRunning {
+				want[id] = StateQueued
+				if cancelReq[id] {
+					want[id] = StateCancelled
+				}
+			}
+		}
+		must(os.WriteFile(cut.Path, raw[:off], 0o644))
+		q2, err := Open(cut)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", off, err)
+		}
+		got := q2.List("", "")
+		if len(got) != len(want) {
+			t.Fatalf("cut at %d replayed %d jobs, want %d", off, len(got), len(want))
+		}
+		for _, j := range got {
+			if j.State != want[j.ID] {
+				t.Fatalf("cut at %d: job %s replayed %s, want %s", off, j.ID, j.State, want[j.ID])
+			}
+		}
+		q2.Close()
+	}
+}
+
+// TestSubmitAfterFailedAppendLeavesNoTrace closes the journal under a
+// live queue: the submit must fail, leave no job behind, and a retry of
+// the same request must fail too rather than dedup onto a job that was
+// never journaled.
+func TestSubmitAfterFailedAppendLeavesNoTrace(t *testing.T) {
+	q := mustOpen(t, testConfig(t, filepath.Join(t.TempDir(), "jobs.wal")))
+	if err := q.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		if j, err := q.Submit("a", "solve", 7, []byte("p")); err == nil {
+			t.Fatalf("attempt %d: submit on a failed journal answered %+v", attempt, j)
+		}
+		if jobs := q.List("", ""); len(jobs) != 0 {
+			t.Fatalf("attempt %d: failed submit left %d jobs listed", attempt, len(jobs))
+		}
+	}
+	if s := q.Stats(); s.Submitted != 0 || s.Deduped != 0 {
+		t.Fatalf("stats after failed submits: %+v", s)
 	}
 }

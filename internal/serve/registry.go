@@ -1,18 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
+	"analogacc/internal/journal"
 	"analogacc/internal/la"
 )
 
@@ -33,12 +29,13 @@ import (
 // registry hit — the pool then finds or rebuilds the programming as usual.
 //
 // When the server runs with a durable job store, the registry journals
-// registrations beside it (JobStore + ".ops") so crash replay of
-// by-reference job payloads re-resolves: the WAL frame holds O(n), the
-// operator store holds the O(nnz) matrix exactly once.
+// registrations beside it (JobStore + ".ops", an internal/journal file
+// with one wireOperator per frame) so crash replay of by-reference job
+// payloads re-resolves: the WAL frame holds O(n), the operator store
+// holds the O(nnz) matrix exactly once.
 
-// opsMagic heads the registry journal; bump it on any frame format change.
-const opsMagic = "ALADOPS1"
+// opsMagic tags the registry journal; bump it on any record format change.
+const opsMagic = "ALADOPS2"
 
 // errRegistryCapacity marks an operator whose cost alone exceeds the
 // registry byte cap; the API maps it to 413.
@@ -78,7 +75,7 @@ type opRegistry struct {
 	// Journal (nil when the registry is memory-only). appends counts
 	// records written since the last compaction; when it exceeds
 	// 2×maxOps the journal is rewritten with only the survivors.
-	journal *os.File
+	log     *journal.Log
 	path    string
 	appends int
 
@@ -116,19 +113,16 @@ func openRegistry(maxOps int, maxBytes int64, path string, pins map[uint64]int) 
 	if path == "" {
 		return r, nil
 	}
-	if err := r.replay(); err != nil {
-		return nil, err
+	// A damaged journal fails the boot untouched. A torn tail is not
+	// surfaced: the registration it held was never acknowledged.
+	if _, err := journal.Read(path, opsMagic, r.replay); err != nil {
+		return nil, fmt.Errorf("replaying operator journal: %w", err)
 	}
 	// Boot compaction: rewrite the journal with only the operators that
 	// survived the caps, dropping torn tails and evicted duplicates.
 	if err := r.compactLocked(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	r.journal = f
 	return r, nil
 }
 
@@ -139,48 +133,24 @@ type wireOperator struct {
 	A []Entry `json:"A"`
 }
 
-// replay loads every intact journal frame, registering each operator
-// through the normal LRU path (caps apply — a journal larger than the
-// store keeps only the most recently appended survivors). A torn or
-// corrupt tail ends the replay silently: everything before it is good,
-// and the boot compaction rewrites the file without it.
-func (r *opRegistry) replay() error {
-	raw, err := os.ReadFile(r.path)
-	if os.IsNotExist(err) {
-		return nil
+// replay registers one journaled operator through the normal LRU path
+// (caps apply — a journal larger than the store keeps only the most
+// recently appended survivors). A frame that does not decode into a
+// valid matrix fails the boot like any other damage.
+func (r *opRegistry) replay(payload []byte) error {
+	var op wireOperator
+	if err := json.Unmarshal(payload, &op); err != nil {
+		return fmt.Errorf("undecodable operator: %v", err)
 	}
+	entries := make([]la.COOEntry, len(op.A))
+	for i, e := range op.A {
+		entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
+	}
+	a, err := la.NewCSR(op.N, entries)
 	if err != nil {
-		return err
+		return fmt.Errorf("invalid operator: %w", err)
 	}
-	if len(raw) < len(opsMagic) || string(raw[:len(opsMagic)]) != opsMagic {
-		return nil // unknown or empty file: start fresh, compaction rewrites it
-	}
-	raw = raw[len(opsMagic):]
-	for len(raw) >= 8 {
-		size := binary.LittleEndian.Uint32(raw[0:4])
-		sum := binary.LittleEndian.Uint32(raw[4:8])
-		if int(size) > len(raw)-8 {
-			break // torn tail
-		}
-		payload := raw[8 : 8+size]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		raw = raw[8+size:]
-		var op wireOperator
-		if json.Unmarshal(payload, &op) != nil {
-			continue
-		}
-		entries := make([]la.COOEntry, len(op.A))
-		for i, e := range op.A {
-			entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-		}
-		a, err := la.NewCSR(op.N, entries)
-		if err != nil {
-			continue
-		}
-		r.insert(la.Fingerprint(a), a, false) // journal == nil: no re-append
-	}
+	r.insert(la.Fingerprint(a), a, false)
 	return nil
 }
 
@@ -217,31 +187,22 @@ func (r *opRegistry) registerOpts(a *la.CSR, durable, pin bool) (fp uint64, exis
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.ops[fp]; ok {
-		r.lru.MoveToFront(e.elem)
-		var jerr error
-		if durable && e.ephemeral {
-			// Promote: the operator was only implicitly registered; a
-			// durable registration must journal it before acknowledging.
-			if jerr = r.appendLocked(e.a); jerr == nil {
-				e.ephemeral = false
-			}
-		}
-		if pin && jerr == nil {
-			r.pins[fp]++
-		}
-		return fp, true, jerr
+	if _, existed = r.ops[fp]; !existed {
+		r.registrations.Add(1)
 	}
-	r.insert(fp, a, !durable)
-	r.registrations.Add(1)
-	var jerr error
-	if durable {
-		jerr = r.appendLocked(a)
+	r.insert(fp, a, true)
+	// An entry is durable once its frame is journaled, so a failed append
+	// leaves it ephemeral and the next durable registration retries.
+	if e := r.ops[fp]; durable && e.ephemeral {
+		if err := r.appendLocked(e.a); err != nil {
+			return fp, existed, err
+		}
+		e.ephemeral = false
 	}
-	if pin && jerr == nil {
+	if pin {
 		r.pins[fp]++
 	}
-	return fp, false, jerr
+	return fp, existed, nil
 }
 
 // pin takes one pin on a fingerprint without registering anything: the
@@ -358,107 +319,57 @@ func (r *opRegistry) residents() []OperatorInfo {
 	return out
 }
 
-// appendLocked journals one new registration (r.mu held). Registrations
-// are rare relative to solves, so each one is flushed durably; when the
-// journal accumulates more than 2×maxOps records it is compacted to the
-// survivors.
+// appendLocked journals one registration (r.mu held). Registrations are
+// rare relative to solves, so each one is flushed durably. When the
+// journal holds more than 2×maxOps appended records it is first
+// compacted to the survivors; a failed compaction fails the registration
+// and leaves the old journal appending.
 func (r *opRegistry) appendLocked(a *la.CSR) error {
-	if r.journal == nil {
+	if r.log == nil {
 		return nil
 	}
-	frame, err := encodeOperatorFrame(a)
-	if err != nil {
-		return err
-	}
-	if _, err := r.journal.Write(frame); err != nil {
-		return err
-	}
-	if err := r.journal.Sync(); err != nil {
-		return err
-	}
-	r.appends++
 	if r.appends > 2*r.maxOps {
 		if err := r.compactLocked(); err != nil {
 			return err
 		}
-		old := r.journal
-		f, err := os.OpenFile(r.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-		if err != nil {
-			// The rename in compactLocked already replaced the path, so the
-			// old handle points at an orphaned inode: appending (and
-			// fsyncing) to it would report success for registrations no
-			// replay will ever see. Degrade to memory-only instead and
-			// surface the failure.
-			old.Close()
-			r.journal = nil
-			return fmt.Errorf("serve: reopening operator journal after compaction (registry degraded to memory-only): %w", err)
-		}
-		old.Close()
-		r.journal = f
 	}
+	payload, err := operatorPayload(a)
+	if err != nil {
+		return err
+	}
+	if err := r.log.Append(true, payload); err != nil {
+		return err
+	}
+	r.appends++
 	return nil
 }
 
-func encodeOperatorFrame(a *la.CSR) ([]byte, error) {
-	payload, err := json.Marshal(wireOperator{N: a.Dim(), A: MatrixEntries(a)})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	return buf.Bytes(), nil
+func operatorPayload(a *la.CSR) ([]byte, error) {
+	return json.Marshal(wireOperator{N: a.Dim(), A: MatrixEntries(a)})
 }
 
-// compactLocked rewrites the journal with only the resident operators,
-// LRU-last so a replay that hits the caps keeps the hottest entries:
-// tmp → fsync → rename, the same crash discipline as the jobs WAL.
+// compactLocked rewrites the journal with only the resident operators
+// and swaps the new Log in; on failure the old Log stays. Entries go
+// LRU-first, so the MRU entry is last and a replay that hits the caps
+// keeps the hottest ones. Ephemeral entries are skipped — they were
+// never promised durability.
 func (r *opRegistry) compactLocked() error {
-	if r.path == "" {
-		return nil
-	}
-	tmp := r.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := io.Writer(f)
-	if _, err := w.Write([]byte(opsMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	// Back-to-front: replay registers in file order, so the MRU entry is
-	// appended last and survives any cap squeeze. Ephemeral entries are
-	// skipped — they were never promised durability.
+	var durable []*la.CSR
 	for el := r.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*opEntry)
-		if e.ephemeral {
-			continue
-		}
-		frame, err := encodeOperatorFrame(e.a)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.Write(frame); err != nil {
-			f.Close()
-			return err
+		if e := el.Value.(*opEntry); !e.ephemeral {
+			durable = append(durable, e.a)
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	log, err := journal.Create(r.path, opsMagic, len(durable), func(i int) ([]byte, error) {
+		return operatorPayload(durable[i])
+	})
+	if err != nil {
+		return fmt.Errorf("compacting operator journal: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if r.log != nil {
+		r.log.Close() // its file was just replaced
 	}
-	if err := os.Rename(tmp, r.path); err != nil {
-		return err
-	}
-	r.appends = 0
+	r.log, r.appends = log, 0
 	return nil
 }
 
@@ -466,13 +377,8 @@ func (r *opRegistry) compactLocked() error {
 func (r *opRegistry) close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.journal == nil {
+	if r.log == nil {
 		return nil
 	}
-	err := r.journal.Sync()
-	if cerr := r.journal.Close(); err == nil {
-		err = cerr
-	}
-	r.journal = nil
-	return err
+	return r.log.Close()
 }

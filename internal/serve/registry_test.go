@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"analogacc/internal/journal"
 	"analogacc/internal/la"
 )
 
@@ -359,5 +361,68 @@ func TestRegistryConcurrentRegisterEvict(t *testing.T) {
 	}
 	if r.registrations.Load() == 0 {
 		t.Fatal("registrations counter never moved")
+	}
+}
+
+// TestRegistryUndecodableFrameFailsBoot journals frames whose checksums
+// are valid but whose payloads are not operators: the boot must fail
+// naming the file and the frame, not skip them.
+func TestRegistryUndecodableFrameFailsBoot(t *testing.T) {
+	for _, bad := range []string{`not json`, `{"n":2,"A":[{"i":5,"j":0,"v":1}]}`} {
+		path := filepath.Join(t.TempDir(), "ops.journal")
+		good, err := operatorPayload(diagOp(4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := [][]byte{good, []byte(bad)}
+		l, err := journal.Create(path, opsMagic, len(frames), func(i int) ([]byte, error) { return frames[i], nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		r, err := openRegistry(8, 1<<30, path, nil)
+		if err == nil {
+			r.close()
+			t.Fatalf("payload %q replayed without error", bad)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "frame 1") {
+			t.Fatalf("boot error %q does not name the file and frame 1", err)
+		}
+	}
+}
+
+// TestRegistryJournalCompactsWhileAppending registers well past 2×maxOps
+// durable operators, so the journal is compacted mid-run and appends
+// continue on the compacted file: a reopen must find the resident
+// operators, and the file must stay bounded by the compaction cadence.
+func TestRegistryJournalCompactsWhileAppending(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ops.journal")
+	r, err := openRegistry(2, 1<<30, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []uint64
+	for i := 1; i <= 12; i++ {
+		fps = append(fps, mustRegister(t, r, diagOp(4, float64(i))))
+	}
+	if err := r.close(); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	if _, err := journal.Read(path, opsMagic, func([]byte) error { frames++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if frames > 2+2*2+1 {
+		t.Fatalf("journal holds %d frames after 12 registrations, want at most a 2-op snapshot plus 5 appends", frames)
+	}
+	r2, err := openRegistry(2, 1<<30, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.close()
+	for _, fp := range fps[len(fps)-2:] {
+		if _, ok := r2.lookup(fp); !ok {
+			t.Fatalf("operator %x registered after a compaction was lost across restart", fp)
+		}
 	}
 }

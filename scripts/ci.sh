@@ -32,13 +32,19 @@ go test -race -count=2 -run 'ParallelDecompose|PoolProvider|PoolTryCheckout|Serv
 # matrices races chip adoption against LRU eviction and drift invalidation.
 go test -race -count=2 -run 'PoolAffinity|PoolLRU|PoolCalibrationDrift|PoolCacheStress|PoolPrefersBlank|SolveBatch' ./internal/core ./internal/serve
 
-# Durable job queue: WAL replay, torn-tail and checksum handling, lease
-# expiry determinism, fingerprint dedup, tenant fairness, and the worker
-# loops — all schedule-sensitive, so run twice under -race. The serve-side
-# job API pass covers the HTTP surface, adaptive Retry-After, and the
-# client's 429 retry loop.
-go test -race -count=2 ./internal/jobs
-go test -race -count=2 -run 'Job|Retry|Busy' ./internal/serve
+# Durable state: the journal package under the job WAL and the operator
+# journal (truncation at every byte offset, every single-byte flip, a
+# failed open/write/fsync/rename at every call, and the FuzzLogReplay
+# seed corpus), then the job queue on top of it (WAL replay at every
+# byte offset, journal-before-apply, lease expiry determinism,
+# fingerprint dedup, tenant fairness, and the worker loops) — all
+# schedule-sensitive, so run twice under -race. The serve-side pass
+# covers the job HTTP surface, adaptive Retry-After, the client's 429
+# retry loop, boots on damaged journals (which must fail, naming the
+# file, and leave it untouched), and by-reference jobs replayed from a
+# WAL cut at every frame boundary.
+go test -race -count=2 ./internal/journal ./internal/jobs
+go test -race -count=2 -run 'Job|Journal|Retry|Busy' ./internal/serve
 
 # Operator registry: concurrent register/lookup racing LRU and
 # byte-cap eviction, journal replay with torn tails, and the
