@@ -31,7 +31,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -120,7 +119,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("alad: %v", err)
 	}
-	expvar.Publish("alad", expvar.Func(func() any { return srv.Snapshot() }))
 
 	if *pprofAddr != "" {
 		// A separate listener keeps the profiling surface off the public
@@ -152,15 +150,11 @@ func main() {
 		handler = router.Handler()
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", handler)
-	mux.Handle("GET /debug/vars", expvar.Handler())
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("alad: %v", err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{Handler: handler}
 	log.Printf("alad: listening on %s (pool %d/class, warm %v, queue %d, engine %s)",
 		ln.Addr(), *pool, warmSizes, *queue, *engine)
 	if router != nil {

@@ -45,12 +45,19 @@ type clusterNode struct {
 // bit-identical across nodes. Membership is refreshed synchronously —
 // call pollAll after changing the cluster.
 func newCluster(t *testing.T, n int, pool serve.PoolConfig, disabled bool) []*clusterNode {
+	return newClusterWith(t, n, serve.Config{Pool: pool, JobWorkers: -1}, disabled)
+}
+
+// newClusterWith is newCluster with every node built from cfg (NodeName
+// is set per node).
+func newClusterWith(t *testing.T, n int, cfg serve.Config, disabled bool) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	handlers := make([]*swapHandler, n)
 	urls := make([]string, n)
 	for i := range nodes {
-		s, err := serve.New(serve.Config{Pool: pool, NodeName: fmt.Sprintf("node%d", i), JobWorkers: -1})
+		cfg.NodeName = fmt.Sprintf("node%d", i)
+		s, err := serve.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

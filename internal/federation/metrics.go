@@ -1,11 +1,11 @@
 package federation
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
+
+	"analogacc/internal/metric"
 )
 
 // Metrics is the router tier's observability: where requests were routed
@@ -16,31 +16,14 @@ import (
 // Rendered as a Prometheus text section the router appends to the
 // node's /metrics.
 type Metrics struct {
-	local    atomic.Int64 // served here, this node is the affinity owner
-	hit      atomic.Int64 // forwarded to the affinity owner
-	fallback atomic.Int64 // owner unavailable → next-ranked healthy node
-	random   atomic.Int64 // affinity disabled → random healthy node
-	errors   atomic.Int64 // forwards that failed (peer marked unhealthy)
-	blockOut atomic.Int64 // block batches scattered to peers
-	blockIn  atomic.Int64 // block items in those batches
+	errors   metric.Counter // forwards that failed (peer marked unhealthy)
+	blockOut metric.Counter // block batches scattered to peers
+	blockIn  metric.Counter // block items in those batches
 
-	latBounds []float64
-	// One histogram per route class, same buckets: tail latency of a
-	// forwarded request vs a local one is the routing tax made visible.
-	lat map[string]*histogram
-}
-
-type histogram struct {
-	counts []atomic.Int64
-	sumUs  atomic.Int64
-	n      atomic.Int64
-}
-
-func (h *histogram) observe(bounds []float64, d time.Duration) {
-	i := sort.SearchFloat64s(bounds, d.Seconds())
-	h.counts[i].Add(1)
-	h.sumUs.Add(d.Microseconds())
-	h.n.Add(1)
+	// routed is one latency histogram per route class; its counts are the
+	// routed totals. Tail latency of a forwarded request vs a local one is
+	// the routing tax made visible.
+	routed *metric.HistogramVec
 }
 
 // Route labels, also stamped into SolveResponse.Affinity.
@@ -51,116 +34,79 @@ const (
 	RouteRandom   = "random"
 )
 
+var routes = []string{RouteLocal, RouteHit, RouteFallback, RouteRandom}
+
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	m := &Metrics{latBounds: bounds, lat: make(map[string]*histogram)}
-	for _, r := range []string{RouteLocal, RouteHit, RouteFallback, RouteRandom} {
-		m.lat[r] = &histogram{counts: make([]atomic.Int64, len(bounds)+1)}
-	}
-	return m
+	return &Metrics{routed: metric.NewHistogramVec("route", routes, metric.LatencyBounds...)}
 }
 
 // Routed records one routed request's class and latency.
 func (m *Metrics) Routed(route string, d time.Duration) {
-	switch route {
-	case RouteLocal:
-		m.local.Add(1)
-	case RouteHit:
-		m.hit.Add(1)
-	case RouteFallback:
-		m.fallback.Add(1)
-	case RouteRandom:
-		m.random.Add(1)
-	default:
-		return
+	if h := m.routed.With(route); h != nil {
+		h.ObserveDuration(d)
 	}
-	m.lat[route].observe(m.latBounds, d)
 }
 
 // ForwardError records a forward that failed over to the next candidate.
-func (m *Metrics) ForwardError() { m.errors.Add(1) }
+func (m *Metrics) ForwardError() { m.errors.Inc() }
 
 // BlockScatter records one block batch shipped to a peer.
 func (m *Metrics) BlockScatter(items int) {
-	m.blockOut.Add(1)
+	m.blockOut.Inc()
 	m.blockIn.Add(int64(items))
 }
 
 // Counts returns the per-route totals (tests, bench reporting).
 func (m *Metrics) Counts() (local, hit, fallback, random, errors int64) {
-	return m.local.Load(), m.hit.Load(), m.fallback.Load(), m.random.Load(), m.errors.Load()
-}
-
-// ClusterCache is the cluster-wide session-cache aggregate: the local
-// pool's counters plus every healthy peer's last-polled counters.
-type ClusterCache struct {
-	Hits   int64
-	Misses int64
-	Nodes  int
-}
-
-// HitRate is hits / (hits + misses), zero before any traffic.
-func (c ClusterCache) HitRate() float64 {
-	if t := c.Hits + c.Misses; t > 0 {
-		return float64(c.Hits) / float64(t)
-	}
-	return 0
+	return m.routed.With(RouteLocal).Count(), m.routed.With(RouteHit).Count(),
+		m.routed.With(RouteFallback).Count(), m.routed.With(RouteRandom).Count(), m.errors.Load()
 }
 
 // writeTo renders the federation section of /metrics. peers is the
 // membership snapshot; localHits/localMisses/localResident come from the
 // node's own pool so the cluster aggregate covers all members.
-func (m *Metrics) writeTo(w io.Writer, self string, peers []PeerInfo, localHits, localMisses int64, localResident int) {
-	fmt.Fprint(w, "# TYPE alad_fed_routed_total counter\n")
-	for _, r := range []struct {
-		route string
-		n     int64
-	}{
-		{RouteLocal, m.local.Load()}, {RouteHit, m.hit.Load()},
-		{RouteFallback, m.fallback.Load()}, {RouteRandom, m.random.Load()},
-	} {
-		fmt.Fprintf(w, "alad_fed_routed_total{route=%q} %d\n", r.route, r.n)
+func (m *Metrics) writeTo(out io.Writer, self string, peers []PeerInfo, localHits, localMisses int64, localResident int) {
+	w := metric.NewWriter(out)
+	routed := make([]metric.Series, len(routes))
+	for i, r := range routes {
+		routed[i] = metric.Series{Label: r, Value: float64(m.routed.With(r).Count())}
 	}
-	fmt.Fprintf(w, "# TYPE alad_fed_forward_errors_total counter\nalad_fed_forward_errors_total %d\n", m.errors.Load())
-	fmt.Fprintf(w, "# TYPE alad_fed_block_batches_total counter\nalad_fed_block_batches_total %d\n", m.blockOut.Load())
-	fmt.Fprintf(w, "# TYPE alad_fed_block_items_total counter\nalad_fed_block_items_total %d\n", m.blockIn.Load())
+	w.CounterVec("alad_fed_routed_total", "Requests this node routed, by route class (local owner, hit forward to the owner, fallback, random).", "route", routed...)
+	w.Counter("alad_fed_forward_errors_total", "Forwards that failed over to the next candidate.", float64(m.errors.Load()))
+	w.Counter("alad_fed_block_batches_total", "Decomposed block batches scattered to peers.", float64(m.blockOut.Load()))
+	w.Counter("alad_fed_block_items_total", "Blocks in the batches scattered to peers.", float64(m.blockIn.Load()))
 
-	// Membership and per-node residency, self included.
-	fmt.Fprint(w, "# TYPE alad_fed_member_healthy gauge\n# TYPE alad_fed_member_resident gauge\n# TYPE alad_fed_member_queue_depth gauge\n")
-	fmt.Fprintf(w, "alad_fed_member_healthy{node=%q} 1\n", self)
-	fmt.Fprintf(w, "alad_fed_member_resident{node=%q} %d\n", self, localResident)
-	cluster := ClusterCache{Hits: localHits, Misses: localMisses, Nodes: 1}
+	// Membership and per-node residency, self included (queue depth is
+	// polled from peers only).
+	healthy := []metric.Series{{Label: self, Value: 1}}
+	resident := []metric.Series{{Label: self, Value: float64(localResident)}}
+	var queue []metric.Series
+	hits, misses, nodes := localHits, localMisses, 1
 	ordered := append([]PeerInfo(nil), peers...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Addr < ordered[j].Addr })
 	for _, p := range ordered {
-		up := 0
+		up := 0.0
 		if p.Healthy {
 			up = 1
-			cluster.Hits += p.CacheHits
-			cluster.Misses += p.CacheMiss
-			cluster.Nodes++
+			hits += p.CacheHits
+			misses += p.CacheMiss
+			nodes++
 		}
-		fmt.Fprintf(w, "alad_fed_member_healthy{node=%q} %d\n", p.Addr, up)
-		fmt.Fprintf(w, "alad_fed_member_resident{node=%q} %d\n", p.Addr, p.Resident)
-		fmt.Fprintf(w, "alad_fed_member_queue_depth{node=%q} %d\n", p.Addr, p.QueueDepth)
+		healthy = append(healthy, metric.Series{Label: p.Addr, Value: up})
+		resident = append(resident, metric.Series{Label: p.Addr, Value: float64(p.Resident)})
+		queue = append(queue, metric.Series{Label: p.Addr, Value: float64(p.QueueDepth)})
 	}
-	fmt.Fprintf(w, "# TYPE alad_fed_cluster_cache_hits_total counter\nalad_fed_cluster_cache_hits_total %d\n", cluster.Hits)
-	fmt.Fprintf(w, "# TYPE alad_fed_cluster_cache_misses_total counter\nalad_fed_cluster_cache_misses_total %d\n", cluster.Misses)
-	fmt.Fprintf(w, "# TYPE alad_fed_cluster_cache_hit_rate gauge\nalad_fed_cluster_cache_hit_rate %g\n", cluster.HitRate())
-	fmt.Fprintf(w, "# TYPE alad_fed_cluster_nodes gauge\nalad_fed_cluster_nodes %d\n", cluster.Nodes)
-
-	fmt.Fprint(w, "# TYPE alad_fed_request_seconds histogram\n")
-	for _, route := range []string{RouteLocal, RouteHit, RouteFallback, RouteRandom} {
-		h := m.lat[route]
-		var cum int64
-		for i, bound := range m.latBounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "alad_fed_request_seconds_bucket{route=%q,le=\"%g\"} %d\n", route, bound, cum)
-		}
-		cum += h.counts[len(m.latBounds)].Load()
-		fmt.Fprintf(w, "alad_fed_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, cum)
-		fmt.Fprintf(w, "alad_fed_request_seconds_sum{route=%q} %g\n", route, float64(h.sumUs.Load())/1e6)
-		fmt.Fprintf(w, "alad_fed_request_seconds_count{route=%q} %d\n", route, h.n.Load())
+	w.GaugeVec("alad_fed_member_healthy", "1 if the member passed its last membership poll, else 0.", "node", healthy...)
+	w.GaugeVec("alad_fed_member_resident", "Matrices resident in the member's session cache.", "node", resident...)
+	w.GaugeVec("alad_fed_member_queue_depth", "Peer admission queue depth at the last poll.", "node", queue...)
+	w.Counter("alad_fed_cluster_cache_hits_total", "Session-cache hits summed over this node and its healthy peers.", float64(hits))
+	w.Counter("alad_fed_cluster_cache_misses_total", "Session-cache misses summed over this node and its healthy peers.", float64(misses))
+	rate := 0.0
+	if t := hits + misses; t > 0 {
+		rate = float64(hits) / float64(t)
 	}
+	w.Gauge("alad_fed_cluster_cache_hit_rate", "Cluster session-cache hits / (hits + misses), 0 before any traffic.", rate)
+	w.Gauge("alad_fed_cluster_nodes", "Members in the cluster aggregate: this node plus its healthy peers.", float64(nodes))
+	w.HistogramVec("alad_fed_request_seconds", "Wall time of routed requests, by route class.", m.routed)
 }

@@ -64,29 +64,29 @@ func (c Config) withDefaults() Config {
 // State counts are gauges; the rest are process-lifetime counters
 // (journal replay restores jobs, not counters).
 type Stats struct {
-	Queued    int `json:"queued"`
-	Leased    int `json:"leased"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
+	Queued    int
+	Leased    int
+	Running   int
+	Done      int
+	Failed    int
+	Cancelled int
 
-	Submitted    int64 `json:"submitted_total"`
-	Completed    int64 `json:"completed_total"`
-	FailedTotal  int64 `json:"failed_total"`
-	CancelledTot int64 `json:"cancelled_total"`
+	Submitted    int64
+	Completed    int64
+	FailedTotal  int64
+	CancelledTot int64
 	// LeaseExpired counts re-queues: live expiries plus boot-time
 	// reclamation of leases orphaned by a crash.
-	LeaseExpired int64 `json:"lease_expired_total"`
+	LeaseExpired int64
 	// Replayed counts jobs restored from the journal at boot.
-	Replayed int64 `json:"replayed_total"`
+	Replayed int64
 	// Deduped counts submissions answered by an existing job.
-	Deduped     int64 `json:"dedup_total"`
-	Compactions int64 `json:"compactions_total"`
+	Deduped     int64
+	Compactions int64
 	// TornDropped counts torn tail records dropped during replay.
-	TornDropped int64 `json:"torn_dropped_total"`
-	WALRecords  int64 `json:"wal_records_total"`
-	WALBytes    int64 `json:"wal_bytes"`
+	TornDropped int64
+	WALRecords  int64
+	WALBytes    int64
 }
 
 // Queue is the durable job queue. All methods are safe for concurrent

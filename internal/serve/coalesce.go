@@ -131,7 +131,7 @@ func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vect
 		// An *unloaded* server with an idle chip already holding this
 		// operator gains nothing by waiting: fire now and the window adds
 		// ~zero latency to the lone hot-operator caller.
-		resident := c.s.metrics.InFlight() <= 1 && c.s.pool.HasIdleResident(a)
+		resident := c.s.metrics.inFlight.Load() <= 1 && c.s.pool.HasIdleResident(a)
 		c.mu.Unlock()
 		if resident {
 			g.fire <- "resident"
@@ -257,7 +257,7 @@ func (c *coalescer) run(g *wave) {
 	launch := time.Now()
 	s.metrics.ObserveWave(len(members), reason)
 	for _, m := range members {
-		s.metrics.ObserveCoalesceWait(launch.Sub(m.joined))
+		s.metrics.coalesceWait.ObserveDuration(launch.Sub(m.joined))
 	}
 
 	// A wave of one runs under its member's own context, exactly as an

@@ -353,9 +353,9 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job) ([]byte, string, s
 	// Job executions hold no admission slot; the detached-lane gauge
 	// keeps them — solve and batch jobs alike — visible to federation
 	// saturation gating.
-	s.metrics.DetachedLaneStarted()
+	s.metrics.detachedLanes.Add(1)
 	resp, aerr := s.run(ctx, c)
-	s.metrics.DetachedLaneFinished()
+	s.metrics.detachedLanes.Add(-1)
 	if aerr != nil {
 		return nil, aerr.Code, aerr.Message
 	}

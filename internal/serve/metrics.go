@@ -1,58 +1,60 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"analogacc/internal/jobs"
+	"analogacc/internal/metric"
 )
 
 // Metrics is the daemon's observability surface: counters and gauges for
-// admission, solving, and analog cost, plus a request-latency histogram.
-// Everything is exported in a Prometheus-compatible text format by
-// WriteTo; cmd/alad additionally publishes the same snapshot via expvar.
+// admission, solving, and analog cost, plus latency, wave and wire-size
+// histograms. writeTo renders everything, with a HELP line per family,
+// as the serve section of GET /metrics.
 type Metrics struct {
 	start time.Time
 
-	// Admission.
-	rejected atomic.Int64 // 429s
-	inFlight atomic.Int64 // requests actively solving
+	// Admission: 429s, and the requests executing now (chip wait
+	// included), which is also the coalescer's load probe.
+	rejected metric.Counter
+	inFlight atomic.Int64
 
 	// Outcomes.
-	deadlineExceeded atomic.Int64
-	solveErrors      atomic.Int64
+	deadlineExceeded metric.Counter
+	solveErrors      metric.Counter
 
 	// Analog cost accumulators.
-	runs        atomic.Int64
-	rescales    atomic.Int64
-	overflows   atomic.Int64
-	refinements atomic.Int64
+	runs        metric.Counter
+	rescales    metric.Counter
+	overflows   metric.Counter
+	refinements metric.Counter
 
 	// Decomposed-solve accumulators: fan-out volume and the pinned-session
 	// economy (reuse hits vs. full matrix configurations).
-	decomposed      atomic.Int64
-	decompBlocks    atomic.Int64
-	decompSweeps    atomic.Int64
-	decompConfigs   atomic.Int64
-	decompReuseHits atomic.Int64
+	decomposed      metric.Counter
+	decompBlocks    metric.Counter
+	decompSweeps    metric.Counter
+	decompConfigs   metric.Counter
+	decompReuseHits metric.Counter
 
 	// Batch-solve volume: right-hand sides arriving through /v1/solve/batch.
-	batchRHS atomic.Int64
+	batchRHS metric.Counter
 
 	mu            sync.Mutex
 	solves        map[string]int64 // by backend
 	analogSeconds float64
 
-	// Latency histogram (seconds, cumulative le-buckets + +Inf).
-	latBounds []float64
-	latCounts []atomic.Int64
-	latSum    atomic.Int64 // microseconds, to stay atomic
-	latN      atomic.Int64
+	// Request latency, decomposed outer sweeps and registry PUTs share
+	// the latency buckets.
+	latency  *metric.Histogram
+	sweep    *metric.Histogram
+	register *metric.Histogram
 
 	// ewmaUs is an exponentially-weighted moving average of request
 	// latency (microseconds, α=1/5): the "typical recent service time"
@@ -61,146 +63,73 @@ type Metrics struct {
 	// process-lifetime history.
 	ewmaUs atomic.Int64
 
-	// Per-sweep latency histogram for decomposed solves (same buckets).
-	sweepCounts []atomic.Int64
-	sweepSum    atomic.Int64 // microseconds
-	sweepN      atomic.Int64
-
-	// Coalescer traffic. waves counts fired waves by close reason;
-	// coalescedReqs counts requests that shared a wave with at least one
-	// companion. The occupancy histogram (lanes per wave) says how full
-	// waves run; the wait histogram is the latency the window added to
-	// each member (registration → wave launch).
-	wavesWindow   atomic.Int64
-	wavesFull     atomic.Int64
-	wavesResident atomic.Int64
-	coalescedReqs atomic.Int64
-	waveBounds    []float64 // lanes-per-wave le-bucket bounds
-	waveCounts    []atomic.Int64
-	waveLanesSum  atomic.Int64
-	waveN         atomic.Int64
-	waitBounds    []float64 // seconds
-	waitCounts    []atomic.Int64
-	waitSum       atomic.Int64 // microseconds
-	waitN         atomic.Int64
+	// Coalescer traffic. The waves counters split fired waves by close
+	// reason; coalescedReqs counts requests that shared a wave with at
+	// least one companion. The occupancy histogram (lanes per wave) says
+	// how full waves run; the wait histogram is the latency the window
+	// added to each member (registration → wave launch).
+	wavesWindow   metric.Counter
+	wavesFull     metric.Counter
+	wavesResident metric.Counter
+	coalescedReqs metric.Counter
+	waveLanes     *metric.Histogram
+	coalesceWait  *metric.Histogram
 
 	// detachedLanes gauges in-flight solves holding no admission slot
 	// (async-job executions): queue depth alone understates load when the
-	// job queue drains waves, so federation peer stats add this in.
+	// job queue drains waves, so federation peer stats add this in and
+	// saturation gating sees job-driven wave load.
 	detachedLanes atomic.Int64
 
-	// Wire-size histograms, one per route. The maps are built once in
-	// NewMetrics and never mutated after, so lookups are lock-free; the
-	// histograms make the by-reference byte win observable on /metrics,
-	// not just in BENCH_9.
-	byteBounds []float64
-	reqBytes   map[string]*byteHist
-	respBytes  map[string]*byteHist
-
-	// Registration latency histogram (registry PUTs, same second bounds
-	// as request latency).
-	regCounts []atomic.Int64
-	regSum    atomic.Int64 // microseconds
-	regN      atomic.Int64
+	// Wire sizes per route; they make the by-reference byte win
+	// observable on /metrics, not just in BENCH_9.
+	reqBytes  *metric.HistogramVec
+	respBytes *metric.HistogramVec
 }
 
-// byteHist is one route's body-size histogram (bytes, le-buckets + +Inf).
-type byteHist struct {
-	counts []atomic.Int64
-	sum    atomic.Int64
-	n      atomic.Int64
-}
-
-// byteRoutes are the labeled wire paths. Fixed at build time so the
-// histogram maps stay read-only under concurrency.
+// byteRoutes are the labeled wire paths, fixed at build time.
 var byteRoutes = []string{"solve", "solve_batch", "operators", "jobs", "peer_block"}
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	waveBounds := []float64{1, 2, 4, 8, 16}
-	waitBounds := []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025}
 	byteBounds := []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
-	m := &Metrics{
-		start:       time.Now(),
-		solves:      make(map[string]int64),
-		latBounds:   bounds,
-		latCounts:   make([]atomic.Int64, len(bounds)+1),
-		sweepCounts: make([]atomic.Int64, len(bounds)+1),
-		waveBounds:  waveBounds,
-		waveCounts:  make([]atomic.Int64, len(waveBounds)+1),
-		waitBounds:  waitBounds,
-		waitCounts:  make([]atomic.Int64, len(waitBounds)+1),
-		byteBounds:  byteBounds,
-		reqBytes:    make(map[string]*byteHist, len(byteRoutes)),
-		respBytes:   make(map[string]*byteHist, len(byteRoutes)),
-		regCounts:   make([]atomic.Int64, len(bounds)+1),
+	return &Metrics{
+		start:        time.Now(),
+		solves:       make(map[string]int64),
+		latency:      metric.NewHistogram(metric.LatencyBounds...),
+		sweep:        metric.NewHistogram(metric.LatencyBounds...),
+		register:     metric.NewHistogram(metric.LatencyBounds...),
+		waveLanes:    metric.NewHistogram(1, 2, 4, 8, 16),
+		coalesceWait: metric.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025),
+		reqBytes:     metric.NewHistogramVec("route", byteRoutes, byteBounds...),
+		respBytes:    metric.NewHistogramVec("route", byteRoutes, byteBounds...),
 	}
-	for _, route := range byteRoutes {
-		m.reqBytes[route] = &byteHist{counts: make([]atomic.Int64, len(byteBounds)+1)}
-		m.respBytes[route] = &byteHist{counts: make([]atomic.Int64, len(byteBounds)+1)}
-	}
-	return m
 }
 
 // ObserveRequestBytes records one request body's wire size (compressed,
 // when the upload was gzipped — it measures bytes moved, not bytes
-// parsed). Unknown routes are dropped rather than grown: the maps are
-// lock-free because their shape is fixed.
+// parsed). Unknown routes are dropped rather than grown.
 func (m *Metrics) ObserveRequestBytes(route string, n int64) {
-	if h, ok := m.reqBytes[route]; ok {
-		h.observe(m.byteBounds, n)
+	if h := m.reqBytes.With(route); h != nil {
+		h.Observe(float64(n))
 	}
 }
 
 // ObserveResponseBytes records one response body's wire size.
 func (m *Metrics) ObserveResponseBytes(route string, n int64) {
-	if h, ok := m.respBytes[route]; ok {
-		h.observe(m.byteBounds, n)
+	if h := m.respBytes.With(route); h != nil {
+		h.Observe(float64(n))
 	}
-}
-
-func (h *byteHist) observe(bounds []float64, n int64) {
-	i := sort.SearchFloat64s(bounds, float64(n))
-	h.counts[i].Add(1)
-	h.sum.Add(n)
-	h.n.Add(1)
 }
 
 // RequestBytes reads one route's request-byte total and observation count
 // (tests, BENCH_9 assertions).
 func (m *Metrics) RequestBytes(route string) (sum, count int64) {
-	if h, ok := m.reqBytes[route]; ok {
-		return h.sum.Load(), h.n.Load()
+	if h := m.reqBytes.With(route); h != nil {
+		return int64(h.Sum()), h.Count()
 	}
 	return 0, 0
 }
-
-// ObserveRegistration records one operator registration's latency.
-func (m *Metrics) ObserveRegistration(d time.Duration) {
-	i := sort.SearchFloat64s(m.latBounds, d.Seconds())
-	m.regCounts[i].Add(1)
-	m.regSum.Add(d.Microseconds())
-	m.regN.Add(1)
-}
-
-// Rejected records one 429.
-func (m *Metrics) Rejected() { m.rejected.Add(1) }
-
-// SolveStarted / SolveFinished bracket the in-flight gauge.
-func (m *Metrics) SolveStarted() { m.inFlight.Add(1) }
-
-// SolveFinished decrements the in-flight gauge.
-func (m *Metrics) SolveFinished() { m.inFlight.Add(-1) }
-
-// InFlight reads the in-flight gauge (the coalescer's load probe).
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
-
-// DeadlineExceeded records a solve aborted by its deadline.
-func (m *Metrics) DeadlineExceeded() { m.deadlineExceeded.Add(1) }
-
-// SolveError records a failed solve (non-deadline).
-func (m *Metrics) SolveError() { m.solveErrors.Add(1) }
 
 // SolveOK records a completed solve and its analog cost.
 func (m *Metrics) SolveOK(backend string, analogSeconds float64, runs, rescales, overflows, refinements int) {
@@ -216,11 +145,7 @@ func (m *Metrics) SolveOK(backend string, analogSeconds float64, runs, rescales,
 
 // ObserveLatency records one request's wall-clock solve latency.
 func (m *Metrics) ObserveLatency(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(m.latBounds, s)
-	m.latCounts[i].Add(1)
-	m.latSum.Add(d.Microseconds())
-	m.latN.Add(1)
+	m.latency.ObserveDuration(d)
 	// Lossy-on-race CAS update is fine: the EWMA is a hint, not a ledger.
 	us := d.Microseconds()
 	for {
@@ -241,368 +166,184 @@ func (m *Metrics) AvgServiceTime() time.Duration {
 	return time.Duration(m.ewmaUs.Load()) * time.Microsecond
 }
 
-// ObserveSweep records one decomposed outer sweep's wall-clock latency.
-func (m *Metrics) ObserveSweep(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(m.latBounds, s)
-	m.sweepCounts[i].Add(1)
-	m.sweepSum.Add(d.Microseconds())
-	m.sweepN.Add(1)
-}
-
-// BatchRHS records the right-hand-side count of one batch request.
-func (m *Metrics) BatchRHS(n int) { m.batchRHS.Add(int64(n)) }
-
 // ObserveWave records one fired coalescer wave: its lane occupancy and
 // why its window closed ("window" ran out, "full" 16 lanes, "resident"
 // idle warm chip).
 func (m *Metrics) ObserveWave(lanes int, reason string) {
 	switch reason {
 	case "full":
-		m.wavesFull.Add(1)
+		m.wavesFull.Inc()
 	case "resident":
-		m.wavesResident.Add(1)
+		m.wavesResident.Inc()
 	default:
-		m.wavesWindow.Add(1)
+		m.wavesWindow.Inc()
 	}
-	i := sort.SearchFloat64s(m.waveBounds, float64(lanes))
-	m.waveCounts[i].Add(1)
-	m.waveLanesSum.Add(int64(lanes))
-	m.waveN.Add(1)
+	m.waveLanes.Observe(float64(lanes))
 }
-
-// ObserveCoalesceWait records the latency the coalescing window added to
-// one member (enrollment → wave launch).
-func (m *Metrics) ObserveCoalesceWait(d time.Duration) {
-	i := sort.SearchFloat64s(m.waitBounds, d.Seconds())
-	m.waitCounts[i].Add(1)
-	m.waitSum.Add(d.Microseconds())
-	m.waitN.Add(1)
-}
-
-// CoalescedRequest records one request served from a shared (≥2-lane)
-// wave.
-func (m *Metrics) CoalescedRequest() { m.coalescedReqs.Add(1) }
-
-// DetachedLaneStarted / DetachedLaneFinished bracket solves that hold no
-// admission slot (async-job executions). Peer stats report the gauge so
-// saturation gating sees job-driven wave load the queue depth misses.
-func (m *Metrics) DetachedLaneStarted() { m.detachedLanes.Add(1) }
-
-// DetachedLaneFinished decrements the detached-lane gauge.
-func (m *Metrics) DetachedLaneFinished() { m.detachedLanes.Add(-1) }
-
-// DetachedLanes reads the detached-lane gauge.
-func (m *Metrics) DetachedLanes() int64 { return m.detachedLanes.Load() }
 
 // CoalescedRequests reads the shared-wave request counter (tests).
 func (m *Metrics) CoalescedRequests() int64 { return m.coalescedReqs.Load() }
 
-// Waves reads the fired-wave counter (tests).
-func (m *Metrics) Waves() int64 { return m.waveN.Load() }
+// Waves reads the fired-wave count (tests).
+func (m *Metrics) Waves() int64 { return m.waveLanes.Count() }
 
 // DecomposedOK records a completed decomposed solve's fan-out volume and
 // its pinned-session economy.
 func (m *Metrics) DecomposedOK(blocks, sweeps, configs, reuseHits int) {
-	m.decomposed.Add(1)
+	m.decomposed.Inc()
 	m.decompBlocks.Add(int64(blocks))
 	m.decompSweeps.Add(int64(sweeps))
 	m.decompConfigs.Add(int64(configs))
 	m.decompReuseHits.Add(int64(reuseHits))
 }
 
-// Snapshot is a point-in-time copy of every metric, used both by the
-// /metrics text format and by expvar.
+// Snapshot is a point-in-time copy of the counters in-process readers
+// (tests, the benchmark) check; /metrics renders every family.
 type Snapshot struct {
-	UptimeSeconds    float64          `json:"uptime_seconds"`
-	QueueDepth       int              `json:"queue_depth"`
-	InFlight         int64            `json:"inflight"`
-	Rejected         int64            `json:"rejected_total"`
-	DeadlineExceeded int64            `json:"deadline_exceeded_total"`
-	SolveErrors      int64            `json:"solve_errors_total"`
-	Solves           map[string]int64 `json:"solves_total"`
-	AnalogSeconds    float64          `json:"analog_seconds_total"`
-	Runs             int64            `json:"runs_total"`
-	Rescales         int64            `json:"rescales_total"`
-	Overflows        int64            `json:"overflows_total"`
-	Refinements      int64            `json:"refinements_total"`
-	Decomposed       int64            `json:"decomposed_total"`
-	DecompBlocks     int64            `json:"decomposed_blocks_total"`
-	DecompSweeps     int64            `json:"decomposed_sweeps_total"`
-	DecompConfigs    int64            `json:"decomposed_configs_total"`
-	DecompReuseHits  int64            `json:"decomposed_reuse_hits_total"`
-	BatchRHS         int64            `json:"batch_rhs_total"`
+	Rejected     int64
+	BatchRHS     int64
+	Decomposed   int64
+	DecompBlocks int64
+	DecompSweeps int64
 
-	// Coalescer: fired waves by close reason, requests that shared a
-	// wave, mean occupancy, and the job-driven (slot-less) in-flight
-	// lanes gauge.
-	Waves             int64   `json:"waves_total"`
-	WavesClosedWindow int64   `json:"waves_closed_window_total"`
-	WavesClosedFull   int64   `json:"waves_closed_full_total"`
-	WavesClosedWarm   int64   `json:"waves_closed_resident_total"`
-	CoalescedRequests int64   `json:"coalesced_requests_total"`
-	WaveMeanLanes     float64 `json:"wave_mean_lanes"`
-	DetachedLanes     int64   `json:"detached_lanes"`
+	// WaveMeanLanes is the mean coalescer wave occupancy, zero before
+	// the first wave.
+	WaveMeanLanes float64
 
-	PoolBuilds       int64       `json:"pool_builds_total"`
-	PoolCalibrations int64       `json:"pool_calibrations_total"`
-	PoolClasses      []ClassStat `json:"pool_classes"`
+	SessionCacheHits      int64
+	SessionCacheMisses    int64
+	SessionCacheEvictions int64
 
-	// Session-cache traffic and occupancy (cached entries also appear
-	// per class in PoolClasses).
-	SessionCacheHits          int64 `json:"session_cache_hits_total"`
-	SessionCacheMisses        int64 `json:"session_cache_misses_total"`
-	SessionCacheEvictions     int64 `json:"session_cache_evictions_total"`
-	SessionCacheInvalidations int64 `json:"session_cache_invalidations_total"`
-	SessionCacheResident      int   `json:"session_cache_resident"`
+	// Operator registry occupancy and traffic. RegistryPinned counts
+	// operators held by queued/leased durable jobs, which are exempt from
+	// LRU eviction.
+	RegistryOps       int
+	RegistryPinned    int
+	RegistryHits      int64
+	RegistryMisses    int64
+	RegistryEvictions int64
 
-	// Operator registry: resident occupancy plus lifetime traffic. A warm
-	// by-reference fleet shows hits ≫ registrations; a thrashing byte cap
-	// shows evictions climbing with misses.
-	RegistryOps   int   `json:"registry_operators"`
-	RegistryBytes int64 `json:"registry_bytes"`
-	// RegistryPinned counts operators held by queued/leased durable jobs:
-	// pinned operators are exempt from LRU eviction, so a persistently
-	// high gauge explains a registry sitting over its configured caps.
-	RegistryPinned        int   `json:"registry_pinned_operators"`
-	RegistryHits          int64 `json:"registry_hits_total"`
-	RegistryMisses        int64 `json:"registry_misses_total"`
-	RegistryEvictions     int64 `json:"registry_evictions_total"`
-	RegistryRegistrations int64 `json:"registry_registrations_total"`
-
-	// Jobs snapshots the async queue: state gauges (queued…cancelled)
-	// plus lifetime counters for submissions, completions, lease
-	// expiries, journal replay, dedup hits, and WAL size.
-	Jobs jobs.Stats `json:"jobs"`
-
-	// Go runtime health: the fused engine's worker sharding and the pool's
-	// chip builds both show up here first when something leaks or churns.
-	Goroutines     int     `json:"goroutines"`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64  `json:"heap_sys_bytes"`
-	GCCycles       uint32  `json:"gc_cycles_total"`
-	GCPauseSeconds float64 `json:"gc_pause_seconds_total"`
+	// Jobs snapshots the async queue's state gauges and lifetime counters.
+	Jobs jobs.Stats
 }
 
-// snapshot collects everything except the histogram (which only the text
-// format renders). queueDepth, pool, jq, and reg are sampled by the
-// caller.
-func (m *Metrics) snapshot(queueDepth int, pool *Pool, jq *jobs.Queue, reg *opRegistry) Snapshot {
-	s := Snapshot{
-		UptimeSeconds:    time.Since(m.start).Seconds(),
-		QueueDepth:       queueDepth,
-		InFlight:         m.inFlight.Load(),
-		Rejected:         m.rejected.Load(),
-		DeadlineExceeded: m.deadlineExceeded.Load(),
-		SolveErrors:      m.solveErrors.Load(),
-		Runs:             m.runs.Load(),
-		Rescales:         m.rescales.Load(),
-		Overflows:        m.overflows.Load(),
-		Refinements:      m.refinements.Load(),
-		Decomposed:       m.decomposed.Load(),
-		DecompBlocks:     m.decompBlocks.Load(),
-		DecompSweeps:     m.decompSweeps.Load(),
-		DecompConfigs:    m.decompConfigs.Load(),
-		DecompReuseHits:  m.decompReuseHits.Load(),
-		Solves:           make(map[string]int64),
+// Snapshot returns the counters in-process readers check.
+func (s *Server) Snapshot() Snapshot {
+	m, reg := s.metrics, s.registry
+	snap := Snapshot{
+		Rejected:              m.rejected.Load(),
+		BatchRHS:              m.batchRHS.Load(),
+		Decomposed:            m.decomposed.Load(),
+		DecompBlocks:          m.decompBlocks.Load(),
+		DecompSweeps:          m.decompSweeps.Load(),
+		SessionCacheHits:      s.pool.CacheHits(),
+		SessionCacheMisses:    s.pool.CacheMisses(),
+		SessionCacheEvictions: s.pool.CacheEvictions(),
+		RegistryPinned:        reg.pinnedCount(),
+		RegistryHits:          reg.hits.Load(),
+		RegistryMisses:        reg.misses.Load(),
+		RegistryEvictions:     reg.evictions.Load(),
+		Jobs:                  s.jobs.Stats(),
 	}
+	snap.RegistryOps, _ = reg.stats()
+	if n := m.waveLanes.Count(); n > 0 {
+		snap.WaveMeanLanes = m.waveLanes.Sum() / float64(n)
+	}
+	return snap
+}
+
+// writeTo renders the serve section of /metrics; each family's HELP line
+// says what it counts.
+func (m *Metrics) writeTo(out io.Writer, queueDepth int, pool *Pool, jq *jobs.Queue, reg *opRegistry) {
+	w := metric.NewWriter(out)
+	w.Gauge("alad_uptime_seconds", "Seconds since the daemon started.", time.Since(m.start).Seconds())
+	w.Gauge("alad_queue_depth", "Requests holding an admission slot.", float64(queueDepth))
+	w.Gauge("alad_inflight", "Solve calls (requests and job executions) running now, chip wait included.", float64(m.inFlight.Load()))
+	w.Counter("alad_rejected_total", "Requests answered 429 because the admission queue was full.", float64(m.rejected.Load()))
+	w.Counter("alad_deadline_exceeded_total", "Solves aborted by their deadline.", float64(m.deadlineExceeded.Load()))
+	w.Counter("alad_solve_errors_total", "Solves that failed for a reason other than their deadline.", float64(m.solveErrors.Load()))
 	m.mu.Lock()
-	for k, v := range m.solves {
-		s.Solves[k] = v
+	solves := make([]metric.Series, 0, len(m.solves))
+	for backend, n := range m.solves {
+		solves = append(solves, metric.Series{Label: backend, Value: float64(n)})
 	}
-	s.AnalogSeconds = m.analogSeconds
+	analogSeconds := m.analogSeconds
 	m.mu.Unlock()
-	s.BatchRHS = m.batchRHS.Load()
-	s.Waves = m.waveN.Load()
-	s.WavesClosedWindow = m.wavesWindow.Load()
-	s.WavesClosedFull = m.wavesFull.Load()
-	s.WavesClosedWarm = m.wavesResident.Load()
-	s.CoalescedRequests = m.coalescedReqs.Load()
-	if s.Waves > 0 {
-		s.WaveMeanLanes = float64(m.waveLanesSum.Load()) / float64(s.Waves)
-	}
-	s.DetachedLanes = m.detachedLanes.Load()
-	if pool != nil {
-		s.PoolBuilds = pool.Builds()
-		s.PoolCalibrations = pool.Calibrations()
-		s.PoolClasses = pool.Stats()
-		s.SessionCacheHits = pool.CacheHits()
-		s.SessionCacheMisses = pool.CacheMisses()
-		s.SessionCacheEvictions = pool.CacheEvictions()
-		s.SessionCacheInvalidations = pool.CacheInvalidations()
-		for _, c := range s.PoolClasses {
-			s.SessionCacheResident += c.Cached
-		}
-	}
-	if jq != nil {
-		s.Jobs = jq.Stats()
-	}
-	if reg != nil {
-		s.RegistryOps, s.RegistryBytes = reg.stats()
-		s.RegistryPinned = reg.pinnedCount()
-		s.RegistryHits = reg.hits.Load()
-		s.RegistryMisses = reg.misses.Load()
-		s.RegistryEvictions = reg.evictions.Load()
-		s.RegistryRegistrations = reg.registrations.Load()
-	}
-	s.Goroutines = runtime.NumGoroutine()
+	sort.Slice(solves, func(i, j int) bool { return solves[i].Label < solves[j].Label })
+	w.CounterVec("alad_solves_total", "Completed solves by backend, one per right-hand side.", "backend", solves...)
+	w.Counter("alad_analog_seconds_total", "Virtual analog time the chips spent solving (the paper's metric, not host wall time).", analogSeconds)
+	w.Counter("alad_runs_total", "Analog runs the chips executed, rescale retries included.", float64(m.runs.Load()))
+	w.Counter("alad_rescales_total", "Problem re-scalings driven by an overflow or an out-of-range reading.", float64(m.rescales.Load()))
+	w.Counter("alad_overflows_total", "Overflow exceptions the chips latched.", float64(m.overflows.Load()))
+	w.Counter("alad_refinements_total", "Iterative-refinement passes of analog-refined solves.", float64(m.refinements.Load()))
+	w.Counter("alad_decomposed_total", "Completed decomposed (block-partitioned) solves.", float64(m.decomposed.Load()))
+	w.Counter("alad_decomposed_blocks_total", "Blocks the decomposed solves were partitioned into.", float64(m.decompBlocks.Load()))
+	w.Counter("alad_decomposed_sweeps_total", "Outer block-Jacobi sweeps of decomposed solves.", float64(m.decompSweeps.Load()))
+	w.Counter("alad_decomposed_configs_total", "Full chip matrix configurations decomposed solves paid for.", float64(m.decompConfigs.Load()))
+	w.Counter("alad_decomposed_reuse_hits_total", "Decomposed block solves on a chip already holding the block's matrix.", float64(m.decompReuseHits.Load()))
+	w.Counter("alad_batch_rhs_total", "Right-hand sides of batch solves.", float64(m.batchRHS.Load()))
+	w.Counter("alad_session_cache_hits_total", "Chip checkouts that found the matrix already programmed.", float64(pool.CacheHits()))
+	w.Counter("alad_session_cache_misses_total", "Chip checkouts that had to program the matrix.", float64(pool.CacheMisses()))
+	w.Counter("alad_session_cache_evictions_total", "Resident matrices evicted (LRU) to program another.", float64(pool.CacheEvictions()))
+	w.Counter("alad_session_cache_invalidations_total", "Resident matrices dropped because their chip recalibrated.", float64(pool.CacheInvalidations()))
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.HeapAllocBytes = ms.HeapAlloc
-	s.HeapSysBytes = ms.HeapSys
-	s.GCCycles = ms.NumGC
-	s.GCPauseSeconds = float64(ms.PauseTotalNs) / 1e9
-	return s
-}
-
-// writeTo renders the Prometheus text format.
-func (m *Metrics) writeTo(w io.Writer, queueDepth int, pool *Pool, jq *jobs.Queue, reg *opRegistry) {
-	s := m.snapshot(queueDepth, pool, jq, reg)
-	fmt.Fprintf(w, "# TYPE alad_uptime_seconds gauge\nalad_uptime_seconds %g\n", s.UptimeSeconds)
-	fmt.Fprintf(w, "# TYPE alad_queue_depth gauge\nalad_queue_depth %d\n", s.QueueDepth)
-	fmt.Fprintf(w, "# TYPE alad_inflight gauge\nalad_inflight %d\n", s.InFlight)
-	fmt.Fprintf(w, "# TYPE alad_rejected_total counter\nalad_rejected_total %d\n", s.Rejected)
-	fmt.Fprintf(w, "# TYPE alad_deadline_exceeded_total counter\nalad_deadline_exceeded_total %d\n", s.DeadlineExceeded)
-	fmt.Fprintf(w, "# TYPE alad_solve_errors_total counter\nalad_solve_errors_total %d\n", s.SolveErrors)
-	fmt.Fprint(w, "# TYPE alad_solves_total counter\n")
-	backends := make([]string, 0, len(s.Solves))
-	for k := range s.Solves {
-		backends = append(backends, k)
+	w.Gauge("alad_goroutines", "Goroutines in the process.", float64(runtime.NumGoroutine()))
+	w.Gauge("alad_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(ms.HeapAlloc))
+	w.Gauge("alad_heap_sys_bytes", "Heap bytes obtained from the OS.", float64(ms.HeapSys))
+	w.Counter("alad_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC))
+	w.Counter("alad_gc_pause_seconds_total", "Time the GC stopped the world.", float64(ms.PauseTotalNs)/1e9)
+	w.Counter("alad_pool_builds_total", "Chips the pool built.", float64(pool.Builds()))
+	w.Counter("alad_pool_calibrations_total", "Chip calibrations the pool ran.", float64(pool.Calibrations()))
+	classes := pool.Stats()
+	built := make([]metric.Series, len(classes))
+	free := make([]metric.Series, len(classes))
+	cached := make([]metric.Series, len(classes))
+	for i, c := range classes {
+		class := strconv.Itoa(c.Class)
+		built[i] = metric.Series{Label: class, Value: float64(c.Built)}
+		free[i] = metric.Series{Label: class, Value: float64(c.Free)}
+		cached[i] = metric.Series{Label: class, Value: float64(c.Cached)}
 	}
-	sort.Strings(backends)
-	for _, k := range backends {
-		fmt.Fprintf(w, "alad_solves_total{backend=%q} %d\n", k, s.Solves[k])
-	}
-	fmt.Fprintf(w, "# TYPE alad_analog_seconds_total counter\nalad_analog_seconds_total %g\n", s.AnalogSeconds)
-	fmt.Fprintf(w, "# TYPE alad_runs_total counter\nalad_runs_total %d\n", s.Runs)
-	fmt.Fprintf(w, "# TYPE alad_rescales_total counter\nalad_rescales_total %d\n", s.Rescales)
-	fmt.Fprintf(w, "# TYPE alad_overflows_total counter\nalad_overflows_total %d\n", s.Overflows)
-	fmt.Fprintf(w, "# TYPE alad_refinements_total counter\nalad_refinements_total %d\n", s.Refinements)
-	fmt.Fprintf(w, "# TYPE alad_decomposed_total counter\nalad_decomposed_total %d\n", s.Decomposed)
-	fmt.Fprintf(w, "# TYPE alad_decomposed_blocks_total counter\nalad_decomposed_blocks_total %d\n", s.DecompBlocks)
-	fmt.Fprintf(w, "# TYPE alad_decomposed_sweeps_total counter\nalad_decomposed_sweeps_total %d\n", s.DecompSweeps)
-	fmt.Fprintf(w, "# TYPE alad_decomposed_configs_total counter\nalad_decomposed_configs_total %d\n", s.DecompConfigs)
-	fmt.Fprintf(w, "# TYPE alad_decomposed_reuse_hits_total counter\nalad_decomposed_reuse_hits_total %d\n", s.DecompReuseHits)
-	fmt.Fprintf(w, "# TYPE alad_batch_rhs_total counter\nalad_batch_rhs_total %d\n", s.BatchRHS)
-	fmt.Fprintf(w, "# TYPE alad_session_cache_hits_total counter\nalad_session_cache_hits_total %d\n", s.SessionCacheHits)
-	fmt.Fprintf(w, "# TYPE alad_session_cache_misses_total counter\nalad_session_cache_misses_total %d\n", s.SessionCacheMisses)
-	fmt.Fprintf(w, "# TYPE alad_session_cache_evictions_total counter\nalad_session_cache_evictions_total %d\n", s.SessionCacheEvictions)
-	fmt.Fprintf(w, "# TYPE alad_session_cache_invalidations_total counter\nalad_session_cache_invalidations_total %d\n", s.SessionCacheInvalidations)
-	fmt.Fprintf(w, "# TYPE alad_goroutines gauge\nalad_goroutines %d\n", s.Goroutines)
-	fmt.Fprintf(w, "# TYPE alad_heap_alloc_bytes gauge\nalad_heap_alloc_bytes %d\n", s.HeapAllocBytes)
-	fmt.Fprintf(w, "# TYPE alad_heap_sys_bytes gauge\nalad_heap_sys_bytes %d\n", s.HeapSysBytes)
-	fmt.Fprintf(w, "# TYPE alad_gc_cycles_total counter\nalad_gc_cycles_total %d\n", s.GCCycles)
-	fmt.Fprintf(w, "# TYPE alad_gc_pause_seconds_total counter\nalad_gc_pause_seconds_total %g\n", s.GCPauseSeconds)
-	fmt.Fprintf(w, "# TYPE alad_pool_builds_total counter\nalad_pool_builds_total %d\n", s.PoolBuilds)
-	fmt.Fprintf(w, "# TYPE alad_pool_calibrations_total counter\nalad_pool_calibrations_total %d\n", s.PoolCalibrations)
-	fmt.Fprint(w, "# TYPE alad_pool_chips_built gauge\n# TYPE alad_pool_chips_free gauge\n# TYPE alad_session_cache_resident gauge\n")
-	for _, c := range s.PoolClasses {
-		fmt.Fprintf(w, "alad_pool_chips_built{class=\"%d\"} %d\n", c.Class, c.Built)
-		fmt.Fprintf(w, "alad_pool_chips_free{class=\"%d\"} %d\n", c.Class, c.Free)
-		fmt.Fprintf(w, "alad_session_cache_resident{class=\"%d\"} %d\n", c.Class, c.Cached)
-	}
-	fmt.Fprint(w, "# TYPE alad_jobs_state gauge\n")
-	for _, st := range []struct {
-		name string
-		n    int
-	}{
-		{"queued", s.Jobs.Queued}, {"leased", s.Jobs.Leased}, {"running", s.Jobs.Running},
-		{"done", s.Jobs.Done}, {"failed", s.Jobs.Failed}, {"cancelled", s.Jobs.Cancelled},
-	} {
-		fmt.Fprintf(w, "alad_jobs_state{state=%q} %d\n", st.name, st.n)
-	}
-	fmt.Fprintf(w, "# TYPE alad_jobs_submitted_total counter\nalad_jobs_submitted_total %d\n", s.Jobs.Submitted)
-	fmt.Fprintf(w, "# TYPE alad_jobs_completed_total counter\nalad_jobs_completed_total %d\n", s.Jobs.Completed)
-	fmt.Fprintf(w, "# TYPE alad_jobs_failed_total counter\nalad_jobs_failed_total %d\n", s.Jobs.FailedTotal)
-	fmt.Fprintf(w, "# TYPE alad_jobs_cancelled_total counter\nalad_jobs_cancelled_total %d\n", s.Jobs.CancelledTot)
-	fmt.Fprintf(w, "# TYPE alad_jobs_lease_expired_total counter\nalad_jobs_lease_expired_total %d\n", s.Jobs.LeaseExpired)
-	fmt.Fprintf(w, "# TYPE alad_jobs_replayed_total counter\nalad_jobs_replayed_total %d\n", s.Jobs.Replayed)
-	fmt.Fprintf(w, "# TYPE alad_jobs_dedup_total counter\nalad_jobs_dedup_total %d\n", s.Jobs.Deduped)
-	fmt.Fprintf(w, "# TYPE alad_jobs_compactions_total counter\nalad_jobs_compactions_total %d\n", s.Jobs.Compactions)
-	fmt.Fprintf(w, "# TYPE alad_jobs_torn_dropped_total counter\nalad_jobs_torn_dropped_total %d\n", s.Jobs.TornDropped)
-	fmt.Fprintf(w, "# TYPE alad_jobs_wal_records_total counter\nalad_jobs_wal_records_total %d\n", s.Jobs.WALRecords)
-	fmt.Fprintf(w, "# TYPE alad_jobs_wal_bytes gauge\nalad_jobs_wal_bytes %d\n", s.Jobs.WALBytes)
-	fmt.Fprintf(w, "# TYPE alad_service_time_ewma_seconds gauge\nalad_service_time_ewma_seconds %g\n", m.AvgServiceTime().Seconds())
-	fmt.Fprint(w, "# TYPE alad_request_seconds histogram\n")
-	var cum int64
-	for i, bound := range m.latBounds {
-		cum += m.latCounts[i].Load()
-		fmt.Fprintf(w, "alad_request_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.latCounts[len(m.latBounds)].Load()
-	fmt.Fprintf(w, "alad_request_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_request_seconds_sum %g\n", float64(m.latSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_request_seconds_count %d\n", m.latN.Load())
-	fmt.Fprint(w, "# TYPE alad_sweep_seconds histogram\n")
-	cum = 0
-	for i, bound := range m.latBounds {
-		cum += m.sweepCounts[i].Load()
-		fmt.Fprintf(w, "alad_sweep_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.sweepCounts[len(m.latBounds)].Load()
-	fmt.Fprintf(w, "alad_sweep_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_sweep_seconds_sum %g\n", float64(m.sweepSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_sweep_seconds_count %d\n", m.sweepN.Load())
-	fmt.Fprintf(w, "# TYPE alad_coalesced_requests_total counter\nalad_coalesced_requests_total %d\n", s.CoalescedRequests)
-	fmt.Fprint(w, "# TYPE alad_waves_closed_total counter\n")
-	fmt.Fprintf(w, "alad_waves_closed_total{reason=\"window\"} %d\n", s.WavesClosedWindow)
-	fmt.Fprintf(w, "alad_waves_closed_total{reason=\"full\"} %d\n", s.WavesClosedFull)
-	fmt.Fprintf(w, "alad_waves_closed_total{reason=\"resident\"} %d\n", s.WavesClosedWarm)
-	fmt.Fprintf(w, "# TYPE alad_detached_lanes gauge\nalad_detached_lanes %d\n", s.DetachedLanes)
-	fmt.Fprint(w, "# TYPE alad_wave_lanes histogram\n")
-	cum = 0
-	for i, bound := range m.waveBounds {
-		cum += m.waveCounts[i].Load()
-		fmt.Fprintf(w, "alad_wave_lanes_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.waveCounts[len(m.waveBounds)].Load()
-	fmt.Fprintf(w, "alad_wave_lanes_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_wave_lanes_sum %d\n", m.waveLanesSum.Load())
-	fmt.Fprintf(w, "alad_wave_lanes_count %d\n", m.waveN.Load())
-	fmt.Fprint(w, "# TYPE alad_coalesce_wait_seconds histogram\n")
-	cum = 0
-	for i, bound := range m.waitBounds {
-		cum += m.waitCounts[i].Load()
-		fmt.Fprintf(w, "alad_coalesce_wait_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.waitCounts[len(m.waitBounds)].Load()
-	fmt.Fprintf(w, "alad_coalesce_wait_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_coalesce_wait_seconds_sum %g\n", float64(m.waitSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_coalesce_wait_seconds_count %d\n", m.waitN.Load())
-	fmt.Fprintf(w, "# TYPE alad_registry_operators gauge\nalad_registry_operators %d\n", s.RegistryOps)
-	fmt.Fprintf(w, "# TYPE alad_registry_bytes gauge\nalad_registry_bytes %d\n", s.RegistryBytes)
-	fmt.Fprintf(w, "# TYPE alad_registry_pinned_operators gauge\nalad_registry_pinned_operators %d\n", s.RegistryPinned)
-	fmt.Fprintf(w, "# TYPE alad_registry_hits_total counter\nalad_registry_hits_total %d\n", s.RegistryHits)
-	fmt.Fprintf(w, "# TYPE alad_registry_misses_total counter\nalad_registry_misses_total %d\n", s.RegistryMisses)
-	fmt.Fprintf(w, "# TYPE alad_registry_evictions_total counter\nalad_registry_evictions_total %d\n", s.RegistryEvictions)
-	fmt.Fprintf(w, "# TYPE alad_registry_registrations_total counter\nalad_registry_registrations_total %d\n", s.RegistryRegistrations)
-	fmt.Fprint(w, "# TYPE alad_registry_register_seconds histogram\n")
-	cum = 0
-	for i, bound := range m.latBounds {
-		cum += m.regCounts[i].Load()
-		fmt.Fprintf(w, "alad_registry_register_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.regCounts[len(m.latBounds)].Load()
-	fmt.Fprintf(w, "alad_registry_register_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_registry_register_seconds_sum %g\n", float64(m.regSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_registry_register_seconds_count %d\n", m.regN.Load())
-	m.writeByteHists(w, "alad_request_bytes", m.reqBytes)
-	m.writeByteHists(w, "alad_response_bytes", m.respBytes)
-}
-
-// writeByteHists renders one direction's per-route body-size histograms.
-func (m *Metrics) writeByteHists(w io.Writer, name string, hists map[string]*byteHist) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for _, route := range byteRoutes {
-		h := hists[route]
-		var cum int64
-		for i, bound := range m.byteBounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{route=%q,le=\"%g\"} %d\n", name, route, bound, cum)
-		}
-		cum += h.counts[len(m.byteBounds)].Load()
-		fmt.Fprintf(w, "%s_bucket{route=%q,le=\"+Inf\"} %d\n", name, route, cum)
-		fmt.Fprintf(w, "%s_sum{route=%q} %d\n", name, route, h.sum.Load())
-		fmt.Fprintf(w, "%s_count{route=%q} %d\n", name, route, h.n.Load())
-	}
+	w.GaugeVec("alad_pool_chips_built", "Chips built, by size class (largest system order).", "class", built...)
+	w.GaugeVec("alad_pool_chips_free", "Idle chips, by size class.", "class", free...)
+	w.GaugeVec("alad_session_cache_resident", "Idle chips holding a programmed matrix, by size class.", "class", cached...)
+	js := jq.Stats()
+	w.GaugeVec("alad_jobs_state", "Jobs in the queue's table, by state.", "state",
+		metric.Series{Label: "queued", Value: float64(js.Queued)}, metric.Series{Label: "leased", Value: float64(js.Leased)},
+		metric.Series{Label: "running", Value: float64(js.Running)}, metric.Series{Label: "done", Value: float64(js.Done)},
+		metric.Series{Label: "failed", Value: float64(js.Failed)}, metric.Series{Label: "cancelled", Value: float64(js.Cancelled)})
+	w.Counter("alad_jobs_submitted_total", "Jobs accepted.", float64(js.Submitted))
+	w.Counter("alad_jobs_completed_total", "Jobs finished done.", float64(js.Completed))
+	w.Counter("alad_jobs_failed_total", "Jobs finished failed.", float64(js.FailedTotal))
+	w.Counter("alad_jobs_cancelled_total", "Jobs cancelled.", float64(js.CancelledTot))
+	w.Counter("alad_jobs_lease_expired_total", "Job leases expired back to queued, boot-time reclamation included.", float64(js.LeaseExpired))
+	w.Counter("alad_jobs_replayed_total", "Jobs restored from the journal at boot.", float64(js.Replayed))
+	w.Counter("alad_jobs_dedup_total", "Submissions answered by an existing job.", float64(js.Deduped))
+	w.Counter("alad_jobs_compactions_total", "Job journal compactions.", float64(js.Compactions))
+	w.Counter("alad_jobs_torn_dropped_total", "Torn final journal records dropped at replay.", float64(js.TornDropped))
+	w.Counter("alad_jobs_wal_records_total", "Records appended to the job journal.", float64(js.WALRecords))
+	w.Gauge("alad_jobs_wal_bytes", "Size of the job journal.", float64(js.WALBytes))
+	w.Gauge("alad_service_time_ewma_seconds", "Moving average of request latency behind the adaptive Retry-After hint.", m.AvgServiceTime().Seconds())
+	w.Histogram("alad_request_seconds", "Wall time of solve calls (requests and job executions), chip wait included.", m.latency)
+	w.Histogram("alad_sweep_seconds", "Wall time of decomposed outer sweeps.", m.sweep)
+	w.Counter("alad_coalesced_requests_total", "Requests served from a wave shared with at least one other request.", float64(m.coalescedReqs.Load()))
+	w.CounterVec("alad_waves_closed_total", "Coalescer waves fired, by why their window closed: it ran out, 16 lanes filled, or an idle chip already held the operator.", "reason",
+		metric.Series{Label: "window", Value: float64(m.wavesWindow.Load())},
+		metric.Series{Label: "full", Value: float64(m.wavesFull.Load())},
+		metric.Series{Label: "resident", Value: float64(m.wavesResident.Load())})
+	w.Gauge("alad_detached_lanes", "Solves executing without an admission slot (async jobs).", float64(m.detachedLanes.Load()))
+	w.Histogram("alad_wave_lanes", "Right-hand sides per fired coalescer wave.", m.waveLanes)
+	w.Histogram("alad_coalesce_wait_seconds", "Wait the coalescing window added to each member, enrollment to wave launch.", m.coalesceWait)
+	ops, opBytes := reg.stats()
+	w.Gauge("alad_registry_operators", "Operators resident in the registry.", float64(ops))
+	w.Gauge("alad_registry_bytes", "Bytes of operators resident in the registry.", float64(opBytes))
+	w.Gauge("alad_registry_pinned_operators", "Operators pinned by queued or leased durable jobs, exempt from eviction.", float64(reg.pinnedCount()))
+	w.Counter("alad_registry_hits_total", "By-reference operator lookups that found the operator.", float64(reg.hits.Load()))
+	w.Counter("alad_registry_misses_total", "By-reference operator lookups that missed.", float64(reg.misses.Load()))
+	w.Counter("alad_registry_evictions_total", "Operators evicted from the registry.", float64(reg.evictions.Load()))
+	w.Counter("alad_registry_registrations_total", "Operator registrations that added an operator.", float64(reg.registrations.Load()))
+	w.Histogram("alad_registry_register_seconds", "Wall time of operator registrations.", m.register)
+	w.HistogramVec("alad_request_bytes", "Request body sizes on the wire (compressed when gzipped), by route.", m.reqBytes)
+	w.HistogramVec("alad_response_bytes", "Response body sizes on the wire, by route.", m.respBytes)
 }

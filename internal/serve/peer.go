@@ -56,7 +56,7 @@ func (s *Server) handlePeerStats(w http.ResponseWriter, _ *http.Request) {
 		Draining:   s.draining.Load(),
 		CacheHits:  s.pool.CacheHits(),
 		CacheMiss:  s.pool.CacheMisses(),
-		ExtraLanes: s.metrics.DetachedLanes(),
+		ExtraLanes: s.metrics.detachedLanes.Load(),
 		Coalesced:  s.metrics.CoalescedRequests(),
 	}
 	for _, r := range res {

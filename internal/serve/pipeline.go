@@ -152,13 +152,13 @@ func (c *call) byReference(fp uint64) any {
 // chip wait included — the coalescing window and the pool queue alike.
 func (s *Server) run(ctx context.Context, c *call) (any, *APIError) {
 	if c.batch != nil {
-		s.metrics.BatchRHS(len(c.rhs))
+		s.metrics.batchRHS.Add(int64(len(c.rhs)))
 	}
-	s.metrics.SolveStarted()
+	s.metrics.inFlight.Add(1)
 	start := time.Now()
 	r := s.dispatch(ctx, c)
 	elapsed := time.Since(start)
-	s.metrics.SolveFinished()
+	s.metrics.inFlight.Add(-1)
 	// Latency is per request, not per item: the histogram measures what a
 	// caller waited for, so one batch is one observation even though each
 	// item bumps the SolveOK counters below.
@@ -173,7 +173,7 @@ func (s *Server) run(ctx context.Context, c *call) (any, *APIError) {
 		}
 	}
 	if r.lanes > 1 {
-		s.metrics.CoalescedRequest()
+		s.metrics.coalescedReqs.Inc()
 	}
 	return s.render(c, r, elapsed), nil
 }
@@ -193,7 +193,7 @@ func (s *Server) dispatch(ctx context.Context, c *call) waveResult {
 	case c.backend == cli.BackendDecomposed:
 		p.Provider = s.decompProvider
 		p.OnSweep = func(_ int, _ float64, elapsed time.Duration) {
-			s.metrics.ObserveSweep(elapsed)
+			s.metrics.sweep.ObserveDuration(elapsed)
 		}
 	case !cli.IsAnalogBackend(c.backend):
 		// Digital: no chip, straight to the executor below.
@@ -307,17 +307,17 @@ func renderItem(a *la.CSR, b la.Vector, out cli.Outcome, class int) BatchItem {
 func (s *Server) apiError(ctx context.Context, err error) *APIError {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.metrics.DeadlineExceeded()
+		s.metrics.deadlineExceeded.Inc()
 		return apiErrorf(http.StatusGatewayTimeout, CodeDeadline, "solve aborted by deadline: %v", err)
 	case errors.Is(err, context.Canceled):
 		return apiErrorf(http.StatusServiceUnavailable, CodeCancelled, "solve cancelled: %v", err)
 	case errors.Is(err, core.ErrTooLarge):
 		return apiErrorf(http.StatusRequestEntityTooLarge, CodeTooLarge, "%v", err)
 	case errors.Is(err, errChipBuild):
-		s.metrics.SolveError()
+		s.metrics.solveErrors.Inc()
 		return apiErrorf(http.StatusInternalServerError, CodeInternal, "%v", err)
 	default:
-		s.metrics.SolveError()
+		s.metrics.solveErrors.Inc()
 		return apiErrorf(http.StatusUnprocessableEntity, CodeSolveFailed, "%v", err)
 	}
 }

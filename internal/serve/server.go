@@ -250,10 +250,10 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pool exposes the chip pool (tests, expvar).
+// Pool exposes the chip pool (tests, federation).
 func (s *Server) Pool() *Pool { return s.pool }
 
-// Metrics exposes the metrics set (tests, expvar).
+// Metrics exposes the metrics set (tests, federation).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Jobs exposes the async job queue (tests, drain orchestration).
@@ -279,11 +279,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // SetDecompProvider overrides the chip provider decomposed solves fan out
 // over (the federation router installs its scatter-gather provider here).
 func (s *Server) SetDecompProvider(p core.SessionProvider) { s.decompProvider = p }
-
-// Snapshot returns the full metrics snapshot (expvar publishing).
-func (s *Server) Snapshot() Snapshot {
-	return s.metrics.snapshot(s.QueueDepth(), s.pool, s.jobs, s.registry)
-}
 
 // PauseJobs stops the job queue from leasing new work; already-leased
 // jobs keep running. First step of a graceful drain.
@@ -346,7 +341,7 @@ func (s *Server) retryAfter() time.Duration {
 // synchronous admission queue and the async job backlog route through
 // it so clients see one consistent backpressure contract.
 func (s *Server) writeBusy(w http.ResponseWriter, code, format string, args ...any) {
-	s.metrics.Rejected()
+	s.metrics.rejected.Inc()
 	ra := s.retryAfter()
 	w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
 	s.writeError(w, http.StatusTooManyRequests, code, format, args...)
@@ -423,7 +418,7 @@ func (s *Server) WriteAPIError(w http.ResponseWriter, aerr *APIError) {
 
 // busyError books a 429 and packages it with the adaptive backoff hint.
 func (s *Server) busyError(code, format string, args ...any) *APIError {
-	s.metrics.Rejected()
+	s.metrics.rejected.Inc()
 	aerr := apiErrorf(http.StatusTooManyRequests, code, format, args...)
 	aerr.RetryAfter = s.retryAfter()
 	return aerr
@@ -556,7 +551,7 @@ func (s *Server) RegisterOperatorDecoded(req *OperatorRequest) (OperatorInfo, *A
 		}
 		return OperatorInfo{}, apiErrorf(http.StatusInternalServerError, CodeInternal, "journaling operator: %v", err)
 	}
-	s.metrics.ObserveRegistration(time.Since(start))
+	s.metrics.register.ObserveDuration(time.Since(start))
 	return OperatorInfo{
 		Fingerprint: FormatFingerprint(fp),
 		N:           a.Dim(),

@@ -64,8 +64,12 @@ go test -race -count=2 -run 'TestCoalesce|TestCrossPath' ./internal/serve
 # Federation router: rendezvous routing, concurrent membership polls,
 # remote block scatter-gather, and the zipf load generator all mix
 # goroutines with shared counters — run the whole package twice under
-# -race on top of the full-suite pass.
-go test -race -count=2 ./internal/federation
+# -race on top of the full-suite pass. The same pass covers metrics:
+# internal/metric (the one counter/histogram type and Prometheus writer
+# under serve and federation) races observers against a renderer, and
+# the federation package's exposition lint and series contract scrape a
+# router-wrapped node that has served every request kind.
+go test -race -count=2 ./internal/metric ./internal/federation
 
 # End-to-end serve smoke: start a real alad daemon (-engine fused) on a
 # random port, solve the Equation 2 system through serve.Client, scrape
