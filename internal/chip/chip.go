@@ -740,36 +740,20 @@ func (c *Chip) analogAvgLane(lane, idx, samples int) ([]byte, isa.Status) {
 	return isa.PutF64(nil, sum/float64(samples)), isa.StatusOK
 }
 
-func (c *Chip) readExp() ([]byte, isa.Status) {
+// readExp reads one lane's exception vector. Block IDs follow the
+// exception-vector unit order (rebuild adds units class by class in
+// unitOrder), so the simulator's per-block vector is the payload. The
+// scalar instruction reads lane 0, which in lane mode aliases the first
+// lane like the other scalar reads; the lane instruction must name a
+// configured lane.
+func (c *Chip) readExp(lane int, laneOp bool) ([]byte, isa.Status) {
 	if c.state == stateUnconfigured {
 		return nil, isa.StatusBadState
 	}
-	if c.sim.Lanes() > 0 {
-		return c.readExpLane(0)
-	}
-	bits := make([]bool, 0, c.NumUnits())
-	for _, cl := range unitOrder() {
-		for _, b := range c.blocks[cl] {
-			bits = append(bits, b.Overflowed)
-		}
-	}
-	return isa.PackBits(bits), isa.StatusOK
-}
-
-func (c *Chip) readExpLane(lane int) ([]byte, isa.Status) {
-	if c.state == stateUnconfigured {
-		return nil, isa.StatusBadState
-	}
-	if lane < 0 || lane >= c.sim.Lanes() {
+	if laneOp && (lane < 0 || lane >= c.sim.Lanes()) {
 		return nil, isa.StatusNoUnit
 	}
-	bits := make([]bool, 0, c.NumUnits())
-	for _, cl := range unitOrder() {
-		for _, b := range c.blocks[cl] {
-			bits = append(bits, c.sim.LaneOverflowed(b, lane))
-		}
-	}
-	return isa.PackBits(bits), isa.StatusOK
+	return isa.PackBits(c.sim.ExceptionVector(lane)), isa.StatusOK
 }
 
 // ExceptionIndex returns the exception-vector bit position of a unit.
@@ -846,7 +830,7 @@ func (c *Chip) Execute(op isa.Opcode, payload []byte) ([]byte, isa.Status) {
 		}
 		return c.analogAvg(int(isa.GetU16(payload, 0)), int(isa.GetU16(payload, 2)))
 	case isa.OpReadExp:
-		return c.readExp()
+		return c.readExp(0, false)
 	case isa.OpCfgReset:
 		return nil, c.cfgReset()
 	case isa.OpSetLanes:
@@ -883,7 +867,7 @@ func (c *Chip) Execute(op isa.Opcode, payload []byte) ([]byte, isa.Status) {
 		if len(payload) != 2 {
 			return nil, isa.StatusBadArgs
 		}
-		return c.readExpLane(int(isa.GetU16(payload, 0)))
+		return c.readExp(int(isa.GetU16(payload, 0)), true)
 	default:
 		return nil, isa.StatusBadOpcode
 	}

@@ -323,6 +323,27 @@ func TestOverflowExceptionOverISA(t *testing.T) {
 	}
 }
 
+// TestExceptionVectorFollowsBlockIDs pins the layout readExp relies on:
+// rebuild adds units class by class in exception-vector order, so every
+// unit's block ID is its exception bit and the simulator's per-block
+// vector is the wire payload.
+func TestExceptionVectorFollowsBlockIDs(t *testing.T) {
+	h, c := hostFor(t, ScaledSpec(4, 12, 20e3, 6))
+	if err := h.CfgCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.Netlist().Blocks()); n != c.NumUnits() {
+		t.Fatalf("%d blocks for %d units", n, c.NumUnits())
+	}
+	for _, cl := range unitOrder() {
+		for u := range c.units[cl] {
+			if id, idx := c.Block(cl, u).ID, c.ExceptionIndex(cl, u); id != idx {
+				t.Fatalf("%v unit %d: block ID %d, exception bit %d", cl, u, id, idx)
+			}
+		}
+	}
+}
+
 func TestOutputDoubleDriveRejected(t *testing.T) {
 	h, c := hostFor(t, PrototypeSpec())
 	pm := c.Ports()

@@ -188,12 +188,6 @@ type Block struct {
 
 	ni nonIdeal
 
-	// Latches, reset by ClearExceptions / simulator start.
-	Overflowed bool
-	// PeakAbs tracks the largest |output| seen during the last run, so
-	// the host can detect unused dynamic range (low precision).
-	PeakAbs float64
-
 	stateIdx int // integrator state slot; -1 otherwise
 }
 
@@ -435,32 +429,4 @@ func (nl *Netlist) TransferAt(b *Block, in float64) (float64, error) {
 	default:
 		return 0, fmt.Errorf("circuit: block kind %v has no calibratable DC transfer", b.Kind)
 	}
-}
-
-// ClearExceptions resets every block's overflow latch and peak tracker.
-func (nl *Netlist) ClearExceptions() {
-	for _, b := range nl.blocks {
-		b.Overflowed = false
-		b.PeakAbs = 0
-	}
-}
-
-// ExceptionVector returns one bit per block: true where an overflow latched
-// (the readExp payload of the ISA).
-func (nl *Netlist) ExceptionVector() []bool {
-	v := make([]bool, len(nl.blocks))
-	for i, b := range nl.blocks {
-		v[i] = b.Overflowed
-	}
-	return v
-}
-
-// AnyException reports whether any block latched an overflow.
-func (nl *Netlist) AnyException() bool {
-	for _, b := range nl.blocks {
-		if b.Overflowed {
-			return true
-		}
-	}
-	return false
 }

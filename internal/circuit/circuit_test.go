@@ -152,7 +152,7 @@ func TestTwoVariableSLESettlesToSolution(t *testing.T) {
 	if math.Abs(u0-wantU0) > 1e-4 || math.Abs(u1-wantU1) > 1e-4 {
 		t.Fatalf("settled to (%v, %v) want (%v, %v)", u0, u1, wantU0, wantU1)
 	}
-	if nl.AnyException() {
+	if sim.AnyException() {
 		t.Fatal("unexpected overflow exception")
 	}
 }
@@ -278,14 +278,14 @@ func TestADCOutOfRangeLatchesException(t *testing.T) {
 	if v != 1 {
 		t.Fatalf("clamped read %v want full scale 1", v)
 	}
-	if !adc.Overflowed {
+	if !sim.Overflowed(adc, 0) {
 		t.Fatal("ADC overflow not latched")
 	}
-	if !nl.AnyException() {
+	if !sim.AnyException() {
 		t.Fatal("exception vector empty")
 	}
 	found := false
-	for _, e := range nl.ExceptionVector() {
+	for _, e := range sim.ExceptionVector(0) {
 		if e {
 			found = true
 		}
@@ -306,7 +306,7 @@ func TestIntegratorOverflowLatchesAndClips(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(0.01)
-	if !integ.Overflowed {
+	if !sim.Overflowed(integ, 0) {
 		t.Fatal("integrator overflow not latched")
 	}
 	v, _ := sim.IntegratorValue(integ)
@@ -479,8 +479,8 @@ func TestPeakTrackingDetectsUnusedDynamicRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunUntilSettled(1e-9, 0.01, 16)
-	if integ.PeakAbs > 0.06 || integ.PeakAbs < 0.04 {
-		t.Fatalf("peak %v want ~0.05", integ.PeakAbs)
+	if peak := sim.PeakAbs(integ, 0); peak > 0.06 || peak < 0.04 {
+		t.Fatalf("peak %v want ~0.05", peak)
 	}
 }
 

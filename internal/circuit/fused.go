@@ -7,20 +7,19 @@ import (
 )
 
 // Fused step kernel: the simulator's fast engine. Walking the op stream
-// (program.go) one op at a time, as evalRecord does, removes the block
-// interpreter's pointer-chasing but keeps three per-eval costs on the RK4
-// trial path: an opcode dispatch on every op, a full netVals clear before
-// every evaluation — four times per step — and five bounds-checked
+// (program.go) one op at a time costs an opcode dispatch on every op, a
+// full netVals clear before every evaluation, and five bounds-checked
 // parallel-array loads per op. The fused kernel removes all three:
 //
-//   - At lower time the fast ops are re-materialised into a compact
-//     24-byte struct-of-ops stream in execution order, segmented into
+//   - At lower time the ops are re-materialised into compact 24-byte
+//     struct-of-ops streams in execution order, segmented into
 //     homogeneous runs. Each run executes as a tight loop specialised for
 //     its opcode: no switch, no blk pointer loads (except opInput, which
 //     must read Stimulus live), and no per-op bounds checks on op data —
 //     the loops range over exact subslices. Cold fields (the op's stream
-//     index for fold re-sync, the second input net of a varmul) live in
-//     side arrays so the hot loops never pull them through the cache.
+//     index for fold re-sync, the second input net of a varmul, the
+//     owning block's latch slot) live in side arrays so the hot loops
+//     never pull them through the cache.
 //   - Execution order is phase-major: nets are assigned topological
 //     levels (a net's level is the max level of its driver ops; a
 //     combinational op sits one past its deepest input net) and every
@@ -35,26 +34,30 @@ import (
 //     interpreter. Undriven nets are never written by any engine after
 //     Reset, so skipping them is safe.
 //
-// For large programs the kernel instead runs level-parallel: each
-// level's nets are sharded across a bounded worker set, and each
+// The op tape is materialised as two disjoint streams along the
+// program's cone classification. The cone stream holds the ops the
+// integrator inputs depend on; the three RK4 trial stages (and the
+// valsDirty k1 refresh) walk only it. The record stream holds every
+// other op. The record pass — one per step, plus Reset — walks the cone
+// stream and then the record stream with the peak tracking folded into
+// each opcode loop, writing the simulator's dense latch store through
+// the streams' ids arrays (an op's overflow latch is read from its peak).
+// Record-only ops may read cone nets and each other's nets, but no cone
+// op reads a record-only net, so every input is final when the record
+// stream runs.
+//
+// For large programs the trial stages instead run level-parallel: each
+// level's cone nets are sharded across a bounded worker set, and each
 // worker's share is materialised as its own store/add segment run, so
 // workers execute the very same branch-free loops as the serial kernel.
 // Chunks cover disjoint net sets — workers write disjoint netVals
 // entries — and every net's sum still accumulates left-to-right in the
 // same fixed order as the serial engines, so results are bit-identical
 // for any worker count. Cross-level reads are safe because an op in
-// phase L only reads nets that completed in phases < L.
-//
-// Scalar record-mode evaluations (one per step, plus Reset) still run
-// evalRecord: peak/overflow latching walks every op anyway, and fusing a
-// single lane saves nothing. The lane kernel is different: its record
-// pass (evalLanesRecord) runs the same fused segment walk as the trial
-// stages with the per-lane latches folded into each loop, because there
-// the per-op dispatch is amortised across B lanes — silent ops, which
-// the streams exclude, are latched by a short interpreted tail that only
-// reads completed nets.
+// phase L only reads nets that completed in phases < L. The record pass
+// always runs serially.
 
-// fusedParallelMinOps is the fast-op count above which the fused engine
+// fusedParallelMinOps is the cone-op count above which the fused engine
 // shards levels across workers. Below it the per-level synchronisation
 // costs more than the arithmetic it hides. Overridable per simulator in
 // tests (Simulator.fusedMinOps).
@@ -67,11 +70,12 @@ const fusedParallelMinOps = 8192
 // tests (Simulator.chunkMinOps).
 const fusedChunkMinOps = 1024
 
-// fusedOp is one materialised fast op: 24 bytes, only the fields the hot
-// loops touch. Meaning varies by segment opcode: for opConst, gain holds
-// the pre-saturated constant and in0 is unused; opState/opInput need no
-// folded constants. The op's index in the program's stream arrays and a
-// varmul's second input net live in the stream's side arrays.
+// fusedOp is one materialised op: 24 bytes, only the fields the hot loops
+// touch. Meaning varies by segment opcode: for opConst, gain holds the
+// pre-saturated constant, off its raw value (the record pass tracks its
+// peak), and in0 is unused; opState/opInput need no folded constants.
+// The op's index in the program's stream arrays and a varmul's second
+// input net live in the stream's side arrays.
 type fusedOp struct {
 	in0, out  int32
 	gain, off float64
@@ -85,18 +89,30 @@ type fusedSeg struct {
 	start, end int32
 }
 
-// fusedStream is one materialised execution stream: the serial kernel
-// has one covering the whole fast region; the parallel kernel has one
-// laid out per (level, worker chunk). aux[i] is op i's index in the
-// program's stream arrays (read during fold re-sync, and by LUT/input
-// loops to reach tables and stimulus blocks); in1[i] is the second input
-// net (read by varmul loops only); ids[i] is the owning block's ID (read
-// by the lane record pass to address the per-lane latch slots).
+// fusedStream is one materialised execution stream: the cone and record
+// streams run serially; the parallel kernel has one laid out per (level,
+// worker chunk). aux[i] is op i's index in the program's stream arrays
+// (read during fold re-sync, and by LUT/input loops to reach tables and
+// stimulus blocks); in1[i] is the second input net (read by varmul loops
+// only); ids[i] is the owning block's ID (read by the record passes to
+// address the block's latch slots).
 type fusedStream struct {
 	ops      []fusedOp
 	aux, in1 []int32
 	ids      []int32
 	segs     []fusedSeg
+
+	// Lane kernel: per-lane folded constants aligned with the op
+	// positions ([pos*B+lane]), re-synced when the simulator's laneProg
+	// bumps its fold generation or changes width. laneUni marks ops whose
+	// folded constants are equal across every lane (all of them, in a
+	// batch that diverges only the right-hand sides), so the hot loops
+	// read one gain instead of streaming B copies. laneCraw carries the
+	// per-lane opConst raw values; only the record pass reads it, so the
+	// parallel stream leaves it empty.
+	laneG    []float64
+	laneUni  []bool
+	laneCraw []float64
 }
 
 // emit appends op i, merging it into the last segment when that segment
@@ -119,6 +135,28 @@ func (st *fusedStream) emit(p *program, i int32, store bool, minSeg int) {
 	st.ids = append(st.ids, int32(p.blk[i].ID))
 }
 
+// emitPhases appends the ops of one class (cone or record-only) in
+// phase-major order: a driver executes in its net's phase, so the
+// stream-first driver of every net runs before the rest even when their
+// op levels differ; each phase is a store pass then an add pass, stream
+// order within each pass. Every input a phase-L op reads completed in a
+// phase < L, so the reordering only ever commutes writes to different
+// nets; per-net sums still accumulate in exactly the reference's order.
+func (st *fusedStream) emitPhases(p *program, byPhase [][]int32, cone bool) {
+	for _, phase := range byPhase {
+		for _, i := range phase {
+			if p.cone[i] == cone && p.first[i] {
+				st.emit(p, i, true, 0)
+			}
+		}
+		for _, i := range phase {
+			if p.cone[i] == cone && !p.first[i] {
+				st.emit(p, i, false, 0)
+			}
+		}
+	}
+}
+
 // syncFold copies the program's folded constants (refreshed by refold on
 // trim/mismatch changes) into the stream.
 func (st *fusedStream) syncFold(p *program) {
@@ -129,6 +167,7 @@ func (st *fusedStream) syncFold(p *program) {
 		if sg.op == opConst {
 			for i := range ops {
 				ops[i].gain = p.cval[auxs[i]]
+				ops[i].off = p.craw[auxs[i]]
 			}
 		} else {
 			for i := range ops {
@@ -173,19 +212,19 @@ type fusedLevel struct {
 type fusedProg struct {
 	p *program
 
-	// Serial kernel: the whole fast region in phase-major store/add
-	// order.
-	serial    fusedStream
+	// Serial kernel: the cone and the record-only ops, each in
+	// phase-major store/add order.
+	cone, rec fusedStream
 	syncedGen uint64
 
-	// Level schedule: driven nets grouped by level (ascending net id
-	// within a level), each with its driver ops in stream order. Feeds
-	// the per-chunk materialisation below.
+	// Level schedule of the cone: driven nets grouped by level (ascending
+	// net id within a level), each with its driver ops in stream order.
+	// Feeds the per-chunk materialisation below.
 	netOrder []int32
 	opStart  []int32 // len(netOrder)+1 prefix sums into opIdx
 	opIdx    []int32
 
-	// Parallel kernel: a second stream laid out per (level, worker
+	// Parallel kernel: the cone again, laid out per (level, worker
 	// chunk). Rebuilt by SetWorkers.
 	par     fusedStream
 	levels  []fusedLevel
@@ -207,67 +246,64 @@ type fusedProg struct {
 	callState []float64
 	callTs    []float64 // lane kernel: per-lane evaluation times
 
-	// Lane kernel: materialised per-lane folded constants aligned with
-	// each stream's op positions ([streamPos*B+lane]), re-synced when the
-	// simulator's laneProg bumps its fold generation or changes width.
-	// laneSerialUni/laneParUni mark ops whose folded constants are equal
-	// across every lane (all of them, in a batch that diverges only the
-	// right-hand sides), so the hot loops read one gain instead of
-	// streaming B copies. laneSerialCraw carries the per-lane opConst raw
-	// values for the serial stream; only the record pass reads it.
-	laneSerialG    []float64
-	laneParG       []float64
-	laneSerialUni  []bool
-	laneParUni     []bool
-	laneSerialCraw []float64
-	syncedLaneGen  uint64
-	laneB          int
+	// Lane fold generation and width the streams' lane constants were
+	// last synced to.
+	syncedLaneGen uint64
+	laneB         int
 }
 
 // buildFused computes the level schedule and the materialised streams
-// for p's fast region. nNets is the netlist's net count.
+// for p. nNets is the simulator's net count, sink net included.
 func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 	f := &fusedProg{p: p}
 
-	// Topological levels. The fast stream is ordered sources-first then
+	// Topological levels. The stream is ordered sources-first then
 	// topologically, so a single pass sees every driver of a net before
 	// any reader of it: netLevel is final by the time it is consumed.
 	netLevel := make([]int32, nNets)
-	drivers := make([]int32, nNets) // per-net fast driver count
 	maxLevel := int32(0)
-	for i := 0; i < p.nFast; i++ {
+	for i := range p.kind {
 		var lv int32
 		switch p.kind[i] {
 		case opLinear, opLUT:
 			lv = netLevel[p.in0[i]] + 1
 		case opVarMul:
-			lv = netLevel[p.in0[i]] + 1
-			if l2 := netLevel[p.in1[i]] + 1; l2 > lv {
-				lv = l2
-			}
+			lv = max(netLevel[p.in0[i]], netLevel[p.in1[i]]) + 1
 		}
 		out := p.out[i]
-		drivers[out]++
-		if netLevel[out] < lv {
-			netLevel[out] = lv
-		}
-		if lv > maxLevel {
-			maxLevel = lv
-		}
+		netLevel[out] = max(netLevel[out], lv)
+		maxLevel = max(maxLevel, lv)
 	}
 
-	// Group driven nets by level, ascending net id within each level (the
-	// scan order), and record each level's [lo,hi) range of netOrder.
+	// The two serial streams.
+	byPhase := make([][]int32, maxLevel+1)
+	for i := range p.kind {
+		lv := netLevel[p.out[i]]
+		byPhase[lv] = append(byPhase[lv], int32(i)) // ascending i: stream order
+	}
+	f.cone.emitPhases(p, byPhase, true)
+	f.rec.emitPhases(p, byPhase, false)
+
+	// Group the cone's driven nets by level, ascending net id within each
+	// level (the scan order), and record each level's [lo,hi) range of
+	// netOrder.
+	drivers := make([]int32, nNets) // per-net cone driver count
+	coneLevel := int32(0)
 	nDriven := 0
-	for n := 0; n < nNets; n++ {
-		if drivers[n] > 0 {
+	for i, out := range p.out {
+		if !p.cone[i] {
+			continue
+		}
+		if drivers[out] == 0 {
 			nDriven++
 		}
+		drivers[out]++
+		coneLevel = max(coneLevel, netLevel[out])
 	}
 	f.netOrder = make([]int32, 0, nDriven)
 	slot := make([]int32, nNets) // net id -> index in netOrder
-	f.levels = make([]fusedLevel, 0, maxLevel+1)
-	for lv := int32(0); lv <= maxLevel; lv++ {
+	f.levels = make([]fusedLevel, 0, coneLevel+1)
+	for lv := int32(0); lv <= coneLevel; lv++ {
 		lo := int32(len(f.netOrder))
 		for n := 0; n < nNets; n++ {
 			if drivers[n] > 0 && netLevel[n] == lv {
@@ -286,38 +322,14 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 	for i := 1; i < len(f.opStart); i++ {
 		f.opStart[i] += f.opStart[i-1]
 	}
-	f.opIdx = make([]int32, p.nFast)
+	f.opIdx = make([]int32, len(f.cone.ops))
 	cursor := make([]int32, len(f.netOrder))
 	copy(cursor, f.opStart[:len(f.netOrder)])
-	for i := 0; i < p.nFast; i++ {
-		si := slot[p.out[i]]
-		f.opIdx[cursor[si]] = int32(i)
-		cursor[si]++
-	}
-
-	// Materialise the serial stream: phase-major (a driver executes in
-	// its net's phase, so the stream-first driver of every net runs
-	// before the rest even when their op levels differ), store pass then
-	// add pass per phase, stream order within each pass. Every input a
-	// phase-L op reads completed in a phase < L, so the reordering only
-	// ever commutes writes to different nets; per-net sums still
-	// accumulate in exactly the reference's order.
-	byPhase := make([][]int32, maxLevel+1)
-	for i := 0; i < p.nFast; i++ {
-		lv := netLevel[p.out[i]]
-		byPhase[lv] = append(byPhase[lv], int32(i)) // ascending i: stream order
-	}
-	f.serial.ops = make([]fusedOp, 0, p.nFast)
-	for _, phase := range byPhase {
-		for _, i := range phase {
-			if p.first[i] {
-				f.serial.emit(p, i, true, 0)
-			}
-		}
-		for _, i := range phase {
-			if !p.first[i] {
-				f.serial.emit(p, i, false, 0)
-			}
+	for i := range p.kind {
+		if p.cone[i] {
+			si := slot[p.out[i]]
+			f.opIdx[cursor[si]] = int32(i)
+			cursor[si]++
 		}
 	}
 
@@ -416,32 +428,35 @@ func (f *fusedProg) rebuildChunks(workers, minChunkOps int) {
 				})
 				lv.laneFns = append(lv.laneFns, func() {
 					defer f.wg.Done()
-					f.runSegsLanes(f.callSim, f.callTs, f.callState, &f.par, f.par.segs[c.segLo:c.segHi], f.laneParG, f.laneParUni, f.laneB)
+					f.runSegsLanes(f.callSim, f.callTs, f.callState, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
 				})
 			}
 		}
 	}
 	f.syncFold()
+	// The parallel stream was re-materialised: force a lane re-sync.
+	f.laneB = 0
 }
 
-// syncFold refreshes both streams' folded constants from the program.
+// syncFold refreshes every stream's folded constants from the program.
 func (f *fusedProg) syncFold() {
-	f.serial.syncFold(f.p)
+	f.cone.syncFold(f.p)
+	f.rec.syncFold(f.p)
 	f.par.syncFold(f.p)
 	f.syncedGen = f.p.foldGen
 }
 
-// eval dispatches between the serial segmented kernel and the
-// level-parallel kernel.
+// eval is a trial evaluation: it computes the cone's nets, dispatching
+// between the serial segmented kernel and the level-parallel kernel.
 func (f *fusedProg) eval(s *Simulator, t float64, state []float64) {
 	if f.syncedGen != f.p.foldGen {
 		f.syncFold()
 	}
-	if s.workers > 1 && f.p.nFast >= s.fusedMinOps && f.multiChunk {
+	if s.workers > 1 && len(f.cone.ops) >= s.fusedMinOps && f.multiChunk {
 		f.evalParallel(s, t, state)
 		return
 	}
-	f.runSegs(s, t, state, &f.serial, f.serial.segs)
+	f.runSegs(s, t, state, &f.cone, f.cone.segs)
 }
 
 // evalParallel runs one phase per topological level, sharding the level's
@@ -474,9 +489,9 @@ func (f *fusedProg) evalParallel(s *Simulator, t float64, state []float64) {
 
 // runSegs executes a run of segments over a materialised stream: one
 // branch-free tight loop per homogeneous run, first-driver stores in
-// place of a netVals clear. It is the shared inner kernel: the serial
-// path runs the whole phase-major stream; each parallel worker runs its
-// chunk's segments.
+// place of a netVals clear. It is the shared trial kernel: the serial
+// path runs the whole cone stream; each parallel worker runs its chunk's
+// segments.
 func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fusedStream, segs []fusedSeg) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
@@ -611,30 +626,179 @@ func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fused
 	}
 }
 
-// syncFoldLanes materialises a stream's per-lane folded constants from
+// evalRecord is the record-mode evaluation: every net, the cone stream
+// then the record stream, with each op's |raw| (pre-saturation) value
+// folded into its block's peak tracker, from which the block's overflow
+// latch is read (Simulator.overflowed). Raw values depend only on
+// completed input nets and a max is order-independent, so the phase-major
+// walk is latch-identical to the reference's stream-order walk.
+func (f *fusedProg) evalRecord(s *Simulator, t float64, state []float64) {
+	if f.syncedGen != f.p.foldGen {
+		f.syncFold()
+	}
+	f.runSegsRecord(s, t, state, &f.cone)
+	f.runSegsRecord(s, t, state, &f.rec)
+}
+
+// runSegsRecord is runSegs with the record-mode bookkeeping in every
+// loop, over a whole serial stream.
+func (f *fusedProg) runSegsRecord(s *Simulator, t float64, state []float64, st *fusedStream) {
+	p := f.p
+	fs := s.nl.cfg.FullScale
+	sat := s.nl.cfg.SatLevel
+	nv := s.netVals
+	peak := s.peak
+	for _, sg := range st.segs {
+		ops := st.ops[sg.start:sg.end]
+		ids := st.ids[sg.start:sg.end]
+		switch sg.op {
+		case opConst:
+			for i := range ops {
+				o := &ops[i]
+				// gain holds the saturated constant, off its raw value.
+				if a, id := math.Abs(o.off), ids[i]; a > peak[id] {
+					peak[id] = a
+				}
+				if sg.store {
+					nv[o.out] = 0 + o.gain
+				} else {
+					nv[o.out] += o.gain
+				}
+			}
+		case opState:
+			for i := range ops {
+				o := &ops[i]
+				v := state[o.in0]
+				a := math.Abs(v)
+				if id := ids[i]; a > peak[id] { // NaN updates nothing
+					peak[id] = a
+				}
+				if a > fs {
+					if v > fs {
+						v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
+					} else {
+						v = -fs - (sat-fs)*math.Tanh((-v-fs)/(sat-fs))
+					}
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opInput:
+			auxs := st.aux[sg.start:sg.end]
+			for i := range ops {
+				o := &ops[i]
+				var v float64
+				if fn := p.blk[auxs[i]].Stimulus; fn != nil {
+					v = fn(t)
+				}
+				a := math.Abs(v)
+				if id := ids[i]; a > peak[id] {
+					peak[id] = a
+				}
+				if a > fs {
+					if v > fs {
+						v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
+					} else {
+						v = -fs - (sat-fs)*math.Tanh((-v-fs)/(sat-fs))
+					}
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opLinear:
+			for i := range ops {
+				o := &ops[i]
+				v := o.gain*nv[o.in0] + o.off
+				a := math.Abs(v)
+				if id := ids[i]; a > peak[id] {
+					peak[id] = a
+				}
+				if a > fs {
+					if v > fs {
+						v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
+					} else {
+						v = -fs - (sat-fs)*math.Tanh((-v-fs)/(sat-fs))
+					}
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opVarMul:
+			in1s := st.in1[sg.start:sg.end]
+			for i := range ops {
+				o := &ops[i]
+				v := o.gain*(nv[o.in0]*nv[in1s[i]]/fs) + o.off
+				a := math.Abs(v)
+				if id := ids[i]; a > peak[id] {
+					peak[id] = a
+				}
+				if a > fs {
+					if v > fs {
+						v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
+					} else {
+						v = -fs - (sat-fs)*math.Tanh((-v-fs)/(sat-fs))
+					}
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opLUT:
+			auxs := st.aux[sg.start:sg.end]
+			for i := range ops {
+				o := &ops[i]
+				tab := p.tab[auxs[i]]
+				idx := lutIndex(nv[o.in0], fs, len(tab))
+				v := o.gain*tab[idx] + o.off
+				a := math.Abs(v)
+				if id := ids[i]; a > peak[id] {
+					peak[id] = a
+				}
+				if a > fs {
+					if v > fs {
+						v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
+					} else {
+						v = -fs - (sat-fs)*math.Tanh((-v-fs)/(sat-fs))
+					}
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		}
+	}
+}
+
+// syncFoldLanes materialises the stream's per-lane folded constants from
 // the simulator's laneProg: laneG[pos*B+lane] is op pos's lane-l folded
 // gain (the saturated constant for opConst), exactly mirroring how
-// syncFold fills ops[pos].gain from the scalar fold. uni[pos] marks ops
-// whose B folded gains are identical — the common case for everything
-// but DACs when a batch diverges only its right-hand sides — letting the
-// hot loops broadcast one load instead of streaming B.
-func (st *fusedStream) syncFoldLanes(lp *laneProg, laneG []float64, uni []bool) ([]float64, []bool) {
+// syncFold fills ops[pos].gain from the scalar fold. laneUni[pos] marks
+// ops whose B folded gains are identical — the common case for
+// everything but DACs when a batch diverges only its right-hand sides —
+// letting the hot loops broadcast one load instead of streaming B. When
+// record is set, laneCraw[pos*B+lane] gets the opConst raw values whose
+// peaks the record pass tracks.
+func (st *fusedStream) syncFoldLanes(lp *laneProg, record bool) {
 	B := lp.lanes
-	need := len(st.ops) * B
-	if cap(laneG) < need {
-		laneG = make([]float64, need)
-	} else {
-		laneG = laneG[:need]
-	}
-	if cap(uni) < len(st.ops) {
-		uni = make([]bool, len(st.ops))
-	} else {
-		uni = uni[:len(st.ops)]
-	}
+	st.laneG = resizeF(st.laneG, len(st.ops)*B)
+	st.laneUni = resizeBool(st.laneUni, len(st.ops))
 	for i := range st.ops {
 		a := int(st.aux[i])
 		src := lp.gain[a*B : (a+1)*B]
-		copy(laneG[i*B:(i+1)*B], src)
+		copy(st.laneG[i*B:(i+1)*B], src)
 		u := true
 		for l := 1; l < B; l++ {
 			if src[l] != src[0] {
@@ -642,32 +806,21 @@ func (st *fusedStream) syncFoldLanes(lp *laneProg, laneG []float64, uni []bool) 
 				break
 			}
 		}
-		uni[i] = u
+		st.laneUni[i] = u
 	}
-	return laneG, uni
-}
-
-// syncFoldLanesCraw materialises the per-lane opConst raw (pre-saturation)
-// values aligned with the stream. Only opConst positions are filled — the
-// record pass is the sole reader and touches nothing else.
-func (st *fusedStream) syncFoldLanesCraw(lp *laneProg, craw []float64) []float64 {
-	B := lp.lanes
-	need := len(st.ops) * B
-	if cap(craw) < need {
-		craw = make([]float64, need)
-	} else {
-		craw = craw[:need]
+	if !record {
+		return
 	}
+	st.laneCraw = resizeF(st.laneCraw, len(st.ops)*B)
 	for _, sg := range st.segs {
 		if sg.op != opConst {
 			continue
 		}
 		for i := int(sg.start); i < int(sg.end); i++ {
 			a := int(st.aux[i])
-			copy(craw[i*B:(i+1)*B], lp.craw[a*B:(a+1)*B])
+			copy(st.laneCraw[i*B:(i+1)*B], lp.craw[a*B:(a+1)*B])
 		}
 	}
-	return craw
 }
 
 // syncLanes brings the fused kernel's materialised lane state current with
@@ -679,27 +832,27 @@ func (f *fusedProg) syncLanes(s *Simulator) int {
 	}
 	lp := s.lprog
 	if f.syncedLaneGen != lp.foldGen || f.laneB != lp.lanes {
-		f.laneSerialG, f.laneSerialUni = f.serial.syncFoldLanes(lp, f.laneSerialG, f.laneSerialUni)
-		f.laneParG, f.laneParUni = f.par.syncFoldLanes(lp, f.laneParG, f.laneParUni)
-		f.laneSerialCraw = f.serial.syncFoldLanesCraw(lp, f.laneSerialCraw)
+		f.cone.syncFoldLanes(lp, true)
+		f.rec.syncFoldLanes(lp, true)
+		f.par.syncFoldLanes(lp, false)
 		f.syncedLaneGen = lp.foldGen
 		f.laneB = lp.lanes
 	}
 	return lp.lanes
 }
 
-// evalLanes is the lane-batched fast evaluation: the fused segment walk
-// with an inner loop streaming B lanes per op record. Dispatches to the
-// level-parallel kernel on the same schedule as the scalar eval, with
-// the op threshold scaled by the lane width (lanes multiply the work per
-// chunk, not the synchronisation cost).
+// evalLanes is the lane-batched trial evaluation: the fused segment walk
+// over the cone with an inner loop streaming B lanes per op record.
+// Dispatches to the level-parallel kernel on the same schedule as the
+// scalar eval, with the op threshold scaled by the lane width (lanes
+// multiply the work per chunk, not the synchronisation cost).
 func (f *fusedProg) evalLanes(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
-	if s.workers > 1 && f.p.nFast*B >= s.fusedMinOps && f.multiChunk {
+	if s.workers > 1 && len(f.cone.ops)*B >= s.fusedMinOps && f.multiChunk {
 		f.evalLanesParallel(s, ts, state)
 		return
 	}
-	f.runSegsLanes(s, ts, state, &f.serial, f.serial.segs, f.laneSerialG, f.laneSerialUni, B)
+	f.runSegsLanes(s, ts, state, &f.cone, f.cone.segs, B)
 }
 
 // evalLanesParallel is evalParallel for the lane kernel: the same
@@ -721,7 +874,7 @@ func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
 			}
 		}
 		c := chunks[0]
-		f.runSegsLanes(s, ts, state, &f.par, f.par.segs[c.segLo:c.segHi], f.laneParG, f.laneParUni, f.laneB)
+		f.runSegsLanes(s, ts, state, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
 		if len(chunks) > 1 {
 			f.wg.Wait()
 		}
@@ -730,21 +883,21 @@ func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
 
 // runSegsLanes executes a run of segments over all B lanes: the scalar
 // runSegs loops with an inner lane dimension. Per-lane constants come
-// from laneG (aligned with the stream's op positions); offsets are
-// physical and shared; ops marked uniform in uni broadcast one gain load
-// across the lane loop instead of streaming B identical copies — the
-// value is the same, so lanes stay bit-identical either way. Every
-// lane's per-net accumulation order is the scalar stream order, so each
-// lane is bit-identical to a scalar run with that lane's parameters.
-func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, laneG []float64, uni []bool, B int) {
+// from the stream's laneG; offsets are physical and shared; ops marked
+// uniform in laneUni broadcast one gain load across the lane loop
+// instead of streaming B identical copies — the value is the same, so
+// lanes stay bit-identical either way. Every lane's per-net accumulation
+// order is the scalar stream order, so each lane is bit-identical to a
+// scalar run with that lane's parameters.
+func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
 	for _, sg := range segs {
 		ops := all.ops[sg.start:sg.end]
-		lg := laneG[int(sg.start)*B : int(sg.end)*B]
-		un := uni[sg.start:sg.end]
+		lg := all.laneG[int(sg.start)*B : int(sg.end)*B]
+		un := all.laneUni[sg.start:sg.end]
 		switch {
 		case sg.op == opConst && sg.store:
 			for i := range ops {
@@ -962,83 +1115,35 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 	}
 }
 
-// evalLanesRecord is the lane-batched record-mode evaluation: the fused
-// segment walk with the physical bookkeeping — per-lane peak tracking
-// and overflow latching on every op's raw (pre-saturation) value —
-// folded into each loop, then an interpreted tail over the silent ops.
-// Silent ops read only completed nets (lower moves them past every
-// driver), and latching is order-independent, so streaming the fast
-// region first is value- and latch-identical to the stream-order walk the
-// scalar evalRecord uses. Always serial: it runs once per lockstep tick, the
-// same budget the scalar engines give evalRecord.
+// evalLanesRecord is the lane-batched record-mode evaluation: the cone
+// stream then the record stream, with the per-lane peak tracking folded
+// into each loop — evalRecord with an inner lane dimension. Always serial: it runs once per lockstep tick, the
+// same budget the scalar engines give their record pass.
 func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
-	f.runSegsLanesRecord(s, ts, state, &f.serial, f.serial.segs, f.laneSerialG, f.laneSerialCraw, f.laneSerialUni, B)
-
-	// Silent tail: compute each op's per-lane raw from the finished nets
-	// and latch it; nothing is driven.
-	p := f.p
-	lp := s.lprog
-	fs := s.nl.cfg.FullScale
-	ovThresh := fs * (1 + 1e-12)
-	nv := s.laneNets
-	for i := p.nFast; i < len(p.kind); i++ {
-		id := p.blk[i].ID
-		pk := s.lanePeak[id*B : id*B+B]
-		ov := s.laneOver[id*B : id*B+B]
-		for l := 0; l < B; l++ {
-			var raw float64
-			switch p.kind[i] {
-			case opConst:
-				raw = lp.craw[i*B+l]
-			case opState:
-				raw = state[int(p.in0[i])*B+l]
-			case opInput:
-				if fn := p.blk[i].Stimulus; fn != nil {
-					raw = fn(ts[l])
-				}
-			case opLinear:
-				raw = lp.gain[i*B+l]*nv[int(p.in0[i])*B+l] + p.off[i]
-			case opVarMul:
-				raw = lp.gain[i*B+l]*(nv[int(p.in0[i])*B+l]*nv[int(p.in1[i])*B+l]/fs) + p.off[i]
-			case opLUT:
-				tab := p.tab[i]
-				idx := lutIndex(nv[int(p.in0[i])*B+l], fs, len(tab))
-				raw = lp.gain[i*B+l]*tab[idx] + p.off[i]
-			}
-			if a := math.Abs(raw); a > pk[l] {
-				pk[l] = a
-			}
-			if math.Abs(raw) > ovThresh {
-				ov[l] = true
-			}
-		}
-	}
+	f.runSegsLanesRecord(s, ts, state, &f.cone, B)
+	f.runSegsLanesRecord(s, ts, state, &f.rec, B)
 }
 
 // runSegsLanesRecord is runSegsLanes with the record-mode bookkeeping in
 // every loop: each op's raw value updates the owning block's per-lane
-// peak tracker and overflow latch before saturation. Raw values depend
-// only on completed input nets, so latch results are identical to the
-// stream-order walk regardless of the phase-major reordering. opConst
-// values come pre-saturated from the lane fold (laneG); their raws come
-// from laneCraw, exactly as the scalar fold keeps craw beside cval.
-func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, laneG, laneCraw []float64, uni []bool, B int) {
+// peak tracker before saturation. opConst values come
+// pre-saturated from the lane fold (laneG); their raws come from
+// laneCraw, exactly as the scalar fold keeps craw beside cval.
+func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, st *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
-	ovThresh := fs * (1 + 1e-12)
 	nv := s.laneNets
-	lanePeak := s.lanePeak
-	laneOver := s.laneOver
-	for _, sg := range segs {
-		ops := all.ops[sg.start:sg.end]
-		ids := all.ids[sg.start:sg.end]
-		lg := laneG[int(sg.start)*B : int(sg.end)*B]
-		un := uni[sg.start:sg.end]
+	lanePeak := s.peak
+	for _, sg := range st.segs {
+		ops := st.ops[sg.start:sg.end]
+		ids := st.ids[sg.start:sg.end]
+		lg := st.laneG[int(sg.start)*B : int(sg.end)*B]
+		un := st.laneUni[sg.start:sg.end]
 		switch {
 		case sg.op == opConst:
-			cr := laneCraw[int(sg.start)*B : int(sg.end)*B]
+			cr := st.laneCraw[int(sg.start)*B : int(sg.end)*B]
 			for i := range ops {
 				o := &ops[i]
 				id := int(ids[i])
@@ -1046,14 +1151,10 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				cv := lg[i*B : i*B+B]
 				raws := cr[i*B : i*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				for l := range dst {
 					a := math.Abs(raws[l])
 					if a > pk[l] {
 						pk[l] = a
-					}
-					if a > ovThresh {
-						ov[l] = true
 					}
 					if sg.store {
 						dst[l] = 0 + cv[l]
@@ -1073,15 +1174,11 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := state[int(o.in0)*B : int(o.in0)*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				for l := range dst {
 					v := src[l]
 					a := math.Abs(v)
 					if a > pk[l] {
 						pk[l] = a
-					}
-					if a > ovThresh {
-						ov[l] = true
 					}
 					if a > fs { // NaN skips saturation, as in the scalar walk
 						if v > fs {
@@ -1098,14 +1195,13 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				}
 			}
 		case sg.op == opInput:
-			auxs := all.aux[sg.start:sg.end]
+			auxs := st.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				id := int(ids[i])
 				fn := p.blk[auxs[i]].Stimulus
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				for l := range dst {
 					var v float64
 					if fn != nil {
@@ -1114,9 +1210,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 					a := math.Abs(v)
 					if a > pk[l] {
 						pk[l] = a
-					}
-					if a > ovThresh {
-						ov[l] = true
 					}
 					if a > fs {
 						if v > fs {
@@ -1143,7 +1236,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				off := o.off
 				if un[i] {
 					g0 := lg[i*B]
@@ -1152,9 +1244,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 						a := math.Abs(v)
 						if a > pk[l] {
 							pk[l] = a
-						}
-						if a > ovThresh {
-							ov[l] = true
 						}
 						if a > fs {
 							if v > fs {
@@ -1173,9 +1262,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 					a := math.Abs(v)
 					if a > pk[l] {
 						pk[l] = a
-					}
-					if a > ovThresh {
-						ov[l] = true
 					}
 					if a > fs {
 						if v > fs {
@@ -1198,7 +1284,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				off := o.off
 				if un[i] {
 					g0 := lg[i*B]
@@ -1207,9 +1292,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 						a := math.Abs(v)
 						if a > pk[l] {
 							pk[l] = a
-						}
-						if a > ovThresh {
-							ov[l] = true
 						}
 						if a > fs {
 							if v > fs {
@@ -1229,9 +1311,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 					if a > pk[l] {
 						pk[l] = a
 					}
-					if a > ovThresh {
-						ov[l] = true
-					}
 					if a > fs {
 						if v > fs {
 							v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
@@ -1243,7 +1322,7 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				}
 			}
 		case sg.op == opVarMul:
-			in1s := all.in1[sg.start:sg.end]
+			in1s := st.in1[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				id := int(ids[i])
@@ -1251,7 +1330,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				src0 := nv[int(o.in0)*B : int(o.in0)*B+B]
 				src1 := nv[int(in1s[i])*B : int(in1s[i])*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				g := lg[i*B : i*B+B]
 				off := o.off
 				for l := range dst {
@@ -1259,9 +1337,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 					a := math.Abs(v)
 					if a > pk[l] {
 						pk[l] = a
-					}
-					if a > ovThresh {
-						ov[l] = true
 					}
 					if a > fs {
 						if v > fs {
@@ -1278,7 +1353,7 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				}
 			}
 		case sg.op == opLUT:
-			auxs := all.aux[sg.start:sg.end]
+			auxs := st.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				id := int(ids[i])
@@ -1286,7 +1361,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
 				pk := lanePeak[id*B : id*B+B]
-				ov := laneOver[id*B : id*B+B]
 				g := lg[i*B : i*B+B]
 				off := o.off
 				for l := range dst {
@@ -1295,9 +1369,6 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 					a := math.Abs(v)
 					if a > pk[l] {
 						pk[l] = a
-					}
-					if a > ovThresh {
-						ov[l] = true
 					}
 					if a > fs {
 						if v > fs {

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -243,16 +244,81 @@ func TestFirstDriverFlags(t *testing.T) {
 	}
 	p := sim.prog
 	seen := map[int32]bool{}
-	for i := 0; i < p.nFast; i++ {
+	for i := range p.kind {
 		out := p.out[i]
 		if p.first[i] != !seen[out] {
 			t.Fatalf("op %d (net %d): first=%v but net already driven=%v", i, out, p.first[i], seen[out])
 		}
 		seen[out] = true
 	}
-	for i := p.nFast; i < len(p.kind); i++ {
-		if p.first[i] {
-			t.Fatalf("silent op %d flagged as first driver", i)
+}
+
+// TestConeClassification pins the cone split on a netlist shaped like an
+// idle corner of a chip: a fanout branch feeding a LUT that only an ADC
+// reads (a record-only op feeding another), a multiplier with an
+// unconnected output, an idle input, and a DAC whose raw level sits past
+// full scale, so its latch must see the raw value, not the clipped one.
+// Trial stages must run only the
+// integrator's cone, the record pass every op, and both engines must
+// still agree bit for bit — including the record-only nets and latches.
+func TestConeClassification(t *testing.T) {
+	build := func(eng Engine) (*Simulator, []*Block, []*Block) {
+		nl, err := NewNetlist(Config{Bandwidth: 20e3, OffsetSigma: 0.01, GainSigma: 0.01, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
+		u, d, a, b, c, idle, e := nl.Net(), nl.Net(), nl.Net(), nl.Net(), nl.Net(), nl.Net(), nl.Net()
+		integ := nl.AddIntegrator(d, u, 0.9)
+		fan := nl.AddFanout(u, a, b)
+		mul := nl.AddMultiplier(a, d, -1)
+		dac := nl.AddDAC(d, 0.6)
+		lut := nl.AddLUT(b, c, func(x float64) float64 { return 0.5 - x })
+		adc := nl.AddADC(c)
+		unloaded := nl.AddMultiplier(u, noNet, 1.5) // past full scale: latches
+		in := nl.AddInput(idle, nil)
+		hot := nl.AddDAC(e, 1.0)
+		hot.SetMismatch(0.05, 0)
+		adcHot := nl.AddADC(e)
+		sim, err := NewSimulator(nl, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.SetEngine(eng)
+		return sim, []*Block{integ, fan, mul, dac, lut, unloaded, in, hot}, []*Block{adc, adcHot}
+	}
+	sim, blocks, adcs := build(EngineFused)
+	integ, fan, mul, dac, lut, unloaded, in, hot := blocks[0], blocks[1], blocks[2], blocks[3], blocks[4], blocks[5], blocks[6], blocks[7]
+	p := sim.prog
+	wantCone := map[*Block][]bool{
+		integ: {true}, dac: {true}, mul: {true}, fan: {true, false},
+		lut: {false}, unloaded: {false}, in: {false}, hot: {false},
+	}
+	got := map[*Block][]bool{}
+	for i := range p.kind {
+		got[p.blk[i]] = append(got[p.blk[i]], p.cone[i])
+		if p.blk[i] == unloaded && p.out[i] != int32(sim.nl.NumNets()) {
+			t.Fatalf("unconnected output drives net %d, want the sink %d", p.out[i], sim.nl.NumNets())
+		}
+	}
+	for blk, want := range wantCone {
+		if fmt.Sprint(got[blk]) != fmt.Sprint(want) {
+			t.Fatalf("%v block %d: cone %v, want %v", blk.Kind, blk.ID, got[blk], want)
+		}
+	}
+	if nc, nr := len(sim.fused.cone.ops), len(sim.fused.rec.ops); nc != 4 || nr != 5 || nc+nr != len(p.kind) {
+		t.Fatalf("streams hold %d cone + %d record ops, want 4 + 5 of %d", nc, nr, len(p.kind))
+	}
+
+	ref, _, adcsRef := build(EngineReference)
+	for i := 0; i < 30; i++ {
+		ref.Step()
+		sim.Step()
+	}
+	expectSame(t, ref, sim, adcsRef, adcs, "cone split")
+	if !sim.Overflowed(unloaded, 0) || !sim.Overflowed(hot, 0) || sim.PeakAbs(lut, 0) == 0 {
+		t.Fatal("record-only ops did not latch")
+	}
+	if got := sim.PeakAbs(hot, 0); got != 1.05 {
+		t.Fatalf("DAC peak %v, want its raw level 1.05", got)
 	}
 }

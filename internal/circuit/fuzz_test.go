@@ -9,12 +9,15 @@ import (
 // FuzzEngineEquivalence fuzzes the bit-identity guarantee between the
 // engines: a randomized netlist (seed-driven: block mix, topology, trims,
 // and mismatch all derive from the seed) steps in lockstep on the
-// reference interpreter and the fused kernel — with the fused parallel
-// path forced on — and every externally
-// observable value must match exactly. `drive` scales the integrator
-// initial conditions up to hard saturation, covering the softSat branches
-// and overflow latches; netlists routinely include silent (unrouted) ops
-// via the builder's noNet sinks.
+// reference interpreter and on the fused kernel twice — once on the
+// serial kernel every chip-sized program runs, once with the
+// level-parallel path forced on — and every externally observable value
+// must match exactly. `drive` scales the integrator initial conditions up
+// to hard saturation, covering the softSat branches and overflow latches.
+// Netlists routinely include record-only ops (outputs no integrator
+// input depends on, unconnected noNet outputs among them); the
+// seed-record-chain corpus entry has a fanout branch feeding a LUT that
+// only an ADC reads, so one record-only op feeds another.
 //
 // The checked-in corpus under testdata/fuzz runs as ordinary regression
 // tests on every `go test` (including -short CI runs); `go test
@@ -35,7 +38,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if seed%2 == 0 {
 			cfg.NoiseSigma = 1e-4
 		}
-		build := func(eng Engine) (*Simulator, []*Block) {
+		build := func(eng Engine, parallel bool) (*Simulator, []*Block) {
 			nl, integs, adcs := buildRandomNetlist(t, rand.New(rand.NewSource(seed)), cfg)
 			sim, err := NewSimulator(nl, 0)
 			if err != nil {
@@ -45,7 +48,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			sim.SetEngine(eng)
-			if eng == EngineFused {
+			if parallel {
 				sim.fusedMinOps = 0 // force the level-parallel path
 				sim.chunkMinOps = 0 // past the chunk floor too
 				sim.SetWorkers(3)
@@ -64,13 +67,16 @@ func FuzzEngineEquivalence(f *testing.F) {
 			return sim, adcs
 		}
 		n := int(steps)%48 + 1
-		ref, adcsRef := build(EngineReference)
-		sim, adcs := build(EngineFused)
-		for i := 0; i < n; i++ {
-			ref.Step()
-			sim.Step()
+		// A fresh reference per kernel: expectSame's ADC reads latch.
+		for _, parallel := range []bool{false, true} {
+			ref, adcsRef := build(EngineReference, false)
+			sim, adcs := build(EngineFused, parallel)
+			for i := 0; i < n; i++ {
+				ref.Step()
+				sim.Step()
+			}
+			expectSame(t, ref, sim, adcsRef, adcs, fmt.Sprintf("fused parallel=%v", parallel))
 		}
-		expectSame(t, ref, sim, adcsRef, adcs, EngineFused.String())
 	})
 }
 

@@ -58,6 +58,7 @@ func (s *Simulator) laneIdx(id, lane int) int { return id*s.lanes + lane }
 func (s *Simulator) ConfigureLanes(lanes int) error {
 	if lanes == 0 {
 		s.lanes = 0
+		s.resizeLatches()
 		// Keep lprog (and its foldGen) across teardown: the fused engine
 		// decides whether its materialised lane constants are current by
 		// comparing generations, so the counter must stay monotonic for
@@ -93,7 +94,7 @@ func (s *Simulator) ConfigureLanes(lanes int) error {
 		}
 	}
 	s.laneState = resizeF(s.laneState, ni*lanes)
-	s.laneNets = resizeF(s.laneNets, s.nl.nets*lanes)
+	s.laneNets = resizeF(s.laneNets, len(s.netVals)*lanes) // sink net included
 	for i := range s.laneScratch {
 		s.laneScratch[i] = resizeF(s.laneScratch[i], ni*lanes)
 	}
@@ -105,8 +106,7 @@ func (s *Simulator) ConfigureLanes(lanes int) error {
 	s.laneSteps = resizeI64(s.laneSteps, lanes)
 	s.laneWhole = resizeI64(s.laneWhole, lanes)
 	s.laneActive = resizeBool(s.laneActive, lanes)
-	s.laneOver = resizeBool(s.laneOver, nb*lanes)
-	s.lanePeak = resizeF(s.lanePeak, nb*lanes)
+	s.resizeLatches()
 	if len(s.laneIntIDs) != ni {
 		s.laneIntIDs = make([]int32, ni)
 		for i, b := range s.integrators {
@@ -127,6 +127,16 @@ func (s *Simulator) ConfigureLanes(lanes int) error {
 
 // Lanes returns the configured lane width (0 in scalar mode).
 func (s *Simulator) Lanes() int { return s.lanes }
+
+// resizeLatches lays the latch store out for the current lane width and
+// clears it: a latch from the previous layout would land in another
+// block's slot.
+func (s *Simulator) resizeLatches() {
+	n := len(s.nl.blocks) * s.latchB()
+	s.over = resizeBool(s.over, n)
+	s.peak = resizeF(s.peak, n)
+	s.ClearExceptions()
+}
 
 func resizeF(b []float64, n int) []float64 {
 	if cap(b) < n {
@@ -288,8 +298,8 @@ func (s *Simulator) LaneTime(lane int) float64 { return s.laneTime[lane] }
 // LaneSteps returns the RK4 steps lane l has taken since Reset.
 func (s *Simulator) LaneSteps(lane int) int64 { return s.laneSteps[lane] }
 
-// resetLanes is Reset's lane-mode body: per-lane initial conditions,
-// times, and exception latches, then one recording evaluation.
+// resetLanes is Reset's lane-mode body: per-lane initial conditions and
+// times, then one recording evaluation (Reset has cleared the latches).
 func (s *Simulator) resetLanes() {
 	B := s.lanes
 	for i, b := range s.integrators {
@@ -302,15 +312,9 @@ func (s *Simulator) resetLanes() {
 		s.laneSteps[l] = 0
 		s.laneTs[l] = 0
 	}
-	for i := range s.laneOver {
-		s.laneOver[i] = false
-		s.lanePeak[i] = 0
-	}
 	// The fused record pass stores into every driven net but never touches
 	// undriven ones; clear them all so a reset always reads from zero.
-	for i := range s.laneNets {
-		s.laneNets[i] = 0
-	}
+	clear(s.laneNets)
 	if s.laneFoldDirty {
 		s.ReloadLaneParams()
 	}
@@ -416,7 +420,7 @@ func (s *Simulator) stepLanesH(hs []float64, active []bool) {
 		}
 		if allActive {
 			i0 = laneCombine16(len(s.integrators), &s.laneIntIDs[0], &s.laneState[0],
-				&k1[0], &k2[0], &k3[0], &k4[0], &hs[0], &s.lanePeak[0], ovThresh)
+				&k1[0], &k2[0], &k3[0], &k4[0], &hs[0], &s.peak[0], ovThresh)
 		}
 	}
 	for i := i0; i < len(s.integrators); i++ {
@@ -429,11 +433,11 @@ func (s *Simulator) stepLanesH(hs []float64, active []bool) {
 			x := s.laneState[si] + hs[l]/6*(k1[si]+2*k2[si]+2*k3[si]+k4[si])
 			li := b.ID*B + l
 			if math.Abs(x) > ovThresh {
-				s.laneOver[li] = true
+				s.over[li] = true
 				x = softSat(x, fs, sat)
 			}
-			if a := math.Abs(x); a > s.lanePeak[li] {
-				s.lanePeak[li] = a
+			if a := math.Abs(x); a > s.peak[li] {
+				s.peak[li] = a
 			}
 			s.laneState[si] = x
 		}
@@ -513,7 +517,7 @@ func (s *Simulator) ReadADCLane(b *Block, lane int) (code int, value float64, er
 	fs := s.nl.cfg.FullScale
 	v := s.laneNets[int(b.in[0])*s.lanes+lane]
 	if math.Abs(v) > fs*(1+1e-12) {
-		s.laneOver[b.ID*s.lanes+lane] = true
+		s.over[b.ID*s.lanes+lane] = true
 	}
 	q := quantize(v, fs, s.nl.cfg.ADCBits)
 	levels := float64(int64(1)<<uint(s.nl.cfg.ADCBits)) - 1
@@ -524,7 +528,7 @@ func (s *Simulator) ReadADCLane(b *Block, lane int) (code int, value float64, er
 // LaneNetValue returns the value on a net for one lane as of the last
 // completed lane step.
 func (s *Simulator) LaneNetValue(n Net, lane int) float64 {
-	return s.laneNets[int(n)*s.lanes+lane]
+	return s.laneNets[:s.nl.nets*s.lanes][int(n)*s.lanes+lane]
 }
 
 // LaneIntegratorValue returns an integrator's current output on one lane.
@@ -536,14 +540,4 @@ func (s *Simulator) LaneIntegratorValue(b *Block, lane int) (float64, error) {
 		return 0, fmt.Errorf("circuit: block %d is not a compiled integrator", b.ID)
 	}
 	return s.laneState[b.stateIdx*s.lanes+lane], nil
-}
-
-// LaneOverflowed reports a block's overflow latch on one lane.
-func (s *Simulator) LaneOverflowed(b *Block, lane int) bool {
-	return s.laneOver[b.ID*s.lanes+lane]
-}
-
-// LanePeakAbs returns a block's peak tracker on one lane.
-func (s *Simulator) LanePeakAbs(b *Block, lane int) float64 {
-	return s.lanePeak[b.ID*s.lanes+lane]
 }

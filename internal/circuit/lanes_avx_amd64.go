@@ -21,9 +21,9 @@ func cpuHasAVX2() bool
 // beyond full scale — that op and the rest of the segment are then
 // re-run by the caller's Go loop. The record variants additionally
 // max-fold each op's per-lane |raw| into the owning block's peak slots
-// (idempotent, so a bailed op re-latching in Go is harmless); overflow
-// latches are left to the Go loop, which any overflowing lane reaches
-// via the same bail.
+// (idempotent, so a bailed op folding again in Go is harmless). That is
+// all a record pass latches: an op's overflow bit is read from its peak
+// (Simulator.overflowed).
 
 //go:noescape
 func laneSegLin16(ops *fusedOp, n int, nv, lg *float64, un *bool, fs float64, store bool) int

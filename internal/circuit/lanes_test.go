@@ -86,12 +86,12 @@ func expectLaneMatchesScalar(t testing.TB, simL *Simulator, lane int, simS *Simu
 	}
 	for bi, b := range simS.nl.Blocks() {
 		lb := simL.nl.Blocks()[bi]
-		if simL.LaneOverflowed(lb, lane) != b.Overflowed {
+		if simL.Overflowed(lb, lane) != simS.Overflowed(b, 0) {
 			t.Fatalf("%s lane %d: block %d overflow latch diverges", tag, lane, bi)
 		}
-		if simL.LanePeakAbs(lb, lane) != b.PeakAbs {
+		if simL.PeakAbs(lb, lane) != simS.PeakAbs(b, 0) {
 			t.Fatalf("%s lane %d: block %d peak diverges: %v vs %v",
-				tag, lane, bi, simL.LanePeakAbs(lb, lane), b.PeakAbs)
+				tag, lane, bi, simL.PeakAbs(lb, lane), simS.PeakAbs(b, 0))
 		}
 		if b.Kind == KindADC {
 			codeL, valL, err := simL.ReadADCLane(lb, lane)
@@ -182,16 +182,26 @@ func TestLaneParallelMatchesSerial(t *testing.T) {
 		sim.Reset()
 		return sim
 	}
+	// Two runs; between them the parallel simulators re-chunk, after their
+	// lane constants were synced, and must re-sync them for the new
+	// parallel stream layout.
 	golden := build(0)
-	if err := golden.RunLanes(60.5 * golden.LaneDt(0)); err != nil {
-		t.Fatal(err)
+	d1, d2 := 30.5*golden.LaneDt(0), 30*golden.LaneDt(0)
+	for _, d := range []float64{d1, d2} {
+		if err := golden.RunLanes(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, workers := range []int{2, 4, 7} {
 		sim := build(workers)
 		if !sim.fused.multiChunk {
 			t.Fatalf("workers=%d: expected a multi-chunk lane schedule", workers)
 		}
-		if err := sim.RunLanes(60.5 * sim.LaneDt(0)); err != nil {
+		if err := sim.RunLanes(d1); err != nil {
+			t.Fatal(err)
+		}
+		sim.SetWorkers(workers + 1)
+		if err := sim.RunLanes(d2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range golden.laneState {

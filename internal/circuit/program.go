@@ -1,25 +1,30 @@
 package circuit
 
-import "math"
-
 // Op-stream lowering: NewSimulator lowers the netlist into a flat
-// struct-of-arrays op stream, the program both the fused kernel
-// (fused.go) and the record pass below walk. The lowering folds each
-// block's effective gain/offset (effGain·Gain, effOff) into per-op
-// constants, pre-quantizes DAC levels, and keeps the per-stage
-// peak/overflow bookkeeping out of the trial stages: the three
-// non-physical RK4 stages run the fused kernel, and only the one physical
-// post-step evaluation runs evalRecord.
+// struct-of-arrays op stream, the program the fused kernel (fused.go)
+// materialises and walks. The lowering folds each block's effective
+// gain/offset (effGain·Gain, effOff) into per-op constants and
+// pre-quantizes DAC levels.
+//
+// It also classifies every op once. An op is in the cone when an
+// integrator input reads its output net, directly or through other ops;
+// every other op is record-only (ADC taps, unloaded outputs, unprogrammed
+// LUTs, idle inputs, unused multipliers). The three non-physical RK4
+// trial stages only need the integrator inputs, so they run the cone;
+// the one physical post-step evaluation runs the cone and then the
+// record-only ops, tracking every op's peak as it goes. Ops whose block
+// output is unconnected drive one scratch sink net past the last real
+// net, so they run in the same loops as every other op and no reader
+// ever sees them.
 //
 // Equivalence guarantee: the program computes every net value with the
 // exact same floating-point expressions, in the exact same summation
 // order, as the reference block-walk interpreter (evalReference). The op
 // stream keeps source ops in block order and combinational ops in the
-// topological order computed by compile(); ops that drive no net are moved
-// to the tail of the stream (they add nothing to any net, and peak/overflow
-// latching is order-independent) so the fused kernel can skip them. The
-// differential tests in program_test.go and fused_test.go enforce
-// bit-identical results.
+// topological order computed by compile(). Every driver of a net shares
+// the net's class, so splitting the stream in two never reorders a net's
+// sum. The differential tests in program_test.go and fused_test.go
+// enforce bit-identical results.
 
 // opcode discriminates op kinds.
 type opcode uint8
@@ -49,22 +54,22 @@ type program struct {
 	kind []opcode
 	in0  []int32 // net index, or state slot for opState
 	in1  []int32 // second net for opVarMul
-	out  []int32 // driven net; -1 drives nothing
+	out  []int32 // driven net; the sink net for an unconnected output
 	gain []float64
 	off  []float64
 	craw []float64   // opConst raw (pre-saturation) value
 	cval []float64   // opConst saturated value
 	tab  [][]float64 // opLUT table (shared with the block)
-	blk  []*Block    // owning block, for record-mode latches
-
-	// nFast is the count of leading ops that drive a net; the fused
-	// kernel stops there, evalRecord walks the whole stream.
-	nFast int
+	blk  []*Block    // owning block: stimulus, tables, latch slot
 
 	// first[i] marks the first op in stream order driving out[i]. The
 	// fused engine stores (0 + v) there instead of accumulating, which is
 	// what lets it skip the netVals clear.
 	first []bool
+
+	// cone[i] marks op i as feeding an integrator input (see classify);
+	// the rest are record-only.
+	cone []bool
 
 	// foldGen increments on every refold; the fused engine re-syncs its
 	// materialised copy of the folded constants when it observes a new
@@ -80,10 +85,13 @@ type program struct {
 
 // lower builds the op stream for the simulator's netlist. Must run after
 // compile() (it consumes the topological order); constants are filled in by
-// the first refold.
-func (s *Simulator) lower() *program {
+// the first refold. sink is the scratch net unconnected outputs drive.
+func (s *Simulator) lower(sink Net) *program {
 	p := &program{}
 	emit := func(kind opcode, b *Block, in0, in1 int32, out Net) {
+		if out == noNet {
+			out = sink
+		}
 		p.kind = append(p.kind, kind)
 		p.in0 = append(p.in0, in0)
 		p.in1 = append(p.in1, in1)
@@ -128,7 +136,6 @@ func (s *Simulator) lower() *program {
 			emit(opLUT, b, int32(b.in[0]), -1, b.out[0])
 		}
 	}
-	p.partitionSilent()
 
 	// Integrator derivative stream, in state-slot order.
 	p.intNet = make([]int32, len(s.integrators))
@@ -137,87 +144,45 @@ func (s *Simulator) lower() *program {
 	for i, b := range s.integrators {
 		p.intNet[i] = int32(b.in[0]) // noNet is already -1
 	}
+
+	// First-driver flags, in stream order.
+	p.first = make([]bool, len(p.kind))
+	seen := make([]bool, sink+1)
+	for i, out := range p.out {
+		p.first[i] = !seen[out]
+		seen[out] = true
+	}
+	p.classify(int(sink) + 1)
 	return p
 }
 
-// partitionSilent stably moves ops that drive no net to the tail of the
-// stream. Silent ops only read nets, so any position after their producers
-// is topologically valid, and their only effect (peak/overflow latching in
-// record mode) is order-independent.
-func (p *program) partitionSilent() {
-	n := len(p.kind)
-	order := make([]int, 0, n)
-	var silent []int
-	for i := 0; i < n; i++ {
-		if p.out[i] >= 0 {
-			order = append(order, i)
-		} else {
-			silent = append(silent, i)
+// classify marks the cone: a net is needed when an integrator input or a
+// cone op reads it, and an op is in the cone when its output net is
+// needed. One reverse walk settles both, because every reader of a net
+// follows all of the net's drivers in the stream (sources come first,
+// then combinational ops in topological order). All drivers of a needed
+// net join the cone, so every net is driven by one class only.
+func (p *program) classify(nNets int) {
+	needed := make([]bool, nNets)
+	for _, n := range p.intNet {
+		if n >= 0 {
+			needed[n] = true
 		}
 	}
-	p.nFast = len(order)
-	order = append(order, silent...)
-	p.kind = permuteOpcodes(p.kind, order)
-	p.in0 = permuteInt32(p.in0, order)
-	p.in1 = permuteInt32(p.in1, order)
-	p.out = permuteInt32(p.out, order)
-	p.gain = permuteFloat64(p.gain, order)
-	p.off = permuteFloat64(p.off, order)
-	p.craw = permuteFloat64(p.craw, order)
-	p.cval = permuteFloat64(p.cval, order)
-	p.tab = permuteTables(p.tab, order)
-	p.blk = permuteBlocks(p.blk, order)
-
-	// First-driver flags over the final stream order (only the fast
-	// region matters: silent ops drive nothing).
-	p.first = make([]bool, n)
-	seen := make(map[int32]bool, p.nFast)
-	for i := 0; i < p.nFast; i++ {
-		if !seen[p.out[i]] {
-			p.first[i] = true
-			seen[p.out[i]] = true
+	p.cone = make([]bool, len(p.kind))
+	for i := len(p.kind) - 1; i >= 0; i-- {
+		if !needed[p.out[i]] {
+			continue
+		}
+		p.cone[i] = true
+		switch p.kind[i] {
+		case opVarMul:
+			needed[p.in1[i]] = true
+			needed[p.in0[i]] = true
+		case opLinear, opLUT:
+			needed[p.in0[i]] = true
 		}
 	}
-}
-
-func permuteOpcodes(src []opcode, order []int) []opcode {
-	dst := make([]opcode, len(src))
-	for i, j := range order {
-		dst[i] = src[j]
-	}
-	return dst
-}
-
-func permuteInt32(src []int32, order []int) []int32 {
-	dst := make([]int32, len(src))
-	for i, j := range order {
-		dst[i] = src[j]
-	}
-	return dst
-}
-
-func permuteFloat64(src []float64, order []int) []float64 {
-	dst := make([]float64, len(src))
-	for i, j := range order {
-		dst[i] = src[j]
-	}
-	return dst
-}
-
-func permuteTables(src [][]float64, order []int) [][]float64 {
-	dst := make([][]float64, len(src))
-	for i, j := range order {
-		dst[i] = src[j]
-	}
-	return dst
-}
-
-func permuteBlocks(src []*Block, order []int) []*Block {
-	dst := make([]*Block, len(src))
-	for i, j := range order {
-		dst[i] = src[j]
-	}
-	return dst
 }
 
 // refold refreshes every folded constant from the blocks' current
@@ -259,57 +224,6 @@ func (p *program) refold(s *Simulator) {
 		p.intOff[i], p.intGain[i] = s.effOff[b.ID], s.effGain[b.ID]
 	}
 	p.foldGen++
-}
-
-// evalRecord computes all net values for the given state at time t plus
-// the physical-state bookkeeping: overflow exception latching and peak
-// tracking, including ops that drive no net (an unloaded output still
-// clips and still latches its comparator).
-func (p *program) evalRecord(s *Simulator, t float64, state []float64) {
-	fs := s.nl.cfg.FullScale
-	sat := s.nl.cfg.SatLevel
-	ovThresh := fs * (1 + 1e-12)
-	nv := s.netVals
-	for i := range nv {
-		nv[i] = 0
-	}
-	for i := range p.kind {
-		var raw float64
-		switch p.kind[i] {
-		case opConst:
-			raw = p.craw[i]
-		case opState:
-			raw = state[p.in0[i]]
-		case opInput:
-			if fn := p.blk[i].Stimulus; fn != nil {
-				raw = fn(t)
-			}
-		case opLinear:
-			raw = p.gain[i]*nv[p.in0[i]] + p.off[i]
-		case opVarMul:
-			raw = p.gain[i]*(nv[p.in0[i]]*nv[p.in1[i]]/fs) + p.off[i]
-		case opLUT:
-			tab := p.tab[i]
-			idx := lutIndex(nv[p.in0[i]], fs, len(tab))
-			raw = p.gain[i]*tab[idx] + p.off[i]
-		}
-		b := p.blk[i]
-		if a := math.Abs(raw); a > b.PeakAbs {
-			b.PeakAbs = a
-		}
-		if math.Abs(raw) > ovThresh {
-			b.Overflowed = true
-		}
-		v := raw
-		if v > fs {
-			v = fs + (sat-fs)*math.Tanh((v-fs)/(sat-fs))
-		} else if v < -fs {
-			v = -fs - (sat-fs)*math.Tanh((-v-fs)/(sat-fs))
-		}
-		if out := p.out[i]; out >= 0 {
-			nv[out] += v
-		}
-	}
 }
 
 // stage computes integrator derivatives from the current net values into

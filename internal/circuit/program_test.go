@@ -131,13 +131,13 @@ func expectSame(t testing.TB, ref, cmp *Simulator, adcsRef, adcsCmp []*Block, ta
 	}
 	rb, cb := ref.nl.Blocks(), cmp.nl.Blocks()
 	for i := range rb {
-		if rb[i].PeakAbs != cb[i].PeakAbs {
+		if rp, cp := ref.PeakAbs(rb[i], 0), cmp.PeakAbs(cb[i], 0); rp != cp {
 			t.Fatalf("%s: block %d (%v) peak: reference %v engine %v",
-				tag, i, rb[i].Kind, rb[i].PeakAbs, cb[i].PeakAbs)
+				tag, i, rb[i].Kind, rp, cp)
 		}
-		if rb[i].Overflowed != cb[i].Overflowed {
+		if ro, co := ref.Overflowed(rb[i], 0), cmp.Overflowed(cb[i], 0); ro != co {
 			t.Fatalf("%s: block %d (%v) overflow latch: reference %v engine %v",
-				tag, i, rb[i].Kind, rb[i].Overflowed, cb[i].Overflowed)
+				tag, i, rb[i].Kind, ro, co)
 		}
 	}
 	for i := range adcsRef {

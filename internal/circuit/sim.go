@@ -60,6 +60,17 @@ type Simulator struct {
 	// otherwise reuse the post-step evaluation as the next step's k1 stage.
 	valsDirty bool
 
+	// Latch store: one peak tracker and one overflow latch per block and
+	// lane, slot [id*B+lane] with B = max(lanes, 1); ClearExceptions (and
+	// so Reset) zeroes it. Every engine's record pass folds each op's
+	// |raw| into peak. A block's overflow exception is over || peak past
+	// the overflow threshold (see overflowed), so the record passes never
+	// write over: it holds only the latches no peak records, the
+	// integrator combine's saturation (whose clipped peak may sit just
+	// under the threshold) and the ADC reads.
+	over []bool
+	peak []float64
+
 	// Lane-batched mode (see lanes.go): lanes is the batch width B (0 in
 	// scalar mode). All lane buffers are lane-contiguous: slot [x*B+l]
 	// holds lane l's copy of entity x.
@@ -70,8 +81,6 @@ type Simulator struct {
 	laneIC        []float64 // per-lane initial conditions  [blockID*B+l]
 	laneState     []float64 // per-lane integrator states   [stateIdx*B+l]
 	laneNets      []float64 // per-lane net values          [net*B+l]
-	laneOver      []bool    // per-lane overflow latches    [blockID*B+l]
-	lanePeak      []float64 // per-lane peak trackers       [blockID*B+l]
 	laneScratch   [5][]float64
 	laneTime      []float64
 	laneDt        []float64
@@ -90,9 +99,13 @@ type Simulator struct {
 // a run. dt <= 0 selects an automatic step: a small fraction of the fastest
 // loop time constant implied by the programmed gains.
 func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
+	// netVals carries one scratch sink net past the last real net: ops
+	// whose output is unconnected drive it, and NetValue never reads it.
 	s := &Simulator{
 		nl:      nl,
-		netVals: make([]float64, nl.nets),
+		netVals: make([]float64, nl.nets+1),
+		over:    make([]bool, len(nl.blocks)),
+		peak:    make([]float64, len(nl.blocks)),
 		k:       2 * math.Pi * nl.cfg.Bandwidth,
 		noise:   rand.New(rand.NewSource(nl.cfg.Seed + 0x9e3779b9)),
 	}
@@ -109,11 +122,11 @@ func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
 	if err := s.compile(); err != nil {
 		return nil, err
 	}
-	s.prog = s.lower()
+	s.prog = s.lower(Net(nl.nets))
 	s.workers = autoWorkers()
 	s.fusedMinOps = fusedParallelMinOps
 	s.chunkMinOps = fusedChunkMinOps
-	s.fused = s.prog.buildFused(nl.nets, s.workers, s.chunkMinOps)
+	s.fused = s.prog.buildFused(len(s.netVals), s.workers, s.chunkMinOps)
 	s.ReloadBlockParams()
 	if dt <= 0 {
 		dt = s.autoStep()
@@ -260,7 +273,10 @@ func (s *Simulator) ReloadBlockParams() {
 }
 
 // Reset loads integrator initial conditions, rewinds time, and clears
-// exception latches. Probes are kept but their histories cleared.
+// exception latches. Probes are kept but their histories cleared. In lane
+// mode the latch store holds the lanes' latches and only the lanes are
+// evaluated; the scalar net values stay stale (valsDirty) until a scalar
+// step.
 func (s *Simulator) Reset() {
 	s.ReloadBlockParams() // pick up any trim changes since the last run
 	for i, b := range s.integrators {
@@ -268,16 +284,17 @@ func (s *Simulator) Reset() {
 	}
 	s.time = 0
 	s.steps = 0
-	s.nl.ClearExceptions()
+	s.ClearExceptions()
 	for _, p := range s.probes {
 		p.Times = p.Times[:0]
 		p.Vals = p.Vals[:0]
 	}
-	s.eval(s.time, s.state, true)
-	s.valsDirty = false
 	if s.lanes > 0 {
 		s.resetLanes()
+		return
 	}
+	s.eval(s.time, s.state, true)
+	s.valsDirty = false
 }
 
 // Time returns the simulated (analog) time in seconds.
@@ -301,19 +318,19 @@ func softSat(v, fs, sat float64) float64 {
 	return v
 }
 
-// eval computes all net values for the given state at time t. When record
-// is true it also latches overflow exceptions and updates peak trackers
-// (record is false during RK4 trial stages, which are not physical states).
-// It dispatches on the selected engine (SetEngine): the fused kernel by
-// default, or the reference block-walk interpreter. Record-mode
-// evaluations always take the full op walk — peak/overflow latching
-// visits every op regardless of engine.
+// eval computes net values for the given state at time t. When record
+// is true it computes every net and also latches overflow exceptions and
+// updates peak trackers; when false (the RK4 trial stages, which are not
+// physical states) the fused kernel computes only the cone, the nets the
+// integrator inputs depend on. It dispatches on the selected engine
+// (SetEngine): the fused kernel by default, or the reference block-walk
+// interpreter, which always computes every net.
 func (s *Simulator) eval(t float64, state []float64, record bool) {
 	switch {
 	case s.engine == EngineReference:
 		s.evalReference(t, state, record)
 	case record:
-		s.prog.evalRecord(s, t, state)
+		s.fused.evalRecord(s, t, state)
 	default:
 		s.fused.eval(s, t, state)
 	}
@@ -330,11 +347,8 @@ func (s *Simulator) evalReference(t float64, state []float64, record bool) {
 	emit := func(b *Block, n Net, raw float64) {
 		v := softSat(raw, fs, sat)
 		if record {
-			if a := math.Abs(raw); a > b.PeakAbs {
-				b.PeakAbs = a
-			}
-			if math.Abs(raw) > fs*(1+1e-12) {
-				b.Overflowed = true
+			if a := math.Abs(raw); a > s.peak[b.ID] {
+				s.peak[b.ID] = a
 			}
 		}
 		if n != noNet {
@@ -448,11 +462,11 @@ func (s *Simulator) stepH(h float64) {
 		}
 		// The integrator output stage saturates like every other block.
 		if math.Abs(x) > fs*(1+1e-12) {
-			b.Overflowed = true
+			s.over[b.ID] = true
 			x = softSat(x, fs, sat)
 		}
-		if a := math.Abs(x); a > b.PeakAbs {
-			b.PeakAbs = a
+		if a := math.Abs(x); a > s.peak[b.ID] {
+			s.peak[b.ID] = a
 		}
 		s.state[i] = x
 	}
@@ -544,7 +558,7 @@ func (s *Simulator) MaxIntegratorDrive() float64 {
 }
 
 // NetValue returns the value on a net as of the last completed step.
-func (s *Simulator) NetValue(n Net) float64 { return s.netVals[n] }
+func (s *Simulator) NetValue(n Net) float64 { return s.netVals[:s.nl.nets][n] }
 
 // IntegratorValue returns an integrator's current output.
 func (s *Simulator) IntegratorValue(b *Block) (float64, error) {
@@ -575,7 +589,7 @@ func (s *Simulator) ReadADC(b *Block) (code int, value float64, err error) {
 	fs := s.nl.cfg.FullScale
 	v := s.netVals[b.in[0]]
 	if math.Abs(v) > fs*(1+1e-12) {
-		b.Overflowed = true
+		s.over[b.ID] = true
 	}
 	q := quantize(v, fs, s.nl.cfg.ADCBits)
 	levels := float64(int64(1)<<uint(s.nl.cfg.ADCBits)) - 1
@@ -614,4 +628,57 @@ func (s *Simulator) AddProbe(n Net, every int) *Probe {
 	p := &Probe{Net: n, Every: every}
 	s.addProbeInternal(p)
 	return p
+}
+
+// latchB is the latch store's lane stride: the lane width, or 1 in scalar
+// mode.
+func (s *Simulator) latchB() int { return max(s.lanes, 1) }
+
+// overflowed reads latch slot i. An op latches its comparator exactly
+// when its |raw| passes the threshold, which is exactly when it lifts the
+// slot's peak past it; NaN does neither.
+func (s *Simulator) overflowed(i int) bool {
+	return s.over[i] || s.peak[i] > s.nl.cfg.FullScale*(1+1e-12)
+}
+
+// Overflowed reports a block's overflow latch on one lane (lane 0 in
+// scalar mode).
+func (s *Simulator) Overflowed(b *Block, lane int) bool {
+	return s.overflowed(b.ID*s.latchB() + lane)
+}
+
+// PeakAbs returns the largest |output| a block produced on one lane (lane
+// 0 in scalar mode) since the last Reset, so the host can detect unused
+// dynamic range (low precision).
+func (s *Simulator) PeakAbs(b *Block, lane int) float64 {
+	return s.peak[b.ID*s.latchB()+lane]
+}
+
+// ClearExceptions resets every overflow latch and peak tracker on every
+// lane.
+func (s *Simulator) ClearExceptions() {
+	clear(s.over)
+	clear(s.peak)
+}
+
+// ExceptionVector returns one bit per block, in block order: true where
+// the block's overflow latched on the given lane (lane 0 in scalar mode).
+// It is the readExp payload of the ISA.
+func (s *Simulator) ExceptionVector(lane int) []bool {
+	B := s.latchB()
+	v := make([]bool, len(s.nl.blocks))
+	for i := range v {
+		v[i] = s.overflowed(i*B + lane)
+	}
+	return v
+}
+
+// AnyException reports whether any block latched an overflow on any lane.
+func (s *Simulator) AnyException() bool {
+	for i := range s.over {
+		if s.overflowed(i) {
+			return true
+		}
+	}
+	return false
 }

@@ -111,10 +111,3 @@ func (p *Probe) WriteCSV(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

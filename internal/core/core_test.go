@@ -775,3 +775,55 @@ func TestPropUniformScalingInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPoolChipEnginesIdentical runs the serve pool's class-16 chip — the
+// shape every pooled analog solve settles on, with its unprogrammed LUTs,
+// idle inputs, unused multipliers and ADC taps — through a refined solve
+// on the reference interpreter and on the fused kernel. The answer must
+// be bit-identical and the cost accounting equal. The cold start rescales
+// on overflow exceptions, so the chip's exception vector (the simulator's
+// latch store, read over the ISA) is compared end to end as well.
+func TestPoolChipEnginesIdentical(t *testing.T) {
+	const n = 16
+	rng := rand.New(rand.NewSource(3))
+	var entries []la.COOEntry
+	for i := 0; i < n; i++ {
+		entries = append(entries, la.COOEntry{Row: i, Col: i, Val: 4 + rng.Float64()})
+		for d := 1; d <= 2 && i+d < n; d++ {
+			v := -(0.4 + 0.5*rng.Float64()) / float64(d)
+			entries = append(entries,
+				la.COOEntry{Row: i, Col: i + d, Val: v}, la.COOEntry{Row: i + d, Col: i, Val: v})
+		}
+	}
+	a := la.MustCSR(n, entries)
+	b := make(la.Vector, n)
+	for i := range b {
+		b[i] = rng.Float64()*2 - 1
+	}
+	solve := func(engine string) (la.Vector, Stats) {
+		spec := chip.ScaledSpec(16, 12, 20e3, 8)
+		spec.Seed = 1
+		acc := simAcc(t, spec)
+		if _, err := acc.Calibrate(); err != nil {
+			t.Fatal(err)
+		}
+		u, stats, err := acc.SolveRefined(a, b, SolveOptions{Tolerance: 1e-8, Engine: engine})
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		return u, stats
+	}
+	uRef, statsRef := solve("interpreter")
+	uFused, statsFused := solve("fused")
+	for i := range uRef {
+		if math.Float64bits(uRef[i]) != math.Float64bits(uFused[i]) {
+			t.Fatalf("u[%d]: interpreter %v, fused %v", i, uRef[i], uFused[i])
+		}
+	}
+	if statsRef != statsFused {
+		t.Fatalf("stats diverge:\ninterpreter %+v\nfused       %+v", statsRef, statsFused)
+	}
+	if statsFused.Overflows == 0 || statsFused.Refinements == 0 {
+		t.Fatalf("solve never overflowed or refined, so the test covers less than it claims: %+v", statsFused)
+	}
+}

@@ -171,22 +171,34 @@ var (
 // of a large chip array needs more headroom).
 const MaxPayload = 1 << 16
 
-// crc8 computes a CRC-8/ATM (poly 0x07) over data: cheap enough for an SPI
-// peripheral, strong enough to catch byte corruption in tests.
+// crc8 computes a CRC-8/ATM (poly 0x07, init 0) over data: cheap enough
+// for an SPI peripheral, strong enough to catch byte corruption in tests.
+// One table lookup per byte; the bitwise definition it must match lives
+// in the tests.
 func crc8(data []byte) byte {
 	var crc byte
 	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
+		crc = crc8Table[crc^b]
+	}
+	return crc
+}
+
+// crc8Table[i] is the CRC register after shifting byte i through the
+// polynomial eight times.
+var crc8Table = func() (t [256]byte) {
+	for i := range t {
+		crc := byte(i)
+		for k := 0; k < 8; k++ {
 			if crc&0x80 != 0 {
 				crc = crc<<1 ^ 0x07
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
 	}
-	return crc
-}
+	return t
+}()
 
 // EncodeFrame wraps an opcode and payload into a wire frame:
 // [op][len:u16][payload...][crc8 over everything before it].

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -354,5 +355,42 @@ func TestPropSingleBitCorruptionDetected(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// crc8Bitwise is the CRC-8/ATM definition (poly 0x07, init 0, no
+// reflection, no final xor), one bit at a time: the table-driven crc8
+// must agree with it on every input.
+func crc8Bitwise(data []byte) byte {
+	var crc byte
+	for _, b := range data {
+		crc ^= b
+		for i := 0; i < 8; i++ {
+			if crc&0x80 != 0 {
+				crc = crc<<1 ^ 0x07
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRC8MatchesBitwiseDefinition(t *testing.T) {
+	if got := crc8([]byte("123456789")); got != 0xF4 {
+		t.Fatalf(`crc8("123456789") = %#02x, want the CRC-8/ATM check value 0xf4`, got)
+	}
+	for b := 0; b < 256; b++ {
+		if got, want := crc8([]byte{byte(b)}), crc8Bitwise([]byte{byte(b)}); got != want {
+			t.Fatalf("crc8(%#02x) = %#02x, bitwise %#02x", b, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 259, 4096, MaxPayload + 4} {
+		frame := make([]byte, n)
+		rng.Read(frame)
+		if got, want := crc8(frame), crc8Bitwise(frame); got != want {
+			t.Fatalf("%d-byte frame: crc8 %#02x, bitwise %#02x", n, got, want)
+		}
 	}
 }

@@ -103,3 +103,10 @@ go run ./scripts/smoke -alad "$BIN/alad" -alasolve "$BIN/alasolve"
 # differentials hold wave answers equal to scalar solves end-to-end.
 go test -race -count=2 -run 'Fused|Lane|EngineEquivalence|Fuzz' ./internal/circuit
 go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
+
+# A bounded fuzz pass past the seed corpora: 20 s of fresh randomized
+# netlists through each differential (reference vs the serial and the
+# level-parallel fused kernels; lane widths vs scalar runs). The seed
+# corpora above replay only the checked-in cases; this explores new ones.
+go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 20s ./internal/circuit
+go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 20s ./internal/circuit
