@@ -61,7 +61,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight solves")
 		engine    = flag.String("engine", "auto", "simulation kernel for pooled chips: auto | interpreter | fused (the two are bit-identical; an unknown name fails at startup)")
-		simJobs   = flag.Int("sim-workers", 0, "fused-engine worker bound per chip (0 = auto; results are identical for every value)")
 		coalesce  = flag.Duration("coalesce-window", 500*time.Microsecond, "how long an analog solve may wait for same-operator companions before its lane wave fires (waves also close when 16 lanes fill or an idle resident chip exists; every analog solve rides a wave, so a negative window fails at startup)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
@@ -100,7 +99,6 @@ func main() {
 			ADCBits:       *adcBits,
 			Bandwidth:     *bandwidth,
 			Engine:        *engine,
-			SimWorkers:    *simJobs,
 		},
 		QueueBound:     *queue,
 		MaxBatchRHS:    *maxBatch,

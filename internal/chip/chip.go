@@ -591,9 +591,6 @@ func (c *Chip) rebuild() isa.Status {
 	if eng, err := circuit.ParseEngine(c.spec.Engine); err == nil {
 		sim.SetEngine(eng)
 	}
-	if c.spec.SimWorkers > 0 {
-		sim.SetWorkers(c.spec.SimWorkers)
-	}
 	c.nl, c.sim, c.blocks = nl, sim, blocks
 	if st := c.applyLanes(); st != isa.StatusOK {
 		// Leave topoDirty set: the next commit retries the full rebuild.
@@ -883,22 +880,17 @@ func (c *Chip) Sim() *circuit.Simulator { return c.sim }
 // SelectEngine switches the simulation kernel on the live datapath and on
 // every future rebuild. Like Sim, this is a bench-side knob on the
 // simulation itself, not a Table I instruction: engines are bit-identical
-// and invisible to programs running on the chip. workers <= 0 keeps the
-// current worker bound.
+// and invisible to programs running on the chip. workers is ignored (the
+// fused kernel is serial); the parameter stays because the perfbench
+// module calls this two-argument form.
 func (c *Chip) SelectEngine(name string, workers int) error {
 	eng, err := circuit.ParseEngine(name)
 	if err != nil {
 		return err
 	}
 	c.spec.Engine = name
-	if workers > 0 {
-		c.spec.SimWorkers = workers
-	}
 	if c.sim != nil {
 		c.sim.SetEngine(eng)
-		if workers > 0 {
-			c.sim.SetWorkers(workers)
-		}
 	}
 	return nil
 }

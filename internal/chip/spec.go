@@ -55,9 +55,6 @@ type Spec struct {
 	// simulation-fidelity knob, not part of the Table I architecture:
 	// every engine is bit-identical, so it never changes answers.
 	Engine string
-	// SimWorkers bounds the fused engine's level-parallel worker pool
-	// (0 = automatic). Results are identical for every value.
-	SimWorkers int
 }
 
 // PrototypeSpec returns the fabricated 65 nm chip: four macroblocks,

@@ -191,12 +191,6 @@ type Block struct {
 	stateIdx int // integrator state slot; -1 otherwise
 }
 
-// InputNet returns the i-th input net (for inspection/testing).
-func (b *Block) InputNet(i int) Net { return b.in[i] }
-
-// OutputNet returns the i-th output net.
-func (b *Block) OutputNet(i int) Net { return b.out[i] }
-
 // SetMismatch overrides the block's randomly drawn process variation.
 // The chip layer uses it to keep each physical unit's mismatch stable
 // across crossbar reconfigurations (the silicon doesn't change when the

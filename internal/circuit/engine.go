@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Engine selects which evaluation kernel the simulator runs net updates
 // on: the fused kernel, or the reference interpreter it is checked
@@ -19,8 +16,8 @@ const (
 	// executable specification the fused kernel is tested against.
 	EngineReference
 	// EngineFused is the segmented step kernel: homogeneous op runs with
-	// no per-op dispatch, first-driver stores instead of a netVals clear,
-	// and level-scheduled parallel evaluation for large programs.
+	// no per-op dispatch and first-driver stores instead of a netVals
+	// clear.
 	EngineFused
 )
 
@@ -65,33 +62,4 @@ func (s *Simulator) EngineSelected() Engine {
 		return EngineFused
 	}
 	return s.engine
-}
-
-// SetWorkers bounds the worker pool the fused engine may shard level
-// evaluation across. n <= 0 restores the automatic choice
-// (min(GOMAXPROCS, 4)). Results are bit-identical for every worker
-// count: workers own disjoint net ranges and each net's drivers are
-// summed in the same fixed stream order regardless of sharding.
-func (s *Simulator) SetWorkers(n int) {
-	if n <= 0 {
-		n = autoWorkers()
-	}
-	s.workers = n
-	if s.fused != nil {
-		s.fused.rebuildChunks(n, s.chunkMinOps)
-	}
-}
-
-// Workers returns the configured fused-engine worker bound.
-func (s *Simulator) Workers() int { return s.workers }
-
-func autoWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

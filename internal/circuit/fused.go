@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"math"
-	"sort"
-	"sync"
-)
+import "math"
 
 // Fused step kernel: the simulator's fast engine. Walking the op stream
 // (program.go) one op at a time costs an opcode dispatch on every op, a
@@ -45,30 +41,6 @@ import (
 // Record-only ops may read cone nets and each other's nets, but no cone
 // op reads a record-only net, so every input is final when the record
 // stream runs.
-//
-// For large programs the trial stages instead run level-parallel: each
-// level's cone nets are sharded across a bounded worker set, and each
-// worker's share is materialised as its own store/add segment run, so
-// workers execute the very same branch-free loops as the serial kernel.
-// Chunks cover disjoint net sets — workers write disjoint netVals
-// entries — and every net's sum still accumulates left-to-right in the
-// same fixed order as the serial engines, so results are bit-identical
-// for any worker count. Cross-level reads are safe because an op in
-// phase L only reads nets that completed in phases < L. The record pass
-// always runs serially.
-
-// fusedParallelMinOps is the cone-op count above which the fused engine
-// shards levels across workers. Below it the per-level synchronisation
-// costs more than the arithmetic it hides. Overridable per simulator in
-// tests (Simulator.fusedMinOps).
-const fusedParallelMinOps = 8192
-
-// fusedChunkMinOps is the minimum op count a parallel chunk must carry:
-// rebuildChunks lowers a level's effective worker count until every chunk
-// clears it, so sharding a tiny level can never cost more in wake-up and
-// wait latency than the arithmetic it hides. Overridable per simulator in
-// tests (Simulator.chunkMinOps).
-const fusedChunkMinOps = 1024
 
 // fusedOp is one materialised op: 24 bytes, only the fields the hot loops
 // touch. Meaning varies by segment opcode: for opConst, gain holds the
@@ -89,9 +61,8 @@ type fusedSeg struct {
 	start, end int32
 }
 
-// fusedStream is one materialised execution stream: the cone and record
-// streams run serially; the parallel kernel has one laid out per (level,
-// worker chunk). aux[i] is op i's index in the program's stream arrays
+// fusedStream is one materialised execution stream (the cone or the
+// record-only ops). aux[i] is op i's index in the program's stream arrays
 // (read during fold re-sync, and by LUT/input loops to reach tables and
 // stimulus blocks); in1[i] is the second input net (read by varmul loops
 // only); ids[i] is the owning block's ID (read by the record passes to
@@ -108,20 +79,17 @@ type fusedStream struct {
 	// folded constants are equal across every lane (all of them, in a
 	// batch that diverges only the right-hand sides), so the hot loops
 	// read one gain instead of streaming B copies. laneCraw carries the
-	// per-lane opConst raw values; only the record pass reads it, so the
-	// parallel stream leaves it empty.
+	// per-lane opConst raw values, which only the record pass reads.
 	laneG    []float64
 	laneUni  []bool
 	laneCraw []float64
 }
 
 // emit appends op i, merging it into the last segment when that segment
-// has the same opcode and store/add role and its index is at least
-// minSeg (chunk boundaries pass len(segs) to prevent merging across
-// workers).
-func (st *fusedStream) emit(p *program, i int32, store bool, minSeg int) {
+// has the same opcode and store/add role.
+func (st *fusedStream) emit(p *program, i int32, store bool) {
 	kind := p.kind[i]
-	if n := len(st.segs); n > minSeg && st.segs[n-1].op == kind && st.segs[n-1].store == store {
+	if n := len(st.segs); n > 0 && st.segs[n-1].op == kind && st.segs[n-1].store == store {
 		st.segs[n-1].end++
 	} else {
 		st.segs = append(st.segs, fusedSeg{
@@ -146,12 +114,12 @@ func (st *fusedStream) emitPhases(p *program, byPhase [][]int32, cone bool) {
 	for _, phase := range byPhase {
 		for _, i := range phase {
 			if p.cone[i] == cone && p.first[i] {
-				st.emit(p, i, true, 0)
+				st.emit(p, i, true)
 			}
 		}
 		for _, i := range phase {
 			if p.cone[i] == cone && !p.first[i] {
-				st.emit(p, i, false, 0)
+				st.emit(p, i, false)
 			}
 		}
 	}
@@ -178,73 +146,17 @@ func (st *fusedStream) syncFold(p *program) {
 	}
 }
 
-func (st *fusedStream) reset() {
-	st.ops = st.ops[:0]
-	st.aux = st.aux[:0]
-	st.in1 = st.in1[:0]
-	st.ids = st.ids[:0]
-	st.segs = st.segs[:0]
-}
-
-// fusedChunk is one worker's share of a level: a contiguous run of
-// segments in the parallel stream. Chunks of the same level cover
-// disjoint net sets, so workers never write the same netVals entry.
-type fusedChunk struct{ segLo, segHi int32 }
-
-// fusedLevel is one topological phase of the parallel schedule.
-type fusedLevel struct {
-	lo, hi int32 // netOrder range of nets whose value completes this phase
-	chunks []fusedChunk
-	// fns holds one prebuilt dispatch closure per chunk beyond the first
-	// (chunk 0 always runs inline on the calling goroutine). The closures
-	// read their call parameters from the fusedProg's call* fields, so an
-	// eval spawns goroutines on stored func values and allocates nothing.
-	// laneFns is the lane-batched counterpart.
-	fns     []func()
-	laneFns []func()
-}
-
-// fusedProg is the segmented / level-scheduled view of a program.
-// Topology is fixed for the life of a Simulator; the folded constants
-// copied into the streams are refreshed lazily whenever refold bumps the
-// program's generation (trim changes), so ReloadBlockParams keeps
-// working unchanged.
+// fusedProg is the segmented view of a program. Topology is fixed for
+// the life of a Simulator; the folded constants copied into the streams
+// are refreshed lazily whenever refold bumps the program's generation
+// (trim changes), so ReloadBlockParams keeps working unchanged.
 type fusedProg struct {
 	p *program
 
-	// Serial kernel: the cone and the record-only ops, each in
-	// phase-major store/add order.
+	// The cone and the record-only ops, each in phase-major store/add
+	// order.
 	cone, rec fusedStream
 	syncedGen uint64
-
-	// Level schedule of the cone: driven nets grouped by level (ascending
-	// net id within a level), each with its driver ops in stream order.
-	// Feeds the per-chunk materialisation below.
-	netOrder []int32
-	opStart  []int32 // len(netOrder)+1 prefix sums into opIdx
-	opIdx    []int32
-
-	// Parallel kernel: the cone again, laid out per (level, worker
-	// chunk). Rebuilt by SetWorkers.
-	par     fusedStream
-	levels  []fusedLevel
-	workers int // worker count the chunks were last built for
-	// multiChunk reports whether any level actually split: when the
-	// worker bound or the per-chunk op floor collapses every level to one
-	// chunk, eval stays on the serial stream and skips the per-level
-	// dispatch loop entirely.
-	multiChunk bool
-
-	// Pooled dispatch state for the parallel kernel. evalParallel
-	// publishes the per-call parameters here before spawning the stored
-	// chunk closures; the `go` statement orders the writes before the
-	// goroutine body, and wg.Wait orders the reads before the next eval
-	// can overwrite them.
-	wg        sync.WaitGroup
-	callSim   *Simulator
-	callT     float64
-	callState []float64
-	callTs    []float64 // lane kernel: per-lane evaluation times
 
 	// Lane fold generation and width the streams' lane constants were
 	// last synced to.
@@ -252,9 +164,9 @@ type fusedProg struct {
 	laneB         int
 }
 
-// buildFused computes the level schedule and the materialised streams
-// for p. nNets is the simulator's net count, sink net included.
-func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
+// buildFused computes the topological levels and the materialised
+// streams for p. nNets is the simulator's net count, sink net included.
+func (p *program) buildFused(nNets int) *fusedProg {
 	f := &fusedProg{p: p}
 
 	// Topological levels. The stream is ordered sources-first then
@@ -275,7 +187,6 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 		maxLevel = max(maxLevel, lv)
 	}
 
-	// The two serial streams.
 	byPhase := make([][]int32, maxLevel+1)
 	for i := range p.kind {
 		lv := netLevel[p.out[i]]
@@ -283,222 +194,34 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 	}
 	f.cone.emitPhases(p, byPhase, true)
 	f.rec.emitPhases(p, byPhase, false)
-
-	// Group the cone's driven nets by level, ascending net id within each
-	// level (the scan order), and record each level's [lo,hi) range of
-	// netOrder.
-	drivers := make([]int32, nNets) // per-net cone driver count
-	coneLevel := int32(0)
-	nDriven := 0
-	for i, out := range p.out {
-		if !p.cone[i] {
-			continue
-		}
-		if drivers[out] == 0 {
-			nDriven++
-		}
-		drivers[out]++
-		coneLevel = max(coneLevel, netLevel[out])
-	}
-	f.netOrder = make([]int32, 0, nDriven)
-	slot := make([]int32, nNets) // net id -> index in netOrder
-	f.levels = make([]fusedLevel, 0, coneLevel+1)
-	for lv := int32(0); lv <= coneLevel; lv++ {
-		lo := int32(len(f.netOrder))
-		for n := 0; n < nNets; n++ {
-			if drivers[n] > 0 && netLevel[n] == lv {
-				slot[n] = int32(len(f.netOrder))
-				f.netOrder = append(f.netOrder, int32(n))
-			}
-		}
-		f.levels = append(f.levels, fusedLevel{lo: lo, hi: int32(len(f.netOrder))})
-	}
-
-	// Per-net driver lists, stream order preserved by the scan order.
-	f.opStart = make([]int32, len(f.netOrder)+1)
-	for _, n := range f.netOrder {
-		f.opStart[slot[n]+1] = drivers[n]
-	}
-	for i := 1; i < len(f.opStart); i++ {
-		f.opStart[i] += f.opStart[i-1]
-	}
-	f.opIdx = make([]int32, len(f.cone.ops))
-	cursor := make([]int32, len(f.netOrder))
-	copy(cursor, f.opStart[:len(f.netOrder)])
-	for i := range p.kind {
-		if p.cone[i] {
-			si := slot[p.out[i]]
-			f.opIdx[cursor[si]] = int32(i)
-			cursor[si]++
-		}
-	}
-
-	f.rebuildChunks(workers, minChunkOps) // also syncs folded constants
-	return f
-}
-
-// rebuildChunks partitions each level's nets into up to `workers`
-// contiguous chunks balanced by driver-op count, and materialises each
-// chunk's ops as branch-free segments: one store per net (grouped by
-// opcode — stores hit distinct nets, so their relative order is free),
-// then the remaining drivers in global stream order, which preserves
-// every net's accumulation order. minChunkOps floors the op count per
-// chunk: a level too small to give every worker that many ops is split
-// across fewer workers (down to one, i.e. no split at all). Chunk
-// boundaries change with the worker bound and the floor; per-net
-// summation order does not, so results stay bit-identical for any
-// requested worker count.
-func (f *fusedProg) rebuildChunks(workers, minChunkOps int) {
-	if workers < 1 {
-		workers = 1
-	}
-	f.workers = workers
-	f.par.reset()
-	f.multiChunk = false
-	var stores, adds []int32
-	for li := range f.levels {
-		lv := &f.levels[li]
-		lv.chunks = lv.chunks[:0]
-		lv.fns = lv.fns[:0]
-		lv.laneFns = lv.laneFns[:0]
-		nets := lv.hi - lv.lo
-		if nets <= 0 {
-			continue
-		}
-		w := int32(workers)
-		if w > nets {
-			w = nets
-		}
-		totalOps := f.opStart[lv.hi] - f.opStart[lv.lo]
-		if minChunkOps > 0 {
-			if maxW := totalOps / int32(minChunkOps); w > maxW {
-				w = maxW
-				if w < 1 {
-					w = 1
-				}
-			}
-		}
-		target := (totalOps + w - 1) / w
-		if target < 1 {
-			target = 1
-		}
-		for lo := lv.lo; lo < lv.hi; {
-			hi := lo
-			var ops int32
-			for hi < lv.hi && (ops < target || hi == lo) {
-				ops += f.opStart[hi+1] - f.opStart[hi]
-				hi++
-			}
-			// Never emit more chunks than workers: fold the tail into the
-			// last chunk.
-			if int32(len(lv.chunks)) == w-1 {
-				hi = lv.hi
-			}
-			stores, adds = stores[:0], adds[:0]
-			for ni := lo; ni < hi; ni++ {
-				list := f.opIdx[f.opStart[ni]:f.opStart[ni+1]]
-				stores = append(stores, list[0]) // stream-first driver
-				adds = append(adds, list[1:]...)
-			}
-			sort.Slice(stores, func(a, b int) bool {
-				sa, sb := stores[a], stores[b]
-				if ka, kb := f.p.kind[sa], f.p.kind[sb]; ka != kb {
-					return ka < kb
-				}
-				return sa < sb
-			})
-			sort.Slice(adds, func(a, b int) bool { return adds[a] < adds[b] })
-			segLo := int32(len(f.par.segs))
-			for _, i := range stores {
-				f.par.emit(f.p, i, true, int(segLo))
-			}
-			for _, i := range adds {
-				f.par.emit(f.p, i, false, int(segLo))
-			}
-			lv.chunks = append(lv.chunks, fusedChunk{segLo: segLo, segHi: int32(len(f.par.segs))})
-			lo = hi
-		}
-		if len(lv.chunks) > 1 {
-			f.multiChunk = true
-			for _, c := range lv.chunks[1:] {
-				c := c
-				lv.fns = append(lv.fns, func() {
-					defer f.wg.Done()
-					f.runSegs(f.callSim, f.callT, f.callState, &f.par, f.par.segs[c.segLo:c.segHi])
-				})
-				lv.laneFns = append(lv.laneFns, func() {
-					defer f.wg.Done()
-					f.runSegsLanes(f.callSim, f.callTs, f.callState, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
-				})
-			}
-		}
-	}
 	f.syncFold()
-	// The parallel stream was re-materialised: force a lane re-sync.
-	f.laneB = 0
+	return f
 }
 
 // syncFold refreshes every stream's folded constants from the program.
 func (f *fusedProg) syncFold() {
 	f.cone.syncFold(f.p)
 	f.rec.syncFold(f.p)
-	f.par.syncFold(f.p)
 	f.syncedGen = f.p.foldGen
 }
 
-// eval is a trial evaluation: it computes the cone's nets, dispatching
-// between the serial segmented kernel and the level-parallel kernel.
+// eval is a trial evaluation: it computes the cone's nets.
 func (f *fusedProg) eval(s *Simulator, t float64, state []float64) {
 	if f.syncedGen != f.p.foldGen {
 		f.syncFold()
 	}
-	if s.workers > 1 && len(f.cone.ops) >= s.fusedMinOps && f.multiChunk {
-		f.evalParallel(s, t, state)
-		return
-	}
-	f.runSegs(s, t, state, &f.cone, f.cone.segs)
+	f.runSegs(s, t, state, &f.cone)
 }
 
-// evalParallel runs one phase per topological level, sharding the level's
-// nets across workers; every worker runs the same branch-free segment
-// loops as the serial kernel, just over its own chunk of the stream. The
-// per-chunk closures are prebuilt by rebuildChunks and read their call
-// parameters from the call* fields, so the only per-eval work here is the
-// goroutine spawns themselves — no allocation at any worker count.
-func (f *fusedProg) evalParallel(s *Simulator, t float64, state []float64) {
-	f.callSim, f.callT, f.callState = s, t, state
-	for li := range f.levels {
-		lv := &f.levels[li]
-		chunks := lv.chunks
-		if len(chunks) == 0 {
-			continue
-		}
-		if len(chunks) > 1 {
-			f.wg.Add(len(chunks) - 1)
-			for _, fn := range lv.fns {
-				go fn()
-			}
-		}
-		c := chunks[0]
-		f.runSegs(s, t, state, &f.par, f.par.segs[c.segLo:c.segHi])
-		if len(chunks) > 1 {
-			f.wg.Wait()
-		}
-	}
-}
-
-// runSegs executes a run of segments over a materialised stream: one
-// branch-free tight loop per homogeneous run, first-driver stores in
-// place of a netVals clear. It is the shared trial kernel: the serial
-// path runs the whole cone stream; each parallel worker runs its chunk's
-// segments.
-func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fusedStream, segs []fusedSeg) {
+// runSegs executes a materialised stream: one branch-free tight loop per
+// homogeneous run, first-driver stores in place of a netVals clear.
+func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, st *fusedStream) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.netVals
-	for _, sg := range segs {
-		ops := all.ops[sg.start:sg.end]
+	for _, sg := range st.segs {
+		ops := st.ops[sg.start:sg.end]
 		switch {
 		case sg.op == opConst && sg.store:
 			for i := range ops {
@@ -538,7 +261,7 @@ func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fused
 				nv[o.out] += v
 			}
 		case sg.op == opInput:
-			auxs := all.aux[sg.start:sg.end]
+			auxs := st.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				var v float64
@@ -585,7 +308,7 @@ func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fused
 				nv[o.out] += v
 			}
 		case sg.op == opVarMul:
-			in1s := all.in1[sg.start:sg.end]
+			in1s := st.in1[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				v := o.gain*(nv[o.in0]*nv[in1s[i]]/fs) + o.off
@@ -603,7 +326,7 @@ func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fused
 				}
 			}
 		case sg.op == opLUT:
-			auxs := all.aux[sg.start:sg.end]
+			auxs := st.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				tab := p.tab[auxs[i]]
@@ -788,10 +511,10 @@ func (f *fusedProg) runSegsRecord(s *Simulator, t float64, state []float64, st *
 // syncFold fills ops[pos].gain from the scalar fold. laneUni[pos] marks
 // ops whose B folded gains are identical — the common case for
 // everything but DACs when a batch diverges only its right-hand sides —
-// letting the hot loops broadcast one load instead of streaming B. When
-// record is set, laneCraw[pos*B+lane] gets the opConst raw values whose
-// peaks the record pass tracks.
-func (st *fusedStream) syncFoldLanes(lp *laneProg, record bool) {
+// letting the hot loops broadcast one load instead of streaming B.
+// laneCraw[pos*B+lane] gets the opConst raw values whose peaks the record
+// pass tracks.
+func (st *fusedStream) syncFoldLanes(lp *laneProg) {
 	B := lp.lanes
 	st.laneG = resizeF(st.laneG, len(st.ops)*B)
 	st.laneUni = resizeBool(st.laneUni, len(st.ops))
@@ -807,9 +530,6 @@ func (st *fusedStream) syncFoldLanes(lp *laneProg, record bool) {
 			}
 		}
 		st.laneUni[i] = u
-	}
-	if !record {
-		return
 	}
 	st.laneCraw = resizeF(st.laneCraw, len(st.ops)*B)
 	for _, sg := range st.segs {
@@ -832,9 +552,8 @@ func (f *fusedProg) syncLanes(s *Simulator) int {
 	}
 	lp := s.lprog
 	if f.syncedLaneGen != lp.foldGen || f.laneB != lp.lanes {
-		f.cone.syncFoldLanes(lp, true)
-		f.rec.syncFoldLanes(lp, true)
-		f.par.syncFoldLanes(lp, false)
+		f.cone.syncFoldLanes(lp)
+		f.rec.syncFoldLanes(lp)
 		f.syncedLaneGen = lp.foldGen
 		f.laneB = lp.lanes
 	}
@@ -843,61 +562,28 @@ func (f *fusedProg) syncLanes(s *Simulator) int {
 
 // evalLanes is the lane-batched trial evaluation: the fused segment walk
 // over the cone with an inner loop streaming B lanes per op record.
-// Dispatches to the level-parallel kernel on the same schedule as the
-// scalar eval, with the op threshold scaled by the lane width (lanes
-// multiply the work per chunk, not the synchronisation cost).
 func (f *fusedProg) evalLanes(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
-	if s.workers > 1 && len(f.cone.ops)*B >= s.fusedMinOps && f.multiChunk {
-		f.evalLanesParallel(s, ts, state)
-		return
-	}
-	f.runSegsLanes(s, ts, state, &f.cone, f.cone.segs, B)
+	f.runSegsLanes(s, ts, state, &f.cone, B)
 }
 
-// evalLanesParallel is evalParallel for the lane kernel: the same
-// prebuilt-closure dispatch, with each chunk streaming all B lanes of
-// its nets. Chunks still cover disjoint net sets, so workers write
-// disjoint laneNets regions for every lane.
-func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
-	f.callSim, f.callTs, f.callState = s, ts, state
-	for li := range f.levels {
-		lv := &f.levels[li]
-		chunks := lv.chunks
-		if len(chunks) == 0 {
-			continue
-		}
-		if len(chunks) > 1 {
-			f.wg.Add(len(chunks) - 1)
-			for _, fn := range lv.laneFns {
-				go fn()
-			}
-		}
-		c := chunks[0]
-		f.runSegsLanes(s, ts, state, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
-		if len(chunks) > 1 {
-			f.wg.Wait()
-		}
-	}
-}
-
-// runSegsLanes executes a run of segments over all B lanes: the scalar
-// runSegs loops with an inner lane dimension. Per-lane constants come
+// runSegsLanes executes a materialised stream over all B lanes: the
+// scalar runSegs loops with an inner lane dimension. Per-lane constants come
 // from the stream's laneG; offsets are physical and shared; ops marked
 // uniform in laneUni broadcast one gain load across the lane loop
 // instead of streaming B identical copies — the value is the same, so
 // lanes stay bit-identical either way. Every lane's per-net accumulation
 // order is the scalar stream order, so each lane is bit-identical to a
 // scalar run with that lane's parameters.
-func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, B int) {
+func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
-	for _, sg := range segs {
-		ops := all.ops[sg.start:sg.end]
-		lg := all.laneG[int(sg.start)*B : int(sg.end)*B]
-		un := all.laneUni[sg.start:sg.end]
+	for _, sg := range st.segs {
+		ops := st.ops[sg.start:sg.end]
+		lg := st.laneG[int(sg.start)*B : int(sg.end)*B]
+		un := st.laneUni[sg.start:sg.end]
 		switch {
 		case sg.op == opConst && sg.store:
 			for i := range ops {
@@ -960,7 +646,7 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 				}
 			}
 		case sg.op == opInput:
-			auxs := all.aux[sg.start:sg.end]
+			auxs := st.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				fn := p.blk[auxs[i]].Stimulus
@@ -1061,7 +747,7 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 				}
 			}
 		case sg.op == opVarMul:
-			in1s := all.in1[sg.start:sg.end]
+			in1s := st.in1[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
@@ -1086,7 +772,7 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 				}
 			}
 		case sg.op == opLUT:
-			auxs := all.aux[sg.start:sg.end]
+			auxs := st.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
 				tab := p.tab[auxs[i]]
@@ -1117,8 +803,7 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 
 // evalLanesRecord is the lane-batched record-mode evaluation: the cone
 // stream then the record stream, with the per-lane peak tracking folded
-// into each loop — evalRecord with an inner lane dimension. Always serial: it runs once per lockstep tick, the
-// same budget the scalar engines give their record pass.
+// into each loop — evalRecord with an inner lane dimension.
 func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
 	f.runSegsLanesRecord(s, ts, state, &f.cone, B)

@@ -3,24 +3,21 @@ package circuit
 import "testing"
 
 // Suite-5 benchmarks: the fused kernel on the fig8 Poisson gradient-flow
-// netlist, at the classic 32×32 size (1024 states, serial) and at
-// 128×128 (16384 states, large enough for the level-parallel path)
-// across worker bounds. scripts/bench.sh 5 renders these into
-// BENCH_5.json.
+// netlist, at the classic 32×32 size (1024 states) and at 128×128 (16384
+// states). scripts/bench.sh 5 renders these into BENCH_5.json.
 
-func benchEngineSim(tb testing.TB, l int, eng Engine, workers int) *Simulator {
+func benchEngineSim(tb testing.TB, l int, eng Engine) *Simulator {
 	tb.Helper()
 	sim, err := NewSimulator(buildPoissonNetlist(tb, l, benchRHS), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	sim.SetEngine(eng)
-	sim.SetWorkers(workers)
 	return sim
 }
 
-func benchmarkEvalEngine(b *testing.B, l int, eng Engine, workers int) {
-	sim := benchEngineSim(b, l, eng, workers)
+func benchmarkEvalEngine(b *testing.B, l int, eng Engine) {
+	sim := benchEngineSim(b, l, eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -28,8 +25,8 @@ func benchmarkEvalEngine(b *testing.B, l int, eng Engine, workers int) {
 	}
 }
 
-func benchmarkStepEngine(b *testing.B, l int, eng Engine, workers int) {
-	sim := benchEngineSim(b, l, eng, workers)
+func benchmarkStepEngine(b *testing.B, l int, eng Engine) {
+	sim := benchEngineSim(b, l, eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,13 +34,8 @@ func benchmarkStepEngine(b *testing.B, l int, eng Engine, workers int) {
 	}
 }
 
-func BenchmarkEval32Fused(b *testing.B) { benchmarkEvalEngine(b, 32, EngineFused, 1) }
-func BenchmarkStep32Fused(b *testing.B) { benchmarkStepEngine(b, 32, EngineFused, 1) }
+func BenchmarkEval32Fused(b *testing.B) { benchmarkEvalEngine(b, 32, EngineFused) }
+func BenchmarkStep32Fused(b *testing.B) { benchmarkStepEngine(b, 32, EngineFused) }
 
-func BenchmarkEval128FusedW1(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused, 1) }
-func BenchmarkEval128FusedW2(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused, 2) }
-func BenchmarkEval128FusedW4(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused, 4) }
-
-func BenchmarkStep128FusedW1(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused, 1) }
-func BenchmarkStep128FusedW2(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused, 2) }
-func BenchmarkStep128FusedW4(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused, 4) }
+func BenchmarkEval128Fused(b *testing.B) { benchmarkEvalEngine(b, 128, EngineFused) }
+func BenchmarkStep128Fused(b *testing.B) { benchmarkStepEngine(b, 128, EngineFused) }

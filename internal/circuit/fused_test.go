@@ -13,112 +13,19 @@ func TestFusedMatchesReference(t *testing.T) {
 	testEngineMatchesReference(t, EngineFused)
 }
 
-// TestFusedParallelMatchesSerial pins the level-scheduler's determinism
-// claim: on a large netlist the fused engine must produce bit-identical
-// trajectories for every worker count, including the serial path. The
-// parallel threshold is forced to zero so even the 1-worker case walks
-// the level schedule machinery.
-func TestFusedParallelMatchesSerial(t *testing.T) {
-	const l = 12 // 144 states — past the tentpole's ≥128-state bar
-	build := func(workers int, forceParallel bool) *Simulator {
-		sim, err := NewSimulator(buildPoissonNetlist(t, l, benchRHS), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.SetEngine(EngineFused)
-		if forceParallel {
-			sim.fusedMinOps = 0
-			sim.chunkMinOps = 0 // the test netlist is below the chunk floor
-		}
-		sim.SetWorkers(workers)
-		return sim
-	}
-	golden := build(1, false) // serial segmented kernel
-	golden.Run(50 * golden.Dt())
-	for _, workers := range []int{1, 2, 4, 7} {
-		sim := build(workers, true)
-		if workers > 1 && len(sim.fused.levels) < 2 {
-			t.Fatalf("level schedule degenerate: %d levels", len(sim.fused.levels))
-		}
-		sim.Run(50 * sim.Dt())
-		if sim.Steps() != golden.Steps() {
-			t.Fatalf("workers=%d: %d steps vs %d", workers, sim.Steps(), golden.Steps())
-		}
-		for i := range golden.state {
-			if sim.state[i] != golden.state[i] {
-				t.Fatalf("workers=%d: state %d diverges: %v vs %v",
-					workers, i, sim.state[i], golden.state[i])
-			}
-		}
-		for n := 0; n < golden.nl.NumNets(); n++ {
-			if sim.NetValue(Net(n)) != golden.NetValue(Net(n)) {
-				t.Fatalf("workers=%d: net %d diverges", workers, n)
-			}
-		}
-		if d1, d2 := sim.MaxIntegratorDrive(), golden.MaxIntegratorDrive(); d1 != d2 {
-			t.Fatalf("workers=%d: drive %v vs %v", workers, d1, d2)
-		}
-	}
-}
-
-// TestFusedParallelStepAllocs pins the pooled chunk dispatch: once the
-// goroutine pool is warm, a level-parallel fused step must allocate
-// nothing at any worker count, exactly like the serial kernel (the
-// regression this guards against was the per-eval chunk closures showing
-// up as hundreds of B/op in BENCH_5).
-func TestFusedParallelStepAllocs(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		sim, err := NewSimulator(buildPoissonNetlist(t, 12, benchRHS), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.SetEngine(EngineFused)
-		sim.fusedMinOps = 0
-		sim.chunkMinOps = 0
-		sim.SetWorkers(workers)
-		if workers > 1 && !sim.fused.multiChunk {
-			t.Fatalf("workers=%d: expected a multi-chunk level schedule", workers)
-		}
-		// Warm up: first spawns grow the runtime's goroutine free list.
-		for i := 0; i < 8; i++ {
-			sim.Step()
-		}
-		if allocs := testing.AllocsPerRun(50, sim.Step); allocs != 0 {
-			t.Fatalf("workers=%d: %v allocs per step, want 0", workers, allocs)
-		}
-	}
-}
-
-// TestFusedChunkFloorClampsWorkers pins the per-level worker clamp: with
-// the default chunk floor in force, a level whose op count cannot feed
-// every worker at least chunkMinOps ops must split into fewer chunks
-// (down to staying serial entirely), while a big-enough level still
-// shards.
-func TestFusedChunkFloorClampsWorkers(t *testing.T) {
+// TestFusedStepAllocs pins the allocation-free hot loop: once warm, a
+// fused step must allocate nothing.
+func TestFusedStepAllocs(t *testing.T) {
 	sim, err := NewSimulator(buildPoissonNetlist(t, 12, benchRHS), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.SetEngine(EngineFused)
-	sim.fusedMinOps = 0
-	sim.SetWorkers(4) // default chunkMinOps: every level here is tiny
-	if sim.fused.multiChunk {
-		t.Fatal("chunk floor did not collapse a tiny netlist to serial chunks")
+	for i := 0; i < 8; i++ {
+		sim.Step()
 	}
-	for _, lv := range sim.fused.levels {
-		ops := sim.fused.opStart[lv.hi] - sim.fused.opStart[lv.lo]
-		if len(lv.chunks) > 1 && ops/int32(len(lv.chunks)) < int32(sim.chunkMinOps) {
-			t.Fatalf("level with %d ops split into %d chunks below the %d-op floor",
-				ops, len(lv.chunks), sim.chunkMinOps)
-		}
-	}
-	// Dropping the floor must restore the requested sharding and keep the
-	// trajectory bit-identical (TestFusedParallelMatchesSerial covers the
-	// identity half; here just confirm the schedule reacts).
-	sim.chunkMinOps = 0
-	sim.SetWorkers(4)
-	if !sim.fused.multiChunk {
-		t.Fatal("removing the chunk floor did not re-enable sharding")
+	if allocs := testing.AllocsPerRun(50, sim.Step); allocs != 0 {
+		t.Fatalf("%v allocs per step, want 0", allocs)
 	}
 }
 

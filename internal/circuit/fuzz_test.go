@@ -9,11 +9,10 @@ import (
 // FuzzEngineEquivalence fuzzes the bit-identity guarantee between the
 // engines: a randomized netlist (seed-driven: block mix, topology, trims,
 // and mismatch all derive from the seed) steps in lockstep on the
-// reference interpreter and on the fused kernel twice — once on the
-// serial kernel every chip-sized program runs, once with the
-// level-parallel path forced on — and every externally observable value
-// must match exactly. `drive` scales the integrator initial conditions up
-// to hard saturation, covering the softSat branches and overflow latches.
+// reference interpreter and on the fused kernel, and every externally
+// observable value must match exactly. `drive` scales the integrator
+// initial conditions up to hard saturation, covering the softSat branches
+// and overflow latches.
 // Netlists routinely include record-only ops (outputs no integrator
 // input depends on, unconnected noNet outputs among them); the
 // seed-record-chain corpus entry has a fanout branch feeding a LUT that
@@ -38,7 +37,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if seed%2 == 0 {
 			cfg.NoiseSigma = 1e-4
 		}
-		build := func(eng Engine, parallel bool) (*Simulator, []*Block) {
+		build := func(eng Engine) (*Simulator, []*Block) {
 			nl, integs, adcs := buildRandomNetlist(t, rand.New(rand.NewSource(seed)), cfg)
 			sim, err := NewSimulator(nl, 0)
 			if err != nil {
@@ -48,11 +47,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			sim.SetEngine(eng)
-			if parallel {
-				sim.fusedMinOps = 0 // force the level-parallel path
-				sim.chunkMinOps = 0 // past the chunk floor too
-				sim.SetWorkers(3)
-			}
 			if saturate {
 				// Slam the states against the rails so the saturation and
 				// overflow-latch paths are exercised, not just the linear
@@ -67,16 +61,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 			return sim, adcs
 		}
 		n := int(steps)%48 + 1
-		// A fresh reference per kernel: expectSame's ADC reads latch.
-		for _, parallel := range []bool{false, true} {
-			ref, adcsRef := build(EngineReference, false)
-			sim, adcs := build(EngineFused, parallel)
-			for i := 0; i < n; i++ {
-				ref.Step()
-				sim.Step()
-			}
-			expectSame(t, ref, sim, adcsRef, adcs, fmt.Sprintf("fused parallel=%v", parallel))
+		ref, adcsRef := build(EngineReference)
+		sim, adcs := build(EngineFused)
+		for i := 0; i < n; i++ {
+			ref.Step()
+			sim.Step()
 		}
+		expectSame(t, ref, sim, adcsRef, adcs, "fused")
 	})
 }
 
@@ -86,18 +77,17 @@ func FuzzEngineEquivalence(f *testing.F) {
 // conditions) must be bit-identical, lane by lane, to scalar fused runs
 // configured with each lane's parameters. `saturate` slams the lane
 // initial conditions against the rails to cover the per-lane softSat and
-// overflow-latch paths; `parallel` forces the level-parallel lane
-// schedule. Lane mode models a noise-free datapath, so unlike
+// overflow-latch paths. Lane mode models a noise-free datapath, so unlike
 // FuzzEngineEquivalence the configuration never draws noise.
 //
 // The checked-in corpus under testdata/fuzz pins widths 1, 2, 7, and 16;
 // `go test -fuzz=FuzzLaneEquivalence` explores further.
 func FuzzLaneEquivalence(f *testing.F) {
-	f.Add(int64(0), byte(8), byte(0), false, false)
-	f.Add(int64(3), byte(21), byte(1), true, false)
-	f.Add(int64(7), byte(33), byte(6), false, true)
-	f.Add(int64(11), byte(14), byte(15), true, true)
-	f.Fuzz(func(t *testing.T, seed int64, steps byte, lanes byte, saturate, parallel bool) {
+	f.Add(int64(0), byte(8), byte(0), false)
+	f.Add(int64(3), byte(21), byte(1), true)
+	f.Add(int64(7), byte(33), byte(6), false)
+	f.Add(int64(11), byte(14), byte(15), true)
+	f.Fuzz(func(t *testing.T, seed int64, steps byte, lanes byte, saturate bool) {
 		B := int(lanes)%MaxLanes + 1
 		cfg := Config{
 			Bandwidth:   20e3,
@@ -115,11 +105,6 @@ func FuzzLaneEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			sim.SetEngine(EngineFused)
-			if parallel {
-				sim.fusedMinOps = 0
-				sim.chunkMinOps = 0
-				sim.SetWorkers(3)
-			}
 			return sim
 		}
 		// satIC derives lane l's integrator initial condition: near the

@@ -530,14 +530,3 @@ func (s *Simulator) ReadADCLane(b *Block, lane int) (code int, value float64, er
 func (s *Simulator) LaneNetValue(n Net, lane int) float64 {
 	return s.laneNets[:s.nl.nets*s.lanes][int(n)*s.lanes+lane]
 }
-
-// LaneIntegratorValue returns an integrator's current output on one lane.
-func (s *Simulator) LaneIntegratorValue(b *Block, lane int) (float64, error) {
-	if err := s.checkLane(lane); err != nil {
-		return 0, err
-	}
-	if b.Kind != KindIntegrator || b.stateIdx < 0 {
-		return 0, fmt.Errorf("circuit: block %d is not a compiled integrator", b.ID)
-	}
-	return s.laneState[b.stateIdx*s.lanes+lane], nil
-}

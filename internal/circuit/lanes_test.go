@@ -155,68 +155,6 @@ func TestLaneMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLaneParallelMatchesSerial forces the lane kernel's level-parallel
-// path and requires bit-identical lane trajectories against the serial
-// lane kernel for several worker counts.
-func TestLaneParallelMatchesSerial(t *testing.T) {
-	const l, B = 8, 5
-	build := func(workers int) *Simulator {
-		sim, err := NewSimulator(buildPoissonNetlist(t, l, settleRHS), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers > 0 {
-			sim.fusedMinOps = 0
-			sim.chunkMinOps = 0
-			sim.SetWorkers(workers)
-		} else {
-			sim.SetWorkers(1)
-		}
-		if err := sim.ConfigureLanes(B); err != nil {
-			t.Fatal(err)
-		}
-		for lane := 0; lane < B; lane++ {
-			applyLaneParamsLane(t, sim, lane)
-		}
-		sim.ReloadLaneSteps()
-		sim.Reset()
-		return sim
-	}
-	// Two runs; between them the parallel simulators re-chunk, after their
-	// lane constants were synced, and must re-sync them for the new
-	// parallel stream layout.
-	golden := build(0)
-	d1, d2 := 30.5*golden.LaneDt(0), 30*golden.LaneDt(0)
-	for _, d := range []float64{d1, d2} {
-		if err := golden.RunLanes(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{2, 4, 7} {
-		sim := build(workers)
-		if !sim.fused.multiChunk {
-			t.Fatalf("workers=%d: expected a multi-chunk lane schedule", workers)
-		}
-		if err := sim.RunLanes(d1); err != nil {
-			t.Fatal(err)
-		}
-		sim.SetWorkers(workers + 1)
-		if err := sim.RunLanes(d2); err != nil {
-			t.Fatal(err)
-		}
-		for i := range golden.laneState {
-			if sim.laneState[i] != golden.laneState[i] {
-				t.Fatalf("workers=%d: lane state slot %d diverges", workers, i)
-			}
-		}
-		for i := range golden.laneNets {
-			if sim.laneNets[i] != golden.laneNets[i] {
-				t.Fatalf("workers=%d: lane net slot %d diverges", workers, i)
-			}
-		}
-	}
-}
-
 // TestLaneReentryRefold pins the fold-generation contract across lane-mode
 // teardown: leaving lane mode (ConfigureLanes(0)) and re-entering with the
 // SAME width and the same number of refolds must not leave the fused

@@ -43,19 +43,11 @@ type Simulator struct {
 	effOff  []float64
 	effGain []float64
 	// prog is the op-stream lowering of the netlist (see program.go);
-	// fused is its segmented / level-scheduled view (see fused.go).
-	// engine selects which kernel eval dispatches to.
+	// fused is its segmented view (see fused.go). engine selects which
+	// kernel eval dispatches to.
 	prog   *program
 	fused  *fusedProg
 	engine Engine
-	// workers bounds the fused engine's level-parallel sharding;
-	// fusedMinOps is the fast-op count below which it stays serial, and
-	// chunkMinOps the per-chunk op floor that clamps how finely a single
-	// level may shard (fields so tests can force the parallel path on
-	// small programs).
-	workers     int
-	fusedMinOps int
-	chunkMinOps int
 	// valsDirty marks netVals stale relative to (time, state): stepH can
 	// otherwise reuse the post-step evaluation as the next step's k1 stage.
 	valsDirty bool
@@ -123,10 +115,7 @@ func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
 		return nil, err
 	}
 	s.prog = s.lower(Net(nl.nets))
-	s.workers = autoWorkers()
-	s.fusedMinOps = fusedParallelMinOps
-	s.chunkMinOps = fusedChunkMinOps
-	s.fused = s.prog.buildFused(len(s.netVals), s.workers, s.chunkMinOps)
+	s.fused = s.prog.buildFused(len(s.netVals))
 	s.ReloadBlockParams()
 	if dt <= 0 {
 		dt = s.autoStep()
@@ -507,8 +496,7 @@ type SettleResult struct {
 
 // DefaultCheckEvery is the convergence-poll granularity, in integration
 // steps, that RunUntilSettled falls back to when the caller passes
-// checkEvery <= 0 (and the value core.SolveOptions.CheckEvery defaults
-// to).
+// checkEvery <= 0.
 const DefaultCheckEvery = 16
 
 // RunUntilSettled advances until every integrator's input magnitude is at

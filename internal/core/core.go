@@ -118,26 +118,29 @@ func NewSimulated(spec chip.Spec) (*Accelerator, *chip.Chip, error) {
 func (acc *Accelerator) Spec() chip.Spec { return acc.spec }
 
 // engineSelector is the side-band capability a simulated device exposes
-// for switching its evaluation kernel (chip.Chip implements it).
+// for switching its evaluation kernel (chip.Chip implements it). The
+// second argument is an ignored worker bound, kept so the perfbench
+// module's traced transport, which implements this form, still satisfies
+// the interface; callers pass 0.
 type engineSelector interface {
 	SelectEngine(name string, workers int) error
 }
 
 // SelectEngine switches the simulation kernel of the chip behind this
-// driver ("auto", "interpreter", "fused"; workers <= 0 keeps
-// the current bound). Engines are bit-identical, so this never changes a
-// solution — only how fast the simulated physics runs. It is a side-band
-// knob reachable only over the in-memory loopback; a driver bound to any
+// driver ("auto", "interpreter", "fused"). Engines are bit-identical, so
+// this never changes a solution — only how fast the simulated physics
+// runs. It is a side-band knob reachable only over the in-memory
+// loopback, or over a transport that implements engineSelector; any
 // other transport reports ErrEngineUnavailable.
-func (acc *Accelerator) SelectEngine(name string, workers int) error {
+func (acc *Accelerator) SelectEngine(name string) error {
 	t := acc.host.Transport()
 	if lb, ok := t.(*isa.Loopback); ok {
 		if es, ok := lb.Dev().(engineSelector); ok {
-			return es.SelectEngine(name, workers)
+			return es.SelectEngine(name, 0)
 		}
 	}
 	if es, ok := t.(engineSelector); ok {
-		return es.SelectEngine(name, workers)
+		return es.SelectEngine(name, 0)
 	}
 	return ErrEngineUnavailable
 }
@@ -484,15 +487,6 @@ func (acc *Accelerator) runFor(seconds float64) error {
 	acc.analogTime += acc.armedDuration(seconds)
 	acc.runs++
 	return nil
-}
-
-// readCodes returns the raw ADC codes for the first n converters.
-func (acc *Accelerator) readCodes(n int) ([]int, error) {
-	codes := make([]int, n)
-	if err := acc.readCodesInto(codes); err != nil {
-		return nil, err
-	}
-	return codes, nil
 }
 
 // readCodesInto fills codes with the raw ADC readings of the first

@@ -145,7 +145,7 @@ func (s *Session) laneBatchPrep(opt SolveOptions) error {
 	}
 	// No engine knob (not an in-memory simulated chip) is fine: the
 	// setLanes probe decides whether the device has lanes.
-	if err := s.acc.SelectEngine("fused", 0); err != nil && !errors.Is(err, ErrEngineUnavailable) {
+	if err := s.acc.SelectEngine("fused"); err != nil && !errors.Is(err, ErrEngineUnavailable) {
 		return err
 	}
 	return nil
@@ -272,9 +272,6 @@ func (s *Session) programWave(wave []*laneJob, maxTol float64) error {
 func (s *Session) settleWave(ctx context.Context, wave []*laneJob, opt SolveOptions, tols la.Vector, requeue *[]*laneJob) error {
 	k := 2 * math.Pi * s.acc.spec.Bandwidth
 	chunk := 2 / k
-	if opt.CheckEvery > 0 {
-		chunk = float64(opt.CheckEvery) * s.estimatedStep(k)
-	}
 	fs := math.Pow(2, float64(s.acc.spec.ADCBits)) - 1
 	lsb := 2.0 / fs
 	codeTol := 1 + int(8*s.acc.spec.NoiseSigma/lsb)

@@ -55,13 +55,6 @@ type SolveOptions struct {
 	// MaxBatchLanes; 1 disables the lane path entirely (batches then run
 	// sequentially). Values above MaxBatchLanes are clamped.
 	MaxLanes int
-	// CheckEvery, if positive, sets the settle-poll granularity in
-	// estimated integration steps of the simulated chip, so polling
-	// overhead stays proportional to actual integration work instead of
-	// growing with bandwidth. Zero preserves the classic first chunk of
-	// 2/k analog seconds (the behaviour before this option existed);
-	// circuit.DefaultCheckEvery is a reasonable starting value.
-	CheckEvery int
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -308,7 +301,7 @@ func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptio
 		return nil, stats, err
 	}
 	if opt.Engine != "" {
-		if err := s.acc.SelectEngine(opt.Engine, 0); err != nil {
+		if err := s.acc.SelectEngine(opt.Engine); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -395,22 +388,6 @@ func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptio
 	return nil, stats, fmt.Errorf("core: after %d rescales: %w", opt.MaxRescales, ErrRescaleLimit)
 }
 
-// estimatedStep mirrors the simulator's autoStep stability bound from the
-// host's view of the programmed datapath: dt = 0.1/(k·G), with G bounded
-// by the scaled matrix's largest absolute row sum plus the bias-path gain
-// (everything summing into an integrator's input net).
-func (s *Session) estimatedStep(k float64) float64 {
-	g := 1.0
-	for i := 0; i < s.n; i++ {
-		row := s.acc.spec.MaxGain
-		s.as.VisitRow(i, func(_ int, v float64) { row += math.Abs(v) })
-		if row > g {
-			g = row
-		}
-	}
-	return 0.1 / (k * g)
-}
-
 // settle runs the chip in doubling time chunks until steady state, an
 // overflow exception, or the doubling budget. Steady state needs BOTH
 // host-visible conditions: the digitally reconstructed residual of the
@@ -423,13 +400,6 @@ func (s *Session) estimatedStep(k float64) float64 {
 func (s *Session) settle(ctx context.Context, bs la.Vector, opt SolveOptions) (settled, overflowed bool, settleTime float64, err error) {
 	k := 2 * math.Pi * s.acc.spec.Bandwidth
 	chunk := 2 / k
-	if opt.CheckEvery > 0 {
-		// Scale the first poll chunk to the programmed integration step
-		// instead of the fixed 2/k: high-gain (stiff) configurations step
-		// finely, and a fixed-time chunk would buy them thousands of steps
-		// between polls.
-		chunk = float64(opt.CheckEvery) * s.estimatedStep(k)
-	}
 	tols := s.settleTolerances()
 	uHat := s.scratch.uHat
 	resid := s.scratch.resid

@@ -38,9 +38,8 @@ type peerState struct {
 	draining   bool
 	queueDepth int
 	queueBound int
-	extraLanes int64          // in-flight solves holding no admission slot (job waves)
-	resident   map[uint64]int // fingerprint → order, from the last stats poll
-	nResident  int
+	extraLanes int64 // in-flight solves holding no admission slot (job waves)
+	nResident  int   // distinct fingerprints the last stats poll advertised
 	cacheHits  int64
 	cacheMiss  int64
 	node       string // advertised identity, when the peer reports one
@@ -153,7 +152,7 @@ func (ps *peerState) poll(ctx context.Context, interval time.Duration) {
 	if serr != nil {
 		ps.draining = false
 		ps.queueDepth, ps.queueBound = 0, 0
-		ps.resident, ps.nResident = nil, 0
+		ps.nResident = 0
 		return
 	}
 	ps.draining = stats.Draining || !ready
@@ -161,13 +160,13 @@ func (ps *peerState) poll(ctx context.Context, interval time.Duration) {
 	ps.extraLanes = stats.ExtraLanes
 	ps.cacheHits, ps.cacheMiss = stats.CacheHits, stats.CacheMiss
 	ps.node = stats.Node
-	res := make(map[uint64]int, len(stats.Resident))
+	res := make(map[uint64]struct{}, len(stats.Resident))
 	for _, r := range stats.Resident {
 		if fp, err := strconv.ParseUint(r.FP, 16, 64); err == nil {
-			res[fp] = r.N
+			res[fp] = struct{}{}
 		}
 	}
-	ps.resident, ps.nResident = res, len(res)
+	ps.nResident = len(res)
 }
 
 // MarkUnhealthy drops a peer from routing immediately (a forward just
@@ -240,21 +239,6 @@ func (m *Membership) Client(addr string) *serve.Client {
 		return ps.client
 	}
 	return nil
-}
-
-// Holds reports whether the peer's last stats poll advertised the
-// fingerprint resident (false for self; the caller checks its own pool).
-func (m *Membership) Holds(addr string, fp uint64) bool {
-	m.mu.Lock()
-	ps := m.peers[addr]
-	m.mu.Unlock()
-	if ps == nil {
-		return false
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	_, ok := ps.resident[fp]
-	return ok
 }
 
 // Snapshot returns every peer's polled state (metrics, tests).

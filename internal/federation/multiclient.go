@@ -78,10 +78,6 @@ func (m *MultiClient) Endpoints() []string {
 	return append([]string(nil), m.endpoints...)
 }
 
-// Primary is the first endpoint — the one non-affinity operations
-// (async jobs, job polling) should use.
-func (m *MultiClient) Primary() *serve.Client { return m.clients[m.endpoints[0]] }
-
 // order ranks the endpoints for one request: rendezvous order on the
 // request fingerprint (parsed straight off a by-reference request,
 // hashed from the built system otherwise), input order when the request

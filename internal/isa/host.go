@@ -186,14 +186,6 @@ func (h *Host) SetLanes(lanes uint16) error {
 	return err
 }
 
-// SetIntInitialLane programs integrator `idx` with lane `lane`'s initial
-// condition, overriding the scalar register for that lane only.
-func (h *Host) SetIntInitialLane(lane, idx uint16, value float64) error {
-	p := PutF64(PutU16(PutU16(nil, lane), idx), value)
-	_, err := h.call(OpSetIntInitLane, p)
-	return err
-}
-
 // SetMulGainLane programs multiplier `idx` with lane `lane`'s gain.
 func (h *Host) SetMulGainLane(lane, idx uint16, gain float64) error {
 	p := PutF64(PutU16(PutU16(nil, lane), idx), gain)

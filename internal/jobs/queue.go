@@ -479,7 +479,13 @@ func (q *Queue) SubmitAffinity(tenant, kind string, fingerprint, affinity uint64
 
 // Lease hands the next runnable job to owner, or nil when the queue is
 // empty or paused. Scheduling is round-robin across tenants, FIFO by
-// submit order within one.
+// submit order within one. When work is left queued it passes the wake
+// on: the wake channel holds one token, so submissions that land while
+// no worker is parked collapse into one, and without the relay a second
+// idle worker would sleep until its idle tick. For a job with an
+// affinity the relay waits for LeaseMatching, which its worker calls
+// next, so the worker it wakes does not lease one of the job's mates
+// out of the wave.
 func (q *Queue) Lease(owner string) *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -490,7 +496,18 @@ func (q *Queue) Lease(owner string) *Job {
 	if j == nil {
 		return nil
 	}
-	return q.leaseLocked(j, owner)
+	c := q.leaseLocked(j, owner)
+	if c != nil && c.Affinity == 0 {
+		q.relayWakeLocked()
+	}
+	return c
+}
+
+// relayWakeLocked passes the wake on while work is still queued.
+func (q *Queue) relayWakeLocked() {
+	if q.queuedCountLocked() > 0 {
+		q.wakeWorkers()
+	}
 }
 
 // leaseLocked journals and applies one lease transition for a queued job
@@ -513,18 +530,17 @@ func (q *Queue) leaseLocked(j *Job, owner string) *Job {
 // the fingerprint-sticky half of wave scheduling: a worker that just
 // leased a job calls this to drain its operator-mates so their solves
 // run concurrently and coalesce into one lane wave. Returns nil when
-// nothing matches (or the queue is paused/closed).
+// nothing matches (or the queue is paused/closed). Once the mates are
+// drained it passes the wake on if other work is still queued (see
+// Lease).
 func (q *Queue) LeaseMatching(owner string, affinity uint64, max int) []*Job {
-	if affinity == 0 || max <= 0 {
-		return nil
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.paused {
 		return nil
 	}
 	var out []*Job
-	for len(out) < max {
+	for affinity != 0 && len(out) < max {
 		var pick *Job
 		for _, ids := range q.pending {
 			// FIFO within a tenant: the first match is that tenant's
@@ -547,6 +563,7 @@ func (q *Queue) LeaseMatching(owner string, affinity uint64, max int) []*Job {
 		}
 		out = append(out, c)
 	}
+	q.relayWakeLocked()
 	return out
 }
 

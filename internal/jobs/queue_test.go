@@ -327,6 +327,63 @@ func TestBacklogBound(t *testing.T) {
 	}
 }
 
+// TestLeaseRelaysWake pins the wake relay: two submissions leave one
+// token in the capacity-1 wake channel, and the worker that consumes it
+// and leases the first job must leave a token for the second, or an idle
+// worker sleeps through queued work until its idle tick.
+func TestLeaseRelaysWake(t *testing.T) {
+	q := mustOpen(t, Config{LeaseTTL: time.Second})
+	mustSubmit(t, q, "a", 1, "p")
+	mustSubmit(t, q, "a", 2, "p")
+	<-q.Wake()
+	if j := q.Lease("w0"); j == nil {
+		t.Fatal("lease returned nil with two jobs queued")
+	}
+	select {
+	case <-q.Wake():
+	default:
+		t.Fatal("a job is still queued but no wake token is waiting")
+	}
+	if j := q.Lease("w1"); j == nil {
+		t.Fatal("second lease returned nil")
+	}
+	select {
+	case <-q.Wake():
+		t.Fatal("wake token left with nothing queued")
+	default:
+	}
+}
+
+// TestLeaseMatchingRelaysWake pins where the relay goes for a job with
+// an affinity: not at Lease, where a woken worker could lease one of its
+// queued mates out of the wave, but after LeaseMatching drains them.
+func TestLeaseMatchingRelaysWake(t *testing.T) {
+	q := mustOpen(t, Config{LeaseTTL: time.Second})
+	for fp := uint64(1); fp <= 2; fp++ {
+		if _, err := q.SubmitAffinity("a", "solve", fp, 7, []byte("mate")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSubmit(t, q, "a", 3, "other")
+	<-q.Wake()
+	if j := q.Lease("w0"); j == nil || j.Affinity != 7 {
+		t.Fatalf("lease = %+v, want the first affinity-7 job", j)
+	}
+	select {
+	case <-q.Wake():
+		t.Fatal("wake token passed on before the mates were drained")
+	default:
+	}
+	if mates := q.LeaseMatching("w0", 7, 15); len(mates) != 1 {
+		t.Fatalf("LeaseMatching drained %d mates, want 1", len(mates))
+	}
+	select {
+	case <-q.Wake():
+	default:
+		t.Fatal("a job is still queued but no wake token is waiting")
+	}
+}
+
 func TestStaleOwnerResultDiscarded(t *testing.T) {
 	clock := newFakeClock()
 	q := mustOpen(t, Config{LeaseTTL: time.Second, Clock: clock.Now})

@@ -79,7 +79,6 @@ type BlockOptions struct {
 	Tolerance      float64 `json:"tolerance,omitempty"`
 	MaxRefinements int     `json:"max_refinements,omitempty"`
 	MaxLanes       int     `json:"max_lanes,omitempty"`
-	CheckEvery     int     `json:"check_every,omitempty"`
 }
 
 func (o BlockOptions) toCore() core.SolveOptions {
@@ -92,7 +91,6 @@ func (o BlockOptions) toCore() core.SolveOptions {
 		Tolerance:      o.Tolerance,
 		MaxRefinements: o.MaxRefinements,
 		MaxLanes:       o.MaxLanes,
-		CheckEvery:     o.CheckEvery,
 	}
 }
 
@@ -107,7 +105,6 @@ func BlockOptionsFromCore(o core.SolveOptions) BlockOptions {
 		Tolerance:      o.Tolerance,
 		MaxRefinements: o.MaxRefinements,
 		MaxLanes:       o.MaxLanes,
-		CheckEvery:     o.CheckEvery,
 	}
 }
 

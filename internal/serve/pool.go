@@ -59,8 +59,6 @@ type PoolConfig struct {
 	// ("auto", "interpreter", "fused"; empty = auto). Both engines are
 	// bit-identical; this is the daemon's speed/debug knob.
 	Engine string
-	// SimWorkers bounds each chip's fused-engine worker pool (0 = auto).
-	SimWorkers int
 	// SkipCalibrate leaves chips untrimmed at build (tests only; real
 	// serving wants calibrated chips).
 	SkipCalibrate bool
@@ -201,7 +199,6 @@ func (p *Pool) specFor(class int) chip.Spec {
 	spec := chip.ScaledSpec(class, p.cfg.ADCBits, p.cfg.Bandwidth, p.cfg.MulsPerMB)
 	spec.FanoutsPerMB = 2
 	spec.Engine = p.cfg.Engine
-	spec.SimWorkers = p.cfg.SimWorkers
 	return spec
 }
 

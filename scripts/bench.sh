@@ -9,7 +9,7 @@
 #   scripts/bench.sh 1       # BENCH_1.json: circuit hot-loop microbenchmarks
 #   scripts/bench.sh 3 10x   # BENCH_3.json: decomposition scaling
 #   scripts/bench.sh 4       # BENCH_4.json: session cache + batch solves
-#   scripts/bench.sh 5       # BENCH_5.json: fused step kernel, serial and level-parallel
+#   scripts/bench.sh 5       # BENCH_5.json: fused step kernel at 32x32 and 128x128
 #   scripts/bench.sh 6       # BENCH_6.json: lane-batched vs sequential batch
 #   scripts/bench.sh 7       # BENCH_7.json: federation zipf-load routing policies
 #   scripts/bench.sh 8       # BENCH_8.json: micro-batching coalescer on a hot operator
@@ -41,7 +41,7 @@ case "$SUITE" in
 	PKG=./internal/circuit
 	BENCH='(Eval|Step)(32|128)'
 	BENCHTIME="${2:-1s}"
-	DESC="fused kernel: eval and RK4 step on the fig8 Poisson netlist at 32x32 (serial) and 128x128 (level-parallel, 1/2/4 workers)"
+	DESC="fused kernel: eval and RK4 step on the fig8 Poisson netlist at 32x32 and 128x128"
 	;;
 6)
 	PKG=./internal/circuit

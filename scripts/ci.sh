@@ -94,19 +94,24 @@ go build -o "$BIN/alad" ./cmd/alad
 go build -o "$BIN/alasolve" ./cmd/alasolve
 go run ./scripts/smoke -alad "$BIN/alad" -alasolve "$BIN/alasolve"
 
-# Engine equivalence: the fused kernel's parallel path is schedule-dependent
-# by construction (per-level worker chunks) but must stay bit-identical to
-# serial; -count=2 under -race shakes interleavings. The fuzz seed corpora
-# replay the checked-in differential cases through both engines (the
-# reference interpreter and the fused kernel) and through lane widths
-# 1/2/7/16 (16 is the AVX2 kernel path on amd64), and the core lane-batch
-# differentials hold wave answers equal to scalar solves end-to-end.
+# Engine equivalence: the fused kernel (scalar and lane) must stay
+# bit-identical to the reference interpreter. The fuzz seed corpora replay
+# the checked-in differential cases through both engines and through lane
+# widths 1/2/7/16 (16 is the AVX2 kernel path on amd64), and the core
+# lane-batch differentials hold wave answers equal to scalar solves
+# end-to-end.
 go test -race -count=2 -run 'Fused|Lane|EngineEquivalence|Fuzz' ./internal/circuit
 go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
 
+# The end-to-end benchmark is its own Go module (perfbench/go.mod, with a
+# replace back to this one), so the root-level vet and test runs above
+# never compile it. Vet and test it here so an API change it builds
+# against fails CI rather than the next benchmark run.
+(cd perfbench && go vet . && go test .)
+
 # A bounded fuzz pass past the seed corpora: 20 s of fresh randomized
-# netlists through each differential (reference vs the serial and the
-# level-parallel fused kernels; lane widths vs scalar runs). The seed
-# corpora above replay only the checked-in cases; this explores new ones.
+# netlists through each differential (reference vs fused kernel; lane
+# widths vs scalar runs). The seed corpora above replay only the
+# checked-in cases; this explores new ones.
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 20s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 20s ./internal/circuit
