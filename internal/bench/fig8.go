@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -80,6 +81,38 @@ func analogSolveTime(prob *pde.Problem, adcBits int, bandwidth float64) (float64
 	return stats.SettleTime, nil
 }
 
+// unresolvable is the simulated-analog cell of a grid the core refuses
+// to solve at the figure's ADC resolution.
+const unresolvable = "unresolvable"
+
+// analogCell simulates the solve at the prototype bandwidth and formats
+// its analog seconds through cell, or returns unresolvable when the core
+// refused the solve with ErrUnresolvable. Any other error aborts the
+// experiment.
+func analogCell(prob *pde.Problem, adcBits int, cell func(simTime float64) string) (string, error) {
+	simTime, err := analogSolveTime(prob, adcBits, 20e3)
+	if errors.Is(err, core.ErrUnresolvable) {
+		return unresolvable, nil
+	}
+	if err != nil {
+		return "", err
+	}
+	return cell(simTime), nil
+}
+
+// noteUnresolvable explains unresolvable cells, when the table has any.
+func noteUnresolvable(t *Table, adcBits int) {
+	for _, row := range t.Rows {
+		for _, c := range row {
+			if c == unresolvable {
+				t.Notes = append(t.Notes, fmt.Sprintf("unresolvable: the grid's scaled bias sits below the residual floor of %d-bit ADC readings, "+
+					"so the core refuses an answer it cannot verify (core.ErrUnresolvable) before the chip runs", adcBits))
+				return
+			}
+		}
+	}
+}
+
 // runFig8 reproduces Figure 8: convergence time vs total grid points for
 // the simulated 20 kHz analog accelerator (plus the 80 kHz projection)
 // against single-core digital CG at equivalent precision. Expected shape:
@@ -108,7 +141,7 @@ func runFig8(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		simTime, err := analogSolveTime(prob, adcBits, 20e3)
+		sim, err := analogCell(prob, adcBits, func(simTime float64) string { return fmt.Sprintf("%.3e", simTime) })
 		if err != nil {
 			return fmt.Errorf("bench: fig8 analog L=%d: %w", l, err)
 		}
@@ -117,7 +150,7 @@ func runFig8(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.3e", wall),
 			iters,
 			fmt.Sprintf("%.3e", model.CPUTimeCG(prob.Grid.N(), iters)),
-			fmt.Sprintf("%.3e", simTime),
+			sim,
 			fmt.Sprintf("%.3e", model.Design{BandwidthHz: 20e3}.SolveTimePoisson(2, l, adcBits)),
 			fmt.Sprintf("%.3e", model.Design{BandwidthHz: 80e3}.SolveTimePoisson(2, l, adcBits)),
 		}
@@ -133,6 +166,7 @@ func runFig8(cfg Config) (*Table, error) {
 		"paper expectation: analog time grows ∝ N, digital CG ∝ N^1.5; prototype-bandwidth parity near 650 integrators on the 2009-era Xeon",
 		"analog times are virtual analog seconds from the behavioural chip simulation; digital wall times are this machine's, so the crossover location shifts with host CPU speed (see EXPERIMENTS.md)",
 	)
+	noteUnresolvable(t, adcBits)
 	return t, nil
 }
 

@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"analogacc/internal/chip"
 	"analogacc/internal/isa"
@@ -360,7 +361,12 @@ func (acc *Accelerator) program(as Matrix, bs la.Vector, ics la.Vector) error {
 			return fmt.Errorf("core: bias multiplier %d output: %w", m, err)
 		}
 	}
-	if err := acc.setBias(bs); err != nil {
+	beta, bq := la.NewVector(n), la.NewVector(n)
+	gamma, err := acc.quantizeBias(bs, beta, bq, 0)
+	if err != nil {
+		return err
+	}
+	if err := acc.setBias(scalarLane, gamma, beta); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
@@ -416,58 +422,72 @@ func (acc *Accelerator) wireTree(src uint16, dsts []uint16, nextFanout *int) err
 	}
 }
 
-// setBias programs the bias DACs and their gain path for a scaled
-// right-hand side (staged; the caller commits). The shared gain
-// γ = ‖bs‖∞ / margin puts the largest bias at the DAC's usable full scale,
-// so the DAC's relative resolution applies to the biases no matter how
-// small value scaling has made them.
-func (acc *Accelerator) setBias(bs la.Vector) error {
-	gamma := biasGamma(bs, acc.spec.MaxGain)
-	for i := range bs {
-		beta := 0.0
+// quantizeBias splits a scaled right-hand side into what the bias path
+// programs: the shared gain γ = ‖bs‖∞ / margin (returned), which puts the
+// largest bias at the DAC's usable full scale so the DAC's relative
+// resolution applies no matter how small value scaling has made the
+// biases, and each row's DAC value β_i = bs_i/γ (into beta). γ is capped
+// at the multiplier's gain range; the DAC codes then absorb the rest,
+// which is only legal while ‖bs‖∞ ≤ MaxGain — the σ policy guarantees it.
+// Into bq goes the bias the chip realizes, γ·quantize(β_i): the host knows
+// both γ and the DAC transfer, so settle polls compare readings against
+// what was actually programmed, not the ideal value.
+//
+// Verifiability check: at steady state the reconstructed residual cannot
+// be driven below the reading-quantization floor; if the entire realized
+// bias sits under floor, a "settled" reading is indistinguishable from an
+// untouched chip, so the solve is refused with ErrUnresolvable. A zero
+// floor refuses nothing.
+func (acc *Accelerator) quantizeBias(bs, beta, bq la.Vector, floor float64) (float64, error) {
+	gamma := bs.NormInf() / margin
+	if gamma > acc.spec.MaxGain {
+		gamma = acc.spec.MaxGain
+	}
+	dacLevels := math.Pow(2, float64(acc.spec.DACBits)) - 1
+	for i, v := range bs {
+		b := 0.0
 		if gamma != 0 {
-			beta = bs[i] / gamma
+			b = v / gamma
 		}
-		if err := acc.host.SetDacConstant(uint16(i), beta); err != nil {
+		beta[i] = b
+		code := math.Round((b + 1) / 2 * dacLevels)
+		bq[i] = gamma * (code/dacLevels*2 - 1)
+	}
+	if bqn := bq.NormInf(); bqn > 0 && bqn < floor {
+		return gamma, fmt.Errorf("core: bias %.3g below residual floor %.3g at %d ADC bits: %w",
+			bqn, floor, acc.spec.ADCBits, ErrUnresolvable)
+	}
+	return gamma, nil
+}
+
+// scalarLane is the lane argument that selects the chip's scalar registers
+// and opcodes in the lane-indexed accessors below. A scalar solve attempt
+// is a one-job wave on scalarLane.
+const scalarLane = -1
+
+// setBias stages one lane's bias path (staged; the caller commits): DAC i
+// carries β_i and bias multiplier i the shared gain γ.
+func (acc *Accelerator) setBias(lane int, gamma float64, beta la.Vector) error {
+	h := acc.host
+	for i, b := range beta {
+		mul := uint16(acc.biasMulBase + i)
+		var err error
+		if lane == scalarLane {
+			err = h.SetDacConstant(uint16(i), b)
+		} else {
+			err = h.SetDacConstantLane(uint16(lane), uint16(i), b)
+		}
+		if err != nil {
 			return fmt.Errorf("core: bias b[%d]: %w", i, err)
 		}
-		if err := acc.host.SetMulGain(uint16(acc.biasMulBase+i), gamma); err != nil {
+		if lane == scalarLane {
+			err = h.SetMulGain(mul, gamma)
+		} else {
+			err = h.SetMulGainLane(uint16(lane), mul, gamma)
+		}
+		if err != nil {
 			return fmt.Errorf("core: bias gain %d: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// biasGamma is the shared bias-path gain for a scaled right-hand side,
-// capped at the multiplier's gain range (DAC codes then absorb the rest,
-// which is only legal while ‖bs‖∞ ≤ maxGain — the σ policy guarantees it).
-func biasGamma(bs la.Vector, maxGain float64) float64 {
-	g := bs.NormInf() / margin
-	if g > maxGain {
-		g = maxGain
-	}
-	return g
-}
-
-// reprogramBias rewrites only the bias path (DAC codes + bias gains) and
-// integrator initial conditions, then recommits — the cheap path for
-// Algorithm 2 refinement passes and decomposition sweeps where the matrix
-// (gains and routing) is unchanged.
-func (acc *Accelerator) reprogramBias(bs la.Vector, ics la.Vector) error {
-	if err := acc.setBias(bs); err != nil {
-		return err
-	}
-	for i := range bs {
-		ic := 0.0
-		if ics != nil {
-			ic = ics[i]
-		}
-		if err := acc.host.SetIntInitial(uint16(i), ic); err != nil {
-			return fmt.Errorf("core: initial condition u[%d]: %w", i, err)
-		}
-	}
-	if err := acc.host.CfgCommit(); err != nil {
-		return fmt.Errorf("core: commit: %w", err)
 	}
 	return nil
 }
@@ -489,16 +509,33 @@ func (acc *Accelerator) runFor(seconds float64) error {
 	return nil
 }
 
-// readCodesInto fills codes with the raw ADC readings of the first
-// len(codes) converters; the settle poll loop reuses one buffer across
-// its doubling chunks instead of allocating per poll.
-func (acc *Accelerator) readCodesInto(codes []int) error {
-	raw, err := acc.host.ReadSerial()
+// armedDuration is the analog time one runFor(seconds) actually arms,
+// after the timer's cycle quantization; the settle loop bills it to every
+// job still pending in the chunk.
+func (acc *Accelerator) armedDuration(seconds float64) float64 {
+	cycles := uint32(seconds * acc.spec.TimerHz)
+	if cycles == 0 {
+		cycles = 1
+	}
+	return float64(cycles) / acc.spec.TimerHz
+}
+
+// readCodesInto fills codes with one lane's raw ADC readings (scalarLane:
+// the scalar ones) of the first len(codes) converters; the settle loop
+// reuses one buffer per job across its doubling chunks.
+func (acc *Accelerator) readCodesInto(lane int, codes []int) error {
+	var raw []byte
+	var err error
+	if lane == scalarLane {
+		raw, err = acc.host.ReadSerial()
+	} else {
+		raw, err = acc.host.ReadSerialLane(uint16(lane))
+	}
 	if err != nil {
 		return err
 	}
 	if len(raw) < 2*len(codes) {
-		return fmt.Errorf("core: readSerial returned %d bytes, need %d", len(raw), 2*len(codes))
+		return fmt.Errorf("core: ADC read returned %d bytes, need %d", len(raw), 2*len(codes))
 	}
 	for i := range codes {
 		codes[i] = int(isa.GetU16(raw, 2*i))
@@ -506,20 +543,27 @@ func (acc *Accelerator) readCodesInto(codes []int) error {
 	return nil
 }
 
-// readSolution averages each variable's ADC and returns values in
+// readSolution averages each variable's scalar ADC and returns values in
 // full-scale units.
 func (acc *Accelerator) readSolution(n, samples int) (la.Vector, error) {
 	u := la.NewVector(n)
-	if err := acc.readSolutionInto(u, samples); err != nil {
+	if err := acc.readSolutionInto(scalarLane, u, samples); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-// readSolutionInto is readSolution against a caller-owned buffer.
-func (acc *Accelerator) readSolutionInto(u la.Vector, samples int) error {
+// readSolutionInto averages one lane's ADCs (scalarLane: the scalar ones)
+// into a caller-owned buffer.
+func (acc *Accelerator) readSolutionInto(lane int, u la.Vector, samples int) error {
 	for i := range u {
-		v, err := acc.host.AnalogAvg(uint16(i), uint16(samples))
+		var v float64
+		var err error
+		if lane == scalarLane {
+			v, err = acc.host.AnalogAvg(uint16(i), uint16(samples))
+		} else {
+			v, err = acc.host.AnalogAvgLane(uint16(lane), uint16(i), uint16(samples))
+		}
 		if err != nil {
 			return err
 		}
@@ -528,10 +572,16 @@ func (acc *Accelerator) readSolutionInto(u la.Vector, samples int) error {
 	return nil
 }
 
-// anyException reads the exception vector and reports whether any unit
-// latched an overflow.
-func (acc *Accelerator) anyException() (bool, error) {
-	raw, err := acc.host.ReadExp()
+// anyException reads one lane's exception vector (scalarLane: the scalar
+// one) and reports whether any unit latched an overflow.
+func (acc *Accelerator) anyException(lane int) (bool, error) {
+	var raw []byte
+	var err error
+	if lane == scalarLane {
+		raw, err = acc.host.ReadExp()
+	} else {
+		raw, err = acc.host.ReadExpLane(uint16(lane))
+	}
 	if err != nil {
 		return false, err
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
-	"analogacc/internal/isa"
 	"analogacc/internal/la"
 )
 
@@ -31,51 +29,6 @@ type BatchItem struct {
 	RHS       la.Vector
 	Guess     la.Vector
 	SigmaGain float64
-}
-
-// laneJob tracks one right-hand side through the wave engine.
-type laneJob struct {
-	idx     int       // position in the batch
-	rhs     la.Vector // caller's right-hand side (never mutated)
-	sigma   float64   // current solution scale attempt
-	attempt int       // overflow-driven rescales so far
-
-	// Wave-local settle state, reset when the job joins a wave.
-	lane     int
-	havePrev bool
-	prevT    float64
-	prevM    float64
-	waveDone bool
-
-	// Results.
-	u        la.Vector
-	gainOut  float64
-	stats    Stats
-	err      error
-	fallback bool // settled far inside the range: redo on the scalar boost path
-	done     bool
-}
-
-// batchScratch holds the wave engine's per-lane working set, sized lazily
-// and kept on the session so repeated batches allocate nothing new.
-type batchScratch struct {
-	bq    []la.Vector // per-lane bias as actually quantized
-	codes [][]int     // per-lane current settle-poll ADC codes
-	prev  [][]int     // per-lane previous poll
-	uF    la.Vector   // final per-lane readout buffer
-}
-
-func (s *Session) laneScratch(width int) *batchScratch {
-	b := &s.batch
-	if b.uF == nil {
-		b.uF = la.NewVector(s.n)
-	}
-	for len(b.bq) < width {
-		b.bq = append(b.bq, la.NewVector(s.n))
-		b.codes = append(b.codes, make([]int, s.n))
-		b.prev = append(b.prev, make([]int, s.n))
-	}
-	return b
 }
 
 // startSigma is the solution-scale policy of a solve attempt: the learned
@@ -164,259 +117,17 @@ func (s *Session) exitLaneMode() error {
 	return nil
 }
 
-// programWave computes each job's scaled bias digitally, verifies it is
-// resolvable at the ADC's residual floor, then stages and commits the lane
-// configuration: lane l carries job l's DAC codes and bias gain while the
-// matrix gains stay shared. On an old device the setLanes probe (or the
-// commit, for an ineligible datapath) reports errLanesUnsupported.
-func (s *Session) programWave(wave []*laneJob, maxTol float64) error {
-	h := s.acc.host
-	sc := s.laneScratch(len(wave))
-	dacLevels := math.Pow(2, float64(s.acc.spec.DACBits)) - 1
-	bs := s.scratch.bs
-	// Digital half first (bias quantization + verifiability), before any
-	// chip traffic: an unresolvable job aborts the batch with nothing
-	// staged.
-	jobErr := false
-	for l, job := range wave {
-		job.lane = l
-		job.havePrev = false
-		job.prevT, job.prevM = 0, math.Inf(1)
-		job.waveDone = false
-		inv := 1 / (s.sc.S * job.sigma)
-		for i, v := range job.rhs {
-			bs[i] = v * inv
-		}
-		gamma := biasGamma(bs, s.acc.spec.MaxGain)
-		bq := sc.bq[l]
-		for i, v := range bs {
-			beta := 0.0
-			if gamma != 0 {
-				beta = v / gamma
-			}
-			code := math.Round((beta + 1) / 2 * dacLevels)
-			bq[i] = gamma * (code/dacLevels*2 - 1)
-		}
-		if bqn := bq.NormInf(); bqn > 0 && bqn < maxTol {
-			job.err = fmt.Errorf("core: bias %.3g below residual floor %.3g at %d ADC bits: %w",
-				bqn, maxTol, s.acc.spec.ADCBits, ErrUnresolvable)
-			job.waveDone = true
-			jobErr = true
-		}
-	}
-	if jobErr {
-		return nil // caller reports the per-job errors
-	}
-	if err := h.SetLanes(uint16(len(wave))); err != nil {
-		var de *isa.DeviceError
-		if errors.As(err, &de) && de.Status == isa.StatusBadOpcode && s.acc.laneSupport <= 0 {
-			s.acc.laneSupport = -1
-			return errLanesUnsupported
-		}
-		return err
-	}
-	for l, job := range wave {
-		inv := 1 / (s.sc.S * job.sigma)
-		for i, v := range job.rhs {
-			bs[i] = v * inv
-		}
-		gamma := biasGamma(bs, s.acc.spec.MaxGain)
-		for i, v := range bs {
-			beta := 0.0
-			if gamma != 0 {
-				beta = v / gamma
-			}
-			if err := h.SetDacConstantLane(uint16(l), uint16(i), beta); err != nil {
-				return fmt.Errorf("core: batch rhs %d: bias b[%d]: %w", job.idx, i, err)
-			}
-			if err := h.SetMulGainLane(uint16(l), uint16(s.acc.biasMulBase+i), gamma); err != nil {
-				return fmt.Errorf("core: batch rhs %d: bias gain %d: %w", job.idx, i, err)
-			}
-		}
-	}
-	// Analog solves always release the integrators from zero (guesses are
-	// digital); every lane inherits the scalar zero registers.
-	for i := 0; i < s.n; i++ {
-		if err := h.SetIntInitial(uint16(i), 0); err != nil {
-			return fmt.Errorf("core: initial condition u[%d]: %w", i, err)
-		}
-	}
-	if err := h.CfgCommit(); err != nil {
-		var de *isa.DeviceError
-		if errors.As(err, &de) && de.Status == isa.StatusBadState && s.acc.laneSupport <= 0 {
-			// The datapath cannot enter lane mode (noisy spec or a
-			// non-fused engine on a device without the knob): unstage
-			// and fall back without caching — a later engine switch may
-			// make lanes viable.
-			if e := h.SetLanes(0); e != nil {
-				return e
-			}
-			if e := h.CfgCommit(); e != nil {
-				return e
-			}
-			return errLanesUnsupported
-		}
-		return fmt.Errorf("core: commit: %w", err)
-	}
-	return nil
-}
-
-// settleWave runs one programmed wave in doubling time chunks — the same
-// schedule, tolerances and stability test as the scalar settle loop — with
-// per-lane exits: a settled lane is read out immediately (the chip holds
-// at the poll boundary, so the reading equals the scalar path's
-// post-settle read), an overflowed lane doubles its sigma and rejoins the
-// queue, and the rest keep integrating. Per-item stats accrue only for
-// chunks run while that item was still pending, which is exactly the work
-// the scalar path would have billed it.
-func (s *Session) settleWave(ctx context.Context, wave []*laneJob, opt SolveOptions, tols la.Vector, requeue *[]*laneJob) error {
-	k := 2 * math.Pi * s.acc.spec.Bandwidth
-	chunk := 2 / k
-	fs := math.Pow(2, float64(s.acc.spec.ADCBits)) - 1
-	lsb := 2.0 / fs
-	codeTol := 1 + int(8*s.acc.spec.NoiseSigma/lsb)
-	sc := &s.batch
-	uHat := s.scratch.uHat
-	resid := s.scratch.resid
-	elapsed := 0.0
-	pending := len(wave)
-	for d := 0; d < opt.MaxDoublings && pending > 0; d++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: settle aborted after %d chunks: %w", d, err)
-		}
-		if err := s.acc.runFor(chunk); err != nil {
-			return err
-		}
-		armed := s.acc.armedDuration(chunk)
-		elapsed += chunk
-		for _, job := range wave {
-			if job.waveDone {
-				continue
-			}
-			job.stats.AnalogTime += armed
-			job.stats.Runs++
-			exc, err := s.acc.anyExceptionLane(job.lane)
-			if err != nil {
-				return err
-			}
-			if exc {
-				job.stats.SettleTime = 0
-				job.stats.Rescales++
-				job.stats.Overflows++
-				job.sigma *= 2
-				job.attempt++
-				job.waveDone = true
-				pending--
-				if job.attempt > opt.MaxRescales {
-					job.err = fmt.Errorf("core: after %d rescales: %w", opt.MaxRescales, ErrRescaleLimit)
-				} else {
-					*requeue = append(*requeue, job)
-				}
-				continue
-			}
-			codes := sc.codes[job.lane]
-			if err := s.acc.readCodesLaneInto(job.lane, codes); err != nil {
-				return err
-			}
-			prev := sc.prev[job.lane]
-			stable := job.havePrev
-			if stable {
-				for i, c := range codes {
-					if diff := c - prev[i]; diff > codeTol || diff < -codeTol {
-						stable = false
-						break
-					}
-				}
-			}
-			for i, c := range codes {
-				uHat[i] = float64(c)/fs*2 - 1
-			}
-			s.as.Apply(resid, uHat)
-			m := 0.0
-			bq := sc.bq[job.lane]
-			for i := range resid {
-				resid[i] = bq[i] - resid[i]
-				if r := math.Abs(resid[i]) / tols[i]; r > m {
-					m = r
-				}
-			}
-			if stable && m <= 1 {
-				settleAt := elapsed - chunk/2
-				if !math.IsInf(job.prevM, 1) && job.prevM > 1 && m > 0 && m < job.prevM {
-					frac := math.Log(job.prevM) / math.Log(job.prevM/m)
-					settleAt = job.prevT + (elapsed-job.prevT)*frac
-				}
-				if err := s.finishLaneJob(job, settleAt, opt); err != nil {
-					return err
-				}
-				job.waveDone = true
-				pending--
-				continue
-			}
-			sc.codes[job.lane], sc.prev[job.lane] = prev, codes
-			job.havePrev = true
-			job.prevT, job.prevM = elapsed, m
-		}
-		chunk *= 2
-	}
-	for _, job := range wave {
-		if !job.waveDone {
-			job.err = fmt.Errorf("core: sigma=%v: %w", job.sigma, ErrNotSettled)
-			job.waveDone = true
-		}
-	}
-	return nil
-}
-
-// finishLaneJob reads a settled lane's solution and closes the job. When
-// the answer sits deep inside the dynamic range and a boost is allowed,
-// the lane result is discarded instead: boosts reprogram the shared value
-// scale, which cannot happen per lane, so the item reruns on the scalar
-// path from batch-entry state (where the boost logic applies unchanged).
-func (s *Session) finishLaneJob(job *laneJob, settleAt float64, opt SolveOptions) error {
-	uF := s.batch.uF
-	if err := s.acc.readSolutionLaneInto(job.lane, uF, opt.Samples); err != nil {
-		return err
-	}
-	peak := uF.NormInf()
-	if !opt.DisableBoost && peak > 0 && peak < 0.25 && s.sc.S < s.baseS*16 {
-		job.fallback = true
-		return nil
-	}
-	job.stats.SettleTime = settleAt
-	job.u = uF.Scaled(job.sigma)
-	job.gainOut = job.sigma * s.sc.S / job.rhs.NormInf()
-	job.stats.Scaling = Scaling{S: s.sc.S, Sigma: job.sigma}
-	resid := s.scratch.resid
-	s.a.Apply(resid, job.u)
-	var rn float64
-	for i, av := range resid {
-		if d := math.Abs(job.rhs[i] - av); d > rn {
-			rn = d
-		}
-	}
-	job.stats.Residual = rn / job.rhs.NormInf()
-	job.done = true
-	return nil
-}
-
 // runLaneWaves drives every queued job to completion (result, fallback
 // mark, or error) through lane waves of up to MaxLanes right-hand sides.
 // Overflowed jobs rejoin the queue at a doubled sigma, exactly one scalar
 // rescale attempt each. Any job-level failure stops the engine early (the
 // batch aborts); the chip is returned to scalar mode on every exit.
-func (s *Session) runLaneWaves(ctx context.Context, queue []*laneJob, opt SolveOptions) (err error) {
+func (s *Session) runLaneWaves(ctx context.Context, queue []*settleJob, opt SolveOptions) (err error) {
 	width := opt.MaxLanes
 	if width <= 0 || width > MaxBatchLanes {
 		width = MaxBatchLanes
 	}
-	tols := s.settleTolerances()
-	var maxTol float64
-	for _, tv := range tols {
-		if tv > maxTol {
-			maxTol = tv
-		}
-	}
+	tols, floor := s.settleTolerances()
 	entered := false
 	defer func() {
 		if entered {
@@ -435,7 +146,7 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*laneJob, opt SolveO
 		}
 		wave := queue[:b]
 		queue = queue[b:]
-		if perr := s.programWave(wave, maxTol); perr != nil {
+		if perr := s.programWave(wave, floor, true); perr != nil {
 			return perr
 		}
 		for _, job := range wave {
@@ -447,8 +158,9 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*laneJob, opt SolveO
 		if s.acc.laneSupport == 0 {
 			s.acc.laneSupport = 1
 		}
-		var requeue []*laneJob
-		if serr := s.settleWave(ctx, wave, opt, tols, &requeue); serr != nil {
+		// Overflowed jobs rejoin the back of the queue.
+		var serr error
+		if queue, serr = s.settleWave(ctx, wave, opt, tols, queue); serr != nil {
 			return serr
 		}
 		for _, job := range wave {
@@ -459,7 +171,6 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*laneJob, opt SolveO
 				job.stats.Lanes = len(wave)
 			}
 		}
-		queue = append(queue, requeue...)
 	}
 	return nil
 }
@@ -474,8 +185,8 @@ func (s *Session) solveBatchLanes(ctx context.Context, rhs []la.Vector, opt Solv
 		return err
 	}
 	entryS, entryGain := s.sc.S, s.sigmaGain
-	jobs := make([]laneJob, len(rhs))
-	queue := make([]*laneJob, 0, len(rhs))
+	jobs := make([]settleJob, len(rhs))
+	queue := make([]*settleJob, 0, len(rhs))
 	for k, b := range rhs {
 		j := &jobs[k]
 		j.idx = k
@@ -647,8 +358,8 @@ func (s *Session) solveBatchRefinedLanes(ctx context.Context, items []BatchItem,
 			residuals[k].CopyFrom(it.RHS)
 		}
 	}
-	jobs := make([]laneJob, len(items))
-	active := make([]*laneJob, 0, len(items))
+	jobs := make([]settleJob, len(items))
+	active := make([]*settleJob, 0, len(items))
 	accumulate := func(k, pass int, u la.Vector, st Stats, sigma, gain float64) error {
 		stats[k].add(st)
 		stats[k].SettleTime += st.SettleTime
@@ -673,7 +384,7 @@ func (s *Session) solveBatchRefinedLanes(ctx context.Context, items []BatchItem,
 				continue
 			}
 			j := &jobs[k]
-			*j = laneJob{idx: k, rhs: residuals[k]}
+			*j = settleJob{idx: k, rhs: residuals[k]}
 			j.sigma = s.startSigma(residuals[k], gains[k], lopt)
 			active = append(active, j)
 		}
@@ -736,58 +447,4 @@ func (s *Session) solveBatchRefinedLanes(ctx context.Context, items []BatchItem,
 		s.sigmaGain = gains[lastSolved]
 	}
 	return true, nil
-}
-
-// --- Accelerator lane plumbing ---
-
-// armedDuration is the analog time one runFor(seconds) actually arms,
-// after the timer's cycle quantization; the wave engine uses it to bill
-// per-item stats exactly as the scalar path's counter deltas would.
-func (acc *Accelerator) armedDuration(seconds float64) float64 {
-	cycles := uint32(seconds * acc.spec.TimerHz)
-	if cycles == 0 {
-		cycles = 1
-	}
-	return float64(cycles) / acc.spec.TimerHz
-}
-
-// anyExceptionLane is anyException against one lane's exception vector.
-func (acc *Accelerator) anyExceptionLane(lane int) (bool, error) {
-	raw, err := acc.host.ReadExpLane(uint16(lane))
-	if err != nil {
-		return false, err
-	}
-	for _, b := range raw {
-		if b != 0 {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// readCodesLaneInto is readCodesInto against one lane's ADC readings.
-func (acc *Accelerator) readCodesLaneInto(lane int, codes []int) error {
-	raw, err := acc.host.ReadSerialLane(uint16(lane))
-	if err != nil {
-		return err
-	}
-	if len(raw) < 2*len(codes) {
-		return fmt.Errorf("core: readSerialLane returned %d bytes, need %d", len(raw), 2*len(codes))
-	}
-	for i := range codes {
-		codes[i] = int(isa.GetU16(raw, 2*i))
-	}
-	return nil
-}
-
-// readSolutionLaneInto is readSolutionInto against one lane.
-func (acc *Accelerator) readSolutionLaneInto(lane int, u la.Vector, samples int) error {
-	for i := range u {
-		v, err := acc.host.AnalogAvgLane(uint16(lane), uint16(i), uint16(samples))
-		if err != nil {
-			return err
-		}
-		u[i] = v
-	}
-	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"analogacc/internal/chip"
@@ -241,4 +243,101 @@ func TestSolveBatchRefinedItemsGuessQuality(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzBandSystem builds a random strictly diagonally dominant banded
+// system of order n (bandwidth 1 or 2, unsymmetric, random signs) and k
+// random right-hand sides, all from seed.
+func fuzzBandSystem(seed int64, n, k int) (*la.CSR, []la.Vector) {
+	rng := rand.New(rand.NewSource(seed))
+	band := 1 + rng.Intn(2)
+	var entries []la.COOEntry
+	for i := 0; i < n; i++ {
+		row := len(entries)
+		var off float64
+		for j := i - band; j <= i+band; j++ {
+			if j < 0 || j >= n || j == i {
+				continue
+			}
+			v := rng.Float64()*2 - 1
+			off += math.Abs(v)
+			entries = append(entries, la.COOEntry{Row: i, Col: j, Val: v})
+		}
+		entries = append(entries, la.COOEntry{Row: i, Col: i, Val: off + 0.05 + rng.Float64()})
+		if rng.Intn(4) == 0 {
+			// A row at another scale: slow and fast modes in one system.
+			f := 0.1 + rng.Float64()*3
+			for e := row; e < len(entries); e++ {
+				entries[e].Val *= f
+			}
+		}
+	}
+	rhs := make([]la.Vector, k)
+	for r := range rhs {
+		b := la.NewVector(n)
+		for i := range b {
+			b[i] = rng.Float64()*2 - 1
+		}
+		rhs[r] = b
+	}
+	return la.MustCSR(n, entries), rhs
+}
+
+// FuzzLaneBatchWidths is the lane differential over random systems: a
+// batch solved at width 1 (sequential scalar solves) and at width w on
+// identically seeded fresh chips must either fail with the same error
+// text on both, or return bit-identical solutions with equal per-item
+// Stats (the wave width aside). Order 2–8, 2–9 items, widths 2–16, plain
+// (boost on) or refined batches. An odd seed first warms the session with
+// one solve, so the batch starts from a learned σ gain that may not fit
+// its items: that is what sends a plain batch's items to the boost path
+// (from a cold start a diagonally dominant system reads ‖û‖∞ > ½, far
+// above the boost threshold).
+func FuzzLaneBatchWidths(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, order, items, width uint8, refined bool) {
+		n := 2 + int(order)%7
+		k := 2 + int(items)%8
+		w := 2 + int(width)%15
+		a, rhs := fuzzBandSystem(seed, n, k+1)
+		warm, rhs := rhs[k], rhs[:k]
+		spec := chip.ScaledSpec(n, 12, 20e3, a.MaxRowNNZ()+1)
+		spec.FanoutsPerMB = 2
+		spec.Seed = seed
+		solve := func(width int) ([]la.Vector, []Stats, error) {
+			acc := simAcc(t, spec)
+			sess, err := acc.BeginSession(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seed%2 != 0 {
+				if _, _, err := sess.SolveFor(warm, SolveOptions{}); err != nil {
+					t.Fatalf("warm-up solve: %v", err)
+				}
+			}
+			opt := SolveOptions{MaxLanes: width}
+			if refined {
+				opt.Tolerance = 1e-8
+				return sess.SolveBatchRefined(context.Background(), rhs, opt)
+			}
+			return sess.SolveBatch(context.Background(), rhs, opt)
+		}
+		refU, refStats, refErr := solve(1)
+		us, stats, err := solve(w)
+		if refErr != nil || err != nil {
+			if refErr == nil || err == nil || refErr.Error() != err.Error() {
+				t.Fatalf("width 1 error %v, width %d error %v", refErr, w, err)
+			}
+			return
+		}
+		for r := range rhs {
+			for i := range us[r] {
+				if math.Float64bits(us[r][i]) != math.Float64bits(refU[r][i]) {
+					t.Fatalf("width %d rhs %d component %d: %v != sequential %v", w, r, i, us[r][i], refU[r][i])
+				}
+			}
+			if statsBesideLanes(stats[r]) != statsBesideLanes(refStats[r]) {
+				t.Fatalf("width %d rhs %d stats:\n got %+v\nwant %+v", w, r, stats[r], refStats[r])
+			}
+		}
+	})
 }

@@ -108,7 +108,7 @@ func (acc *Accelerator) SolveODE(m Matrix, g, u0 la.Vector, opt ODEOptions) (*Tr
 		if err := acc.runFor(dtAnalog); err != nil {
 			return nil, err
 		}
-		exc, err := acc.anyException()
+		exc, err := acc.anyException(scalarLane)
 		if err != nil {
 			return nil, err
 		}

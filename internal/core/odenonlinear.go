@@ -155,7 +155,7 @@ func (acc *Accelerator) SolveODENonlinear(m Matrix, terms []LUTTerm, g, u0 la.Ve
 		if err := acc.runFor(dtAnalog); err != nil {
 			return nil, err
 		}
-		exc, err := acc.anyException()
+		exc, err := acc.anyException(scalarLane)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +220,12 @@ func (acc *Accelerator) programNonlinear(m Matrix, terms []LUTTerm, g, u0 la.Vec
 			return err
 		}
 	}
-	if err := acc.setBias(bs); err != nil {
+	beta, bq := la.NewVector(n), la.NewVector(n)
+	gamma, err := acc.quantizeBias(bs, beta, bq, 0)
+	if err != nil {
+		return err
+	}
+	if err := acc.setBias(scalarLane, gamma, beta); err != nil {
 		return err
 	}
 	// Nonlinear terms: LUT k reads u_{s_k}; its output scatters through

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"analogacc/internal/la"
 )
@@ -148,35 +147,31 @@ type Session struct {
 	// repeated right-hand sides — refinement passes, sweeps, and the
 	// SolveBatch inner loop — allocate nothing beyond each result vector.
 	scratch solveScratch
-	// batch holds the lane-batched wave engine's per-lane working set,
-	// sized lazily on first batched solve and reused thereafter.
-	batch batchScratch
 }
 
-// solveScratch is the reusable working set of one solve attempt. A session
+// solveScratch is the reusable working set of the settle loop. A session
 // is single-threaded by construction (it drives one chip), so one set
 // suffices.
 type solveScratch struct {
-	bs        la.Vector // scaled right-hand side of the current attempt
-	bq        la.Vector // bias as actually quantized through the DAC path
-	tols      la.Vector // per-row settle tolerances
-	uHat      la.Vector // raw full-scale readings
-	resid     la.Vector // digitally reconstructed residual
-	refResid  la.Vector // refinement-loop residual accumulator
-	codes     []int     // current settle-poll ADC codes
-	prevCodes []int     // previous poll, for the stability test
+	bs       la.Vector // scaled right-hand side of the job being programmed
+	tols     la.Vector // per-row settle tolerances
+	uHat     la.Vector // full-scale readings (poll codes, then the readout)
+	resid    la.Vector // digitally reconstructed residual
+	refResid la.Vector // refinement-loop residual accumulator
+	job      settleJob // a scalar solve's one job
+	// slots holds each wave position's bias and poll buffers: slot 0
+	// serves scalar solves, and lane waves grow it on first use.
+	slots []waveSlot
 }
 
 func newSolveScratch(n int) solveScratch {
 	return solveScratch{
-		bs:        la.NewVector(n),
-		bq:        la.NewVector(n),
-		tols:      la.NewVector(n),
-		uHat:      la.NewVector(n),
-		resid:     la.NewVector(n),
-		refResid:  la.NewVector(n),
-		codes:     make([]int, n),
-		prevCodes: make([]int, n),
+		bs:       la.NewVector(n),
+		tols:     la.NewVector(n),
+		uHat:     la.NewVector(n),
+		resid:    la.NewVector(n),
+		refResid: la.NewVector(n),
+		slots:    []waveSlot{newWaveSlot(n)},
 	}
 }
 
@@ -238,35 +233,6 @@ func (s *Session) ensureOwned() error {
 // Scaling returns the session's value scale (Sigma reflects the last solve).
 func (s *Session) Scaling() Scaling { return s.sc }
 
-// settleTolerances is the host's steady-state test on ADC readings: the
-// digital residual b̂ − A_s·û of the scaled system, which equals the
-// integrator drive the chip is still applying. The bound is per row:
-// reading quantization injects up to ½ LSB per element through the row's
-// absolute sum, so a row with small coefficients (a slow mode under value
-// scaling) gets a proportionally tighter threshold — otherwise slow modes
-// would be declared settled while still far from equilibrium. The chip's
-// datasheet offset/gain mismatch and noise add an absolute term.
-func (s *Session) settleTolerances() la.Vector {
-	lsb := 2.0 / (math.Pow(2, float64(s.acc.spec.ADCBits)) - 1)
-	mismatch := 4 * (s.acc.spec.OffsetSigma + s.acc.spec.GainSigma)
-	if s.acc.calibrated {
-		// Trimming leaves residual offsets at roughly the calibration
-		// measurement's resolution, so the host can demand far tighter
-		// equilibria after init.
-		if cal := 2 * lsb; cal < mismatch {
-			mismatch = cal
-		}
-	}
-	mismatch += 6 * s.acc.spec.NoiseSigma
-	tols := s.scratch.tols
-	for i := 0; i < s.n; i++ {
-		var rowSum float64
-		s.as.VisitRow(i, func(_ int, v float64) { rowSum += math.Abs(v) })
-		tols[i] = 1.5*lsb*rowSum + mismatch
-	}
-	return tols
-}
-
 // SolveFor solves A·u = rhs using the session's compiled matrix and
 // returns u. The chip's exception mechanism drives automatic rescaling:
 // overflow halves the solution scale and retries; a settled solution using
@@ -282,9 +248,13 @@ func (s *Session) SolveFor(rhs la.Vector, opt SolveOptions) (la.Vector, Stats, e
 // the host (and the context is observed) within one doubling chunk — a
 // cancelled or expired deadline aborts the solve with ctx's error, leaving
 // the chip held but reusable (the next solve reprograms it).
-func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptions) (u la.Vector, stats Stats, err error) {
+//
+// Each attempt is a one-job wave on scalarLane through the settle loop
+// lane batches use, so a right-hand side costs and reports the same
+// whether it solves alone or in a wave.
+func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptions) (la.Vector, Stats, error) {
 	opt = opt.withDefaults()
-	stats = Stats{Scaling: s.sc}
+	stats := Stats{Scaling: s.sc}
 	if len(rhs) != s.n {
 		return nil, stats, fmt.Errorf("core: rhs length %d != %d", len(rhs), s.n)
 	}
@@ -294,7 +264,6 @@ func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptio
 		}
 	}
 	if rhs.NormInf() == 0 {
-		stats.Scaling = s.sc
 		return la.NewVector(s.n), stats, nil
 	}
 	if err := s.ensureOwned(); err != nil {
@@ -305,53 +274,40 @@ func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptio
 			return nil, stats, err
 		}
 	}
-	sigma := s.startSigma(rhs, s.sigmaGain, opt)
-	boosted := 0
-	timeBase := s.acc.AnalogTime()
-	runsBase := s.acc.Runs()
-	defer func() {
-		stats.AnalogTime = s.acc.AnalogTime() - timeBase
-		stats.Runs = s.acc.Runs() - runsBase
-	}()
-
-	for attempt := 0; attempt <= opt.MaxRescales; attempt++ {
+	job := &s.scratch.job
+	*job = settleJob{rhs: rhs, sigma: s.startSigma(rhs, s.sigmaGain, opt), stats: stats}
+	wave := []*settleJob{job}
+	tols, floor := s.settleTolerances()
+	for {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, fmt.Errorf("core: solve aborted before attempt %d: %w", attempt, err)
+			return nil, job.stats, fmt.Errorf("core: solve aborted before attempt %d: %w", job.stats.Rescales, err)
 		}
-		bs := s.scratch.bs
-		inv := 1 / (s.sc.S * sigma)
-		for i, v := range rhs {
-			bs[i] = v * inv
+		if err := s.programWave(wave, floor, false); err != nil {
+			return nil, job.stats, err
 		}
-		if err := s.acc.reprogramBias(bs, nil); err != nil {
-			return nil, stats, err
+		if job.err == nil {
+			// An overflow doubles σ inside the loop; this loop is the
+			// requeue, so the returned list is not needed.
+			if _, err := s.settleWave(ctx, wave, opt, tols, nil); err != nil {
+				return nil, job.stats, err
+			}
 		}
-		settled, overflowed, settleTime, err := s.settle(ctx, bs, opt)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.SettleTime = settleTime
-		if overflowed {
-			sigma *= 2
-			stats.Rescales++
-			stats.Overflows++
-			continue
-		}
-		if !settled {
-			return nil, stats, fmt.Errorf("core: sigma=%v: %w", sigma, ErrNotSettled)
-		}
-		uHat := s.scratch.uHat
-		if err := s.acc.readSolutionInto(uHat, opt.Samples); err != nil {
-			return nil, stats, err
-		}
-		// Dynamic-range check (Section III-B): if the answer sits deep
-		// inside the range, re-run at a larger value scale S (softer
-		// gains) with a proportionally smaller solution scale — the DAC
-		// is already at full range, so more solution range can only be
-		// bought with time, exactly the inset's time-scaling trade.
-		peak := uHat.NormInf()
-		if !opt.DisableBoost && boosted < 2 && peak > 0 && peak < 0.25 && s.sc.S < s.baseS*16 {
-			f := 0.5 / peak
+		switch {
+		case job.err != nil:
+			return nil, job.stats, job.err
+		case job.done:
+			s.sc.Sigma = job.sigma
+			s.sigmaGain = job.gainOut
+			return job.u, job.stats, nil
+		case job.fallback:
+			// Dynamic-range check (Section III-B): the answer sits deep
+			// inside the range, so re-run at a larger value scale S
+			// (softer gains) with a proportionally smaller solution scale
+			// — the DAC is already at full range, so more solution range
+			// can only be bought with time, exactly the inset's
+			// time-scaling trade.
+			job.fallback = false
+			f := 0.5 / job.peak
 			if f > 8 {
 				f = 8
 			}
@@ -360,145 +316,18 @@ func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptio
 			}
 			s.sc.S *= f
 			s.as = newScaledView(s.a, s.sc.S)
-			sigma /= f
+			job.sigma /= f
 			if err := s.acc.program(s.as, la.NewVector(s.n), nil); err != nil {
-				return nil, stats, err
+				return nil, job.stats, err
 			}
 			s.acc.current = s
-			boosted++
-			stats.Rescales++
-			continue
-		}
-		u := uHat.Scaled(sigma)
-		s.sc.Sigma = sigma
-		s.sigmaGain = sigma * s.sc.S / rhs.NormInf()
-		stats.Scaling = s.sc
-		// Digital residual into scratch: ‖b − A·u‖∞ / ‖b‖∞ without the
-		// temporary vector la.RelativeResidual would allocate.
-		s.a.Apply(s.scratch.resid, u)
-		var rn float64
-		for i, av := range s.scratch.resid {
-			if d := math.Abs(rhs[i] - av); d > rn {
-				rn = d
+			job.boosts++
+			if !job.rescale(opt) {
+				return nil, job.stats, job.err
 			}
-		}
-		stats.Residual = rn / rhs.NormInf()
-		return u, stats, nil
-	}
-	return nil, stats, fmt.Errorf("core: after %d rescales: %w", opt.MaxRescales, ErrRescaleLimit)
-}
-
-// settle runs the chip in doubling time chunks until steady state, an
-// overflow exception, or the doubling budget. Steady state needs BOTH
-// host-visible conditions: the digitally reconstructed residual of the
-// scaled system is at the quantization/mismatch floor, AND the ADC codes
-// stopped moving across the last chunk (which, by doubling, spans half the
-// elapsed time — a reading can sit at the residual floor long before the
-// state stops evolving when the bias is small relative to full scale).
-// On success it also returns the midpoint estimate of when settling
-// happened: the event is bracketed inside the final chunk.
-func (s *Session) settle(ctx context.Context, bs la.Vector, opt SolveOptions) (settled, overflowed bool, settleTime float64, err error) {
-	k := 2 * math.Pi * s.acc.spec.Bandwidth
-	chunk := 2 / k
-	tols := s.settleTolerances()
-	uHat := s.scratch.uHat
-	resid := s.scratch.resid
-	fs := math.Pow(2, float64(s.acc.spec.ADCBits)) - 1
-	lsb := 2.0 / fs
-	// Codes jitter with integrator noise; allow that much slack in the
-	// stability test.
-	codeTol := 1 + int(8*s.acc.spec.NoiseSigma/lsb)
-	// The chip realizes the bias as γ·quantize(bs/γ) through the bias-gain
-	// path, and the host knows both γ and the DAC transfer; compare the
-	// readings against what was actually programmed, not the ideal value.
-	bq := s.scratch.bq
-	gamma := biasGamma(bs, s.acc.spec.MaxGain)
-	dacLevels := math.Pow(2, float64(s.acc.spec.DACBits)) - 1
-	for i, v := range bs {
-		beta := 0.0
-		if gamma != 0 {
-			beta = v / gamma
-		}
-		code := math.Round((beta + 1) / 2 * dacLevels)
-		bq[i] = gamma * (code/dacLevels*2 - 1)
-	}
-	// Verifiability check: at steady state the reconstructed residual
-	// cannot be driven below the reading-quantization floor; if the
-	// entire bias signal sits under that floor, a "settled" reading is
-	// indistinguishable from an untouched chip and the solve cannot be
-	// trusted at this resolution.
-	var maxTol float64
-	for _, tv := range tols {
-		if tv > maxTol {
-			maxTol = tv
+			tols, floor = s.settleTolerances()
 		}
 	}
-	if bqn := bq.NormInf(); bqn > 0 && bqn < maxTol {
-		return false, false, 0, fmt.Errorf("core: bias %.3g below residual floor %.3g at %d ADC bits: %w",
-			bqn, maxTol, s.acc.spec.ADCBits, ErrUnresolvable)
-	}
-	codes, prevCodes := s.scratch.codes, s.scratch.prevCodes
-	havePrev := false
-	elapsed := 0.0
-	prevT, prevM := 0.0, math.Inf(1) // residual-margin history for interpolation
-	for d := 0; d < opt.MaxDoublings; d++ {
-		if err := ctx.Err(); err != nil {
-			return false, false, 0, fmt.Errorf("core: settle aborted after %d chunks: %w", d, err)
-		}
-		if err := s.acc.runFor(chunk); err != nil {
-			return false, false, 0, err
-		}
-		elapsed += chunk
-		exc, err := s.acc.anyException()
-		if err != nil {
-			return false, false, 0, err
-		}
-		if exc {
-			return false, true, 0, nil
-		}
-		if err := s.acc.readCodesInto(codes); err != nil {
-			return false, false, 0, err
-		}
-		stable := havePrev
-		if stable {
-			for i, c := range codes {
-				if diff := c - prevCodes[i]; diff > codeTol || diff < -codeTol {
-					stable = false
-					break
-				}
-			}
-		}
-		// Residual margin m = max_i |resid_i|/tol_i; settled at m ≤ 1.
-		// Computed from the freshly read buffer — the swap happens after.
-		for i, c := range codes {
-			uHat[i] = float64(c)/fs*2 - 1
-		}
-		s.as.Apply(resid, uHat)
-		m := 0.0
-		for i := range resid {
-			resid[i] = bq[i] - resid[i]
-			if r := math.Abs(resid[i]) / tols[i]; r > m {
-				m = r
-			}
-		}
-		if stable && m <= 1 {
-			// The crossing happened between the last two polls; the
-			// residual decays exponentially, so interpolate the m = 1
-			// crossing on a log scale for a tighter time estimate than
-			// the chunk midpoint.
-			settleAt := elapsed - chunk/2
-			if !math.IsInf(prevM, 1) && prevM > 1 && m > 0 && m < prevM {
-				frac := math.Log(prevM) / math.Log(prevM/m)
-				settleAt = prevT + (elapsed-prevT)*frac
-			}
-			return true, false, settleAt, nil
-		}
-		codes, prevCodes = prevCodes, codes
-		havePrev = true
-		prevT, prevM = elapsed, m
-		chunk *= 2
-	}
-	return false, false, 0, nil
 }
 
 // Solve compiles and solves A·u = b in one shot: one analog run's worth of

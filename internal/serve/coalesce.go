@@ -74,6 +74,14 @@ type wave struct {
 	// fire closes the window early; the buffered send carries the reason
 	// ("full", "resident") for the close-reason counters.
 	fire chan string
+	// ctx lives while any member still waits for its lane: each member
+	// leaving on its own context drops live (under the coalescer mutex),
+	// and the last one out cancels it. The chip checkout and a multi-lane
+	// execution run under it, so a member that boards late is bound by
+	// its own deadline, not by those of the members before it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	live   int
 }
 
 // coalescer groups in-flight solo solves by waveKey. One runner goroutine
@@ -125,7 +133,8 @@ func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vect
 	c.mu.Lock()
 	g := c.groups[key]
 	if g == nil {
-		g = &wave{key: key, a: a, params: params, fire: make(chan string, 1)}
+		g = &wave{key: key, a: a, params: params, fire: make(chan string, 1), live: 1}
+		g.ctx, g.cancel = context.WithCancel(context.Background())
 		g.members = append(g.members, m)
 		c.groups[key] = g
 		// An *unloaded* server with an idle chip already holding this
@@ -139,6 +148,7 @@ func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vect
 		go c.run(g)
 	} else {
 		g.members = append(g.members, m)
+		g.live++
 		full := len(g.members) >= c.maxLanes
 		if full {
 			// Unlink under the mutex so no 17th member can join between
@@ -153,30 +163,33 @@ func (c *coalescer) solve(ctx context.Context, key waveKey, a *la.CSR, b la.Vect
 			}
 		}
 	}
+	// Stop only on the result path: once ctx is done, leave must run, and
+	// a racing stop could otherwise cancel it.
+	stop := context.AfterFunc(ctx, func() { c.leave(g) })
 	select {
 	case r := <-m.done:
+		stop()
 		return r
 	case <-ctx.Done():
 		return waveResult{err: ctx.Err()}
 	}
 }
 
-// waveContext bounds a wave by the *latest* deadline among the given
-// members, so one lane's short deadline cannot cancel the others' work;
-// the short-deadline member simply abandons its lane (the buffered done
-// send never blocks). An unbounded member makes the wave unbounded.
-func waveContext(members []*waveMember) (context.Context, context.CancelFunc) {
-	latest := time.Time{}
-	for _, m := range members {
-		d, ok := m.ctx.Deadline()
-		if !ok {
-			return context.Background(), nil
-		}
-		if d.After(latest) {
-			latest = d
-		}
+// leave drops one member that gave up on its own context. The last member
+// out unlinks a still-forming wave before cancelling it, so no arrival can
+// board a cancelled wave; its abandoned lane result lands in the buffered
+// done channel unread.
+func (c *coalescer) leave(g *wave) {
+	c.mu.Lock()
+	g.live--
+	last := g.live == 0
+	if last && c.groups[g.key] == g {
+		delete(c.groups, g.key)
 	}
-	return context.WithDeadline(context.Background(), latest)
+	c.mu.Unlock()
+	if last {
+		g.cancel()
+	}
 }
 
 // run owns one wave: wait out the window (or an early close), check out
@@ -196,17 +209,8 @@ func (c *coalescer) run(g *wave) {
 	timer.Stop()
 
 	s := c.s
-	// The checkout deadline comes from the members enrolled so far; later
-	// boarders ride under it (their own deadlines still gate their lanes).
-	c.mu.Lock()
-	enrolled := append([]*waveMember(nil), g.members...)
-	c.mu.Unlock()
-	wctx, cancel := waveContext(enrolled)
-	if cancel != nil {
-		defer cancel()
-	}
-
-	pc, err := s.pool.Checkout(wctx, g.a)
+	defer g.cancel()
+	pc, err := s.pool.Checkout(g.ctx, g.a)
 
 	// Boarding: with the chip in hand, under live coalescing traffic the
 	// wave lingers while companions are still streaming in. A closed set
@@ -261,8 +265,8 @@ func (c *coalescer) run(g *wave) {
 	}
 
 	// A wave of one runs under its member's own context, exactly as an
-	// uncoalesced solve would; a wider wave under the latest deadline.
-	ctx := wctx
+	// uncoalesced solve would; a wider wave while any member still waits.
+	ctx := g.ctx
 	if len(members) == 1 {
 		ctx = members[0].ctx
 	}

@@ -208,3 +208,51 @@ func TestCoalesceChurn(t *testing.T) {
 	t.Logf("churn: %d requests, %d deadline-expired, %d waves, %d coalesced",
 		requests, deadline, s.metrics.Waves(), s.metrics.CoalescedRequests())
 }
+
+// TestCoalesceBoarderKeepsOwnDeadline pins that a request boarding a wave
+// while it waits for a chip is bound by its own deadline, not by those of
+// the members enrolled before it. With both class-2 chips held, A
+// (100 ms) opens a wave that stalls in checkout; B (10 s) boards 20 ms
+// later; the chips come back only after A has expired. A answers 504,
+// and B must be served.
+func TestCoalesceBoarderKeepsOwnDeadline(t *testing.T) {
+	s, client, done := newTestServer(t, Config{})
+	defer done()
+	a, _ := eq2()
+	held := checkoutAll(t, s.pool, a)
+	if len(held) == 0 {
+		t.Fatal("no class-2 chips to hold")
+	}
+	ctx := context.Background()
+	var aErr, bErr error
+	var bResp *SolveResponse
+	aDone, bDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(aDone)
+		req := operatorRequest(0, 0)
+		req.TimeoutMs = 100
+		_, aErr = client.Solve(ctx, req)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	go func() {
+		defer close(bDone)
+		req := operatorRequest(0, 1)
+		req.TimeoutMs = 10000
+		bResp, bErr = client.Solve(ctx, req)
+	}()
+	<-aDone
+	var rerr *RemoteError
+	if !errors.As(aErr, &rerr) || rerr.StatusCode != 504 {
+		t.Fatalf("A (100 ms) answered %v with every chip held, want 504", aErr)
+	}
+	for _, c := range held {
+		s.pool.Checkin(c)
+	}
+	<-bDone
+	if bErr != nil {
+		t.Fatalf("B (10 s) failed after A expired — it inherited A's deadline: %v", bErr)
+	}
+	if bResp.Residual > 1e-6 {
+		t.Fatalf("B residual %v", bResp.Residual)
+	}
+}

@@ -111,7 +111,11 @@ go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
 
 # A bounded fuzz pass past the seed corpora: 20 s of fresh randomized
 # netlists through each differential (reference vs fused kernel; lane
-# widths vs scalar runs). The seed corpora above replay only the
-# checked-in cases; this explores new ones.
+# widths vs scalar runs), then 20 s of random diagonally dominant banded
+# systems through the core batch differential (a batch at width 1 vs at
+# width w: the same error text, or bit-identical answers and equal
+# per-item Stats). The seed corpora above replay only the checked-in
+# cases; this explores new ones.
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 20s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 20s ./internal/circuit
+go test -run '^$' -fuzz '^FuzzLaneBatchWidths$' -fuzztime 20s ./internal/core
