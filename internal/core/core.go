@@ -522,7 +522,7 @@ func (acc *Accelerator) armedDuration(seconds float64) float64 {
 
 // readCodesInto fills codes with one lane's raw ADC readings (scalarLane:
 // the scalar ones) of the first len(codes) converters; the settle loop
-// reuses one buffer per job across its doubling chunks.
+// reuses one buffer per job across its poll chunks.
 func (acc *Accelerator) readCodesInto(lane int, codes []int) error {
 	var raw []byte
 	var err error

@@ -189,34 +189,77 @@ func (s *Session) programWave(wave []*settleJob, floor float64, lanes bool) erro
 	return nil
 }
 
-// settleWave runs one programmed wave in doubling time chunks until every
-// job has settled, overflowed, or spent the doubling budget. Steady state
-// needs BOTH host-visible conditions: the digitally reconstructed residual
-// of the scaled system is at the quantization/mismatch floor, AND the ADC
-// codes stopped moving across the last chunk (which, by doubling, spans
-// half the elapsed time — a reading can sit at the residual floor long
-// before the state stops evolving when the bias is small relative to full
-// scale). Jobs exit per lane: a settled job is read out immediately (the
-// chip holds at the poll boundary), an overflowed job doubles its σ and is
-// appended to requeue, which is returned, and the rest keep integrating.
-// Each chunk's armed time and run are billed to every job still pending
-// in it.
-func (s *Session) settleWave(ctx context.Context, wave []*settleJob, opt SolveOptions, tols la.Vector, requeue []*settleJob) ([]*settleJob, error) {
-	k := 2 * math.Pi * s.acc.spec.Bandwidth
-	chunk := 2 / k
+// pollGrowth (r) is the ratio between successive settle poll chunks. A
+// poll is stable only if the one before it, at about 1/r of the elapsed
+// time, already read the final codes, so the chip runs about r to r² times
+// the instant its codes stop moving; below r = 1.25 the armed time barely
+// falls while the polls, and their ISA frames, keep growing.
+const pollGrowth = 1.25
+
+// settleBudgetChunks is the settle loop's analog budget in first chunks:
+// the 2²⁴ − 1 that 24 doublings armed. A wave still unsettled after that
+// much analog time fails with ErrNotSettled; the budget is a time, not a
+// poll count, so it does not shrink with the grid ratio.
+const settleBudgetChunks = 1<<24 - 1
+
+// firstChunk is the settle loop's first poll chunk, 2/k analog seconds
+// (k = 2π·bandwidth, the integrators' unity-gain rate).
+func (acc *Accelerator) firstChunk() float64 {
+	return 2 / (2 * math.Pi * acc.spec.Bandwidth)
+}
+
+// codeTol is the code-stability test's slack: two polls match when no ADC
+// code moved by more than this many LSBs, since codes jitter with
+// integrator noise.
+func (acc *Accelerator) codeTol() int {
+	lsb := 2 / (math.Pow(2, float64(acc.spec.ADCBits)) - 1)
+	return 1 + int(8*acc.spec.NoiseSigma/lsb)
+}
+
+// margin is one poll's residual margin m = max_i |bq_i − (A_s·û)_i|/tols_i,
+// with û read from the ADC codes and bq the bias as the chip realizes it;
+// the residual is at its floor when m ≤ 1.
+func (s *Session) margin(codes []int, bq, tols la.Vector) float64 {
 	fs := math.Pow(2, float64(s.acc.spec.ADCBits)) - 1
-	lsb := 2.0 / fs
-	// Codes jitter with integrator noise; allow that much slack in the
-	// stability test.
-	codeTol := 1 + int(8*s.acc.spec.NoiseSigma/lsb)
-	uHat := s.scratch.uHat
-	resid := s.scratch.resid
+	uHat, resid := s.scratch.uHat, s.scratch.resid
+	for i, c := range codes {
+		uHat[i] = float64(c)/fs*2 - 1
+	}
+	s.as.Apply(resid, uHat)
+	m := 0.0
+	for i, r := range resid {
+		if r := math.Abs(bq[i]-r) / tols[i]; r > m {
+			m = r
+		}
+	}
+	return m
+}
+
+// settleWave runs one programmed wave in time chunks that grow by
+// pollGrowth until every job has settled, overflowed, or spent the analog
+// budget. Steady state needs BOTH host-visible conditions: the digitally
+// reconstructed residual of the scaled system is at the quantization/
+// mismatch floor, AND the ADC codes stopped moving across the last chunk,
+// about the last 1 − 1/pollGrowth of the elapsed time (a reading
+// can sit at the residual floor long before the state stops evolving when
+// the bias is small relative to full scale). Jobs exit per lane: a
+// settled job is read out immediately (the chip holds at the poll
+// boundary), an overflowed job doubles its σ and is appended to requeue,
+// which is returned, and the rest keep integrating. Each chunk's armed
+// time and run are billed to every job still pending in it.
+func (s *Session) settleWave(ctx context.Context, wave []*settleJob, opt SolveOptions, tols la.Vector, requeue []*settleJob) ([]*settleJob, error) {
+	chunk := s.acc.firstChunk()
+	codeTol := s.acc.codeTol()
+	budget := chunk * settleBudgetChunks
 	elapsed := 0.0
 	pending := len(wave)
-	for d := 0; d < opt.MaxDoublings && pending > 0; d++ {
+	for d := 0; elapsed < budget && pending > 0; d++ {
 		if err := ctx.Err(); err != nil {
 			return requeue, fmt.Errorf("core: settle aborted after %d chunks: %w", d, err)
 		}
+		// Clip the last chunk to the budget. The clip binds only past
+		// budget/2, where budget − elapsed is exact, so elapsed lands on it.
+		chunk = math.Min(chunk, budget-elapsed)
 		if err := s.acc.runFor(chunk); err != nil {
 			return requeue, err
 		}
@@ -254,18 +297,7 @@ func (s *Session) settleWave(ctx context.Context, wave []*settleJob, opt SolveOp
 					}
 				}
 			}
-			// Residual margin m = max_i |resid_i|/tol_i; settled at m ≤ 1.
-			for i, c := range job.codes {
-				uHat[i] = float64(c)/fs*2 - 1
-			}
-			s.as.Apply(resid, uHat)
-			m := 0.0
-			for i := range resid {
-				resid[i] = job.bq[i] - resid[i]
-				if r := math.Abs(resid[i]) / tols[i]; r > m {
-					m = r
-				}
-			}
+			m := s.margin(job.codes, job.bq, tols)
 			if stable && m <= 1 {
 				// The crossing happened between the last two polls; the
 				// residual decays exponentially, so interpolate the m = 1
@@ -287,7 +319,7 @@ func (s *Session) settleWave(ctx context.Context, wave []*settleJob, opt SolveOp
 			job.havePrev = true
 			job.prevT, job.prevM = elapsed, m
 		}
-		chunk *= 2
+		chunk *= pollGrowth
 	}
 	for _, job := range wave {
 		if !job.waveDone {

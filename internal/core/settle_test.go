@@ -10,6 +10,7 @@ import (
 	"analogacc/internal/chip"
 	"analogacc/internal/isa"
 	"analogacc/internal/la"
+	"analogacc/internal/pde"
 )
 
 // statsBesideLanes clears the one Stats field that legitimately differs
@@ -178,14 +179,14 @@ func TestSettleISATraffic(t *testing.T) {
 				t.Errorf("overflow solve never overflowed: %+v", st)
 			}
 			return err
-		}, 127, 0x26f23daebd6f912f},
+		}, 159, 0x708226c339d2f75f},
 		{"refined-eq2-8bit", chip.PrototypeSpec(), func(acc *Accelerator) error {
 			a, b := eq2System()
 			_, _, err := acc.SolveRefined(a, b, SolveOptions{Tolerance: 1e-7})
 			return err
 		}, 128, 0x32763497d8dc341a},
-		{"lane6-refined-width16", lane6Spec(), laneBatch(16), 1134, 0x0f641d5b2d612260},
-		{"lane6-refined-width2", lane6Spec(), laneBatch(2), 1336, 0x25990068ef278357},
+		{"lane6-refined-width16", lane6Spec(), laneBatch(16), 1483, 0x7b61940491f26972},
+		{"lane6-refined-width2", lane6Spec(), laneBatch(2), 1759, 0xe533d28620b57c85},
 	}
 	for _, c := range cases {
 		acc, rec := recordedAcc(t, c.spec)
@@ -197,4 +198,97 @@ func TestSettleISATraffic(t *testing.T) {
 				c.name, rec.frames, got, c.frames, c.hash)
 		}
 	}
+}
+
+// TestSettleTimeTracksFineGrid checks that Stats.SettleTime measures the
+// settle, not the poll grid. For fig8's 2-D Poisson chips at 8- and 12-bit
+// ADCs it replays each solve's one attempt on an identically seeded fresh
+// chip, polling through the ISA every 1/16 of the first chunk. The
+// reference settle t_ref is the earliest fine poll from which on every
+// poll reads the residual at its floor (m ≤ 1) with codes within the
+// stability slack of the final poll's. SettleTime must sit within
+// [0.8, 1.5]·t_ref, and the armed AnalogTime within 1.75·t_ref.
+func TestSettleTimeTracksFineGrid(t *testing.T) {
+	for _, bits := range []int{8, 12} {
+		for _, l := range []int{3, 4, 6, 8} {
+			prob, err := pde.Poisson(2, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := chip.ScaledSpec(l*l, bits, 20e3, 6)
+			spec.FanoutsPerMB = 3
+			opt := SolveOptions{SigmaHint: prob.Exact.NormInf() * 1.1, DisableBoost: true}
+			_, st, err := simAcc(t, spec).Solve(prob.A, prob.B, opt)
+			if err != nil {
+				t.Fatalf("%d-bit L=%d: %v", bits, l, err)
+			}
+			if st.Rescales != 0 {
+				t.Fatalf("%d-bit L=%d: %d rescales, want a single attempt", bits, l, st.Rescales)
+			}
+			ref := fineSettle(t, spec, prob.A, prob.B, st.Scaling.Sigma, 2*st.AnalogTime+1e-3)
+			t.Logf("%d-bit L=%d: t_ref %.4g s, SettleTime %.2f×, AnalogTime %.2f×",
+				bits, l, ref, st.SettleTime/ref, st.AnalogTime/ref)
+			if r := st.SettleTime / ref; r < 0.8 || r > 1.5 {
+				t.Errorf("%d-bit L=%d: SettleTime %.4g s is %.2f× the fine-grid settle %.4g s, want 0.8–1.5×",
+					bits, l, st.SettleTime, r, ref)
+			}
+			if r := st.AnalogTime / ref; r > 1.75 {
+				t.Errorf("%d-bit L=%d: AnalogTime %.4g s is %.2f× the fine-grid settle %.4g s, want ≤ 1.75×",
+					bits, l, st.AnalogTime, r, ref)
+			}
+		}
+	}
+}
+
+// fineSettle programs a on a fresh chip of spec, biases it with b at
+// solution scale sigma, and polls every 1/16 of the first chunk for span
+// analog seconds. It returns the analog time of the earliest poll from
+// which on every poll reads m ≤ 1 with codes within codeTol of the last
+// poll's.
+func fineSettle(t *testing.T, spec chip.Spec, a *la.CSR, b la.Vector, sigma, span float64) float64 {
+	t.Helper()
+	acc := simAcc(t, spec)
+	sess, err := acc.BeginSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tols, floor := sess.settleTolerances()
+	job := &settleJob{rhs: b, sigma: sigma}
+	if err := sess.programWave([]*settleJob{job}, floor, false); err != nil || job.err != nil {
+		t.Fatalf("program: %v %v", err, job.err)
+	}
+	dt := acc.firstChunk() / 16
+	var times, margins []float64
+	var codes [][]int
+	for elapsed := 0.0; elapsed < span; {
+		if err := acc.runFor(dt); err != nil {
+			t.Fatal(err)
+		}
+		elapsed += acc.armedDuration(dt)
+		c := make([]int, sess.n)
+		if err := acc.readCodesInto(scalarLane, c); err != nil {
+			t.Fatal(err)
+		}
+		times = append(times, elapsed)
+		margins = append(margins, sess.margin(c, job.bq, tols))
+		codes = append(codes, c)
+	}
+	final, tol := codes[len(codes)-1], acc.codeTol()
+	ref := len(times)
+	for i := len(times) - 1; i >= 0; i-- {
+		ok := margins[i] <= 1
+		for j, c := range codes[i] {
+			if d := c - final[j]; d > tol || d < -tol {
+				ok = false
+			}
+		}
+		if !ok {
+			break
+		}
+		ref = i
+	}
+	if ref == len(times) {
+		t.Fatalf("never settled within %.4g s of fine polling", span)
+	}
+	return times[ref]
 }

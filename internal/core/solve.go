@@ -9,16 +9,15 @@ import (
 )
 
 // SolveOptions tunes the analog solve and refinement loops. The zero value
-// gives sensible defaults.
+// gives sensible defaults. The settle schedule is not an option: every
+// solve polls on chunks that grow by 1.25× from 2/k (k = 2π·bandwidth) and
+// gives up after a fixed (2/k)·(2²⁴ − 1) analog seconds with ErrNotSettled.
 type SolveOptions struct {
 	// Calibrate runs the chip's init sequence before the first solve on
 	// this driver (skipped if already calibrated).
 	Calibrate bool
 	// Samples is the analogAvg depth for final readout (default 8).
 	Samples int
-	// MaxDoublings bounds the settle polling loop: the run budget is the
-	// initial chunk doubled this many times (default 24).
-	MaxDoublings int
 	// MaxRescales bounds the overflow-driven problem rescales (default
 	// 40: each rescale costs only the short first chunk in which the
 	// overflow latches, and a cold start may need ~log₂(‖u‖·S/‖b‖) of
@@ -27,9 +26,9 @@ type SolveOptions struct {
 	// SigmaHint, if positive, seeds the solution scale with an expected
 	// ‖u‖∞, skipping the exception-driven search on the first run.
 	SigmaHint float64
-	// BoostDynamicRange re-runs once with a tighter solution scale when
-	// the settled readings use less than a quarter of full scale
-	// (default true; set DisableBoost to turn off).
+	// DisableBoost turns off the dynamic-range boost: by default a solve
+	// whose settled readings use less than a quarter of full scale re-runs
+	// (up to twice) with a tighter solution scale.
 	DisableBoost bool
 	// Tolerance is the refinement target for SolveRefined:
 	// ‖b − A·u‖∞ ≤ Tolerance·‖b‖∞ (default 1e-7).
@@ -59,9 +58,6 @@ type SolveOptions struct {
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.Samples <= 0 {
 		o.Samples = 8
-	}
-	if o.MaxDoublings <= 0 {
-		o.MaxDoublings = 24
 	}
 	if o.MaxRescales <= 0 {
 		o.MaxRescales = 40
@@ -95,10 +91,14 @@ type Stats struct {
 	// Residual is the final digital ‖b − A·u‖∞ / ‖b‖∞.
 	Residual float64
 	// SettleTime estimates when the final successful run actually
-	// settled (analog seconds): the polling loop brackets the event
-	// within its last chunk, and this is the midpoint. AnalogTime, by
-	// contrast, is everything armed, including failed scale attempts
-	// and the bracketing overhead.
+	// settled (analog seconds): the log-interpolated crossing of the
+	// residual floor inside the last poll chunk, or that chunk's
+	// midpoint when the codes settled after the residual. Chunks grow
+	// 1.25×, so it lands within 1.16–1.38× of the settle a poll grid 16×
+	// finer than the first chunk sees on fig8's chips
+	// (TestSettleTimeTracksFineGrid). AnalogTime, by contrast, is
+	// everything armed, including failed scale attempts and the last
+	// chunk's overshoot.
 	SettleTime float64
 	// Lanes is the widest lane wave that produced (part of) this answer:
 	// batch solves on a lane-capable chip report the wave width their
@@ -245,7 +245,7 @@ func (s *Session) SolveFor(rhs la.Vector, opt SolveOptions) (la.Vector, Stats, e
 // SolveForCtx is SolveFor under a context: the host polls ctx at every
 // rescale attempt and at every settle-poll chunk boundary. Each armed run
 // is already bounded by the chip's timeout timer, so control returns to
-// the host (and the context is observed) within one doubling chunk — a
+// the host (and the context is observed) within one poll chunk — a
 // cancelled or expired deadline aborts the solve with ctx's error, leaving
 // the chip held but reusable (the next solve reprograms it).
 //

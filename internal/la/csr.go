@@ -59,6 +59,26 @@ func NewCSR(n int, entries []COOEntry) (*CSR, error) {
 	return m, nil
 }
 
+// NewCSRChecked is NewCSR for an order declared by untrusted input (a file
+// header, a request's n). It refuses an order larger than the entries
+// given before anything is allocated by it, so a few bytes of header
+// cannot ask for gigabytes, and again after duplicates sum, so every
+// matrix it accepts writes out with at least as many entries as its
+// order. Either way some row is empty and the matrix singular.
+func NewCSRChecked(n int, entries []COOEntry) (*CSR, error) {
+	if n > len(entries) {
+		return nil, fmt.Errorf("la: order %d exceeds the %d matrix entries given (a row would be empty): %w", n, len(entries), ErrDimension)
+	}
+	m, err := NewCSR(n, entries)
+	if err != nil {
+		return nil, err
+	}
+	if n > m.NNZ() {
+		return nil, fmt.Errorf("la: order %d exceeds the %d distinct matrix entries given (a row is empty): %w", n, m.NNZ(), ErrDimension)
+	}
+	return m, nil
+}
+
 // MustCSR is NewCSR that panics on error; for use with known-good inputs
 // such as generated stencil matrices.
 func MustCSR(n int, entries []COOEntry) *CSR {

@@ -20,7 +20,7 @@ import (
 // exchange format in the spirit of Matrix Market.
 func ReadSystem(r io.Reader) (*CSR, Vector, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // lines up to 1 MiB; the buffer grows with them
 	n := -1
 	var entries []COOEntry
 	var bEntries []COOEntry
@@ -73,7 +73,7 @@ func ReadSystem(r io.Reader) (*CSR, Vector, error) {
 	if n < 0 {
 		return nil, nil, fmt.Errorf("la: system file missing 'n' record")
 	}
-	m, err := NewCSR(n, entries)
+	m, err := NewCSRChecked(n, entries)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -30,18 +30,25 @@ b 1 0.5
 
 func TestReadSystemErrors(t *testing.T) {
 	cases := []string{
-		"a 0 0 1\n",            // missing n
-		"n 0\n",                // non-positive order
-		"n x\n",                // bad order
-		"n 2\na 0 0\n",         // short matrix record
-		"n 2\na 0 5 1\n",       // out of range col
-		"n 2\nb 7 1\n",         // out of range rhs
-		"n 2\nb 0\n",           // short rhs record
-		"n 2\nq 0 0 1\n",       // unknown record
-		"n 2\na 0 0 notanum\n", // bad float
+		"a 0 0 1\n",               // missing n
+		"n 0\n",                   // non-positive order
+		"n x\n",                   // bad order
+		"n 2\na 0 0\n",            // short matrix record
+		"n 1\na 0 5 1\n",          // out of range col
+		"n 1\na 0 0 1\nb 7 1\n",   // out of range rhs
+		"n 2\nb 0\n",              // short rhs record
+		"n 2\nq 0 0 1\n",          // unknown record
+		"n 2\na 0 0 notanum\n",    // bad float
+		"n 2000000000\na 0 0 1\n", // order the entries cannot back
+		"n 3\na 0 0 1\na 1 1 1\n", // empty row
+		"n 2\na 0 0 1\na 0 0 1\n", // empty row behind a duplicate
 	}
 	for _, c := range cases {
-		if _, _, err := ReadSystem(strings.NewReader(c)); err == nil {
+		var err error
+		if grew := allocatedBy(func() { _, _, err = ReadSystem(strings.NewReader(c)) }); grew > maxRejectAlloc {
+			t.Errorf("input %q: allocated %d bytes before refusing", c, grew)
+		}
+		if err == nil {
 			t.Errorf("input %q: expected error", c)
 		}
 	}

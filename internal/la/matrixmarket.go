@@ -16,7 +16,7 @@ import (
 // coordinate format. Symmetric files are expanded to full storage.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // lines up to 1 MiB; the buffer grows with them
 	if !sc.Scan() {
 		return nil, fmt.Errorf("la: empty MatrixMarket stream")
 	}
@@ -55,7 +55,12 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows <= 0 || rows != cols {
 		return nil, fmt.Errorf("la: need a square matrix, got %dx%d", rows, cols)
 	}
-	entries := make([]COOEntry, 0, nnz*2)
+	if nnz < 0 {
+		return nil, fmt.Errorf("la: negative entry count %d", nnz)
+	}
+	// Nothing is sized by the header: the entries grow with the body, and
+	// NewCSRChecked holds the order to them before allocating by it.
+	var entries []COOEntry
 	count := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -85,7 +90,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if count != nnz {
 		return nil, fmt.Errorf("la: header promised %d entries, found %d", nnz, count)
 	}
-	return NewCSR(rows, entries)
+	return NewCSRChecked(rows, entries)
 }
 
 // WriteMatrixMarket emits a CSR matrix in coordinate/real/general format.

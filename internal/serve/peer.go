@@ -72,7 +72,6 @@ func (s *Server) handlePeerStats(w http.ResponseWriter, _ *http.Request) {
 // purpose: pooled chips arrive calibrated, and guesses travel per item.
 type BlockOptions struct {
 	Samples        int     `json:"samples,omitempty"`
-	MaxDoublings   int     `json:"max_doublings,omitempty"`
 	MaxRescales    int     `json:"max_rescales,omitempty"`
 	SigmaHint      float64 `json:"sigma_hint,omitempty"`
 	DisableBoost   bool    `json:"disable_boost,omitempty"`
@@ -84,7 +83,6 @@ type BlockOptions struct {
 func (o BlockOptions) toCore() core.SolveOptions {
 	return core.SolveOptions{
 		Samples:        o.Samples,
-		MaxDoublings:   o.MaxDoublings,
 		MaxRescales:    o.MaxRescales,
 		SigmaHint:      o.SigmaHint,
 		DisableBoost:   o.DisableBoost,
@@ -98,7 +96,6 @@ func (o BlockOptions) toCore() core.SolveOptions {
 func BlockOptionsFromCore(o core.SolveOptions) BlockOptions {
 	return BlockOptions{
 		Samples:        o.Samples,
-		MaxDoublings:   o.MaxDoublings,
 		MaxRescales:    o.MaxRescales,
 		SigmaHint:      o.SigmaHint,
 		DisableBoost:   o.DisableBoost,
@@ -220,11 +217,7 @@ func (s *Server) solveBlock(ctx context.Context, req *BlockSolveRequest) (*Block
 		a = blk
 		registered = true
 	} else {
-		entries := make([]la.COOEntry, len(req.A))
-		for i, e := range req.A {
-			entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-		}
-		built, err := la.NewCSR(req.N, entries)
+		built, err := buildCSR(req.N, req.A)
 		if err != nil {
 			return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
 		}

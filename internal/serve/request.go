@@ -75,71 +75,85 @@ type SolveRequest struct {
 // registry can resolve them — so they error here; server paths route
 // through Server.resolve instead.
 func (r *SolveRequest) BuildSystem() (*la.CSR, la.Vector, error) {
+	a, b, err := matrixForm{r.N, r.A, r.System, r.MatrixMarket, r.Fingerprint}.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case len(r.B) > 0:
+		if len(r.B) != a.Dim() {
+			return nil, nil, fmt.Errorf("serve: b has %d values, matrix order is %d", len(r.B), a.Dim())
+		}
+		b = la.Vector(r.B)
+	case r.MatrixMarket != "":
+		b = la.Constant(a.Dim(), 1)
+	case r.System == "":
+		return nil, nil, fmt.Errorf("serve: structured request needs b with n = %d values", a.Dim())
+	}
+	return a, b, nil
+}
+
+// matrixForm is the matrix a solve, batch or operator request carries:
+// structured triplets (n and a), a system file, a MatrixMarket file, or a
+// fingerprint reference that only the server's registry can resolve.
+type matrixForm struct {
+	n            int
+	a            []Entry
+	system       string
+	matrixMarket string
+	fingerprint  string
+}
+
+// build checks that exactly one by-value form is present and materializes
+// its matrix, with the system file's right-hand side (nil for the other
+// forms). No allocation is sized by an order the body does not back: the
+// structured order is held to its entry count (la.NewCSRChecked), as the
+// two parsers hold their headers.
+func (f matrixForm) build() (*la.CSR, la.Vector, error) {
 	forms := 0
-	if len(r.A) > 0 || r.N > 0 {
+	if len(f.a) > 0 || f.n > 0 {
 		forms++
 	}
-	if r.System != "" {
+	if f.system != "" {
 		forms++
 	}
-	if r.MatrixMarket != "" {
+	if f.matrixMarket != "" {
 		forms++
 	}
-	if r.Fingerprint != "" {
+	if f.fingerprint != "" {
 		if forms > 0 {
 			return nil, nil, fmt.Errorf("serve: request carries both a fingerprint reference and a by-value matrix; send exactly one")
 		}
-		return nil, nil, fmt.Errorf("serve: by-reference request (fingerprint %s) needs server-side registry resolution", r.Fingerprint)
+		return nil, nil, fmt.Errorf("serve: by-reference request (fingerprint %s) needs server-side registry resolution", f.fingerprint)
 	}
 	if forms != 1 {
 		return nil, nil, fmt.Errorf("serve: request must carry exactly one of (n,A,b), system, matrix_market, fingerprint; got %d forms", forms)
 	}
 	switch {
-	case r.System != "":
-		a, b, err := la.ReadSystem(strings.NewReader(r.System))
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(r.B) > 0 {
-			if len(r.B) != a.Dim() {
-				return nil, nil, fmt.Errorf("serve: b has %d values, matrix order is %d", len(r.B), a.Dim())
-			}
-			b = la.Vector(r.B)
-		}
-		return a, b, nil
-	case r.MatrixMarket != "":
-		a, err := la.ReadMatrixMarket(strings.NewReader(r.MatrixMarket))
-		if err != nil {
-			return nil, nil, err
-		}
-		b := la.Constant(a.Dim(), 1)
-		if len(r.B) > 0 {
-			if len(r.B) != a.Dim() {
-				return nil, nil, fmt.Errorf("serve: b has %d values, matrix order is %d", len(r.B), a.Dim())
-			}
-			b = la.Vector(r.B)
-		}
-		return a, b, nil
-	default:
-		if r.N <= 0 {
-			return nil, nil, fmt.Errorf("serve: structured request needs n > 0")
-		}
-		if len(r.A) == 0 {
-			return nil, nil, fmt.Errorf("serve: structured request needs matrix entries in A")
-		}
-		if len(r.B) != r.N {
-			return nil, nil, fmt.Errorf("serve: b has %d values, n is %d", len(r.B), r.N)
-		}
-		entries := make([]la.COOEntry, len(r.A))
-		for i, e := range r.A {
-			entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-		}
-		a, err := la.NewCSR(r.N, entries)
-		if err != nil {
-			return nil, nil, err
-		}
-		return a, la.Vector(r.B), nil
+	case f.system != "":
+		return la.ReadSystem(strings.NewReader(f.system))
+	case f.matrixMarket != "":
+		a, err := la.ReadMatrixMarket(strings.NewReader(f.matrixMarket))
+		return a, nil, err
 	}
+	if f.n <= 0 {
+		return nil, nil, fmt.Errorf("serve: structured request needs n > 0")
+	}
+	if len(f.a) == 0 {
+		return nil, nil, fmt.Errorf("serve: structured request needs matrix entries in A")
+	}
+	a, err := buildCSR(f.n, f.a)
+	return a, nil, err
+}
+
+// buildCSR materializes structured triplets of order n under
+// la.NewCSRChecked's bound.
+func buildCSR(n int, a []Entry) (*la.CSR, error) {
+	entries := make([]la.COOEntry, len(a))
+	for i, e := range a {
+		entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
+	}
+	return la.NewCSRChecked(n, entries)
 }
 
 // BatchSolveRequest asks the service to solve A·u = b for several
@@ -178,13 +192,7 @@ type BatchSolveRequest struct {
 // BuildSystem materializes the batch request's matrix and right-hand
 // sides. Errors are client errors (HTTP 400).
 func (r *BatchSolveRequest) BuildSystem() (*la.CSR, []la.Vector, error) {
-	sr := SolveRequest{N: r.N, A: r.A, System: r.System, MatrixMarket: r.MatrixMarket, Fingerprint: r.Fingerprint}
-	if sr.N > 0 {
-		// Satisfy the single-solve form's b-length check; the batch
-		// carries its right-hand sides in RHS.
-		sr.B = make([]float64, sr.N)
-	}
-	a, _, err := sr.BuildSystem()
+	a, _, err := matrixForm{r.N, r.A, r.System, r.MatrixMarket, r.Fingerprint}.build()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -207,7 +215,8 @@ type AnalogStats struct {
 	// AnalogSeconds is the virtual analog time armed for this solve — the
 	// paper's convergence-time metric.
 	AnalogSeconds float64 `json:"analog_seconds"`
-	// SettleSeconds estimates when the final run actually settled.
+	// SettleSeconds estimates when the final run actually settled
+	// (core.Stats.SettleTime, a point inside the last poll chunk).
 	SettleSeconds float64 `json:"settle_seconds"`
 	Runs          int     `json:"runs"`
 	Rescales      int     `json:"rescales"`
@@ -352,13 +361,7 @@ type OperatorRequest struct {
 
 // Build materializes the operator's matrix. Errors are client errors.
 func (r *OperatorRequest) Build() (*la.CSR, error) {
-	sr := SolveRequest{N: r.N, A: r.A, System: r.System, MatrixMarket: r.MatrixMarket}
-	if sr.N > 0 {
-		// Satisfy the solve form's b-length check; operators carry no
-		// right-hand side.
-		sr.B = make([]float64, sr.N)
-	}
-	a, _, err := sr.BuildSystem()
+	a, _, err := matrixForm{n: r.N, a: r.A, system: r.System, matrixMarket: r.MatrixMarket}.build()
 	return a, err
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -140,7 +141,7 @@ func TestServeValidation(t *testing.T) {
 	}{
 		{eq2Request("typo"), CodeBadBackend},
 		{SolveRequest{Backend: "cg"}, CodeBadRequest},                                        // no payload form
-		{SolveRequest{Backend: "cg", N: 2, A: []Entry{{0, 0, 1}}, B: nil}, CodeBadRequest},   // missing b
+		{SolveRequest{Backend: "cg", N: 1, A: []Entry{{0, 0, 1}}, B: nil}, CodeBadRequest},   // missing b
 		{SolveRequest{Backend: "cg", System: "n 1\na 0 0 1\nb 0 1\n", N: 1}, CodeBadRequest}, // two forms
 	}
 	for _, c := range cases {
@@ -393,5 +394,55 @@ func TestServeBackendsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(text, "alad_queue_depth 0") {
 		t.Errorf("queue depth gauge missing:\n%s", text)
+	}
+}
+
+// TestServeRejectsHeadersBeyondBody: a by-value request whose declared
+// order or entry count the body does not back answers 400 bad_request
+// instead of allocating by the header (gigabytes from ~50 bytes, or a
+// panic in make for a negative count) on every by-value route.
+func TestServeRejectsHeadersBeyondBody(t *testing.T) {
+	_, client, done := newTestServer(t, Config{})
+	defer done()
+	ctx := context.Background()
+	const mm = "%%MatrixMarket matrix coordinate real general\n"
+	one := []Entry{{Row: 0, Col: 0, Val: 1}}
+	mmSolve := func(file string) func() error {
+		return func() error {
+			_, err := client.Solve(ctx, SolveRequest{Backend: "cg", MatrixMarket: file})
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		send func() error
+	}{
+		{"mm-negative-count", mmSolve(mm + "2 2 -1\n")},
+		{"mm-huge-count", mmSolve(mm + "2 2 1000000000\n1 1 1\n2 2 1\n")},
+		{"mm-huge-order", mmSolve(mm + "1000000000 1000000000 1\n1 1 1\n")},
+		{"system-huge-order", func() error {
+			_, err := client.Solve(ctx, SolveRequest{Backend: "cg", System: "n 2000000000\na 0 0 1\nb 0 1\n"})
+			return err
+		}},
+		{"operator-huge-order", func() error {
+			_, err := client.RegisterOperator(ctx, OperatorRequest{N: 2000000000, A: one})
+			return err
+		}},
+		{"batch-huge-order", func() error {
+			_, err := client.SolveBatch(ctx, BatchSolveRequest{Backend: "cg", N: 2000000000, A: one, RHS: [][]float64{{1}}})
+			return err
+		}},
+		{"block-huge-order", func() error {
+			_, err := client.SolveBlock(ctx, BlockSolveRequest{N: 2000000000, A: one, Items: []BlockWireItem{{RHS: []float64{1}}}})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var re *RemoteError
+			if err := c.send(); !errors.As(err, &re) || re.Code != CodeBadRequest || re.StatusCode != http.StatusBadRequest {
+				t.Fatalf("answered %v, want 400 %s", err, CodeBadRequest)
+			}
+		})
 	}
 }

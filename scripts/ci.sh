@@ -119,3 +119,10 @@ go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 20s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 20s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneBatchWidths$' -fuzztime 20s ./internal/core
+
+# 20 s each of random input through the two file parsers every by-value
+# route uses (MatrixMarket and the triplet system format): no panic, no
+# allocation sized by a header the body does not back, and every accepted
+# matrix round-trips through its writer to the same CSR.
+go test -run '^$' -fuzz '^FuzzReadMatrixMarket$' -fuzztime 20s ./internal/la
+go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 20s ./internal/la
