@@ -61,7 +61,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight solves")
 		engine    = flag.String("engine", "auto", "simulation kernel for pooled chips: auto | interpreter | fused (the two are bit-identical; an unknown name fails at startup)")
-		coalesce  = flag.Duration("coalesce-window", 500*time.Microsecond, "how long an analog solve may wait for same-operator companions before its lane wave fires (waves also close when 16 lanes fill or an idle resident chip exists; every analog solve rides a wave, so a negative window fails at startup)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
 		federate   = flag.Bool("federation", false, "enable the fingerprint-affinity federation router (requires -advertise; use -peers for a multi-node cluster)")
@@ -75,7 +74,7 @@ func main() {
 		jobLease     = flag.Duration("job-lease", 10*time.Second, "async job lease TTL; a dead executor loses its job back to the queue after this long")
 		jobQueue     = flag.Int("job-queue", 256, "async job backlog bound (submissions beyond it get 429)")
 		jobQuota     = flag.Int("job-quota", 0, "per-tenant live async job cap (0 = unlimited)")
-		jobExecDelay = flag.Duration("job-exec-delay", 0, "fault-injection hold between leasing and executing each job (crash testing only)")
+		jobExecDelay = flag.Duration("job-exec-delay", 0, "fault-injection hold between leasing and executing each job group (crash testing only)")
 
 		regMaxOps   = flag.Int("registry-max-ops", 256, "operator registry capacity (registered matrices; LRU evicts beyond it)")
 		regMaxBytes = flag.Int64("registry-max-bytes", 256<<20, "operator registry byte cap (estimated resident bytes; LRU evicts beyond it)")
@@ -103,7 +102,6 @@ func main() {
 		QueueBound:     *queue,
 		MaxBatchRHS:    *maxBatch,
 		DefaultTimeout: *timeout,
-		CoalesceWindow: *coalesce,
 		JobStore:       *store,
 		JobWorkers:     *jobWorkers,
 		JobLeaseTTL:    *jobLease,

@@ -22,9 +22,11 @@ func init() {
 // check: the fused kernel must reproduce the reference interpreter's
 // solution exactly, element for element, or the speedup column is
 // meaningless. Wall times are host-dependent; the identity
-// column is deterministic.
+// column is deterministic. The chips carry the serving pool's 12-bit
+// ADCs: at 8 bits the bias quantum of L ≥ 16 grids falls below the
+// residual floor and the core refuses the solve (core.ErrUnresolvable).
 func runEngines(cfg Config) (*Table, error) {
-	const adcBits = 8
+	const adcBits = 12
 	ls := []int{8, 16, 24}
 	if cfg.Quick {
 		ls = []int{4, 6}

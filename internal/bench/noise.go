@@ -128,7 +128,10 @@ func runParallel(cfg Config) (*Table, error) {
 		x, stats, err := farm.SolveDecomposedParallel(prob.A, prob.B, core.DecomposeOptions{
 			BlockSize:      l,
 			OuterTolerance: 1e-4,
-			Inner:          core.SolveOptions{Tolerance: 1e-6},
+			// One lane per wave: the strips share one submatrix, so with
+			// lanes a chip settles all of its strips in one wave and the
+			// critical path would not shrink with more chips.
+			Inner: core.SolveOptions{Tolerance: 1e-6, MaxLanes: 1},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: parallel %d chips: %w", chips, err)

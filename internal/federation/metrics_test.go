@@ -356,7 +356,6 @@ var seriesContract = []struct{ name, typ, keys string }{
 	{"alad_request_seconds", "histogram", ""},
 	{"alad_sweep_seconds", "histogram", ""},
 	{"alad_coalesced_requests_total", "counter", ""},
-	{"alad_waves_closed_total", "counter", "reason"},
 	{"alad_detached_lanes", "gauge", ""},
 	{"alad_wave_lanes", "histogram", ""},
 	{"alad_coalesce_wait_seconds", "histogram", ""},
@@ -388,8 +387,8 @@ var seriesContract = []struct{ name, typ, keys string }{
 // The series contract: every family keeps its name, type and label keys,
 // and has at least one sample once the node has served traffic.
 func TestMetricsSeriesContract(t *testing.T) {
-	if len(seriesContract) != 74 {
-		t.Fatalf("contract lists %d families, want 74", len(seriesContract))
+	if len(seriesContract) != 73 {
+		t.Fatalf("contract lists %d families, want 73", len(seriesContract))
 	}
 	lines := parseExposition(t, servedScrape(t))
 	types := map[string]string{}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -438,11 +439,14 @@ func TestRetentionEviction(t *testing.T) {
 
 func TestWorkersEndToEnd(t *testing.T) {
 	q := mustOpen(t, Config{LeaseTTL: 500 * time.Millisecond})
-	exec := func(ctx context.Context, j *Job) ([]byte, string, string) {
-		if string(j.Payload) == "fail" {
-			return nil, "solve_failed", "asked to fail"
+	exec := func(group []*Task) {
+		for _, task := range group {
+			if string(task.Job.Payload) == "fail" {
+				task.ErrCode, task.ErrMsg = "solve_failed", "asked to fail"
+				continue
+			}
+			task.Result = append([]byte("ok:"), task.Job.Payload...)
 		}
-		return append([]byte("ok:"), j.Payload...), "", ""
 	}
 	w := StartWorkers(q, 3, exec, 0)
 	defer func() {
@@ -484,10 +488,11 @@ func TestWorkersEndToEnd(t *testing.T) {
 func TestWorkerCancellationMidRun(t *testing.T) {
 	q := mustOpen(t, Config{LeaseTTL: time.Second})
 	started := make(chan string, 1)
-	exec := func(ctx context.Context, j *Job) ([]byte, string, string) {
-		started <- j.ID
-		<-ctx.Done()
-		return nil, "cancelled", ctx.Err().Error()
+	exec := func(group []*Task) {
+		task := group[0]
+		started <- task.Job.ID
+		<-task.Ctx.Done()
+		task.ErrCode, task.ErrMsg = "cancelled", task.Ctx.Err().Error()
 	}
 	w := StartWorkers(q, 1, exec, 0)
 	defer func() {
@@ -513,6 +518,71 @@ func TestWorkerCancellationMidRun(t *testing.T) {
 	}
 	if got.State != StateCancelled {
 		t.Fatalf("state %s, want cancelled", got.State)
+	}
+}
+
+// TestWorkersExecLeasedGroup shows a worker handing a leased job and the
+// queued jobs sharing its affinity to Exec in one call, up to a full lane
+// batch: with seventeen affinity-7 jobs and one affinity-9 job queued
+// before the only worker starts, Exec sees the first sixteen affinity-7
+// jobs as one group, then the affinity-9 job, then the seventeenth. Each
+// job still records its own outcome.
+func TestWorkersExecLeasedGroup(t *testing.T) {
+	q := mustOpen(t, Config{LeaseTTL: time.Second})
+	var hot []string
+	other := ""
+	for i := 0; i < 18; i++ {
+		affinity := uint64(7)
+		if i == 1 {
+			affinity = 9
+		}
+		j, err := q.SubmitAffinity("a", "solve", uint64(i+1), affinity, []byte(fmt.Sprintf("p%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if affinity == 9 {
+			other = j.ID
+		} else {
+			hot = append(hot, j.ID)
+		}
+	}
+	var (
+		mu     sync.Mutex
+		groups [][]string
+	)
+	exec := func(group []*Task) {
+		ids := make([]string, len(group))
+		for i, task := range group {
+			ids[i] = task.Job.ID
+			task.Result = append([]byte("ok:"), task.Job.Payload...)
+		}
+		mu.Lock()
+		groups = append(groups, ids)
+		mu.Unlock()
+	}
+	w := StartWorkers(q, 1, exec, 0)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		w.Stop(ctx)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, id := range append(hot, other) {
+		j, err := q.Wait(ctx, id)
+		if err != nil {
+			t.Fatalf("wait %s: %v", id, err)
+		}
+		if j.State != StateDone || !strings.HasPrefix(string(j.Result), "ok:p") {
+			t.Fatalf("job %s: state=%s result=%q", id, j.State, j.Result)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := [][]string{hot[:16], {other}, hot[16:]}
+	if fmt.Sprint(groups) != fmt.Sprint(want) {
+		t.Fatalf("Exec saw groups %v, want %v", groups, want)
 	}
 }
 

@@ -2,27 +2,41 @@ package jobs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
 
-// Exec runs one job's payload and returns its opaque result, or a
-// non-empty error code (with a message) on failure. The context is
-// cancelled when the job is cancelled or the worker pool is force-
-// stopped; an Exec that honors it makes cancellation prompt.
-type Exec func(ctx context.Context, j *Job) (result []byte, errCode, errMsg string)
+// Task is one leased job handed to Exec: the job, the context it runs
+// under, and the outcome Exec records — Result, or a non-empty ErrCode
+// (with ErrMsg) on failure. The context is cancelled when the job is
+// cancelled, its lease is lost, or the worker pool is force-stopped; an
+// Exec that honors it makes cancellation prompt.
+type Task struct {
+	Ctx     context.Context
+	Job     *Job
+	Result  []byte
+	ErrCode string
+	ErrMsg  string
+
+	cancel context.CancelFunc
+}
+
+// Exec runs one leased group in one call — a job, plus the queued jobs
+// sharing its affinity that the worker leased with it — and records
+// every task's outcome before it returns.
+type Exec func(group []*Task)
 
 // Workers drives a queue with n executor goroutines plus a lease-expiry
-// sweeper. Each worker leases a job, marks it running, heartbeat-renews
-// the lease at TTL/3 while Exec runs, and records the outcome. A worker
-// (or the whole process) dying mid-job is recovered by lease expiry —
-// live, by the sweeper; after a crash, by boot-time replay.
+// sweeper. Each worker leases a job and its queued affinity mates, marks
+// them running, heartbeat-renews their leases at TTL/3 while Exec runs
+// the group, and records each job's outcome. A worker (or the whole
+// process) dying mid-group is recovered by lease expiry — live, by the
+// sweeper; after a crash, by boot-time replay.
 type Workers struct {
 	q    *Queue
 	exec Exec
-	// execDelay is a fault-injection hook: every job sleeps this long
+	// execDelay is a fault-injection hook: every group waits this long
 	// (context-aware) between leasing and executing, giving crash tests
 	// a deterministic mid-flight window. Zero in production.
 	execDelay time.Duration
@@ -67,8 +81,8 @@ func (w *Workers) Stop(ctx context.Context) {
 	}
 }
 
-// maxWaveMates bounds how many affinity-mates one dispatch drains
-// alongside the leased job, so a wave never exceeds a full lane batch.
+// maxWaveMates bounds how many affinity-mates one group leases
+// alongside the first job, so a wave never exceeds a full lane batch.
 const maxWaveMates = 15
 
 func (w *Workers) loop(ctx context.Context, owner string) {
@@ -88,29 +102,14 @@ func (w *Workers) loop(ctx context.Context, owner string) {
 			}
 			continue
 		}
-		// Fingerprint-sticky dispatch: drain queued operator-mates into
-		// this turn and run them concurrently, so their solves land in
-		// the server's coalescing window and execute as one lane wave.
-		// Each mate gets the full run lifecycle (own cancel hook,
-		// heartbeat, outcome record) under this worker's owner name.
-		var mates []*Job
+		// Fingerprint-sticky dispatch: the job's queued operator-mates
+		// join it in one Exec call, so the executor can seal their solves
+		// into one lane wave.
+		group := []*Job{j}
 		if j.Affinity != 0 {
-			mates = w.q.LeaseMatching(owner, j.Affinity, maxWaveMates)
+			group = append(group, w.q.LeaseMatching(owner, j.Affinity, maxWaveMates)...)
 		}
-		if len(mates) == 0 {
-			w.run(j, owner)
-			continue
-		}
-		var waveWG sync.WaitGroup
-		for _, m := range append([]*Job{j}, mates...) {
-			m := m
-			waveWG.Add(1)
-			go func() {
-				defer waveWG.Done()
-				w.run(m, owner)
-			}()
-		}
-		waveWG.Wait()
+		w.run(group, owner)
 	}
 }
 
@@ -135,23 +134,29 @@ func (w *Workers) sweep(ctx context.Context) {
 	}
 }
 
-func (w *Workers) run(j *Job, owner string) {
-	// The job context is deliberately not derived from the loop context:
-	// stopping intake must not abort work already leased. It is
-	// cancelled by Queue.Cancel (via the registered hook) or by
-	// Stop's deadline enforcement.
-	jctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w.q.registerCancel(j.ID, cancel)
-	defer w.q.unregisterCancel(j.ID)
-
-	if err := w.q.Start(j.ID, owner); err != nil {
-		return // lease lost between Lease and Start
+// run takes one leased group through the run lifecycle. Every job keeps
+// its own: a cancel hook, the move to running, a lease renewal on each
+// heartbeat, and the outcome record.
+func (w *Workers) run(group []*Job, owner string) {
+	tasks := make([]*Task, 0, len(group))
+	for _, j := range group {
+		// A job context is deliberately not derived from the loop context:
+		// stopping intake must not abort work already leased. It is
+		// cancelled by Queue.Cancel (via the registered hook), by a failed
+		// renewal, or by Stop's deadline enforcement.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		w.q.registerCancel(j.ID, cancel)
+		defer w.q.unregisterCancel(j.ID)
+		if err := w.q.Start(j.ID, owner); err != nil {
+			continue // lease lost between Lease and Start
+		}
+		tasks = append(tasks, &Task{Ctx: ctx, Job: j, cancel: cancel})
 	}
 
-	// Heartbeat until the outcome is recorded. A failed renewal means
-	// the lease expired and was re-queued or re-leased: this attempt's
-	// answer no longer counts, so stop burning time on it.
+	// Heartbeat until the outcomes are recorded. A failed renewal means
+	// the lease expired and was re-queued or re-leased: that job's answer
+	// no longer counts, so stop burning time on it.
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
@@ -164,42 +169,48 @@ func (w *Workers) run(j *Job, owner string) {
 			case <-hbStop:
 				return
 			case <-tick.C:
-				if err := w.q.Renew(j.ID, owner); err != nil {
-					cancel()
-					return
+				for _, t := range tasks {
+					if err := w.q.Renew(t.Job.ID, owner); err != nil {
+						t.cancel()
+					}
 				}
 			}
 		}
 	}()
 
 	if w.execDelay > 0 {
-		select {
-		case <-jctx.Done():
-		case <-time.After(w.execDelay):
+		// The hold ends early only once every job is cancelled.
+		hold, cancel := context.WithTimeout(context.Background(), w.execDelay)
+		for _, t := range tasks {
+			select {
+			case <-t.Ctx.Done():
+			case <-hold.Done():
+			}
 		}
+		cancel()
 	}
 
-	var (
-		result  []byte
-		code    string
-		msg     string
-		aborted = jctx.Err() != nil
-	)
-	if aborted {
-		code, msg = "cancelled", "cancelled before execution"
-	} else {
-		result, code, msg = w.exec(jctx, j)
+	var live []*Task
+	for _, t := range tasks {
+		if t.Ctx.Err() == nil {
+			live = append(live, t)
+			continue
+		}
+		t.ErrCode, t.ErrMsg = "cancelled", "cancelled before execution"
+	}
+	if len(live) > 0 {
+		w.exec(live)
 	}
 	close(hbStop)
 	hbWG.Wait()
 
-	var err error
-	if code == "" {
-		err = w.q.Complete(j.ID, owner, result)
-	} else {
-		err = w.q.Fail(j.ID, owner, code, msg)
+	for _, t := range tasks {
+		if t.ErrCode == "" {
+			// ErrNotOwner means the lease expired mid-run and the job moved
+			// on; the discarded outcome is by design (current owner wins).
+			_ = w.q.Complete(t.Job.ID, owner, t.Result)
+		} else {
+			_ = w.q.Fail(t.Job.ID, owner, t.ErrCode, t.ErrMsg)
+		}
 	}
-	// ErrNotOwner means the lease expired mid-run and the job moved on;
-	// the discarded outcome is by design (current owner wins).
-	_ = errors.Is(err, ErrNotOwner)
 }

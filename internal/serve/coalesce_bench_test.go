@@ -100,7 +100,7 @@ func runHotOperatorBench(b *testing.B) {
 }
 
 // BenchmarkHotOperator16Coalesced is the tentpole measurement: one hot
-// fingerprint at concurrency 16 with the default coalescing window.
+// fingerprint at concurrency 16, its waves formed at chip checkout.
 func BenchmarkHotOperator16Coalesced(b *testing.B) {
 	runHotOperatorBench(b)
 }

@@ -27,6 +27,63 @@ func operatorRequest(k, lane int) SolveRequest {
 	}
 }
 
+// enrolled counts the members of the coalescer's forming waves. A wave
+// that fills is unlinked at once, so its members stop counting.
+func enrolled(s *Server) int {
+	s.coalesce.mu.Lock()
+	defer s.coalesce.mu.Unlock()
+	n := 0
+	for _, g := range s.coalesce.groups {
+		n += len(g.members)
+	}
+	return n
+}
+
+// solveInOneWave sends reqs, all for the operator a, on their own
+// goroutines and returns each answer. Every chip that serves a is held
+// until all of them have enrolled, so they ride one wave however the
+// scheduler runs them: the first opens a wave that stalls in checkout,
+// and each later one boards it before the next is sent (the last of a
+// full wave shows as the wave leaving groups). The held chips then go
+// back in checkout order, so the wave gets the chip a fresh server's
+// first solve would.
+func solveInOneWave(t *testing.T, s *Server, client *Client, a *la.CSR, reqs []SolveRequest) ([]*SolveResponse, []error) {
+	t.Helper()
+	held := checkoutAll(t, s.pool, a)
+	if len(held) == 0 {
+		t.Fatal("no chips to hold")
+	}
+	release := func() {
+		for _, c := range held {
+			s.pool.Checkin(c)
+		}
+		held = nil
+	}
+	defer release() // a failed enrollment must not strand the requests
+	resps := make([]*SolveResponse, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = client.Solve(context.Background(), reqs[i])
+		}(i)
+		want := i + 1
+		if want == s.coalesce.maxLanes {
+			want = 0
+		}
+		for deadline := time.Now().Add(10 * time.Second); enrolled(s) != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("request %d never enrolled: %d members waiting, want %d", i, enrolled(s), want)
+			}
+		}
+	}
+	release()
+	wg.Wait()
+	return resps, errs
+}
+
 // TestCoalesceBitIdentity is the differential guarantee extended to the
 // coalesced path: every lane of a B-wide wave must answer bit-identically
 // to a solo solve of the same right-hand side on an identically fresh
@@ -36,23 +93,16 @@ func TestCoalesceBitIdentity(t *testing.T) {
 		lanes := lanes
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
 			t.Parallel()
-			// A generous window so every concurrent request reliably lands
-			// in one wave; a full 16 closes early anyway.
-			_, client, done := newTestServer(t, Config{CoalesceWindow: time.Second})
+			s, client, done := newTestServer(t, Config{})
 			defer done()
 			ctx := context.Background()
 
-			resps := make([]*SolveResponse, lanes)
-			errs := make([]error, lanes)
-			var wg sync.WaitGroup
-			for i := 0; i < lanes; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					resps[i], errs[i] = client.Solve(ctx, operatorRequest(0, i))
-				}(i)
+			a, _ := eq2()
+			reqs := make([]SolveRequest, lanes)
+			for i := range reqs {
+				reqs[i] = operatorRequest(0, i)
 			}
-			wg.Wait()
+			resps, errs := solveInOneWave(t, s, client, a, reqs)
 
 			for i := 0; i < lanes; i++ {
 				if errs[i] != nil {
@@ -98,7 +148,7 @@ func TestCoalesceBitIdentity(t *testing.T) {
 // cancel its companions. The injected batch solver holds the wave well
 // past the short deadline.
 func TestCoalesceDeadlineMixing(t *testing.T) {
-	s, client, done := newTestServer(t, Config{CoalesceWindow: 500 * time.Millisecond})
+	s, client, done := newTestServer(t, Config{})
 	defer done()
 	s.solveBatch = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
 		select {
@@ -108,27 +158,14 @@ func TestCoalesceDeadlineMixing(t *testing.T) {
 		}
 		return cli.SolveSystemBatch(ctx, backend, a, rhs, p)
 	}
-	ctx := context.Background()
 
-	var (
-		wg                 sync.WaitGroup
-		shortErr, longErr  error
-		shortResp, longist *SolveResponse
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		req := operatorRequest(0, 0)
-		req.TimeoutMs = 50 // expires while the wave is still settling
-		shortResp, shortErr = client.Solve(ctx, req)
-	}()
-	go func() {
-		defer wg.Done()
-		req := operatorRequest(0, 1)
-		req.TimeoutMs = 5000
-		longist, longErr = client.Solve(ctx, req)
-	}()
-	wg.Wait()
+	long, short := operatorRequest(0, 1), operatorRequest(0, 0)
+	long.TimeoutMs = 5000
+	short.TimeoutMs = 50 // expires while the wave is still settling
+	a, _ := eq2()
+	resps, errs := solveInOneWave(t, s, client, a, []SolveRequest{long, short})
+	longist, longErr := resps[0], errs[0]
+	shortResp, shortErr := resps[1], errs[1]
 
 	if longErr != nil {
 		t.Fatalf("long-deadline lane failed — the short lane cancelled the wave: %v", longErr)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"time"
@@ -320,12 +319,61 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobStatus(j))
 }
 
-// executeJob is the worker callback: decode the payload, resolve and run
-// it on the same pipeline as the synchronous handlers (chip checkout,
-// deadline clamp, metrics and all), and return the marshalled response.
+// executeJobs is the worker callback: one leased group — a job and the
+// queued jobs sharing its operator — decoded, resolved and run on the
+// same pipeline as the synchronous handlers (chip checkout, deadline
+// clamp, metrics and all), each outcome the marshalled response. The
+// whole group resolves and begins first, and its analog solo calls join
+// the coalescer together, so the calls of one wave key seal into one
+// wave however the scheduler runs them; the calls then finish in order.
 // Error codes are the API's stable codes, so a failed job reports
 // exactly what the synchronous path would have.
-func (s *Server) executeJob(ctx context.Context, j *jobs.Job) ([]byte, string, string) {
+func (s *Server) executeJobs(group []*jobs.Task) {
+	calls := make([]*call, len(group))
+	ctxs := make([]context.Context, len(group))
+	var members []*waveMember
+	for i, t := range group {
+		c, aerr := s.jobCall(t.Job)
+		if aerr != nil {
+			t.ErrCode, t.ErrMsg = aerr.Code, aerr.Message
+			continue
+		}
+		ctx, cancel := context.WithTimeout(t.Ctx, s.clampTimeout(c.timeoutMs))
+		defer cancel()
+		// Job executions hold no admission slot; the detached-lane gauge
+		// keeps them — solve and batch jobs alike — visible to federation
+		// saturation gating.
+		s.metrics.detachedLanes.Add(1)
+		if m := s.begin(ctx, c); m != nil {
+			members = append(members, m)
+		}
+		calls[i], ctxs[i] = c, ctx
+	}
+	s.coalesce.join(members...)
+	for i, t := range group {
+		if calls[i] == nil {
+			continue
+		}
+		resp, aerr := s.finish(ctxs[i], calls[i])
+		s.metrics.detachedLanes.Add(-1)
+		if aerr != nil {
+			t.ErrCode, t.ErrMsg = aerr.Code, aerr.Message
+			continue
+		}
+		raw, err := json.Marshal(resp)
+		if r, ok := resp.(*SolveResponse); ok {
+			releaseSolveResponse(r)
+		}
+		if err != nil {
+			t.ErrCode, t.ErrMsg = CodeInternal, err.Error()
+			continue
+		}
+		t.Result = raw
+	}
+}
+
+// jobCall decodes a job's payload and resolves it into a call.
+func (s *Server) jobCall(j *jobs.Job) (*call, *APIError) {
 	var (
 		solo  *SolveRequest
 		batch *BatchSolveRequest
@@ -339,32 +387,10 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job) ([]byte, string, s
 		batch = new(BatchSolveRequest)
 		dst = batch
 	default:
-		return nil, CodeBadRequest, fmt.Sprintf("unknown job kind %q", j.Kind)
+		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "unknown job kind %q", j.Kind)
 	}
 	if err := json.Unmarshal(j.Payload, dst); err != nil {
-		return nil, CodeBadRequest, fmt.Sprintf("decoding job payload: %v", err)
+		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "decoding job payload: %v", err)
 	}
-	c, aerr := s.resolve(solo, batch)
-	if aerr != nil {
-		return nil, aerr.Code, aerr.Message
-	}
-	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(c.timeoutMs))
-	defer cancel()
-	// Job executions hold no admission slot; the detached-lane gauge
-	// keeps them — solve and batch jobs alike — visible to federation
-	// saturation gating.
-	s.metrics.detachedLanes.Add(1)
-	resp, aerr := s.run(ctx, c)
-	s.metrics.detachedLanes.Add(-1)
-	if aerr != nil {
-		return nil, aerr.Code, aerr.Message
-	}
-	raw, err := json.Marshal(resp)
-	if r, ok := resp.(*SolveResponse); ok {
-		releaseSolveResponse(r)
-	}
-	if err != nil {
-		return nil, CodeInternal, err.Error()
-	}
-	return raw, "", ""
+	return s.resolve(solo, batch)
 }

@@ -314,6 +314,64 @@ func TestJobsCountAsDetachedLanes(t *testing.T) {
 	}
 }
 
+// TestJobGroupRidesOneWave queues sixteen same-operator solo analog jobs
+// before a single worker starts: they are accepted by a server that
+// executes nothing, and the store is then reopened with one worker. It
+// leases them as one group, and the group joins the coalescer in one
+// step, so all sixteen ride one 16-lane wave however the scheduler runs
+// them — each answering bit-identically to its right-hand side solved
+// alone as the first analog solve of a fresh server.
+func TestJobGroupRidesOneWave(t *testing.T) {
+	const lanes = 16
+	store := filepath.Join(t.TempDir(), "jobs.wal")
+	_, client, done := newTestServer(t, Config{JobWorkers: -1, JobStore: store})
+	ctx := context.Background()
+	ids := make([]string, lanes)
+	for i := range ids {
+		req := operatorRequest(0, i)
+		st, err := client.SubmitJob(ctx, JobSubmitRequest{Solve: &req})
+		if err != nil {
+			done()
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	done()
+
+	_, client, done = newTestServer(t, Config{JobWorkers: 1, JobStore: store})
+	defer done()
+	for i, id := range ids {
+		final, err := client.WaitJob(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != string(jobs.StateDone) {
+			t.Fatalf("job %d ended %s: %+v", i, final.State, final.Error)
+		}
+		var resp SolveResponse
+		if err := json.Unmarshal(final.Result, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.WaveLanes != lanes || !resp.Coalesced {
+			t.Fatalf("job %d rode wave_lanes=%d coalesced=%t, want one %d-lane wave", i, resp.WaveLanes, resp.Coalesced, lanes)
+		}
+		_, soloClient, soloDone := newTestServer(t, Config{})
+		solo, err := soloClient.Solve(ctx, operatorRequest(0, i))
+		soloDone()
+		if err != nil {
+			t.Fatalf("solo %d: %v", i, err)
+		}
+		if len(solo.U) != len(resp.U) {
+			t.Fatalf("job %d: %d values, solo %d", i, len(resp.U), len(solo.U))
+		}
+		for j := range solo.U {
+			if resp.U[j] != solo.U[j] {
+				t.Fatalf("job %d u[%d]: %v, solo %v — must be bit-identical", i, j, resp.U[j], solo.U[j])
+			}
+		}
+	}
+}
+
 // TestAdaptiveRetryAfter checks the hint scales with queue depth and the
 // service-time moving average, and respects its floor.
 func TestAdaptiveRetryAfter(t *testing.T) {
@@ -473,7 +531,9 @@ func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 	if err := s.jobs.Start(j.ID, "test-worker"); err != nil {
 		t.Fatal(err)
 	}
-	raw, code, msg := s.executeJob(ctx, j)
+	task := &jobs.Task{Ctx: ctx, Job: j}
+	s.executeJobs([]*jobs.Task{task})
+	raw, code, msg := task.Result, task.ErrCode, task.ErrMsg
 	if code != "" {
 		t.Fatalf("pinned job failed after registry churn: %s: %s", code, msg)
 	}
@@ -577,7 +637,9 @@ func TestJobPinRestoredAcrossRestart(t *testing.T) {
 	if err := s2.jobs.Start(j.ID, "w"); err != nil {
 		t.Fatal(err)
 	}
-	raw, code, msg := s2.executeJob(ctx, j)
+	task := &jobs.Task{Ctx: ctx, Job: j}
+	s2.executeJobs([]*jobs.Task{task})
+	raw, code, msg := task.Result, task.ErrCode, task.ErrMsg
 	if code != "" {
 		t.Fatalf("replayed job failed under cap squeeze: %s: %s", code, msg)
 	}

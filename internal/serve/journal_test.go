@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"analogacc/internal/jobs"
 )
 
 // frameEnds walks a journal file (8-byte magic, then frames with a
@@ -146,7 +148,7 @@ func TestByRefJobsReplayAtEveryWALFrame(t *testing.T) {
 		t.Fatalf("WAL holds %d frames, want a meta frame and %d submits", len(ends)-1, len(solo))
 	}
 	for i, end := range ends {
-		jobs := max(i-1, 0)
+		queued := max(i-1, 0)
 		cut := filepath.Join(t.TempDir(), "jobs.wal")
 		mustWrite(t, cut, wal[:end])
 		mustWrite(t, cut+".ops", ops)
@@ -154,11 +156,11 @@ func TestByRefJobsReplayAtEveryWALFrame(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: %v", end, err)
 		}
-		if got := len(s2.jobs.List("", "")); got != jobs {
+		if got := len(s2.jobs.List("", "")); got != queued {
 			s2.Close()
-			t.Fatalf("cut at %d replayed %d jobs, want %d", end, got, jobs)
+			t.Fatalf("cut at %d replayed %d jobs, want %d", end, got, queued)
 		}
-		for k := 0; k < jobs; k++ {
+		for k := 0; k < queued; k++ {
 			j := s2.jobs.Lease("w")
 			if _, byRef := payloadFingerprint(j.Payload); !byRef {
 				t.Fatalf("cut at %d: job %s was journaled by value", end, j.ID)
@@ -166,7 +168,9 @@ func TestByRefJobsReplayAtEveryWALFrame(t *testing.T) {
 			if err := s2.jobs.Start(j.ID, "w"); err != nil {
 				t.Fatal(err)
 			}
-			raw, code, msg := s2.executeJob(ctx, j)
+			task := &jobs.Task{Ctx: ctx, Job: j}
+			s2.executeJobs([]*jobs.Task{task})
+			raw, code, msg := task.Result, task.ErrCode, task.ErrMsg
 			if code != "" {
 				t.Fatalf("cut at %d: replayed job %s failed: %s: %s", end, j.ID, code, msg)
 			}

@@ -21,7 +21,7 @@ type Metrics struct {
 	start time.Time
 
 	// Admission: 429s, and the requests executing now (chip wait
-	// included), which is also the coalescer's load probe.
+	// included).
 	rejected metric.Counter
 	inFlight atomic.Int64
 
@@ -63,14 +63,11 @@ type Metrics struct {
 	// process-lifetime history.
 	ewmaUs atomic.Int64
 
-	// Coalescer traffic. The waves counters split fired waves by close
-	// reason; coalescedReqs counts requests that shared a wave with at
-	// least one companion. The occupancy histogram (lanes per wave) says
-	// how full waves run; the wait histogram is the latency the window
-	// added to each member (registration → wave launch).
-	wavesWindow   metric.Counter
-	wavesFull     metric.Counter
-	wavesResident metric.Counter
+	// Coalescer traffic. coalescedReqs counts requests that shared a wave
+	// with at least one companion. The occupancy histogram (lanes per
+	// wave) says how full waves run; the wait histogram is the latency
+	// the coalescer added to each member (enrollment → wave launch: the
+	// checkout stall and the boarding debounce).
 	coalescedReqs metric.Counter
 	waveLanes     *metric.Histogram
 	coalesceWait  *metric.Histogram
@@ -164,21 +161,6 @@ func (m *Metrics) ObserveLatency(d time.Duration) {
 // request completes). It feeds the adaptive Retry-After hint.
 func (m *Metrics) AvgServiceTime() time.Duration {
 	return time.Duration(m.ewmaUs.Load()) * time.Microsecond
-}
-
-// ObserveWave records one fired coalescer wave: its lane occupancy and
-// why its window closed ("window" ran out, "full" 16 lanes, "resident"
-// idle warm chip).
-func (m *Metrics) ObserveWave(lanes int, reason string) {
-	switch reason {
-	case "full":
-		m.wavesFull.Inc()
-	case "resident":
-		m.wavesResident.Inc()
-	default:
-		m.wavesWindow.Inc()
-	}
-	m.waveLanes.Observe(float64(lanes))
 }
 
 // CoalescedRequests reads the shared-wave request counter (tests).
@@ -328,13 +310,9 @@ func (m *Metrics) writeTo(out io.Writer, queueDepth int, pool *Pool, jq *jobs.Qu
 	w.Histogram("alad_request_seconds", "Wall time of solve calls (requests and job executions), chip wait included.", m.latency)
 	w.Histogram("alad_sweep_seconds", "Wall time of decomposed outer sweeps.", m.sweep)
 	w.Counter("alad_coalesced_requests_total", "Requests served from a wave shared with at least one other request.", float64(m.coalescedReqs.Load()))
-	w.CounterVec("alad_waves_closed_total", "Coalescer waves fired, by why their window closed: it ran out, 16 lanes filled, or an idle chip already held the operator.", "reason",
-		metric.Series{Label: "window", Value: float64(m.wavesWindow.Load())},
-		metric.Series{Label: "full", Value: float64(m.wavesFull.Load())},
-		metric.Series{Label: "resident", Value: float64(m.wavesResident.Load())})
 	w.Gauge("alad_detached_lanes", "Solves executing without an admission slot (async jobs).", float64(m.detachedLanes.Load()))
 	w.Histogram("alad_wave_lanes", "Right-hand sides per fired coalescer wave.", m.waveLanes)
-	w.Histogram("alad_coalesce_wait_seconds", "Wait the coalescing window added to each member, enrollment to wave launch.", m.coalesceWait)
+	w.Histogram("alad_coalesce_wait_seconds", "Wait the coalescer added to each member, enrollment to wave launch.", m.coalesceWait)
 	ops, opBytes := reg.stats()
 	w.Gauge("alad_registry_operators", "Operators resident in the registry.", float64(ops))
 	w.Gauge("alad_registry_bytes", "Bytes of operators resident in the registry.", float64(opBytes))

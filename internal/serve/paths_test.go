@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"analogacc/internal/jobs"
 	"analogacc/internal/la"
@@ -59,11 +57,10 @@ func TestCrossPathBitIdentity(t *testing.T) {
 
 	// fresh boots a server with the shared pool seed, registering the
 	// operator first when the path runs by reference.
-	fresh := func(t *testing.T, byRef bool, window time.Duration) (*Client, func()) {
+	fresh := func(t *testing.T, byRef bool) (*Server, *Client, func()) {
 		t.Helper()
-		_, client, done := newTestServer(t, Config{
-			Pool:           PoolConfig{ChipsPerClass: 2, WarmSizes: []int{n}, MinClass: 2, MaxDim: 32, Seed: 11},
-			CoalesceWindow: window,
+		s, client, done := newTestServer(t, Config{
+			Pool: PoolConfig{ChipsPerClass: 2, WarmSizes: []int{n}, MinClass: 2, MaxDim: 32, Seed: 11},
 		})
 		if byRef {
 			if _, err := client.RegisterOperator(ctx, OperatorRequest{N: n, A: entries}); err != nil {
@@ -71,7 +68,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return client, done
+		return s, client, done
 	}
 	solo := func(byRef bool, b []float64) SolveRequest {
 		if byRef {
@@ -119,7 +116,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 		{"solo", func(t *testing.T, byRef bool) [][]float64 {
 			us := make([][]float64, k)
 			for i := range rhs {
-				client, done := fresh(t, byRef, 0)
+				_, client, done := fresh(t, byRef)
 				resp, err := client.Solve(ctx, solo(byRef, rhs[i]))
 				if err != nil {
 					done()
@@ -131,20 +128,13 @@ func TestCrossPathBitIdentity(t *testing.T) {
 			return us
 		}},
 		{"coalesced", func(t *testing.T, byRef bool) [][]float64 {
-			// A generous window so all k requests reliably share one wave.
-			client, done := fresh(t, byRef, time.Second)
+			s, client, done := fresh(t, byRef)
 			defer done()
-			resps := make([]*SolveResponse, k)
-			errs := make([]error, k)
-			var wg sync.WaitGroup
+			reqs := make([]SolveRequest, k)
 			for i := range rhs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					resps[i], errs[i] = client.Solve(ctx, solo(byRef, rhs[i]))
-				}(i)
+				reqs[i] = solo(byRef, rhs[i])
 			}
-			wg.Wait()
+			resps, errs := solveInOneWave(t, s, client, a, reqs)
 			us := make([][]float64, k)
 			for i := range rhs {
 				if errs[i] != nil {
@@ -155,7 +145,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 			return us
 		}},
 		{"batch", func(t *testing.T, byRef bool) [][]float64 {
-			client, done := fresh(t, byRef, 0)
+			_, client, done := fresh(t, byRef)
 			defer done()
 			resp, err := client.SolveBatch(ctx, batch(byRef, rhs))
 			if err != nil {
@@ -170,7 +160,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 		{"batch-of-1", func(t *testing.T, byRef bool) [][]float64 {
 			us := make([][]float64, k)
 			for i := range rhs {
-				client, done := fresh(t, byRef, 0)
+				_, client, done := fresh(t, byRef)
 				resp, err := client.SolveBatch(ctx, batch(byRef, rhs[i:i+1]))
 				done()
 				if err != nil {
@@ -186,7 +176,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 		{"solve-job", func(t *testing.T, byRef bool) [][]float64 {
 			us := make([][]float64, k)
 			for i := range rhs {
-				client, done := fresh(t, byRef, 0)
+				_, client, done := fresh(t, byRef)
 				req := solo(byRef, rhs[i])
 				var resp SolveResponse
 				job(t, client, JobSubmitRequest{Solve: &req}, &resp)
@@ -196,7 +186,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 			return us
 		}},
 		{"batch-job", func(t *testing.T, byRef bool) [][]float64 {
-			client, done := fresh(t, byRef, 0)
+			_, client, done := fresh(t, byRef)
 			defer done()
 			req := batch(byRef, rhs)
 			var resp BatchSolveResponse

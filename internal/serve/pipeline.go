@@ -14,12 +14,13 @@ import (
 
 // The request pipeline. Every solve — POST /v1/solve, POST
 // /v1/solve/batch, and both async job kinds — takes the same path below
-// decode: resolve turns the request into a call, run brackets its
-// metrics and maps its errors, dispatch picks the executor, and render
-// builds the answer. A solo request is a call with one right-hand side,
-// a batch request a call with k; on the analog backends every solo call
-// rides a coalescer wave (a lone request a wave of one), while a batch
-// checks out its own chip and neither waits for nor boards solo waves.
+// decode: resolve turns the request into a call, begin opens its metrics
+// bracket and enrolls it in the coalescer, finish waits for or runs its
+// executor (dispatch), maps its errors and builds the answer (render). A
+// solo request is a call with one right-hand side, a batch request a
+// call with k; on the analog backends every solo call rides a coalescer
+// wave (a lone request a wave of one), while a batch checks out its own
+// chip and neither waits for nor boards solo waves.
 
 // call is one resolved solve request.
 type call struct {
@@ -37,6 +38,11 @@ type call struct {
 	byRef     bool
 	params    cli.SolveParams
 	timeoutMs int
+
+	// start is when begin opened the call's latency bracket; member is
+	// the coalescer enrollment begin made for an analog solo call.
+	start  time.Time
+	member *waveMember
 }
 
 // resolve validates and materializes one solo or batch request (exactly
@@ -145,19 +151,50 @@ func (c *call) byReference(fp uint64) any {
 	return &r
 }
 
-// run executes one resolved call under ctx and renders its answer: a
-// *SolveResponse for a solo call, a *BatchSolveResponse for a batch. It
-// owns the solve path's only metrics bracket and, through apiError, its
-// only error mapping. The latency it records spans the whole execution,
-// chip wait included — the coalescing window and the pool queue alike.
-func (s *Server) run(ctx context.Context, c *call) (any, *APIError) {
+// begin starts a call under ctx: it opens the call's metrics bracket (the
+// in-flight gauge and the latency clock) and returns the coalescer
+// enrollment of an analog solo call, keyed by operator fingerprint —
+// parsed off a by-reference request, hashed here for a by-value one —
+// for the caller to join, alone or with the other members of a job group
+// (executeJobs). An analog solo system no pool class can hold is
+// promoted to the decomposed fan-out instead of being rejected.
+func (s *Server) begin(ctx context.Context, c *call) *waveMember {
 	if c.batch != nil {
 		s.metrics.batchRHS.Add(int64(len(c.rhs)))
 	}
 	s.metrics.inFlight.Add(1)
-	start := time.Now()
+	c.start = time.Now()
+	if c.solo == nil || !cli.IsAnalogBackend(c.backend) {
+		return nil
+	}
+	if s.pool.Fits(c.a) != nil {
+		c.backend = cli.BackendDecomposed
+		return nil
+	}
+	fp := c.fp
+	if !c.byRef {
+		fp = la.Fingerprint(c.a)
+	}
+	c.member = &waveMember{
+		ctx:    ctx,
+		key:    waveKey{fp: fp, n: c.a.Dim(), backend: c.backend, tol: c.params.Tol},
+		a:      c.a,
+		params: c.params,
+		b:      c.rhs[0],
+		done:   make(chan waveResult, 1),
+	}
+	return c.member
+}
+
+// finish completes a begun call under ctx and renders its answer: a
+// *SolveResponse for a solo call, a *BatchSolveResponse for a batch. It
+// closes the solve path's only metrics bracket and, through apiError,
+// owns its only error mapping. The latency it records spans the whole
+// execution from begin, chip wait included — the pool queue for waves
+// and batches alike.
+func (s *Server) finish(ctx context.Context, c *call) (any, *APIError) {
 	r := s.dispatch(ctx, c)
-	elapsed := time.Since(start)
+	elapsed := time.Since(c.start)
 	s.metrics.inFlight.Add(-1)
 	// Latency is per request, not per item: the histogram measures what a
 	// caller waited for, so one batch is one observation even though each
@@ -178,17 +215,14 @@ func (s *Server) run(ctx context.Context, c *call) (any, *APIError) {
 	return s.render(c, r, elapsed), nil
 }
 
-// dispatch sends a call to its executor. An analog solo call enrolls in
-// the coalescer, keyed by operator fingerprint — parsed off a
-// by-reference request, hashed here for a by-value one; an analog batch
-// checks out its own chip; digital and decomposed calls need none. An
-// analog solo system no pool class can hold is promoted to the
-// decomposed fan-out instead of being rejected.
+// dispatch sends a begun call to its executor: an enrolled solo call
+// waits for its wave's lane, an analog batch checks out its own chip,
+// and digital and decomposed calls need none.
 func (s *Server) dispatch(ctx context.Context, c *call) waveResult {
-	p := c.params
-	if c.solo != nil && cli.IsAnalogBackend(c.backend) && s.pool.Fits(c.a) != nil {
-		c.backend = cli.BackendDecomposed
+	if c.member != nil {
+		return s.coalesce.wait(c.member)
 	}
+	p := c.params
 	switch {
 	case c.backend == cli.BackendDecomposed:
 		p.Provider = s.decompProvider
@@ -197,13 +231,6 @@ func (s *Server) dispatch(ctx context.Context, c *call) waveResult {
 		}
 	case !cli.IsAnalogBackend(c.backend):
 		// Digital: no chip, straight to the executor below.
-	case c.solo != nil:
-		fp := c.fp
-		if !c.byRef {
-			fp = la.Fingerprint(c.a)
-		}
-		key := waveKey{fp: fp, n: c.a.Dim(), backend: c.backend, tol: p.Tol}
-		return s.coalesce.solve(ctx, key, c.a, c.rhs[0], p)
 	default:
 		pc, err := s.pool.Checkout(ctx, c.a)
 		if err != nil {

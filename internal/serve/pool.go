@@ -286,34 +286,6 @@ func (p *Pool) Checkout(ctx context.Context, a core.Matrix) (*PooledChip, error)
 	return nil, fmt.Errorf("serve: no pool class up to %d fits the system: %w", p.cfg.MaxDim, lastFit)
 }
 
-// HasIdleResident reports whether a free chip already holds this matrix
-// programmed — the coalescer's early-close probe: when true, an opening
-// wave fires immediately instead of waiting out its window, because the
-// settle can start now on a warm chip. Advisory only (the chip may be
-// taken before the wave's checkout); the scan mirrors Checkout's class
-// walk and cached-match preference without moving anything.
-func (p *Pool) HasIdleResident(a core.Matrix) bool {
-	fp, n := la.Fingerprint(a), a.Dim()
-	for class := p.classFor(n); class <= p.cfg.MaxDim; class *= 2 {
-		sp := p.subpoolFor(class)
-		if core.SpecFits(sp.spec, a) != nil {
-			continue
-		}
-		sp.mu.Lock()
-		for _, c := range sp.free {
-			if c.hasResident && c.residentFP == fp && c.residentN == n {
-				sp.mu.Unlock()
-				return true
-			}
-		}
-		sp.mu.Unlock()
-		// Checkout serves from the first fitting class, so residents for
-		// this operator can only live here.
-		return false
-	}
-	return false
-}
-
 // Fits reports whether some class up to MaxDim can program the matrix —
 // nil, or the error Checkout would fail with (core.ErrTooLarge for
 // systems beyond every class). The request router uses it to send

@@ -276,8 +276,8 @@ type SolveResponse struct {
 	Affinity string `json:"affinity,omitempty"`
 	// Coalesced reports that this solve shared a lane wave with other
 	// concurrent same-operator requests; WaveLanes is the wave width it
-	// rode in (1 when the window closed with no companions; absent when
-	// coalescing is disabled or the solve never touched a chip). Answers
+	// rode in (1 when it sealed with no companions; absent when the solve
+	// never rode a wave: digital and decomposed backends). Answers
 	// are bit-identical either way — this is provenance, not semantics.
 	Coalesced bool `json:"coalesced,omitempty"`
 	WaveLanes int  `json:"wave_lanes,omitempty"`

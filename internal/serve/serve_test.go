@@ -357,17 +357,15 @@ func TestServeDeadline(t *testing.T) {
 	}
 }
 
-// TestNewRejectsRetiredModes checks the startup errors that replaced two
-// retired modes: a negative coalesce window (every analog solve rides a
-// wave; there is no off switch) and the retired "compiled" engine, whose
-// error must name the engines that remain.
+// TestNewRejectsRetiredModes checks the startup error that replaced a
+// retired mode: the retired "compiled" engine, whose error must name the
+// engines that remain.
 func TestNewRejectsRetiredModes(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
 		wants []string
 	}{
-		{"negative window", Config{Pool: testPoolConfig(), CoalesceWindow: -time.Millisecond}, []string{"coalesce window"}},
 		{"compiled engine", Config{Pool: PoolConfig{MinClass: 2, MaxDim: 32, WarmSizes: []int{}, Engine: "compiled"}},
 			[]string{"compiled", "auto", "interpreter", "fused"}},
 	}

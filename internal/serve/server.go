@@ -44,13 +44,6 @@ type Config struct {
 	MaxBatchRHS int
 	// Tol is the default solve tolerance for requests that carry none.
 	Tol float64
-	// CoalesceWindow bounds how long an analog solo solve may wait for
-	// same-operator companions before its wave fires (default 500µs; a
-	// group also closes early when 16 lanes fill or the operator already
-	// has an idle resident chip). Every analog solo solve rides a wave —
-	// a lone request a wave of one — so there is no off switch: New
-	// rejects a negative window.
-	CoalesceWindow time.Duration
 
 	// JobStore is the async job journal path. Empty runs the job queue
 	// in memory: the /v1/jobs API works, but submissions do not survive
@@ -107,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tol <= 0 {
 		c.Tol = 1e-8
-	}
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = 500 * time.Microsecond
 	}
 	if c.JobWorkers == 0 {
 		c.JobWorkers = 2
@@ -176,9 +166,6 @@ type Server struct {
 // (reclaiming leases orphaned by a crash), and starts the async
 // executors.
 func New(cfg Config) (*Server, error) {
-	if cfg.CoalesceWindow < 0 {
-		return nil, fmt.Errorf("serve: negative coalesce window %v: every analog solve rides a wave (0 selects the default)", cfg.CoalesceWindow)
-	}
 	cfg = cfg.withDefaults()
 	pool, err := NewPool(cfg.Pool)
 	if err != nil {
@@ -193,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		solveBatch: cli.SolveSystemBatch,
 	}
 	s.decompProvider = pool.DecompProvider()
-	s.coalesce = newCoalescer(s, cfg.CoalesceWindow)
+	s.coalesce = newCoalescer(s)
 	// The job queue opens first so the registry can learn which operator
 	// fingerprints replayed (still-queued) by-reference payloads depend
 	// on: those are pinned through the registry's own replay, exempting
@@ -226,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: opening operator registry: %w", err)
 	}
 	if cfg.JobWorkers > 0 {
-		s.workers = jobs.StartWorkers(s.jobs, cfg.JobWorkers, s.executeJob, cfg.JobExecDelay)
+		s.workers = jobs.StartWorkers(s.jobs, cfg.JobWorkers, s.executeJobs, cfg.JobExecDelay)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -461,7 +448,8 @@ func (s *Server) SolveBatchDecoded(ctx context.Context, req *BatchSolveRequest) 
 // admitAndRun is the synchronous half of the request pipeline: the
 // per-request deadline, clamped to the server's ceiling and propagated
 // down to the chip's settle loop; one bounded admission slot; then
-// resolve and run, shared with the async executor.
+// resolve, begin (an analog solo call joins the coalescer alone) and
+// finish, shared with the async executor.
 func (s *Server) admitAndRun(ctx context.Context, solo *SolveRequest, batch *BatchSolveRequest, timeoutMs int) (any, *APIError) {
 	ctx, cancel := context.WithTimeout(ctx, s.clampTimeout(timeoutMs))
 	defer cancel()
@@ -474,7 +462,10 @@ func (s *Server) admitAndRun(ctx context.Context, solo *SolveRequest, batch *Bat
 	if aerr != nil {
 		return nil, aerr
 	}
-	return s.run(ctx, c)
+	if m := s.begin(ctx, c); m != nil {
+		s.coalesce.join(m)
+	}
+	return s.finish(ctx, c)
 }
 
 // handleSolve is the synchronous solve path: decode → admit (bounded,

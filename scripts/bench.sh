@@ -59,7 +59,7 @@ case "$SUITE" in
 	PKG=./internal/serve
 	BENCH='HotOperator16|SolveRoundTrip'
 	BENCHTIME="${2:-600x}"
-	DESC="dynamic micro-batching: 16 workers hammering one hot operator through the HTTP path with the default coalescing window (solves/s, wave occupancy, coalesced fraction), plus the single-stream round-trip allocation probe"
+	DESC="dynamic micro-batching: 16 workers hammering one hot operator through the HTTP path, waves formed at chip checkout (solves/s, wave occupancy, coalesced fraction), plus the single-stream round-trip allocation probe"
 	;;
 9)
 	PKG=./internal/serve

@@ -52,14 +52,18 @@ go test -race -count=2 -run 'Job|Journal|Retry|Busy' ./internal/serve
 # decomposed, async-job, and gzip-upload paths.
 go test -race -count=2 -run 'TestRegistry|TestOperator' ./internal/serve
 
-# Micro-batching coalescer: wave formation races enrollment against
-# window close, full close, checkout-stall boarding, and per-member
-# deadline abandonment — the churn test drives 96 requests over 4
-# operators with mixed deadlines through 16 workers, twice under -race.
-# The cross-path differential holds the solo, coalesced, batch, 1-RHS
-# batch, solve-job and batch-job paths (by value and by reference)
-# bit-identical to the solo answer on the one execution path.
-go test -race -count=2 -run 'TestCoalesce|TestCrossPath' ./internal/serve
+# Micro-batching coalescer: a wave goes straight to chip checkout, so
+# formation races enrollment against the checkout handoff, the boarding
+# debounce, the 16-lane close and per-member deadline abandonment — the
+# churn test drives 96 requests over 4 operators with mixed deadlines
+# through 16 workers, twice under -race. The bit-identity tests gather
+# their waves by holding the pool's chips until every member has
+# enrolled. The cross-path differential holds the solo, coalesced,
+# batch, 1-RHS batch, solve-job and batch-job paths (by value and by
+# reference) bit-identical to the solo answer on the one execution
+# path, and the job-wave test holds sixteen queued same-operator jobs,
+# leased as one group, to one 16-lane wave of solo-identical answers.
+go test -race -count=2 -run 'TestCoalesce|TestCrossPath|TestJobGroupRidesOneWave' ./internal/serve
 
 # Federation router: rendezvous routing, concurrent membership polls,
 # remote block scatter-gather, and the zipf load generator all mix
@@ -126,3 +130,10 @@ go test -run '^$' -fuzz '^FuzzLaneBatchWidths$' -fuzztime 20s ./internal/core
 # matrix round-trips through its writer to the same CSR.
 go test -run '^$' -fuzz '^FuzzReadMatrixMarket$' -fuzztime 20s ./internal/la
 go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 20s ./internal/la
+
+# 20 s each of random request bodies through the server's decoder, plain
+# and gzip (no panic, the body limit holds on the wire and after
+# inflation), and of random strings through the fingerprint wire form
+# (no panic, every formatted fingerprint parses back to itself).
+go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s ./internal/serve
+go test -run '^$' -fuzz '^FuzzParseFingerprint$' -fuzztime 20s ./internal/serve

@@ -142,12 +142,8 @@ func main() {
 	// keeps the largest chip class small so step 4 can exercise the
 	// decomposed fan-out path with a modest n=16 system; -engine fused is
 	// the lane-capable kernel, so step 3.5's batch must report settling
-	// lane-parallel. The widened coalescing window makes step 3.7
-	// deterministic on a loaded CI box: concurrent requests that arrive a
-	// few hundred microseconds apart still land in one wave (it costs the
-	// other solo steps at most 5ms each).
-	d := startDaemon(*aladPath, "-pool", "1", "-warm", "2", "-queue", "8", "-max-dim", "8", "-engine", "fused",
-		"-coalesce-window", "5ms")
+	// lane-parallel. -pool 1 gives step 3.7's waves one chip to queue for.
+	d := startDaemon(*aladPath, "-pool", "1", "-warm", "2", "-queue", "8", "-max-dim", "8", "-engine", "fused")
 	defer d.cmd.Process.Kill()
 	client := d.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -242,11 +238,12 @@ func main() {
 	// 3.7. Micro-batching coalescer: eight concurrent identical solo
 	// solves of a fresh operator (n=8, so the settle is long enough for
 	// genuine overlap) must share lane waves instead of settling one at
-	// a time on the single chip. The first request may win the chip
-	// alone, but the rest pile into a shared wave while it holds it, so
-	// a majority must report wave_lanes > 1, every residual must clear
-	// the tolerance, and — packing independence — every lane's answer
-	// must be bit-identical to every other's.
+	// a time on the single chip. A wave does not wait for companions: the
+	// first request may take the chip alone, but the others board the next
+	// wave while it holds the chip, so at least two must report
+	// wave_lanes > 1, every residual must clear the tolerance, and —
+	// packing independence — every lane's answer must be bit-identical
+	// to every other's.
 	var (
 		coWG    sync.WaitGroup
 		coMu    sync.Mutex
