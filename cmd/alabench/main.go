@@ -8,6 +8,7 @@
 //	alabench -e fig8
 //	alabench -e all -quick
 //	alabench -e fig12 -csv -o fig12.csv
+//	alabench -check experiments_full.txt
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 
 	"analogacc"
+	"analogacc/internal/bench"
 )
 
 func main() {
@@ -28,8 +30,17 @@ func main() {
 		out   = flag.String("o", "", "write output to a file instead of stdout")
 		quiet = flag.Bool("q", false, "suppress progress messages")
 		jobs  = flag.Int("j", 0, "max concurrent sweep points/experiments (0 = GOMAXPROCS, 1 = sequential)")
+		check = flag.String("check", "", "rerun every section of this saved text output and fail on any cell or note that differs (host-timed cells and the federation section excepted)")
 	)
 	flag.Parse()
+
+	cfg := analogacc.ExperimentConfig{Quick: *quick, Jobs: *jobs}
+	if !*quiet {
+		cfg.Progress = os.Stderr
+	}
+	if *check != "" {
+		os.Exit(runCheck(cfg, *check))
+	}
 
 	if *list {
 		for _, e := range analogacc.Experiments() {
@@ -51,11 +62,6 @@ func main() {
 		}
 		defer f.Close()
 		w = f
-	}
-
-	cfg := analogacc.ExperimentConfig{Quick: *quick, Jobs: *jobs}
-	if !*quiet {
-		cfg.Progress = os.Stderr
 	}
 
 	var targets []analogacc.Experiment
@@ -90,4 +96,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// runCheck reruns the experiments behind a saved output file and prints
+// every difference; it returns the process exit code.
+func runCheck(cfg analogacc.ExperimentConfig, path string) int {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "alabench: %v\n", err)
+		return 1
+	}
+	defer f.Close()
+	diffs, err := bench.Check(cfg, f)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "alabench: checking %s: %v\n", path, err)
+		return 1
+	}
+	for _, d := range diffs {
+		fmt.Println(d)
+	}
+	if len(diffs) > 0 {
+		fmt.Fprintf(os.Stderr, "alabench: %s: %d differences\n", path, len(diffs))
+		return 1
+	}
+	fmt.Printf("%s: every checked cell and note matches\n", path)
+	return 0
 }

@@ -60,7 +60,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 64, "largest number of right-hand sides one /v1/solve/batch request may carry")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-request solve deadline")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight solves")
-		engine    = flag.String("engine", "auto", "simulation kernel for pooled chips: auto | interpreter | fused (the two are bit-identical; an unknown name fails at startup)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
 		federate   = flag.Bool("federation", false, "enable the fingerprint-affinity federation router (requires -advertise; use -peers for a multi-node cluster)")
@@ -97,7 +96,6 @@ func main() {
 			MaxDim:        *maxDim,
 			ADCBits:       *adcBits,
 			Bandwidth:     *bandwidth,
-			Engine:        *engine,
 		},
 		QueueBound:     *queue,
 		MaxBatchRHS:    *maxBatch,
@@ -151,8 +149,8 @@ func main() {
 		log.Fatalf("alad: %v", err)
 	}
 	httpSrv := &http.Server{Handler: handler}
-	log.Printf("alad: listening on %s (pool %d/class, warm %v, queue %d, engine %s)",
-		ln.Addr(), *pool, warmSizes, *queue, *engine)
+	log.Printf("alad: listening on %s (pool %d/class, warm %v, queue %d)",
+		ln.Addr(), *pool, warmSizes, *queue)
 	if router != nil {
 		log.Printf("alad: federation on as %s (peers %v, affinity %v, poll %v)",
 			nodeName, federation.SplitEndpoints(*peers), !*noAffinity, *pollEvery)

@@ -45,7 +45,6 @@ func main() {
 		adcBits   = flag.Int("adc-bits", 12, "analog chip converter resolution")
 		bandwidth = flag.Float64("bandwidth", 20e3, "analog bandwidth in Hz")
 		calibrate = flag.Bool("calibrate", false, "run the chip init calibration first")
-		engine    = flag.String("engine", "", "simulation kernel for local analog backends: auto | interpreter | fused (default auto; the two are bit-identical)")
 		maxLanes  = flag.Int("max-lanes", 0, "batch mode: cap on lane-parallel right-hand sides per wave (0 = device limit, 1 = sequential); bit-identical at any width")
 		jobs      = flag.Int("j", 0, "decomposed backend: chips to fan block solves out over (default: one per block; local solves build max(j,2) chips)")
 		blockSize = flag.Int("block", 0, "decomposed backend: variables per block (default: auto)")
@@ -172,7 +171,6 @@ func main() {
 			ADCBits:   *adcBits,
 			Bandwidth: *bandwidth,
 			Calibrate: *calibrate,
-			Engine:    *engine,
 			MaxLanes:  *maxLanes,
 		})
 		return
@@ -204,7 +202,6 @@ func main() {
 			ADCBits:   *adcBits,
 			Bandwidth: *bandwidth,
 			Calibrate: *calibrate,
-			Engine:    *engine,
 			Workers:   *jobs,
 			BlockSize: *blockSize,
 		})

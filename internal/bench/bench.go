@@ -20,6 +20,10 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Timed lists the cells, as {row, column}, that hold this host's
+	// wall-clock measurements: they differ between runs of one build, so
+	// Diff lets them differ.
+	Timed [][2]int
 }
 
 // AddRow appends a formatted row; values are stringified with %v unless
@@ -164,6 +168,9 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Config) (*Table, error)
+	// Varies marks an experiment whose numbers differ between runs of one
+	// build (live HTTP traffic and its scheduling); Check skips it.
+	Varies bool
 }
 
 var registry = map[string]Experiment{}

@@ -117,6 +117,7 @@ func runDDACompare(cfg Config) (*Table, error) {
 	t.AddRow("CPU fp64 CG", relErr(res.X),
 		fmt.Sprintf("%.3e s wall", time.Since(start).Seconds()),
 		fmt.Sprintf("%d iterations, %d MACs", res.Iterations, res.MACs))
+	t.markTimed(2)
 
 	t.Notes = append(t.Notes,
 		"all three integrate/iterate the same du/dt = b − A·u flow; the DDA, like the analog computer, carries unit-bounded coefficients and needs the same value scaling (Section VII: DDAs \"faced difficulties in number dynamic range and scaling\")",

@@ -73,6 +73,7 @@ func runEngines(cfg Config) (*Table, error) {
 				}
 			}
 			t.AddRow(prob.Grid.N(), eng, fmt.Sprintf("%.3e", wall), fmt.Sprintf("%.3e", stats.SettleTime), match)
+			t.markTimed(2)
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -13,9 +13,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "federation",
-		Title: "Fingerprint-affinity federation: zipf load routed with affinity vs without vs single node",
-		Run:   runFederation,
+		ID:     "federation",
+		Title:  "Fingerprint-affinity federation: zipf load routed with affinity vs without vs single node",
+		Run:    runFederation,
+		Varies: true,
 	})
 }
 

@@ -172,6 +172,7 @@ func runFig8(cfg Config) (*Table, error) {
 	}
 	for _, row := range rows {
 		t.AddRow(row...)
+		t.markTimed(1)
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: analog time grows ∝ N, digital CG ∝ N^1.5; prototype-bandwidth parity near 650 integrators on the 2009-era Xeon",

@@ -103,21 +103,6 @@ func benchmarkStep(b *testing.B, reference bool) {
 
 func BenchmarkStepReference(b *testing.B) { benchmarkStep(b, true) }
 
-func benchmarkRunUntilSettled(b *testing.B, reference bool) {
-	sim := benchSimulator(b, 16, settleRHS, reference)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Reset()
-		if res := sim.RunUntilSettled(1e-4, 1.0, 16); !res.Settled {
-			b.Fatalf("did not settle: %+v", res)
-		}
-	}
-}
-
-func BenchmarkRunUntilSettledReference(b *testing.B) { benchmarkRunUntilSettled(b, true) }
-func BenchmarkRunUntilSettledFused(b *testing.B)     { benchmarkRunUntilSettled(b, false) }
-
 // TestBenchNetlistEnginesAgree keeps the benchmark netlist itself inside
 // the differential guarantee (it exercises the fanout-tree layout at a
 // scale the randomized tests do not reach).

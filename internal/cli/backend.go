@@ -79,14 +79,10 @@ type SolveParams struct {
 	Bandwidth float64
 	// Calibrate runs the chip init sequence before solving.
 	Calibrate bool
-	// Engine names the simulation kernel for analog backends ("auto",
-	// "interpreter", "fused"; empty = auto). Engines are
-	// bit-identical, so this changes speed, never answers.
-	Engine string
 	// MaxLanes caps how many right-hand sides a batch solve drives
-	// lane-parallel through the fused engine (0 = device limit, 1 =
-	// sequential). Lane widths are bit-identical, so like Engine this
-	// changes speed, never answers.
+	// lane-parallel through the chip (0 = device limit, 1 = one at a
+	// time). Lane widths are bit-identical, so this changes speed, never
+	// answers.
 	MaxLanes int
 	// Acc, if non-nil, is a pre-built accelerator the analog backends run
 	// on (the serve pool's warm chips); nil builds a chip sized by
@@ -137,8 +133,8 @@ type Outcome struct {
 	Overflows   int
 	Refinements int
 	ScaleS      float64
-	// Lanes is the widest lane wave this answer settled in (batch solves
-	// on the fused engine); 0 when every run took the scalar path.
+	// Lanes is the widest lane wave this answer settled in; 0 when every
+	// run took the scalar path.
 	Lanes int
 	// Decompose carries the outer-iteration stats of a decomposed solve.
 	Decompose *core.DecomposeStats
@@ -161,41 +157,12 @@ func SolveSystem(ctx context.Context, backend string, a *la.CSR, b la.Vector, p 
 	}
 	switch backend {
 	case BackendAnalog, BackendAnalogRefined:
-		acc := p.Acc
-		if acc == nil {
-			var err error
-			acc, _, err = core.NewSimulated(SpecFor(a, p.ADCBits, p.Bandwidth))
-			if err != nil {
-				return Outcome{}, fmt.Errorf("cli: building chip: %w", err)
-			}
-		}
-		opt := core.SolveOptions{Tolerance: p.Tol, Calibrate: p.Calibrate, Engine: p.Engine}
-		var (
-			u     la.Vector
-			stats core.Stats
-			err   error
-		)
-		if backend == BackendAnalog {
-			u, stats, err = acc.SolveCtx(ctx, a, b, opt)
-		} else {
-			u, stats, err = acc.SolveRefinedCtx(ctx, a, b, opt)
-		}
+		// A solo analog solve is a one-item batch.
+		outs, err := solveAnalog(ctx, backend, a, []la.Vector{b}, p)
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{
-			U: u,
-			Note: fmt.Sprintf("analog time %.3e s, %d runs, %d refinements, %d rescales, value scale S=%.4g",
-				stats.AnalogTime, stats.Runs, stats.Refinements, stats.Rescales, stats.Scaling.S),
-			Analog:      true,
-			AnalogTime:  stats.AnalogTime,
-			SettleTime:  stats.SettleTime,
-			Runs:        stats.Runs,
-			Rescales:    stats.Rescales,
-			Overflows:   stats.Overflows,
-			Refinements: stats.Refinements,
-			ScaleS:      stats.Scaling.S,
-		}, nil
+		return outs[0], nil
 	case BackendDecomposed:
 		return solveDecomposed(ctx, a, b, p)
 	case BackendDirect:
@@ -221,10 +188,10 @@ func SolveSystem(ctx context.Context, backend string, a *la.CSR, b la.Vector, p 
 // SolveSystemBatch runs A·u = rhs[k] for every right-hand side on the
 // named backend. On the analog backends the matrix is compiled onto the
 // chip once (a core.Session) and only the DAC biases are rewritten
-// between items — a batch of N costs one configuration, not N — and the
-// learned dynamic-range scale carries across items. Other backends solve
-// the items sequentially. Outcomes are positional; the first failing item
-// aborts the batch with its index in the error.
+// between items — a batch of N costs one configuration, not N. Other
+// backends solve the items sequentially. Outcomes are positional; the
+// first failing item aborts the batch with its index in the error, and a
+// one-item batch fails exactly like SolveSystem.
 func SolveSystemBatch(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p SolveParams) ([]Outcome, error) {
 	p = p.withDefaults()
 	if !ValidBackend(backend) {
@@ -236,17 +203,27 @@ func SolveSystemBatch(ctx context.Context, backend string, a *la.CSR, rhs []la.V
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !IsAnalogBackend(backend) {
-		outs := make([]Outcome, len(rhs))
-		for k, b := range rhs {
-			out, err := SolveSystem(ctx, backend, a, b, p)
-			if err != nil {
-				return nil, fmt.Errorf("cli: batch rhs %d: %w", k, err)
-			}
-			outs[k] = out
-		}
-		return outs, nil
+	if IsAnalogBackend(backend) {
+		return solveAnalog(ctx, backend, a, rhs, p)
 	}
+	outs := make([]Outcome, len(rhs))
+	for k, b := range rhs {
+		out, err := SolveSystem(ctx, backend, a, b, p)
+		if err != nil {
+			if len(rhs) > 1 {
+				err = fmt.Errorf("cli: batch rhs %d: %w", k, err)
+			}
+			return nil, err
+		}
+		outs[k] = out
+	}
+	return outs, nil
+}
+
+// solveAnalog runs the right-hand sides on one chip (p.Acc, or one built
+// by SpecFor) as a core batch, plain or refined, and is the one place an
+// analog Outcome is built.
+func solveAnalog(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p SolveParams) ([]Outcome, error) {
 	acc := p.Acc
 	if acc == nil {
 		var err error
@@ -257,9 +234,9 @@ func SolveSystemBatch(ctx context.Context, backend string, a *la.CSR, rhs []la.V
 	}
 	sess, err := acc.BeginSession(a)
 	if err != nil {
-		return nil, fmt.Errorf("cli: compiling batch matrix: %w", err)
+		return nil, err
 	}
-	opt := core.SolveOptions{Tolerance: p.Tol, Calibrate: p.Calibrate, Engine: p.Engine, MaxLanes: p.MaxLanes}
+	opt := core.SolveOptions{Tolerance: p.Tol, Calibrate: p.Calibrate, MaxLanes: p.MaxLanes}
 	var (
 		us    []la.Vector
 		stats []core.Stats
@@ -273,8 +250,7 @@ func SolveSystemBatch(ctx context.Context, backend string, a *la.CSR, rhs []la.V
 		return nil, err
 	}
 	outs := make([]Outcome, len(rhs))
-	for k := range rhs {
-		st := stats[k]
+	for k, st := range stats {
 		note := fmt.Sprintf("analog time %.3e s, %d runs, %d refinements, %d rescales, value scale S=%.4g",
 			st.AnalogTime, st.Runs, st.Refinements, st.Rescales, st.Scaling.S)
 		if st.Lanes > 1 {
@@ -344,7 +320,7 @@ func solveDecomposed(ctx context.Context, a *la.CSR, b la.Vector, p SolveParams)
 			BlockSize:      size,
 			Jacobi:         true,
 			OuterTolerance: p.Tol,
-			Inner:          core.SolveOptions{Tolerance: innerTol, Engine: p.Engine, MaxLanes: p.MaxLanes},
+			Inner:          core.SolveOptions{Tolerance: innerTol, MaxLanes: p.MaxLanes},
 		},
 		OnSweep: p.OnSweep,
 	}

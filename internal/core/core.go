@@ -58,10 +58,6 @@ var (
 	// (Section VI-D's dynamic-range trade at its breaking point). Use a
 	// higher-resolution ADC or decompose into better-conditioned blocks.
 	ErrUnresolvable = errors.New("core: system conditioning exceeds ADC resolution at this scale")
-	// ErrEngineUnavailable: SolveOptions.Engine (or SelectEngine) was set
-	// but the chip behind this driver offers no engine knob — it is not a
-	// simulated device on the in-memory loopback.
-	ErrEngineUnavailable = errors.New("core: transport exposes no simulation-engine selection")
 )
 
 // Accelerator is the host-side driver for one analog accelerator chip.
@@ -83,7 +79,8 @@ type Accelerator struct {
 	biasMulBase int
 	// laneSupport caches the lane-batched-mode probe: 0 unknown, 1 the
 	// device accepted a setLanes commit, -1 it answered StatusBadOpcode
-	// (an older device; batches stay sequential without re-probing).
+	// (an older device) or refused lane mode at commit (a noisy or
+	// interpreter datapath); batches then run scalar without re-probing.
 	laneSupport int8
 }
 
@@ -117,34 +114,6 @@ func NewSimulated(spec chip.Spec) (*Accelerator, *chip.Chip, error) {
 
 // Spec returns the chip design this driver compiles against.
 func (acc *Accelerator) Spec() chip.Spec { return acc.spec }
-
-// engineSelector is the side-band capability a simulated device exposes
-// for switching its evaluation kernel (chip.Chip implements it). The
-// second argument is an ignored worker bound, kept so the perfbench
-// module's traced transport, which implements this form, still satisfies
-// the interface; callers pass 0.
-type engineSelector interface {
-	SelectEngine(name string, workers int) error
-}
-
-// SelectEngine switches the simulation kernel of the chip behind this
-// driver ("auto", "interpreter", "fused"). Engines are bit-identical, so
-// this never changes a solution — only how fast the simulated physics
-// runs. It is a side-band knob reachable only over the in-memory
-// loopback, or over a transport that implements engineSelector; any
-// other transport reports ErrEngineUnavailable.
-func (acc *Accelerator) SelectEngine(name string) error {
-	t := acc.host.Transport()
-	if lb, ok := t.(*isa.Loopback); ok {
-		if es, ok := lb.Dev().(engineSelector); ok {
-			return es.SelectEngine(name, 0)
-		}
-	}
-	if es, ok := t.(engineSelector); ok {
-		return es.SelectEngine(name, 0)
-	}
-	return ErrEngineUnavailable
-}
 
 // Host exposes the raw ISA driver (examples use it for low-level access).
 func (acc *Accelerator) Host() *isa.Host { return acc.host }

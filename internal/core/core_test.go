@@ -803,11 +803,12 @@ func TestPoolChipEnginesIdentical(t *testing.T) {
 	solve := func(engine string) (la.Vector, Stats) {
 		spec := chip.ScaledSpec(16, 12, 20e3, 8)
 		spec.Seed = 1
+		spec.Engine = engine
 		acc := simAcc(t, spec)
 		if _, err := acc.Calibrate(); err != nil {
 			t.Fatal(err)
 		}
-		u, stats, err := acc.SolveRefined(a, b, SolveOptions{Tolerance: 1e-8, Engine: engine})
+		u, stats, err := acc.SolveRefined(a, b, SolveOptions{Tolerance: 1e-8})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}

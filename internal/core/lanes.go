@@ -17,8 +17,9 @@ const MaxBatchLanes = 16
 // errLanesUnsupported signals (internally) that the device behind this
 // driver has no lane-batched mode: either it answered setLanes with
 // StatusBadOpcode (an older device), or the commit rejected the lane
-// configuration (noisy spec, non-fused engine). The batch entry points
-// catch it and run the scalar sequential path instead.
+// configuration (a noisy spec, or a chip built on the interpreter
+// engine). The pass executor catches it and runs its jobs scalar instead;
+// the probe is not repeated (Accelerator.laneSupport).
 var errLanesUnsupported = errors.New("core: device has no lane-batched mode")
 
 // BatchItem is one right-hand side of SolveBatchRefinedItems, carrying the
@@ -33,8 +34,7 @@ type BatchItem struct {
 
 // startSigma is the solution-scale policy of a solve attempt: the learned
 // gain (or an explicit hint) seeds sigma, floored so the scaled bias still
-// fits the bias-gain path. Factored out of SolveForCtx so the lane engine
-// starts every job at exactly the scale the scalar path would.
+// fits the bias-gain path.
 func (s *Session) startSigma(rhs la.Vector, gain float64, opt SolveOptions) float64 {
 	sigma := initialSigma(rhs, s.sc.S)
 	if opt.SigmaHint > 0 {
@@ -50,15 +50,25 @@ func (s *Session) startSigma(rhs la.Vector, gain float64, opt SolveOptions) floa
 	return sigma
 }
 
-// restoreScale reprograms the session at value scale S if a dynamic-range
+// startJob readies a job for its first attempt at the session's current
+// value scale: σ from the job's learned gain, every other field fresh.
+func (s *Session) startJob(job *settleJob, opt SolveOptions) {
+	*job = settleJob{
+		idx: job.idx, rhs: job.rhs, gain: job.gain,
+		sigma: s.startSigma(job.rhs, job.gain, opt),
+		stats: Stats{Scaling: s.sc},
+	}
+}
+
+// setScale reprograms the session at value scale S if a dynamic-range
 // boost moved it. Batch items all solve from batch-entry state, so a boost
-// a fallback item picked up must not leak into its successors.
-func (s *Session) restoreScale(entryS float64) error {
-	if s.sc.S == entryS {
+// one item picked up must not leak into its successors.
+func (s *Session) setScale(S float64) error {
+	if s.sc.S == S {
 		return nil
 	}
-	s.sc.S = entryS
-	s.as = newScaledView(s.a, entryS)
+	s.sc.S = S
+	s.as = newScaledView(s.a, S)
 	if err := s.acc.program(s.as, la.NewVector(s.n), nil); err != nil {
 		return err
 	}
@@ -66,42 +76,15 @@ func (s *Session) restoreScale(entryS float64) error {
 	return nil
 }
 
-// laneEligible reports whether a batch of nItems may try the lane-batched
-// path. Lanes model a noise-free datapath (one shared op stream cannot
-// carry independent noise draws), need at least two items to pay for the
-// mode switch, and only the fused engine family implements them.
-func (s *Session) laneEligible(nItems int, opt SolveOptions) bool {
-	if nItems < 2 || opt.MaxLanes == 1 {
-		return false
-	}
-	if s.acc.spec.NoiseSigma != 0 || s.acc.laneSupport < 0 {
-		return false
-	}
-	switch opt.Engine {
-	case "", "auto", "fused":
-		return true
-	}
-	return false
-}
-
-// laneBatchPrep readies the chip for lane waves: calibration, matrix
-// ownership, and the fused engine (lanes only exist there; all engines are
-// bit-identical so forcing it never changes a result).
-func (s *Session) laneBatchPrep(opt SolveOptions) error {
+// prepare readies the chip for a pass: calibration when asked, and the
+// session's matrix programmed.
+func (s *Session) prepare(opt SolveOptions) error {
 	if opt.Calibrate && !s.acc.calibrated {
 		if _, err := s.acc.Calibrate(); err != nil {
 			return err
 		}
 	}
-	if err := s.ensureOwned(); err != nil {
-		return err
-	}
-	// No engine knob (not an in-memory simulated chip) is fine: the
-	// setLanes probe decides whether the device has lanes.
-	if err := s.acc.SelectEngine("fused"); err != nil && !errors.Is(err, ErrEngineUnavailable) {
-		return err
-	}
-	return nil
+	return s.ensureOwned()
 }
 
 // exitLaneMode returns the chip to scalar mode after a batch. It must run
@@ -175,276 +158,72 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*settleJob, opt Solv
 	return nil
 }
 
-// solveBatchLanes is SolveBatch's lane-parallel path: every item solves
-// from batch-entry session state (entry sigmaGain, entry value scale), so
-// results are independent of wave packing and identical to solving each
-// right-hand side alone. Returns errLanesUnsupported untouched when the
-// device has no lane mode.
-func (s *Session) solveBatchLanes(ctx context.Context, rhs []la.Vector, opt SolveOptions, us []la.Vector, stats []Stats) error {
-	if err := s.laneBatchPrep(opt); err != nil {
+// solvePass is the one executor under every batch entry point: it readies
+// the chip and settles each job's right-hand side once, leaving the job
+// done (u, gain, stats) or failed (err). Every job solves from the
+// session's entry state — the entry value scale, and σ from its own
+// learned gain — so an answer does not depend on how the jobs are packed.
+// At least two jobs on a chip with lanes ride lane waves, and a lane job
+// that settles deep inside the dynamic range reruns alone from entry
+// state, because a boost reprograms the value scale all lanes share.
+// Otherwise each job runs the scalar attempt loop in turn. A failed job
+// ends the pass early, leaving later jobs unsolved; callers report the
+// first failed job in order. The returned error is the lane engine's own
+// transport or context failure.
+func (s *Session) solvePass(ctx context.Context, jobs []*settleJob, opt SolveOptions) error {
+	if err := s.prepare(opt); err != nil {
 		return err
 	}
-	entryS, entryGain := s.sc.S, s.sigmaGain
-	jobs := make([]settleJob, len(rhs))
-	queue := make([]*settleJob, 0, len(rhs))
-	for k, b := range rhs {
-		j := &jobs[k]
-		j.idx = k
-		j.rhs = b
-		if b.NormInf() == 0 {
-			j.u = la.NewVector(s.n)
-			j.stats = Stats{Scaling: s.sc}
-			j.done = true
-			continue
+	entryS := s.sc.S
+	if len(jobs) >= 2 && opt.MaxLanes != 1 && s.acc.spec.NoiseSigma == 0 && s.acc.laneSupport >= 0 {
+		// Lanes model a noise-free datapath: one shared op stream cannot
+		// carry independent noise draws.
+		for _, job := range jobs {
+			s.startJob(job, opt)
 		}
-		j.sigma = s.startSigma(b, entryGain, opt)
-		queue = append(queue, j)
-	}
-	if err := s.runLaneWaves(ctx, queue, opt); err != nil {
-		for k := range jobs {
-			stats[k] = jobs[k].stats
-		}
-		return err
-	}
-	// Boost fallbacks rerun on the scalar path, each from entry state; the
-	// lane attempt is discarded wholesale so the item's result and stats
-	// are exactly a standalone scalar solve's.
-	for k := range jobs {
-		job := &jobs[k]
-		if !job.fallback || job.err != nil {
-			continue
-		}
-		if err := s.restoreScale(entryS); err != nil {
-			job.err = err
-			break
-		}
-		s.sigmaGain = entryGain
-		u, st, err := s.SolveForCtx(ctx, job.rhs, opt)
-		job.stats = st
-		if err != nil {
-			job.err = err
-			break
-		}
-		job.u = u
-		job.gainOut = s.sigmaGain
-		job.done = true
-	}
-	for k := range jobs {
-		stats[k] = jobs[k].stats
-		us[k] = jobs[k].u
-	}
-	for k := range jobs {
-		if jobs[k].err != nil {
-			return fmt.Errorf("core: batch rhs %d: %w", k, jobs[k].err)
-		}
-	}
-	// The session leaves the batch carrying the last solved item's learned
-	// state, matching what a caller threading items one at a time would
-	// observe last.
-	for k := len(jobs) - 1; k >= 0; k-- {
-		job := &jobs[k]
-		if job.rhs.NormInf() == 0 {
-			continue
-		}
-		if !job.fallback {
-			if err := s.restoreScale(entryS); err != nil {
+		err := s.runLaneWaves(ctx, jobs, opt)
+		if !errors.Is(err, errLanesUnsupported) {
+			if err != nil {
 				return err
 			}
-			s.sc.Sigma = job.sigma
-			s.sigmaGain = job.gainOut
-		}
-		break
-	}
-	return nil
-}
-
-// solveBatchSequential is the scalar batch path, kept semantically
-// identical to the lane path: every item solves from batch-entry state, so
-// a batch computes the same numbers whether or not the device has lanes.
-func (s *Session) solveBatchSequential(ctx context.Context, rhs []la.Vector, opt SolveOptions, us []la.Vector, stats []Stats) error {
-	entryS, entryGain := s.sc.S, s.sigmaGain
-	for k, b := range rhs {
-		if err := s.restoreScale(entryS); err != nil {
-			return fmt.Errorf("core: batch rhs %d: %w", k, err)
-		}
-		s.sigmaGain = entryGain
-		u, st, err := s.SolveForCtx(ctx, b, opt)
-		stats[k] = st
-		if err != nil {
-			return fmt.Errorf("core: batch rhs %d: %w", k, err)
-		}
-		us[k] = u
-	}
-	return nil
-}
-
-// SolveBatchRefinedItems drives every item to opt.Tolerance by Algorithm 2
-// refinement, vectorizing each refinement pass across lanes: the active
-// items' residuals solve as one wave, each at its own learned scale.
-// Per-item Guess seeds the digital accumulator and per-item SigmaGain
-// seeds the dynamic-range scale — the state a decomposition sweep carries
-// per block. Returns positional solutions, stats, and each item's learned
-// sigmaGain for the caller to thread into its next batch.
-func (s *Session) SolveBatchRefinedItems(ctx context.Context, items []BatchItem, opt SolveOptions) ([]la.Vector, []Stats, []float64, error) {
-	opt = opt.withDefaults()
-	us := make([]la.Vector, len(items))
-	stats := make([]Stats, len(items))
-	gains := make([]float64, len(items))
-	for k, it := range items {
-		if len(it.RHS) != s.n {
-			return nil, stats, gains, fmt.Errorf("core: batch rhs %d: core: rhs length %d != %d", k, len(it.RHS), s.n)
-		}
-		if it.Guess != nil && len(it.Guess) != s.n {
-			return nil, stats, gains, fmt.Errorf("core: batch rhs %d: core: guess length %d != %d", k, len(it.Guess), s.n)
-		}
-		gains[k] = it.SigmaGain
-	}
-	if s.laneEligible(len(items), opt) {
-		handled, err := s.solveBatchRefinedLanes(ctx, items, opt, us, stats, gains)
-		if err != nil {
-			return nil, stats, gains, err
-		}
-		if handled {
-			return us, stats, gains, nil
-		}
-	}
-	for k, it := range items {
-		s.sigmaGain = it.SigmaGain
-		o := opt
-		o.Guess = it.Guess
-		u, st, err := s.SolveForRefinedCtx(ctx, it.RHS, o)
-		stats[k] = st
-		gains[k] = s.sigmaGain
-		if err != nil {
-			return nil, stats, gains, fmt.Errorf("core: batch rhs %d: %w", k, err)
-		}
-		us[k] = u
-	}
-	return us, stats, gains, nil
-}
-
-// solveBatchRefinedLanes is the wave-vectorized Algorithm 2 loop. Returns
-// handled=false (and no error) when the lane probe finds no device
-// support, before anything has been solved — the caller then runs the
-// sequential path from scratch.
-func (s *Session) solveBatchRefinedLanes(ctx context.Context, items []BatchItem, opt SolveOptions, us []la.Vector, stats []Stats, gains []float64) (bool, error) {
-	if err := s.laneBatchPrep(opt); err != nil {
-		return true, err
-	}
-	// Refinement already rescales every residual to full dynamic range, so
-	// the per-solve boost buys nothing (and it could not be applied per
-	// lane anyway): same forced setting as the scalar refined loop.
-	lopt := opt
-	lopt.DisableBoost = true
-	residuals := make([]la.Vector, len(items))
-	bns := make([]float64, len(items))
-	sigmas := make([]float64, len(items))
-	for k, it := range items {
-		us[k] = la.NewVector(s.n)
-		stats[k] = Stats{Scaling: s.sc}
-		sigmas[k] = s.sc.Sigma
-		bns[k] = it.RHS.NormInf()
-		if bns[k] == 0 {
-			continue
-		}
-		residuals[k] = la.NewVector(s.n)
-		if it.Guess != nil {
-			us[k].CopyFrom(it.Guess)
-			s.a.Apply(residuals[k], us[k])
-			for i := range residuals[k] {
-				residuals[k][i] = it.RHS[i] - residuals[k][i]
+			for _, job := range jobs {
+				if job.err != nil {
+					break
+				}
+				if job.fallback {
+					s.runAlone(ctx, job, entryS, opt)
+					if job.err != nil {
+						break
+					}
+				}
 			}
-		} else {
-			residuals[k].CopyFrom(it.RHS)
+			return nil
 		}
 	}
-	jobs := make([]settleJob, len(items))
-	active := make([]*settleJob, 0, len(items))
-	accumulate := func(k, pass int, u la.Vector, st Stats, sigma, gain float64) error {
-		stats[k].add(st)
-		stats[k].SettleTime += st.SettleTime
-		stats[k].Refinements++
-		us[k].Add(u)
-		sigmas[k] = sigma
-		gains[k] = gain
-		s.a.Apply(residuals[k], us[k])
-		for i := range residuals[k] {
-			residuals[k][i] = items[k].RHS[i] - residuals[k][i]
-		}
-		if !residuals[k].IsFinite() {
-			return fmt.Errorf("core: batch rhs %d: core: refinement diverged at pass %d", k, pass)
-		}
-		return nil
-	}
-	solvedAny := false
-	for pass := 0; pass < opt.MaxRefinements; pass++ {
-		active = active[:0]
-		for k := range items {
-			if bns[k] == 0 || residuals[k].NormInf() <= opt.Tolerance*bns[k] {
-				continue
-			}
-			j := &jobs[k]
-			*j = settleJob{idx: k, rhs: residuals[k]}
-			j.sigma = s.startSigma(residuals[k], gains[k], lopt)
-			active = append(active, j)
-		}
-		if len(active) == 0 {
+	for _, job := range jobs {
+		if s.runAlone(ctx, job, entryS, opt); job.err != nil {
 			break
 		}
-		if err := ctx.Err(); err != nil {
-			return true, fmt.Errorf("core: refinement aborted before pass %d: %w", pass, err)
-		}
-		if len(active) == 1 {
-			// One item left: a scalar pass is bit-identical and skips the
-			// lane-mode round trip.
-			k := active[0].idx
-			s.sigmaGain = gains[k]
-			u, st, err := s.SolveForCtx(ctx, residuals[k], lopt)
-			if err != nil {
-				return true, fmt.Errorf("core: batch rhs %d: core: refinement pass %d: %w", k, pass, err)
-			}
-			solvedAny = true
-			if err := accumulate(k, pass, u, st, st.Scaling.Sigma, s.sigmaGain); err != nil {
-				return true, err
-			}
-			continue
-		}
-		if err := s.runLaneWaves(ctx, active, lopt); err != nil {
-			if errors.Is(err, errLanesUnsupported) && !solvedAny {
-				return false, nil
-			}
-			return true, err
-		}
-		for _, j := range active {
-			if j.err != nil {
-				return true, fmt.Errorf("core: batch rhs %d: core: refinement pass %d: %w", j.idx, pass, j.err)
-			}
-		}
-		solvedAny = true
-		for _, j := range active {
-			if err := accumulate(j.idx, pass, j.u, j.stats, j.sigma, j.gainOut); err != nil {
-				return true, err
-			}
-		}
 	}
-	lastSolved := -1
-	for k := range items {
-		if bns[k] == 0 {
-			stats[k].Scaling = s.sc
-			continue
-		}
-		rn := residuals[k].NormInf() / bns[k]
-		stats[k].Residual = rn
-		stats[k].Scaling = Scaling{S: s.sc.S, Sigma: sigmas[k]}
-		lastSolved = k
-		if rn > opt.Tolerance {
-			return true, fmt.Errorf("core: batch rhs %d: core: residual %v after %d refinements (target %v): %w",
-				k, rn, opt.MaxRefinements, opt.Tolerance, ErrNotSettled)
-		}
+	return nil
+}
+
+// runAlone solves one job by the scalar attempt loop from the entry value
+// scale; any failure lands in job.err.
+func (s *Session) runAlone(ctx context.Context, job *settleJob, entryS float64, opt SolveOptions) {
+	if err := s.setScale(entryS); err != nil {
+		job.err = err
+		return
 	}
-	if lastSolved >= 0 {
-		s.sc.Sigma = sigmas[lastSolved]
-		s.sigmaGain = gains[lastSolved]
+	s.startJob(job, opt)
+	job.err = s.attempts(ctx, job, opt)
+}
+
+// itemErr names a failed item's position, unless the batch holds only
+// that item: a one-item batch is a solo solve and fails like one.
+func itemErr(k, items int, err error) error {
+	if items == 1 {
+		return err
 	}
-	return true, nil
+	return fmt.Errorf("core: batch rhs %d: %w", k, err)
 }

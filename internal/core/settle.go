@@ -18,6 +18,9 @@ type settleJob struct {
 	rhs    la.Vector // caller's right-hand side (never mutated)
 	sigma  float64   // current solution scale attempt
 	boosts int       // dynamic-range boosts so far (scalar attempts only)
+	// gain is the learned σ gain: the one the job starts from (see
+	// startJob), replaced by the one its answer learned once it is done.
+	gain float64
 
 	// Wave-local state, reset when the job joins a wave.
 	lane     int       // chip lane, or scalarLane
@@ -33,7 +36,6 @@ type settleJob struct {
 
 	// Results.
 	u        la.Vector
-	gainOut  float64
 	stats    Stats
 	err      error
 	fallback bool    // settled far inside the range (see finishJob)
@@ -172,16 +174,16 @@ func (s *Session) programWave(wave []*settleJob, floor float64, lanes bool) erro
 	if err := h.CfgCommit(); err != nil {
 		var de *isa.DeviceError
 		if lanes && errors.As(err, &de) && de.Status == isa.StatusBadState && s.acc.laneSupport <= 0 {
-			// The datapath cannot enter lane mode (noisy spec or a
-			// non-fused engine on a device without the knob): unstage
-			// and fall back without caching — a later engine switch may
-			// make lanes viable.
+			// The datapath cannot enter lane mode (a noisy spec, or a
+			// chip built on the interpreter engine): unstage, and stop
+			// probing — nothing on the host side changes either.
 			if e := h.SetLanes(0); e != nil {
 				return e
 			}
 			if e := h.CfgCommit(); e != nil {
 				return e
 			}
+			s.acc.laneSupport = -1
 			return errLanesUnsupported
 		}
 		return fmt.Errorf("core: commit: %w", err)
@@ -335,7 +337,7 @@ func (s *Session) settleWave(ctx context.Context, wave []*settleJob, opt SolveOp
 // the dynamic range is marked fallback instead, while a boost is allowed:
 // a scalar attempt then boosts the session's value scale and runs again,
 // and a lane job — boosts reprogram the shared value scale, which cannot
-// happen per lane — reruns on the scalar path from batch-entry state.
+// happen per lane — reruns alone from batch-entry state (solvePass).
 func (s *Session) finishJob(job *settleJob, settleAt float64, opt SolveOptions) error {
 	uHat := s.scratch.uHat
 	if err := s.acc.readSolutionInto(job.lane, uHat, opt.Samples); err != nil {
@@ -348,7 +350,7 @@ func (s *Session) finishJob(job *settleJob, settleAt float64, opt SolveOptions) 
 		return nil
 	}
 	job.u = uHat.Scaled(job.sigma)
-	job.gainOut = job.sigma * s.sc.S / job.rhs.NormInf()
+	job.gain = job.sigma * s.sc.S / job.rhs.NormInf()
 	job.stats.Scaling = Scaling{S: s.sc.S, Sigma: job.sigma}
 	// Digital residual into scratch: ‖b − A·u‖∞ / ‖b‖∞ without the
 	// temporary vector la.RelativeResidual would allocate.

@@ -71,9 +71,7 @@ func TestSolveBatchStatsMatchScalar(t *testing.T) {
 // trafficRecorder is a transport that hashes the shape of every request
 // frame — opcode and payload length, in order — before passing it to the
 // loopback. Float payload bytes are left out: platforms that fuse
-// multiply-adds may round the programmed values differently. It forwards
-// the loopback's engine side-band, so lane batches select the fused
-// engine exactly as they do on the bare loopback.
+// multiply-adds may round the programmed values differently.
 type trafficRecorder struct {
 	lb     *isa.Loopback
 	h      hash.Hash64
@@ -90,10 +88,6 @@ func (r *trafficRecorder) Transact(frame []byte) ([]byte, error) {
 		r.frames++
 	}
 	return r.lb.Transact(frame)
-}
-
-func (r *trafficRecorder) SelectEngine(name string, workers int) error {
-	return r.lb.Dev().(engineSelector).SelectEngine(name, workers)
 }
 
 // boostSystem is TestDynamicRangeBoost's system: a dense 10×10 matrix
@@ -130,9 +124,9 @@ func recordedAcc(t *testing.T, spec chip.Spec) (*Accelerator, *trafficRecorder) 
 // TestSettleISATraffic pins the ISA traffic of successful solves: the
 // order, opcodes and payload lengths of every request frame, from the
 // first configuration write to the last readout. A scalar solve that
-// boosts, one that overflows, a refined solve at 8-bit ADCs, and a
-// refined lane batch at widths 16 and 2 each hash to a recorded
-// constant. A change to the settle schedule moves these on purpose and
+// boosts, one that overflows, a refined solve at 8-bit ADCs (alone, and
+// as a one-item batch), and a refined lane batch at widths 16 and 2 each
+// hash to a recorded constant. A change to the settle schedule moves these on purpose and
 // must say why.
 func TestSettleISATraffic(t *testing.T) {
 	boostA, boostB := boostSystem()
@@ -183,6 +177,16 @@ func TestSettleISATraffic(t *testing.T) {
 		{"refined-eq2-8bit", chip.PrototypeSpec(), func(acc *Accelerator) error {
 			a, b := eq2System()
 			_, _, err := acc.SolveRefined(a, b, SolveOptions{Tolerance: 1e-7})
+			return err
+		}, 128, 0x32763497d8dc341a},
+		// A one-item batch is a solo solve: the same frames as above.
+		{"refined-eq2-8bit-one-item-batch", chip.PrototypeSpec(), func(acc *Accelerator) error {
+			a, b := eq2System()
+			sess, err := acc.BeginSession(a)
+			if err != nil {
+				return err
+			}
+			_, _, err = sess.SolveBatchRefined(context.Background(), []la.Vector{b}, SolveOptions{Tolerance: 1e-7})
 			return err
 		}, 128, 0x32763497d8dc341a},
 		{"lane6-refined-width16", lane6Spec(), laneBatch(16), 1483, 0x7b61940491f26972},

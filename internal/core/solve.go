@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"analogacc/internal/la"
@@ -43,15 +42,11 @@ type SolveOptions struct {
 	// each block very little, so most block solves become pure digital
 	// residual checks. The vector is copied, never mutated.
 	Guess la.Vector
-	// Engine, if non-empty, switches the simulated chip's evaluation
-	// kernel for this solve ("auto", "interpreter", "fused").
-	// All engines are bit-identical — this is purely a speed knob — and
-	// it only works on simulated chips (ErrEngineUnavailable otherwise).
-	Engine string
 	// MaxLanes caps how many right-hand sides a batch solve drives
 	// lane-parallel through the chip in one wave. 0 means the full
-	// MaxBatchLanes; 1 disables the lane path entirely (batches then run
-	// sequentially). Values above MaxBatchLanes are clamped.
+	// MaxBatchLanes; 1 disables the lane path entirely (every item then
+	// runs the scalar attempt loop in turn). Values above MaxBatchLanes
+	// are clamped.
 	MaxLanes int
 }
 
@@ -144,8 +139,8 @@ type Session struct {
 	// the bound repeated solves would dilate time without limit.
 	baseS float64
 	// scratch holds the per-solve work buffers, sized once per session so
-	// repeated right-hand sides — refinement passes, sweeps, and the
-	// SolveBatch inner loop — allocate nothing beyond each result vector.
+	// repeated right-hand sides — refinement passes, sweeps, and batch
+	// items — allocate nothing beyond each result vector.
 	scratch solveScratch
 }
 
@@ -153,12 +148,11 @@ type Session struct {
 // is single-threaded by construction (it drives one chip), so one set
 // suffices.
 type solveScratch struct {
-	bs       la.Vector // scaled right-hand side of the job being programmed
-	tols     la.Vector // per-row settle tolerances
-	uHat     la.Vector // full-scale readings (poll codes, then the readout)
-	resid    la.Vector // digitally reconstructed residual
-	refResid la.Vector // refinement-loop residual accumulator
-	job      settleJob // a scalar solve's one job
+	bs    la.Vector // scaled right-hand side of the job being programmed
+	tols  la.Vector // per-row settle tolerances
+	uHat  la.Vector // full-scale readings (poll codes, then the readout)
+	resid la.Vector // digitally reconstructed residual
+	job   settleJob // a scalar solve's one job
 	// slots holds each wave position's bias and poll buffers: slot 0
 	// serves scalar solves, and lane waves grow it on first use.
 	slots []waveSlot
@@ -166,12 +160,11 @@ type solveScratch struct {
 
 func newSolveScratch(n int) solveScratch {
 	return solveScratch{
-		bs:       la.NewVector(n),
-		tols:     la.NewVector(n),
-		uHat:     la.NewVector(n),
-		resid:    la.NewVector(n),
-		refResid: la.NewVector(n),
-		slots:    []waveSlot{newWaveSlot(n)},
+		bs:    la.NewVector(n),
+		tols:  la.NewVector(n),
+		uHat:  la.NewVector(n),
+		resid: la.NewVector(n),
+		slots: []waveSlot{newWaveSlot(n)},
 	}
 }
 
@@ -248,57 +241,55 @@ func (s *Session) SolveFor(rhs la.Vector, opt SolveOptions) (la.Vector, Stats, e
 // the host (and the context is observed) within one poll chunk — a
 // cancelled or expired deadline aborts the solve with ctx's error, leaving
 // the chip held but reusable (the next solve reprograms it).
-//
-// Each attempt is a one-job wave on scalarLane through the settle loop
-// lane batches use, so a right-hand side costs and reports the same
-// whether it solves alone or in a wave.
 func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptions) (la.Vector, Stats, error) {
 	opt = opt.withDefaults()
 	stats := Stats{Scaling: s.sc}
 	if len(rhs) != s.n {
 		return nil, stats, fmt.Errorf("core: rhs length %d != %d", len(rhs), s.n)
 	}
-	if opt.Calibrate && !s.acc.calibrated {
-		if _, err := s.acc.Calibrate(); err != nil {
-			return nil, stats, err
-		}
-	}
 	if rhs.NormInf() == 0 {
 		return la.NewVector(s.n), stats, nil
 	}
-	if err := s.ensureOwned(); err != nil {
+	if err := s.prepare(opt); err != nil {
 		return nil, stats, err
 	}
-	if opt.Engine != "" {
-		if err := s.acc.SelectEngine(opt.Engine); err != nil {
-			return nil, stats, err
-		}
-	}
 	job := &s.scratch.job
-	*job = settleJob{rhs: rhs, sigma: s.startSigma(rhs, s.sigmaGain, opt), stats: stats}
+	*job = settleJob{rhs: rhs, gain: s.sigmaGain}
+	s.startJob(job, opt)
+	if err := s.attempts(ctx, job, opt); err != nil {
+		return nil, job.stats, err
+	}
+	s.sc.Sigma, s.sigmaGain = job.sigma, job.gain
+	return job.u, job.stats, nil
+}
+
+// attempts is the scalar attempt loop: each attempt is a one-job wave on
+// scalarLane through the settle loop lane waves use, so a right-hand side
+// costs and reports the same whether it solves alone or in a wave. An
+// overflow doubles σ inside the settle loop; an answer deep inside the
+// dynamic range boosts the session's value scale and runs again.
+func (s *Session) attempts(ctx context.Context, job *settleJob, opt SolveOptions) error {
 	wave := []*settleJob{job}
 	tols, floor := s.settleTolerances()
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, job.stats, fmt.Errorf("core: solve aborted before attempt %d: %w", job.stats.Rescales, err)
+			return fmt.Errorf("core: solve aborted before attempt %d: %w", job.stats.Rescales, err)
 		}
 		if err := s.programWave(wave, floor, false); err != nil {
-			return nil, job.stats, err
+			return err
 		}
 		if job.err == nil {
 			// An overflow doubles σ inside the loop; this loop is the
 			// requeue, so the returned list is not needed.
 			if _, err := s.settleWave(ctx, wave, opt, tols, nil); err != nil {
-				return nil, job.stats, err
+				return err
 			}
 		}
 		switch {
 		case job.err != nil:
-			return nil, job.stats, job.err
+			return job.err
 		case job.done:
-			s.sc.Sigma = job.sigma
-			s.sigmaGain = job.gainOut
-			return job.u, job.stats, nil
+			return nil
 		case job.fallback:
 			// Dynamic-range check (Section III-B): the answer sits deep
 			// inside the range, so re-run at a larger value scale S
@@ -318,12 +309,12 @@ func (s *Session) SolveForCtx(ctx context.Context, rhs la.Vector, opt SolveOptio
 			s.as = newScaledView(s.a, s.sc.S)
 			job.sigma /= f
 			if err := s.acc.program(s.as, la.NewVector(s.n), nil); err != nil {
-				return nil, job.stats, err
+				return err
 			}
 			s.acc.current = s
 			job.boosts++
 			if !job.rescale(opt) {
-				return nil, job.stats, job.err
+				return job.err
 			}
 			tols, floor = s.settleTolerances()
 		}
@@ -360,7 +351,6 @@ func (acc *Accelerator) SolveRefined(a Matrix, b la.Vector, opt SolveOptions) (l
 // SolveRefinedCtx is SolveRefined under a context: the context is polled
 // between refinement passes and inside every analog solve.
 func (acc *Accelerator) SolveRefinedCtx(ctx context.Context, a Matrix, b la.Vector, opt SolveOptions) (la.Vector, Stats, error) {
-	opt = opt.withDefaults()
 	sess, err := acc.BeginSession(a)
 	if err != nil {
 		return nil, Stats{}, err
@@ -373,72 +363,18 @@ func (s *Session) SolveForRefined(b la.Vector, opt SolveOptions) (la.Vector, Sta
 	return s.SolveForRefinedCtx(context.Background(), b, opt)
 }
 
-// SolveForRefinedCtx is SolveForRefined under a context: cancellation is
-// checked before every refinement pass (and inside each pass's rescale and
-// settle loops), so a deadline aborts between passes with the partial
-// accumulation discarded.
+// SolveForRefinedCtx is SolveForRefined under a context, a one-item
+// SolveBatchRefinedItems seeded with opt.Guess and the session's learned
+// gain: cancellation is checked before every refinement pass (and inside
+// each pass's rescale and settle loops), and a failed solve returns no
+// vector, only the stats of the passes it ran.
 func (s *Session) SolveForRefinedCtx(ctx context.Context, b la.Vector, opt SolveOptions) (la.Vector, Stats, error) {
-	opt = opt.withDefaults()
-	total := Stats{Scaling: s.sc}
-	if len(b) != s.n {
-		return nil, total, fmt.Errorf("core: rhs length %d != %d", len(b), s.n)
+	items := []BatchItem{{RHS: b, Guess: opt.Guess, SigmaGain: s.sigmaGain}}
+	us, stats, _, err := s.SolveBatchRefinedItems(ctx, items, opt)
+	if err != nil {
+		return nil, stats[0], err
 	}
-	uPrecise := la.NewVector(s.n)
-	residual := s.scratch.refResid
-	residual.CopyFrom(b)
-	bn := b.NormInf()
-	if bn == 0 {
-		return uPrecise, total, nil
-	}
-	if opt.Guess != nil {
-		if len(opt.Guess) != s.n {
-			return nil, total, fmt.Errorf("core: guess length %d != %d", len(opt.Guess), s.n)
-		}
-		uPrecise.CopyFrom(opt.Guess)
-		// residual = b − A·guess: the loop below then refines only the
-		// correction, in full digital precision.
-		s.a.Apply(residual, uPrecise)
-		for i := range residual {
-			residual[i] = b[i] - residual[i]
-		}
-	}
-	// Refinement already rescales every residual to full dynamic range,
-	// so the per-solve boost buys nothing here — and being sticky, it
-	// would keep dilating the session's time scale across passes.
-	opt.DisableBoost = true
-	for pass := 0; pass < opt.MaxRefinements; pass++ {
-		if residual.NormInf() <= opt.Tolerance*bn {
-			total.Residual = residual.NormInf() / bn
-			total.Scaling = s.sc
-			return uPrecise, total, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return uPrecise, total, fmt.Errorf("core: refinement aborted before pass %d: %w", pass, err)
-		}
-		uFinal, st, err := s.SolveForCtx(ctx, residual, opt)
-		total.add(st)
-		total.SettleTime += st.SettleTime
-		if err != nil {
-			return uPrecise, total, fmt.Errorf("core: refinement pass %d: %w", pass, err)
-		}
-		total.Refinements++
-		uPrecise.Add(uFinal)
-		// residual = b − A·uPrecise, in full digital precision.
-		s.a.Apply(residual, uPrecise)
-		for i := range residual {
-			residual[i] = b[i] - residual[i]
-		}
-		if !residual.IsFinite() {
-			return uPrecise, total, fmt.Errorf("core: refinement diverged at pass %d", pass)
-		}
-	}
-	total.Residual = residual.NormInf() / bn
-	total.Scaling = s.sc
-	if total.Residual > opt.Tolerance {
-		return uPrecise, total, fmt.Errorf("core: residual %v after %d refinements (target %v): %w",
-			total.Residual, opt.MaxRefinements, opt.Tolerance, ErrNotSettled)
-	}
-	return uPrecise, total, nil
+	return us[0], stats[0], nil
 }
 
 // SolveBatch solves A·u = rhs[k] for every right-hand side against the one
@@ -447,31 +383,53 @@ func (s *Session) SolveForRefinedCtx(ctx context.Context, b la.Vector, opt Solve
 // configuration instead of N. On a chip with lane-batched mode the items
 // additionally solve lane-parallel, up to MaxBatchLanes per wave, all
 // sharing each integration sweep. Every item solves from batch-entry
-// session state, so results are identical whichever path runs — and
-// identical to solving each right-hand side alone against a fresh copy of
-// this session. Results and per-item stats are positional; the first
-// failing item aborts the batch with its index in the error.
+// session state (see solvePass), so results are identical whichever way
+// the items run — and identical to solving each right-hand side alone
+// against a fresh copy of this session. The session leaves carrying the
+// last item's learned state. Results and per-item stats are positional;
+// the first failing item aborts the batch with its index in the error
+// (a one-item batch fails like SolveForCtx).
 func (s *Session) SolveBatch(ctx context.Context, rhs []la.Vector, opt SolveOptions) ([]la.Vector, []Stats, error) {
 	opt = opt.withDefaults()
 	us := make([]la.Vector, len(rhs))
 	stats := make([]Stats, len(rhs))
 	for k, b := range rhs {
 		if len(b) != s.n {
-			return nil, stats, fmt.Errorf("core: batch rhs %d: core: rhs length %d != %d", k, len(b), s.n)
+			return nil, stats, itemErr(k, len(rhs), fmt.Errorf("core: rhs length %d != %d", len(b), s.n))
 		}
 	}
-	if s.laneEligible(len(rhs), opt) {
-		err := s.solveBatchLanes(ctx, rhs, opt, us, stats)
-		if err == nil {
-			return us, stats, nil
+	jobs := make([]settleJob, len(rhs))
+	pass := make([]*settleJob, 0, len(rhs))
+	for k, b := range rhs {
+		if b.NormInf() == 0 {
+			us[k] = la.NewVector(s.n)
+			stats[k] = Stats{Scaling: s.sc}
+			continue
 		}
-		if !errors.Is(err, errLanesUnsupported) {
-			return nil, stats, err
-		}
+		jobs[k] = settleJob{idx: k, rhs: b, gain: s.sigmaGain}
+		pass = append(pass, &jobs[k])
 	}
-	if err := s.solveBatchSequential(ctx, rhs, opt, us, stats); err != nil {
+	if len(pass) == 0 {
+		return us, stats, nil
+	}
+	err := s.solvePass(ctx, pass, opt)
+	for _, job := range pass {
+		stats[job.idx] = job.stats
+	}
+	if err != nil {
 		return nil, stats, err
 	}
+	for _, job := range pass {
+		if job.err != nil {
+			return nil, stats, itemErr(job.idx, len(rhs), job.err)
+		}
+		us[job.idx] = job.u
+	}
+	last := pass[len(pass)-1]
+	if err := s.setScale(last.stats.Scaling.S); err != nil {
+		return nil, stats, err
+	}
+	s.sc.Sigma, s.sigmaGain = last.sigma, last.gain
 	return us, stats, nil
 }
 
@@ -480,12 +438,122 @@ func (s *Session) SolveBatch(ctx context.Context, rhs []la.Vector, opt SolveOpti
 // resident across the whole batch, with each refinement pass vectorized
 // across lanes where the chip supports it.
 func (s *Session) SolveBatchRefined(ctx context.Context, rhs []la.Vector, opt SolveOptions) ([]la.Vector, []Stats, error) {
-	opt = opt.withDefaults()
-	entryGain := s.sigmaGain
 	items := make([]BatchItem, len(rhs))
 	for k, b := range rhs {
-		items[k] = BatchItem{RHS: b, Guess: opt.Guess, SigmaGain: entryGain}
+		items[k] = BatchItem{RHS: b, Guess: opt.Guess, SigmaGain: s.sigmaGain}
 	}
 	us, stats, _, err := s.SolveBatchRefinedItems(ctx, items, opt)
 	return us, stats, err
+}
+
+// SolveBatchRefinedItems is Algorithm 2, the one refinement loop behind
+// every refined solve: each pass solves the residuals of the items not yet
+// at opt.Tolerance as one solvePass (a lane wave where the chip has lanes),
+// each at its own learned scale, and accumulates the corrections
+// digitally. Per-item Guess seeds the digital accumulator and per-item
+// SigmaGain seeds the dynamic-range scale — the state a decomposition
+// sweep carries per block. Returns positional solutions, stats, and each
+// item's learned sigmaGain for the caller to thread into its next batch;
+// the session leaves carrying the last item's. On failure the solutions
+// are nil and the stats hold the passes that ran.
+func (s *Session) SolveBatchRefinedItems(ctx context.Context, items []BatchItem, opt SolveOptions) ([]la.Vector, []Stats, []float64, error) {
+	opt = opt.withDefaults()
+	us := make([]la.Vector, len(items))
+	stats := make([]Stats, len(items))
+	gains := make([]float64, len(items))
+	for k, it := range items {
+		gains[k] = it.SigmaGain
+		switch {
+		case len(it.RHS) != s.n:
+			return nil, stats, gains, itemErr(k, len(items), fmt.Errorf("core: rhs length %d != %d", len(it.RHS), s.n))
+		case it.Guess != nil && len(it.Guess) != s.n:
+			return nil, stats, gains, itemErr(k, len(items), fmt.Errorf("core: guess length %d != %d", len(it.Guess), s.n))
+		}
+	}
+	// Refinement already rescales every residual to full dynamic range,
+	// so the per-solve boost buys nothing here — and being sticky, it
+	// would keep dilating the session's time scale across passes.
+	opt.DisableBoost = true
+	// jobs[k] carries item k between passes: its residual as rhs, its
+	// learned gain, and the σ of its last pass.
+	jobs := make([]settleJob, len(items))
+	residuals := make(la.Vector, len(items)*s.n)
+	for k, it := range items {
+		us[k] = la.NewVector(s.n)
+		stats[k] = Stats{Scaling: s.sc}
+		r := residuals[k*s.n : (k+1)*s.n]
+		jobs[k] = settleJob{idx: k, rhs: r, gain: it.SigmaGain, sigma: s.sc.Sigma}
+		if it.Guess != nil && it.RHS.NormInf() != 0 {
+			us[k].CopyFrom(it.Guess)
+			// r = b − A·guess: refinement then solves only the
+			// correction, in full digital precision.
+			s.residual(r, it.RHS, us[k])
+		} else {
+			r.CopyFrom(it.RHS)
+		}
+	}
+	active := make([]*settleJob, 0, len(items))
+	for pass := 0; pass < opt.MaxRefinements; pass++ {
+		active = active[:0]
+		for k, it := range items {
+			bn := it.RHS.NormInf()
+			if bn != 0 && jobs[k].rhs.NormInf() > opt.Tolerance*bn {
+				active = append(active, &jobs[k])
+			}
+		}
+		if len(active) == 0 {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, stats, gains, fmt.Errorf("core: refinement aborted before pass %d: %w", pass, err)
+		}
+		if err := s.solvePass(ctx, active, opt); err != nil {
+			return nil, stats, gains, err
+		}
+		for _, job := range active {
+			if job.err != nil {
+				return nil, stats, gains, itemErr(job.idx, len(items),
+					fmt.Errorf("core: refinement pass %d: %w", pass, job.err))
+			}
+		}
+		for _, job := range active {
+			k := job.idx
+			stats[k].add(job.stats)
+			stats[k].SettleTime += job.stats.SettleTime
+			stats[k].Refinements++
+			us[k].Add(job.u)
+			gains[k] = job.gain
+			if !s.residual(job.rhs, items[k].RHS, us[k]) {
+				return nil, stats, gains, itemErr(k, len(items), fmt.Errorf("core: refinement diverged at pass %d", pass))
+			}
+		}
+	}
+	last := -1
+	for k, it := range items {
+		bn := it.RHS.NormInf()
+		if bn == 0 {
+			continue
+		}
+		stats[k].Residual = jobs[k].rhs.NormInf() / bn
+		stats[k].Scaling = Scaling{S: s.sc.S, Sigma: jobs[k].sigma}
+		if stats[k].Residual > opt.Tolerance {
+			return nil, stats, gains, itemErr(k, len(items), fmt.Errorf("core: residual %v after %d refinements (target %v): %w",
+				stats[k].Residual, opt.MaxRefinements, opt.Tolerance, ErrNotSettled))
+		}
+		last = k
+	}
+	if last >= 0 {
+		s.sc.Sigma, s.sigmaGain = jobs[last].sigma, gains[last]
+	}
+	return us, stats, gains, nil
+}
+
+// residual writes r = b − A·u in full digital precision and reports
+// whether it stayed finite.
+func (s *Session) residual(r, b, u la.Vector) bool {
+	s.a.Apply(r, u)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	return r.IsFinite()
 }

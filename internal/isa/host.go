@@ -14,12 +14,6 @@ type Host struct {
 // NewHost wraps a transport.
 func NewHost(t Transport) *Host { return &Host{t: t} }
 
-// Transport returns the transport the host drives. Callers use it to
-// reach side-band, non-ISA facilities of a transport (e.g. the loopback's
-// simulation-engine knob); everything architectural goes through the
-// command set.
-func (h *Host) Transport() Transport { return h.t }
-
 // call performs one transaction and converts non-OK statuses to errors.
 func (h *Host) call(op Opcode, payload []byte) ([]byte, error) {
 	frame, err := EncodeFrame(op, payload)

@@ -307,11 +307,6 @@ type Loopback struct {
 // NewLoopback wires a host-side transport to a device implementation.
 func NewLoopback(dev Device) *Loopback { return &Loopback{dev: dev} }
 
-// Dev returns the wrapped device: the in-memory loopback is the one
-// transport where host and device share an address space, and side-band
-// simulation knobs (not ISA traffic) may reach through it.
-func (l *Loopback) Dev() Device { return l.dev }
-
 // Transact decodes the request, executes it on the device, and encodes the
 // response, mimicking the chip's SPI command engine.
 func (l *Loopback) Transact(frame []byte) ([]byte, error) {

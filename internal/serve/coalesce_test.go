@@ -150,7 +150,7 @@ func TestCoalesceBitIdentity(t *testing.T) {
 func TestCoalesceDeadlineMixing(t *testing.T) {
 	s, client, done := newTestServer(t, Config{})
 	defer done()
-	s.solveBatch = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
+	s.solve = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
 		select {
 		case <-time.After(300 * time.Millisecond):
 		case <-ctx.Done():

@@ -181,8 +181,8 @@ func TestJobBacklogAndQuota(t *testing.T) {
 func TestJobFailureRecordsAPICode(t *testing.T) {
 	s, client, done := newTestServer(t, Config{})
 	defer done()
-	s.solve = func(context.Context, string, *la.CSR, la.Vector, cli.SolveParams) (cli.Outcome, error) {
-		return cli.Outcome{}, fmt.Errorf("injected solve failure")
+	s.solve = func(context.Context, string, *la.CSR, []la.Vector, cli.SolveParams) ([]cli.Outcome, error) {
+		return nil, fmt.Errorf("injected solve failure")
 	}
 	ctx := context.Background()
 
@@ -210,10 +210,10 @@ func TestJobCancelledMidSolve(t *testing.T) {
 	s, client, done := newTestServer(t, Config{})
 	defer done()
 	started := make(chan struct{}, 1)
-	s.solve = func(ctx context.Context, _ string, _ *la.CSR, _ la.Vector, _ cli.SolveParams) (cli.Outcome, error) {
+	s.solve = func(ctx context.Context, _ string, _ *la.CSR, _ []la.Vector, _ cli.SolveParams) ([]cli.Outcome, error) {
 		started <- struct{}{}
 		<-ctx.Done()
-		return cli.Outcome{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	ctx := context.Background()
 
@@ -261,13 +261,7 @@ func TestJobsCountAsDetachedLanes(t *testing.T) {
 					return ctx.Err()
 				}
 			}
-			s.solve = func(ctx context.Context, backend string, a *la.CSR, b la.Vector, p cli.SolveParams) (cli.Outcome, error) {
-				if err := hold(ctx); err != nil {
-					return cli.Outcome{}, err
-				}
-				return cli.SolveSystem(ctx, backend, a, b, p)
-			}
-			s.solveBatch = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
+			s.solve = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
 				if err := hold(ctx); err != nil {
 					return nil, err
 				}

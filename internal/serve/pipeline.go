@@ -244,22 +244,15 @@ func (s *Server) dispatch(ctx context.Context, c *call) waveResult {
 }
 
 // execute is the one post-checkout executor, shared by the coalescer's
-// wave runner and batch requests: one right-hand side dispatches through
-// s.solve, k through s.solveBatch, and the chip pc (nil for backends
-// that need none) is checked back in.
+// wave runner and batch requests: every set of right-hand sides, one or
+// sixteen, goes to s.solve, and the chip pc (nil for backends that need
+// none) is checked back in.
 func (s *Server) execute(ctx context.Context, pc *PooledChip, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
 	if pc != nil {
 		defer s.pool.Checkin(pc)
 		p.Acc = pc.Acc
 	}
-	if len(rhs) > 1 {
-		return s.solveBatch(ctx, backend, a, rhs, p)
-	}
-	out, err := s.solve(ctx, backend, a, rhs[0], p)
-	if err != nil {
-		return nil, err
-	}
-	return []cli.Outcome{out}, nil
+	return s.solve(ctx, backend, a, rhs, p)
 }
 
 // render builds a call's response from its outcomes.

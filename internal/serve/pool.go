@@ -55,10 +55,6 @@ type PoolConfig struct {
 	// seven coefficients plus the bias path — enough for 3-D stencil
 	// rows; denser rows escalate to a larger class).
 	MulsPerMB int
-	// Engine names the simulation kernel every pooled chip runs on
-	// ("auto", "interpreter", "fused"; empty = auto). Both engines are
-	// bit-identical; this is the daemon's speed/debug knob.
-	Engine string
 	// SkipCalibrate leaves chips untrimmed at build (tests only; real
 	// serving wants calibrated chips).
 	SkipCalibrate bool
@@ -157,8 +153,8 @@ type Pool struct {
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	p := &Pool{cfg: cfg, classes: make(map[int]*subpool)}
-	// A bad chip design (an unknown engine name, say) fails here, at
-	// startup, not at the first lazily built chip.
+	// A bad chip design (an out-of-range converter resolution, say) fails
+	// here, at startup, not at the first lazily built chip.
 	if err := p.specFor(cfg.MinClass).Validate(); err != nil {
 		return nil, fmt.Errorf("serve: pool chip design: %w", err)
 	}
@@ -198,7 +194,6 @@ func (p *Pool) classFor(dim int) int {
 func (p *Pool) specFor(class int) chip.Spec {
 	spec := chip.ScaledSpec(class, p.cfg.ADCBits, p.cfg.Bandwidth, p.cfg.MulsPerMB)
 	spec.FanoutsPerMB = 2
-	spec.Engine = p.cfg.Engine
 	return spec
 }
 

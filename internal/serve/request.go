@@ -226,8 +226,8 @@ type AnalogStats struct {
 	ScaleS float64 `json:"scale_s"`
 	// ChipClass is the pool size class the chip came from.
 	ChipClass int `json:"chip_class,omitempty"`
-	// Lanes is the widest lane wave this item settled in (batch solves on
-	// the fused engine); absent when every run took the scalar path.
+	// Lanes is the widest lane wave this item settled in; absent when
+	// every run took the scalar path.
 	Lanes int `json:"lanes,omitempty"`
 }
 

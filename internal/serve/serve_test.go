@@ -240,13 +240,13 @@ func TestServeBackpressure(t *testing.T) {
 	defer done()
 	block := make(chan struct{})
 	started := make(chan struct{}, 16)
-	s.solve = func(ctx context.Context, backend string, a *la.CSR, b la.Vector, p cli.SolveParams) (cli.Outcome, error) {
+	s.solve = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
 		started <- struct{}{}
 		select {
 		case <-block:
-			return cli.Outcome{U: la.NewVector(a.Dim()), Note: "stub"}, nil
+			return []cli.Outcome{{U: la.NewVector(a.Dim()), Note: "stub"}}, nil
 		case <-ctx.Done():
-			return cli.Outcome{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 
@@ -326,9 +326,9 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeDeadline(t *testing.T) {
 	s, client, done := newTestServer(t, Config{})
 	defer done()
-	s.solve = func(ctx context.Context, backend string, a *la.CSR, b la.Vector, p cli.SolveParams) (cli.Outcome, error) {
+	s.solve = func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error) {
 		<-ctx.Done() // a solve that never settles until the deadline fires
-		return cli.Outcome{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	req := eq2Request("analog-refined")
 	req.TimeoutMs = 50
@@ -350,36 +350,10 @@ func TestServeDeadline(t *testing.T) {
 	}
 	// The chip the aborted request had checked out went back to the
 	// pool: a normal solve succeeds afterwards.
-	s.solve = cli.SolveSystem
+	s.solve = cli.SolveSystemBatch
 	resp, err := client.Solve(context.Background(), eq2Request("analog-refined"))
 	if err != nil || resp.Residual > 1e-7 {
 		t.Fatalf("solve after deadline abort: %v %+v", err, resp)
-	}
-}
-
-// TestNewRejectsRetiredModes checks the startup error that replaced a
-// retired mode: the retired "compiled" engine, whose error must name the
-// engines that remain.
-func TestNewRejectsRetiredModes(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   Config
-		wants []string
-	}{
-		{"compiled engine", Config{Pool: PoolConfig{MinClass: 2, MaxDim: 32, WarmSizes: []int{}, Engine: "compiled"}},
-			[]string{"compiled", "auto", "interpreter", "fused"}},
-	}
-	for _, c := range cases {
-		s, err := New(c.cfg)
-		if err == nil {
-			s.Close()
-			t.Fatalf("%s: New accepted the config", c.name)
-		}
-		for _, want := range c.wants {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not mention %q", c.name, err, want)
-			}
-		}
 	}
 }
 

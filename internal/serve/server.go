@@ -155,11 +155,10 @@ type Server struct {
 	// lane waves; every analog solo solve goes through it.
 	coalesce *coalescer
 
-	// solve is the backend dispatch, swappable by tests that need a
-	// deterministic slow or failing solver; solveBatch is its multi-RHS
-	// counterpart.
-	solve      func(ctx context.Context, backend string, a *la.CSR, b la.Vector, p cli.SolveParams) (cli.Outcome, error)
-	solveBatch func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error)
+	// solve is the backend dispatch every call's right-hand sides go
+	// through, one or many, swappable by tests that need a deterministic
+	// slow or failing solver.
+	solve func(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector, p cli.SolveParams) ([]cli.Outcome, error)
 }
 
 // New builds a server: pre-warms its pool, replays the job journal
@@ -172,12 +171,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:        cfg,
-		pool:       pool,
-		metrics:    NewMetrics(),
-		slots:      make(chan struct{}, cfg.QueueBound),
-		solve:      cli.SolveSystem,
-		solveBatch: cli.SolveSystemBatch,
+		cfg:     cfg,
+		pool:    pool,
+		metrics: NewMetrics(),
+		slots:   make(chan struct{}, cfg.QueueBound),
+		solve:   cli.SolveSystemBatch,
 	}
 	s.decompProvider = pool.DecompProvider()
 	s.coalesce = newCoalescer(s)

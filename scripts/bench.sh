@@ -21,9 +21,9 @@ SUITE="${1:?usage: scripts/bench.sh <suite-number> [benchtime]}"
 case "$SUITE" in
 1)
 	PKG=./internal/circuit
-	BENCH='Eval|Step|RunUntilSettled'
+	BENCH='Eval|Step'
 	BENCHTIME="${2:-1s}"
-	DESC="internal/circuit hot loop (32x32 Poisson fig8 netlist): reference interpreter vs fused kernel eval, RK4 step and settle"
+	DESC="internal/circuit hot loop (32x32 Poisson fig8 netlist): reference interpreter vs fused kernel eval and RK4 step"
 	;;
 3)
 	PKG=./internal/core

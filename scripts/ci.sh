@@ -75,8 +75,7 @@ go test -race -count=2 -run 'TestCoalesce|TestCrossPath|TestJobGroupRidesOneWave
 # router-wrapped node that has served every request kind.
 go test -race -count=2 ./internal/metric ./internal/federation
 
-# End-to-end serve smoke: start a real alad daemon (-engine fused) on a
-# random port, solve the Equation 2 system through serve.Client, scrape
+# End-to-end serve smoke: start a real alad daemon on a random port, solve the Equation 2 system through serve.Client, scrape
 # /metrics to confirm the solve counter moved, POST /v1/solve/batch and
 # assert the items settled lane-parallel, round-trip alasolve -server,
 # alasolve -rhs-file (which must also ride a lane wave), and the
@@ -137,3 +136,13 @@ go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 20s ./internal/la
 # (no panic, every formatted fingerprint parses back to itself).
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s ./internal/serve
 go test -run '^$' -fuzz '^FuzzParseFingerprint$' -fuzztime 20s ./internal/serve
+
+# 20 s of random bytes through the journal reader under the job WAL and
+# the operator journal: no panic, and the frames it accepts, written back,
+# reproduce the input up to the dropped torn tail.
+go test -run '^$' -fuzz '^FuzzLogReplay$' -fuzztime 20s ./internal/journal
+
+# The paper tables: rerun every section of experiments_full.txt and fail
+# on any cell or note that moved (host-timed cells and the federation
+# section, which vary between runs of one build, excepted).
+go run ./cmd/alabench -check experiments_full.txt -q

@@ -1,12 +1,13 @@
 #!/bin/sh
-# Captures a CPU profile of the simulator's settle hot loop (the RK4 step
-# kernel driven by RunUntilSettled) and prints the top functions. This is
-# the workflow that motivated the fused step kernel: the profile shows
-# where eval time goes per engine.
+# Captures a CPU profile of the simulator's hot loop (the RK4 step kernel
+# every settle poll chunk runs) and prints the top functions. This is the
+# workflow that motivated the fused step kernel: the profile shows where
+# eval time goes per engine.
 #
 # Usage: scripts/profile.sh [bench-regex] [benchtime]
 #
-#   scripts/profile.sh                          # settle loop, compiled + reference
+#   scripts/profile.sh                          # fused RK4 step at 32x32
+#   scripts/profile.sh 'Step(32Fused|Reference)' # fused vs reference step
 #   scripts/profile.sh 'Eval128Fused' 3s        # fused kernel eval at 128x128
 #
 # Artifacts land in profiles/: cpu.out (pprof), circuit.test (the binary
@@ -19,7 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH="${1:-RunUntilSettled}"
+BENCH="${1:-Step32Fused}"
 BENCHTIME="${2:-1s}"
 OUTDIR=profiles
 mkdir -p "$OUTDIR"
