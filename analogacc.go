@@ -102,6 +102,9 @@ var (
 	ErrNotSettled = core.ErrNotSettled
 	// ErrRescaleLimit: overflow exceptions persisted through rescaling.
 	ErrRescaleLimit = core.ErrRescaleLimit
+	// ErrSolveStep: ODE mode refused a chip built for linear solves
+	// (ChipSpec.SolveStep, set by ScaledChip).
+	ErrSolveStep = core.ErrSolveStep
 )
 
 // NewFarm pools accelerators for SolveDecomposedParallel (Section IV-B's
@@ -121,7 +124,11 @@ func PrototypeChip() ChipSpec { return chip.PrototypeSpec() }
 
 // ScaledChip is the paper's model accelerator sized for n variables with
 // the given ADC resolution and bandwidth (Section V). mulsPerVariable <= 0
-// picks a default that fits 2-D stencil rows plus the bias path.
+// picks a default that fits 2-D stencil rows plus the bias path. It is a
+// linear-solve design: it sets ChipSpec.SolveStep, so a noise-free chip
+// simulates at ten times the transient step with the same settled
+// answers, and ODE mode refuses it with ErrSolveStep (use PrototypeChip,
+// or clear the field).
 func ScaledChip(n, adcBits int, bandwidthHz float64, mulsPerVariable int) ChipSpec {
 	return chip.ScaledSpec(n, adcBits, bandwidthHz, mulsPerVariable)
 }

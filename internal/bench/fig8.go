@@ -127,9 +127,15 @@ func noteUnresolvable(t *Table, adcBits int) {
 // runFig8 reproduces Figure 8: convergence time vs total grid points for
 // the simulated 20 kHz analog accelerator (plus the 80 kHz projection)
 // against single-core digital CG at equivalent precision. Expected shape:
-// analog time linear in N, digital ∝ N^1.5, with a crossover.
+// analog time linear in N, digital ∝ N^1.5, with a crossover. The 8-bit
+// columns are the paper's 1/256 equivalence; the 12-bit ones put the same
+// chip at the model accelerator's ADC resolution, where every grid
+// resolves. The parallel sweep simulates the chips; the host-timed CG
+// baseline runs after it, one grid at a time, so no other fig8 point
+// shares its CPU.
 func runFig8(cfg Config) (*Table, error) {
-	const adcBits = 8 // 1/256 equivalence, Section V-A
+	const adcBits = 8    // 1/256 equivalence, Section V-A
+	const modelBits = 12 // the paper's model accelerator
 	t := &Table{
 		ID:    "fig8",
 		Title: "Convergence time (s) vs total grid points N = L², 2-D Poisson",
@@ -137,10 +143,13 @@ func runFig8(cfg Config) (*Table, error) {
 			"N", "digital CG wall (s)", "CG iters",
 			"digital model Xeon (s)", "analog 20kHz sim (s)",
 			"analog 20kHz model (s)", "analog 80kHz model (s)",
+			"analog 20kHz sim 12-bit (s)", "analog 20kHz model 12-bit (s)",
 		},
 	}
 	ls := fig8Ls(cfg.Quick)
-	rows := make([][]interface{}, len(ls))
+	probs := make([]*pde.Problem, len(ls))
+	sims := make([][2]string, len(ls))
+	secs := func(simTime float64) string { return fmt.Sprintf("%.3e", simTime) }
 	err := runPoints(cfg, len(ls), func(i int) error {
 		l := ls[i]
 		prob, err := pde.Poisson(2, l)
@@ -148,35 +157,41 @@ func runFig8(cfg Config) (*Table, error) {
 			return err
 		}
 		cfg.logf("fig8: L=%d (N=%d)", l, prob.Grid.N())
-		wall, iters, _, err := digitalCG(prob)
-		if err != nil {
-			return err
+		for k, bits := range []int{adcBits, modelBits} {
+			if sims[i][k], err = analogCell(prob, bits, secs); err != nil {
+				return fmt.Errorf("bench: fig8 analog %d-bit L=%d: %w", bits, l, err)
+			}
 		}
-		sim, err := analogCell(prob, adcBits, func(simTime float64) string { return fmt.Sprintf("%.3e", simTime) })
-		if err != nil {
-			return fmt.Errorf("bench: fig8 analog L=%d: %w", l, err)
-		}
-		rows[i] = []interface{}{
-			prob.Grid.N(),
-			fmt.Sprintf("%.3e", wall),
-			iters,
-			fmt.Sprintf("%.3e", model.CPUTimeCG(prob.Grid.N(), iters)),
-			sim,
-			fmt.Sprintf("%.3e", model.Design{BandwidthHz: 20e3}.SolveTimePoisson(2, l, adcBits)),
-			fmt.Sprintf("%.3e", model.Design{BandwidthHz: 80e3}.SolveTimePoisson(2, l, adcBits)),
-		}
+		probs[i] = prob
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
+	for i, prob := range probs {
+		l := ls[i]
+		cfg.logf("fig8: digital CG L=%d", l)
+		wall, iters, _, err := digitalCG(prob)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(
+			prob.Grid.N(),
+			fmt.Sprintf("%.3e", wall),
+			iters,
+			fmt.Sprintf("%.3e", model.CPUTimeCG(prob.Grid.N(), iters)),
+			sims[i][0],
+			secs(model.Design{BandwidthHz: 20e3}.SolveTimePoisson(2, l, adcBits)),
+			secs(model.Design{BandwidthHz: 80e3}.SolveTimePoisson(2, l, adcBits)),
+			sims[i][1],
+			secs(model.Design{BandwidthHz: 20e3}.SolveTimePoisson(2, l, modelBits)),
+		)
 		t.markTimed(1)
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: analog time grows ∝ N, digital CG ∝ N^1.5; prototype-bandwidth parity near 650 integrators on the 2009-era Xeon",
 		"analog times are virtual analog seconds from the behavioural chip simulation; digital wall times are this machine's, so the crossover location shifts with host CPU speed (see EXPERIMENTS.md)",
+		"12-bit columns: the same chip with the model accelerator's 12-bit ADCs, settling to ln(2¹²·4) time constants in the model; it resolves every grid, so analog time ∝ N is measured across the whole sweep",
 	)
 	noteUnresolvable(t, adcBits)
 	return t, nil

@@ -494,12 +494,13 @@ func (c *Chip) rebuild() isa.Status {
 		GainSigma:   c.spec.GainSigma,
 		NoiseSigma:  c.spec.NoiseSigma,
 		Seed:        c.spec.Seed,
+		SolveStep:   c.spec.SolveStep,
 	})
 	if err != nil {
 		return isa.StatusInternal
 	}
 	// One net per connected input port; dangling nets elsewhere.
-	inNets := map[uint16]circuit.Net{}
+	inNets := make(map[uint16]circuit.Net, len(c.conns))
 	for _, cn := range c.conns {
 		if _, ok := inNets[cn.dst]; !ok {
 			inNets[cn.dst] = nl.Net()
@@ -512,7 +513,7 @@ func (c *Chip) rebuild() isa.Status {
 		return nl.Net() // dangling: reads 0
 	}
 	// Output port → net it drives (via the single connection allowed).
-	outNet := map[uint16]circuit.Net{}
+	outNet := make(map[uint16]circuit.Net, len(c.conns))
 	for _, cn := range c.conns {
 		outNet[cn.src] = inNets[cn.dst]
 	}
@@ -559,7 +560,9 @@ func (c *Chip) rebuild() isa.Status {
 	for l := 0; l < c.counts.LUTs; l++ {
 		table := c.tables[l]
 		if table == nil {
-			table = make([]float64, 256) // unprogrammed: outputs 0
+			// Unprogrammed: outputs 0. One zero entry answers every
+			// input exactly as 256 would.
+			table = []float64{0}
 		}
 		b := nl.AddLUTTable(netForInput(c.pm.LUTIn(l)), netForOutput(c.pm.LUTOut(l)), table)
 		blocks[ClassLUT] = append(blocks[ClassLUT], b)

@@ -634,3 +634,44 @@ func TestAlgebraicLoopRejectedAtCommit(t *testing.T) {
 		t.Fatalf("algebraic loop commit: %v", err)
 	}
 }
+
+// TestOscillatorKeepsAmplitude pins the transient step PrototypeSpec
+// chips simulate at: alasim's undamped oscillator (d²u/dt² = −u, u(0) = 0.8,
+// 12-bit converters, driven over the ISA) must keep its amplitude within
+// 1% over 1 ms, 20 periods at 20 kHz. Read once per period, u sits at its
+// peak. At the solve step (ScaledSpec's SolveStep) RK4 damps the loop by
+// about 0.6% per step, and u falls to about 0.3 by 1 ms.
+func TestOscillatorKeepsAmplitude(t *testing.T) {
+	spec := PrototypeSpec()
+	spec.ADCBits, spec.DACBits = 12, 12
+	if spec.SolveStep || !ScaledSpec(4, 12, 20e3, 0).SolveStep {
+		t.Fatal("only ScaledSpec sets SolveStep")
+	}
+	h, c := hostFor(t, spec)
+	pm := c.Ports()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(h.SetConn(pm.IntegratorOut(1), pm.IntegratorIn(0))) // du/dt = v
+	must(h.SetConn(pm.IntegratorOut(0), pm.FanoutIn(0)))
+	must(h.SetConn(pm.FanoutOut(0, 0), pm.MultiplierIn(0, 0)))
+	must(h.SetConn(pm.FanoutOut(0, 1), pm.ADCIn(0)))
+	must(h.SetMulGain(0, -1))
+	must(h.SetConn(pm.MultiplierOut(0), pm.IntegratorIn(1))) // dv/dt = −u
+	must(h.SetIntInitial(0, 0.8))
+	must(h.SetIntInitial(1, 0))
+	must(h.CfgCommit())
+	period := 1 / spec.Bandwidth // ω = k = 2π·bandwidth
+	must(h.SetTimeout(uint32(math.Round(period * spec.TimerHz))))
+	for p := 1; p <= 20; p++ {
+		must(h.ExecStart())
+		u, err := h.AnalogAvg(0, 1)
+		must(err)
+		if math.Abs(u-0.8) > 0.008 {
+			t.Fatalf("after %d periods (%.0f µs) u = %.4f, want 0.8 ± 1%%", p, float64(p)*period*1e6, u)
+		}
+	}
+}

@@ -55,6 +55,13 @@ type Spec struct {
 	// simulation-fidelity knob, not part of the Table I architecture:
 	// every engine is bit-identical, so it never changes answers.
 	Engine string
+	// SolveStep steps the simulation at RK4's stability limit, ten times
+	// the default step, on a noise-free chip (circuit.Config.SolveStep).
+	// Another simulation-fidelity knob: settled codes stay the same,
+	// while transients such as an undamped loop's amplitude do not, so
+	// only ScaledSpec, the linear-solve design, sets it, and ODE mode
+	// refuses a chip that has it.
+	SolveStep bool
 }
 
 // PrototypeSpec returns the fabricated 65 nm chip: four macroblocks,
@@ -79,7 +86,8 @@ func PrototypeSpec() Spec {
 // variables: macroblocks widened so each variable has enough multipliers
 // for a 2-D stencil row plus its constant bias, 12-bit ADCs, and the given
 // bandwidth. mulsPerMB <= 0 selects the default of 6 (five stencil
-// neighbours + headroom).
+// neighbours + headroom). It is a linear-solve design, so it sets
+// SolveStep.
 func ScaledSpec(integrators int, adcBits int, bandwidth float64, mulsPerMB int) Spec {
 	s := PrototypeSpec()
 	s.Macroblocks = integrators
@@ -99,6 +107,7 @@ func ScaledSpec(integrators int, adcBits int, bandwidth float64, mulsPerMB int) 
 	if bandwidth > 0 {
 		s.Bandwidth = bandwidth
 	}
+	s.SolveStep = true
 	return s
 }
 

@@ -98,6 +98,11 @@ type Config struct {
 	// Seed drives the process-variation and noise RNG; chips built with
 	// the same seed have identical mismatch, like re-testing one die.
 	Seed int64
+	// SolveStep lets the automatic RK4 step run at the stability limit
+	// 1/(k·G) instead of 0.1/(k·G) when the configuration is noise-free
+	// (see solveStep). It suits circuits read only at equilibrium, and
+	// distorts transients such as undamped oscillations.
+	SolveStep bool
 }
 
 // withDefaults fills zero fields with the prototype's values.
@@ -182,7 +187,7 @@ type Block struct {
 	Gain     float64   // multiplier constant gain (set over ISA)
 	IC       float64   // integrator initial condition
 	Level    float64   // DAC constant output (pre-quantization)
-	Table    []float64 // LUT contents (256 output samples over ±FullScale)
+	Table    []float64 // LUT output samples at equally spaced inputs over ±FullScale
 	Stimulus func(t float64) float64
 	varMode  bool // multiplier uses two analog inputs instead of Gain
 
@@ -224,9 +229,6 @@ type Netlist struct {
 	rng    *rand.Rand
 	blocks []*Block
 	nets   int
-	// drivers[n] counts outputs driving net n; readers likewise.
-	drivers []int
-	readers []int
 }
 
 // NewNetlist creates an empty netlist on a chip with the given physical
@@ -252,8 +254,6 @@ func (nl *Netlist) NumNets() int { return nl.nets }
 func (nl *Netlist) Net() Net {
 	n := Net(nl.nets)
 	nl.nets++
-	nl.drivers = append(nl.drivers, 0)
-	nl.readers = append(nl.readers, 0)
 	return n
 }
 
@@ -266,15 +266,9 @@ func (nl *Netlist) checkNet(n Net) {
 func (nl *Netlist) add(b *Block) *Block {
 	for _, n := range b.in {
 		nl.checkNet(n)
-		if n != noNet {
-			nl.readers[n]++
-		}
 	}
 	for _, n := range b.out {
 		nl.checkNet(n)
-		if n != noNet {
-			nl.drivers[n]++
-		}
 	}
 	b.ID = len(nl.blocks)
 	b.stateIdx = -1

@@ -579,3 +579,56 @@ func TestPropSLESettlesToTrueSolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAutoStepFactor pins the automatic step: 0.1/(k·G) by default,
+// 1/(k·G) on a noise-free configuration with SolveStep, and 0.1/(k·G)
+// again once noise is on, since noise is drawn per step. Every lane
+// derives the scalar step through the same gain walk, and recomputing a
+// step allocates nothing.
+func TestAutoStepFactor(t *testing.T) {
+	k := 2 * math.Pi * 20e3
+	const g = 1.5 // net d sums the multiplier's |−0.5| and the DAC's 1
+	cases := []struct {
+		name   string
+		cfg    Config
+		factor float64
+	}{
+		{"transient", Config{Bandwidth: 20e3}, 0.1},
+		{"solve step", Config{Bandwidth: 20e3, SolveStep: true}, 1.0},
+		{"noisy solve step", Config{Bandwidth: 20e3, SolveStep: true, NoiseSigma: 1e-4}, 0.1},
+	}
+	for _, c := range cases {
+		nl, err := NewNetlist(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, d := nl.Net(), nl.Net()
+		nl.AddIntegrator(d, u, 0.5)
+		nl.AddMultiplier(u, d, -0.5)
+		nl.AddDAC(d, 0.2)
+		sim, err := NewSimulator(nl, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.factor / (k * g); sim.Dt() != want {
+			t.Errorf("%s: dt %v, want %v", c.name, sim.Dt(), want)
+		}
+		if allocs := testing.AllocsPerRun(10, sim.ReloadStep); allocs != 0 {
+			t.Errorf("%s: ReloadStep allocates %v times", c.name, allocs)
+		}
+		if c.cfg.NoiseSigma > 0 {
+			continue // lanes are noise-free only
+		}
+		if err := sim.ConfigureLanes(3); err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < 3; l++ {
+			if sim.LaneDt(l) != sim.Dt() {
+				t.Errorf("%s: lane %d dt %v, scalar %v", c.name, l, sim.LaneDt(l), sim.Dt())
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, sim.ReloadLaneSteps); allocs != 0 {
+			t.Errorf("%s: ReloadLaneSteps allocates %v times", c.name, allocs)
+		}
+	}
+}

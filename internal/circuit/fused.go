@@ -111,6 +111,16 @@ func (st *fusedStream) emit(p *program, i int32, store bool) {
 // phase < L, so the reordering only ever commutes writes to different
 // nets; per-net sums still accumulate in exactly the reference's order.
 func (st *fusedStream) emitPhases(p *program, byPhase [][]int32, cone bool) {
+	n := 0
+	for _, c := range p.cone {
+		if c == cone {
+			n++
+		}
+	}
+	st.ops = make([]fusedOp, 0, n)
+	st.aux = make([]int32, 0, n)
+	st.in1 = make([]int32, 0, n)
+	st.ids = make([]int32, 0, n)
 	for _, phase := range byPhase {
 		for _, i := range phase {
 			if p.cone[i] == cone && p.first[i] {

@@ -251,39 +251,11 @@ func (s *Simulator) ReloadLaneParams() {
 	s.laneValsDirty = true
 }
 
-// autoStepLane is autoStep evaluated with lane l's multiplier gains: the
-// identical gain-sum walk, so a lane's dt matches the dt a scalar
-// simulator would derive for that lane's parameters.
-func (s *Simulator) autoStepLane(lane int) float64 {
-	gainSum := make([]float64, s.nl.nets)
-	for _, b := range s.nl.blocks {
-		g := 1.0
-		if b.Kind == KindMultiplier && !b.varMode {
-			g = math.Abs(s.laneGainP[s.laneIdx(b.ID, lane)])
-		}
-		if b.Kind == KindADC {
-			continue
-		}
-		for _, n := range b.out {
-			if n != noNet {
-				gainSum[n] += math.Max(g, 1e-9)
-			}
-		}
-	}
-	maxSum := 1.0
-	for _, g := range gainSum {
-		if g > maxSum {
-			maxSum = g
-		}
-	}
-	return 0.1 / (s.k * maxSum)
-}
-
 // ReloadLaneSteps recomputes every lane's automatic integration step from
 // its current gains (the lane counterpart of ReloadStep).
 func (s *Simulator) ReloadLaneSteps() {
 	for l := 0; l < s.lanes; l++ {
-		if dt := s.autoStepLane(l); dt > 0 {
+		if dt := s.autoStep(l); dt > 0 {
 			s.laneDt[l] = dt
 		}
 	}

@@ -87,7 +87,22 @@ type program struct {
 // compile() (it consumes the topological order); constants are filled in by
 // the first refold. sink is the scratch net unconnected outputs drive.
 func (s *Simulator) lower(sink Net) *program {
-	p := &program{}
+	n := 0 // ops: one per source and per multiplier or LUT, one per fanout branch
+	for _, b := range s.nl.blocks {
+		switch b.Kind {
+		case KindIntegrator, KindDAC, KindInput:
+			n++
+		}
+	}
+	for _, b := range s.order {
+		n += len(b.out)
+	}
+	p := &program{
+		kind: make([]opcode, 0, n), in0: make([]int32, 0, n), in1: make([]int32, 0, n),
+		out: make([]int32, 0, n), blk: make([]*Block, 0, n), tab: make([][]float64, 0, n),
+		gain: make([]float64, 0, n), off: make([]float64, 0, n), craw: make([]float64, 0, n),
+		cval: make([]float64, 0, n),
+	}
 	emit := func(kind opcode, b *Block, in0, in1 int32, out Net) {
 		if out == noNet {
 			out = sink

@@ -22,7 +22,7 @@ type Probe struct {
 	Vals  []float64
 }
 
-// Simulator integrates a Netlist's dynamics in continuous time (fine-step
+// Simulator integrates a Netlist's dynamics in continuous time (fixed-step
 // RK4 standing in for the physics). One Simulator corresponds to one
 // powered-up chip run: execStart ≈ Reset+Run, execStop ≈ stopping time.
 type Simulator struct {
@@ -51,6 +51,8 @@ type Simulator struct {
 	// valsDirty marks netVals stale relative to (time, state): stepH can
 	// otherwise reuse the post-step evaluation as the next step's k1 stage.
 	valsDirty bool
+	// gainSum is autoStep's per-net gain buffer.
+	gainSum []float64
 
 	// Latch store: one peak tracker and one overflow latch per block and
 	// lane, slot [id*B+lane] with B = max(lanes, 1); ClearExceptions (and
@@ -88,18 +90,21 @@ type Simulator struct {
 }
 
 // NewSimulator compiles the netlist (detecting algebraic loops) and prepares
-// a run. dt <= 0 selects an automatic step: a small fraction of the fastest
-// loop time constant implied by the programmed gains.
+// a run. dt <= 0 selects an automatic step: a fraction of the fastest loop
+// time constant implied by the programmed gains (see autoStep).
 func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
 	// netVals carries one scratch sink net past the last real net: ops
 	// whose output is unconnected drive it, and NetValue never reads it.
 	s := &Simulator{
 		nl:      nl,
 		netVals: make([]float64, nl.nets+1),
+		gainSum: make([]float64, nl.nets),
 		over:    make([]bool, len(nl.blocks)),
 		peak:    make([]float64, len(nl.blocks)),
 		k:       2 * math.Pi * nl.cfg.Bandwidth,
-		noise:   rand.New(rand.NewSource(nl.cfg.Seed + 0x9e3779b9)),
+	}
+	if nl.cfg.NoiseSigma > 0 {
+		s.noise = rand.New(rand.NewSource(nl.cfg.Seed + 0x9e3779b9))
 	}
 	for _, b := range nl.blocks {
 		if b.Kind == KindIntegrator {
@@ -118,7 +123,7 @@ func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
 	s.fused = s.prog.buildFused(len(s.netVals))
 	s.ReloadBlockParams()
 	if dt <= 0 {
-		dt = s.autoStep()
+		dt = s.autoStep(-1)
 	}
 	if dt <= 0 {
 		return nil, fmt.Errorf("circuit: cannot choose a step for bandwidth %v", nl.cfg.Bandwidth)
@@ -140,7 +145,7 @@ func (s *Simulator) compile() error {
 		deps  int
 		succ  []int
 	}
-	var nodes []nodeInfo
+	nodes := make([]nodeInfo, 0, len(s.nl.blocks))
 	for _, b := range s.nl.blocks {
 		switch b.Kind {
 		case KindMultiplier, KindFanout, KindLUT:
@@ -148,7 +153,7 @@ func (s *Simulator) compile() error {
 		}
 	}
 	// netDrivenBy[n] lists combinational nodes driving net n.
-	netDrivenBy := make(map[Net][]int)
+	netDrivenBy := make([][]int, s.nl.nets)
 	for i := range nodes {
 		for _, n := range nodes[i].block.out {
 			if n != noNet {
@@ -178,12 +183,13 @@ func (s *Simulator) compile() error {
 			}
 		}
 	}
-	var queue []int
+	queue := make([]int, 0, len(nodes)) // every node is queued once
 	for i := range nodes {
 		if nodes[i].deps == 0 {
 			queue = append(queue, i)
 		}
 	}
+	s.order = make([]*Block, 0, len(nodes))
 	for len(queue) > 0 {
 		i := queue[0]
 		queue = queue[1:]
@@ -201,15 +207,40 @@ func (s *Simulator) compile() error {
 	return nil
 }
 
-// autoStep estimates a stable RK4 step from the programmed gains: the loop
-// eigenvalues are bounded by k times the largest summed |gain| into a net,
-// and RK4 is stable well past λ·dt = 2.7, so dt = 0.1/(k·G) is conservative.
-func (s *Simulator) autoStep() float64 {
-	gainSum := make([]float64, s.nl.nets)
+// The automatic RK4 step is a fraction of 1/(k·G), where G is the largest
+// summed |gain| into a net, so k·G bounds the loop eigenvalues. RK4 stays
+// stable up to about |λ·dt| = 2.8.
+//
+// transientStep resolves the waveform: an undamped loop loses about
+// (λ·dt)⁶/144 of its amplitude per step, under 1e-8 here.
+//
+// solveStep is for noise-free circuits read only at equilibrium
+// (Config.SolveStep). A fixed point of the RK4 map is a state with zero
+// derivative, so the equilibrium does not depend on the step. A noisy
+// circuit keeps transientStep, because its noise is drawn once per step
+// and a new step would draw new noise. At solveStep an undamped loop
+// loses about 0.6% of its amplitude per step.
+const (
+	transientStep = 0.1
+	solveStep     = 1.0
+)
+
+// autoStep derives the integration step from the programmed gains, lane
+// l's gains in lane mode or the blocks' own with l < 0. Scalar and lane
+// steps share this one walk, so a lane's dt is the dt a scalar simulator
+// derives for that lane's parameters. It sums into the simulator's own
+// buffer, so it allocates nothing.
+func (s *Simulator) autoStep(l int) float64 {
+	gainSum := s.gainSum
+	clear(gainSum)
 	for _, b := range s.nl.blocks {
 		g := 1.0
 		if b.Kind == KindMultiplier && !b.varMode {
-			g = math.Abs(b.Gain)
+			if l < 0 {
+				g = math.Abs(b.Gain)
+			} else {
+				g = math.Abs(s.laneGainP[s.laneIdx(b.ID, l)])
+			}
 		}
 		if b.Kind == KindADC {
 			continue
@@ -226,7 +257,11 @@ func (s *Simulator) autoStep() float64 {
 			maxSum = g
 		}
 	}
-	return 0.1 / (s.k * maxSum)
+	factor := transientStep
+	if s.nl.cfg.SolveStep && s.nl.cfg.NoiseSigma == 0 {
+		factor = solveStep
+	}
+	return factor / (s.k * maxSum)
 }
 
 // ReloadStep recomputes the automatic integration step from the blocks'
@@ -234,7 +269,7 @@ func (s *Simulator) autoStep() float64 {
 // a live simulator: new multiplier gains move the stability bound, and a
 // full rebuild would have re-derived dt the same way.
 func (s *Simulator) ReloadStep() {
-	if dt := s.autoStep(); dt > 0 {
+	if dt := s.autoStep(-1); dt > 0 {
 		s.dt = dt
 	}
 }

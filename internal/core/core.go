@@ -58,6 +58,11 @@ var (
 	// (Section VI-D's dynamic-range trade at its breaking point). Use a
 	// higher-resolution ADC or decompose into better-conditioned blocks.
 	ErrUnresolvable = errors.New("core: system conditioning exceeds ADC resolution at this scale")
+	// ErrSolveStep: ODE mode reads the transient, and a chip whose spec
+	// sets SolveStep simulates it at a step that is faithful only at
+	// equilibrium (an undamped loop loses amplitude every step). Run ODE
+	// mode on a spec without it, such as PrototypeSpec.
+	ErrSolveStep = errors.New("core: ODE mode needs a chip without chip.Spec.SolveStep")
 )
 
 // Accelerator is the host-side driver for one analog accelerator chip.

@@ -44,8 +44,12 @@ type Trajectory struct {
 
 // SolveODE runs du/dt = M·u + g from u0 for opt.Duration of problem time,
 // sampling the trajectory through the ADCs. The returned trajectory
-// includes the initial state at t = 0.
+// includes the initial state at t = 0. A chip whose spec sets SolveStep
+// is refused with ErrSolveStep.
 func (acc *Accelerator) SolveODE(m Matrix, g, u0 la.Vector, opt ODEOptions) (*Trajectory, error) {
+	if acc.spec.SolveStep {
+		return nil, ErrSolveStep
+	}
 	n := m.Dim()
 	if len(g) != n || len(u0) != n {
 		return nil, fmt.Errorf("core: ODE dims m=%d g=%d u0=%d", n, len(g), len(u0))

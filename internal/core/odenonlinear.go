@@ -50,8 +50,12 @@ type NonlinearODEOptions struct {
 // chip, with each nonlinearity realized by a lookup table. The number of
 // terms is limited by the chip's LUT inventory; every term also consumes a
 // fanout tap on its input variable and one multiplier per nonzero of its
-// coefficient column.
+// coefficient column. Like SolveODE, it refuses a SolveStep chip with
+// ErrSolveStep.
 func (acc *Accelerator) SolveODENonlinear(m Matrix, terms []LUTTerm, g, u0 la.Vector, opt NonlinearODEOptions) (*Trajectory, error) {
+	if acc.spec.SolveStep {
+		return nil, ErrSolveStep
+	}
 	n := m.Dim()
 	if len(g) != n || len(u0) != n {
 		return nil, fmt.Errorf("core: ODE dims m=%d g=%d u0=%d", n, len(g), len(u0))

@@ -97,15 +97,33 @@ func (s *Session) settleTolerances() (tols la.Vector, floor float64) {
 	}
 	mismatch += 6 * s.acc.spec.NoiseSigma
 	tols = s.scratch.tols
-	for i := 0; i < s.n; i++ {
-		var rowSum float64
-		s.as.VisitRow(i, func(_ int, v float64) { rowSum += math.Abs(v) })
+	for i, rowSum := range s.rowSums() {
 		tols[i] = 1.5*lsb*rowSum + mismatch
 		if tols[i] > floor {
 			floor = tols[i]
 		}
 	}
 	return tols, floor
+}
+
+// rowSums returns the absolute row sums of the scaled matrix A/S. They
+// move only when a boost moves S, so the walk runs once per scale and
+// the sums wait in the session scratch.
+func (s *Session) rowSums() la.Vector {
+	sc := &s.scratch
+	if sc.rowSumsS == s.sc.S {
+		return sc.rowSums
+	}
+	inv := s.as.inv
+	var rowSum float64
+	visit := func(_ int, v float64) { rowSum += math.Abs(v * inv) }
+	for i := range sc.rowSums {
+		rowSum = 0
+		s.a.VisitRow(i, visit)
+		sc.rowSums[i] = rowSum
+	}
+	sc.rowSumsS = s.sc.S
+	return sc.rowSums
 }
 
 // programWave quantizes each job's scaled bias and verifies it is

@@ -153,6 +153,10 @@ type solveScratch struct {
 	uHat  la.Vector // full-scale readings (poll codes, then the readout)
 	resid la.Vector // digitally reconstructed residual
 	job   settleJob // a scalar solve's one job
+	// rowSums holds the absolute row sums of A/S at value scale rowSumsS
+	// (0 before the first walk); see Session.rowSums.
+	rowSums  la.Vector
+	rowSumsS float64
 	// slots holds each wave position's bias and poll buffers: slot 0
 	// serves scalar solves, and lane waves grow it on first use.
 	slots []waveSlot
@@ -160,11 +164,12 @@ type solveScratch struct {
 
 func newSolveScratch(n int) solveScratch {
 	return solveScratch{
-		bs:    la.NewVector(n),
-		tols:  la.NewVector(n),
-		uHat:  la.NewVector(n),
-		resid: la.NewVector(n),
-		slots: []waveSlot{newWaveSlot(n)},
+		bs:      la.NewVector(n),
+		tols:    la.NewVector(n),
+		rowSums: la.NewVector(n),
+		uHat:    la.NewVector(n),
+		resid:   la.NewVector(n),
+		slots:   []waveSlot{newWaveSlot(n)},
 	}
 }
 
