@@ -29,8 +29,12 @@ func init() {
 func runFederation(cfg Config) (*Table, error) {
 	load := federation.LoadConfig{}
 	if cfg.Quick {
-		load.Requests = 60
+		// One request in flight at a time: each hit rate then follows the
+		// routing policy, not how concurrent requests interleave on the
+		// chips, and 200 requests keep the quick run under a second.
+		load.Requests = 200
 		load.Operators = 12
+		load.Concurrency = 1
 	}
 	pool := serve.PoolConfig{ChipsPerClass: 4, WarmSizes: []int{2}, MinClass: 2, MaxDim: 32}
 	variants := []struct {

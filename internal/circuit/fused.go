@@ -585,11 +585,17 @@ func (f *fusedProg) evalLanes(s *Simulator, ts, state []float64) {
 // lanes stay bit-identical either way. Every lane's per-net accumulation
 // order is the scalar stream order, so each lane is bit-identical to a
 // scalar run with that lane's parameters.
+//
+// At B = 16 the state and linear segments run on the AVX2 kernels, which
+// stop at the first op with a lane beyond full scale: that one op runs
+// in the Go loop (soft saturation lives only there), and the kernel
+// resumes at the next.
 func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
+	avx := laneAVX && B == 16
 	for _, sg := range st.segs {
 		ops := st.ops[sg.start:sg.end]
 		lg := st.laneG[int(sg.start)*B : int(sg.end)*B]
@@ -614,11 +620,12 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStr
 				}
 			}
 		case sg.op == opState && sg.store:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegState16(&ops[0], len(ops), &nv[0], &state[0], fs, true)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegState16(&ops[i], len(ops)-i, &nv[0], &state[0], fs, true); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := state[int(o.in0)*B : int(o.in0)*B+B]
@@ -635,11 +642,12 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStr
 				}
 			}
 		case sg.op == opState:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegState16(&ops[0], len(ops), &nv[0], &state[0], fs, false)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegState16(&ops[i], len(ops)-i, &nv[0], &state[0], fs, false); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := state[int(o.in0)*B : int(o.in0)*B+B]
@@ -681,11 +689,12 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStr
 				}
 			}
 		case sg.op == opLinear && sg.store:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegLin16(&ops[0], len(ops), &nv[0], &lg[0], &un[0], fs, true)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegLin16(&ops[i], len(ops)-i, &nv[0], &lg[i*B], &un[i], fs, true); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
@@ -719,11 +728,12 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStr
 				}
 			}
 		case sg.op == opLinear:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegLin16(&ops[0], len(ops), &nv[0], &lg[0], &un[0], fs, false)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegLin16(&ops[i], len(ops)-i, &nv[0], &lg[i*B], &un[i], fs, false); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
@@ -824,13 +834,16 @@ func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 // every loop: each op's raw value updates the owning block's per-lane
 // peak tracker before saturation. opConst values come
 // pre-saturated from the lane fold (laneG); their raws come from
-// laneCraw, exactly as the scalar fold keeps craw beside cval.
+// laneCraw, exactly as the scalar fold keeps craw beside cval. The
+// AVX2 kernels hand back saturating ops one at a time, as in
+// runSegsLanes.
 func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, st *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
 	lanePeak := s.peak
+	avx := laneAVX && B == 16
 	for _, sg := range st.segs {
 		ops := st.ops[sg.start:sg.end]
 		ids := st.ids[sg.start:sg.end]
@@ -859,11 +872,12 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, st *fu
 				}
 			}
 		case sg.op == opState:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegState16Rec(&ops[0], &ids[0], len(ops), &nv[0], &state[0], &lanePeak[0], fs, sg.store)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegState16Rec(&ops[i], &ids[i], len(ops)-i, &nv[0], &state[0], &lanePeak[0], fs, sg.store); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				id := int(ids[i])
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
@@ -921,11 +935,12 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, st *fu
 				}
 			}
 		case sg.op == opLinear && sg.store:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegLin16Rec(&ops[0], &ids[0], len(ops), &nv[0], &lg[0], &un[0], &lanePeak[0], fs, true)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegLin16Rec(&ops[i], &ids[i], len(ops)-i, &nv[0], &lg[i*B], &un[i], &lanePeak[0], fs, true); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				id := int(ids[i])
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
@@ -969,11 +984,12 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, st *fu
 				}
 			}
 		case sg.op == opLinear:
-			i0 := 0
-			if laneAVX && B == 16 {
-				i0 = laneSegLin16Rec(&ops[0], &ids[0], len(ops), &nv[0], &lg[0], &un[0], &lanePeak[0], fs, false)
-			}
-			for i := i0; i < len(ops); i++ {
+			for i := 0; i < len(ops); i++ {
+				if avx {
+					if i += laneSegLin16Rec(&ops[i], &ids[i], len(ops)-i, &nv[0], &lg[i*B], &un[i], &lanePeak[0], fs, false); i == len(ops) {
+						break
+					}
+				}
 				o := &ops[i]
 				id := int(ids[i])
 				dst := nv[int(o.out)*B : int(o.out)*B+B]

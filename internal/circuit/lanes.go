@@ -381,21 +381,22 @@ func (s *Simulator) stepLanesH(hs []float64, active []bool) {
 	s.stageLanes(k4, nil, nil)
 	fs, sat := s.nl.cfg.FullScale, s.nl.cfg.SatLevel
 	ovThresh := fs * (1 + 1e-12)
-	i0 := 0
-	if laneAVX && B == 16 && len(s.integrators) > 0 {
-		allActive := true
-		for l := 0; l < B; l++ {
-			if !active[l] {
-				allActive = false
+	// With every lane active at B = 16 the AVX2 kernel combines; an
+	// integrator with a lane beyond the overflow threshold runs alone in
+	// the Go loop (overflow latch + soft saturation), and the kernel
+	// resumes at the next.
+	avx := laneAVX && B == 16
+	for l := 0; avx && l < B; l++ {
+		avx = active[l]
+	}
+	n := len(s.integrators)
+	for i := 0; i < n; i++ {
+		if avx {
+			if i += laneCombine16(n-i, &s.laneIntIDs[i], &s.laneState[i*B],
+				&k1[i*B], &k2[i*B], &k3[i*B], &k4[i*B], &hs[0], &s.peak[0], ovThresh); i == n {
 				break
 			}
 		}
-		if allActive {
-			i0 = laneCombine16(len(s.integrators), &s.laneIntIDs[0], &s.laneState[0],
-				&k1[0], &k2[0], &k3[0], &k4[0], &hs[0], &s.peak[0], ovThresh)
-		}
-	}
-	for i := i0; i < len(s.integrators); i++ {
 		b := s.integrators[i]
 		for l := 0; l < B; l++ {
 			if !active[l] {

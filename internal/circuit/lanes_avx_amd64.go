@@ -18,12 +18,15 @@ func cpuHasAVX2() bool
 
 // Each kernel walks ops[0:n] and returns the count of ops fully
 // committed: n on a clean run, or the index of the first op with a lane
-// beyond full scale — that op and the rest of the segment are then
-// re-run by the caller's Go loop. The record variants additionally
-// max-fold each op's per-lane |raw| into the owning block's peak slots
-// (idempotent, so a bailed op folding again in Go is harmless). That is
-// all a record pass latches: an op's overflow bit is read from its peak
-// (Simulator.overflowed).
+// beyond full scale. The caller's Go loop runs that one op and calls the
+// kernel again on the rest of the segment, so a saturated lane costs one
+// Go op per saturating op, not the rest of the walk. ops, ids, lg and un
+// are per-op arrays and may start mid-segment; nv, state and pk are
+// indexed by net, integrator or block and always point at element 0.
+// The record variants additionally max-fold each op's per-lane |raw|
+// into the owning block's peak slots (idempotent, so a bailed op folding
+// again in Go is harmless). That is all a record pass latches: an op's
+// overflow bit is read from its peak (Simulator.overflowed).
 
 //go:noescape
 func laneSegLin16(ops *fusedOp, n int, nv, lg *float64, un *bool, fs float64, store bool) int
@@ -49,7 +52,9 @@ func laneStage16(n int, intNet *int32, intGain, intOff, nv, dst, tmp, state, cs 
 // state += hs/6·(k1+2k2+2k3+k4) with the post-saturation peak latch.
 // Returns the count of integrators committed; an integrator with a lane
 // beyond the overflow threshold is left to the Go loop (overflow latch +
-// soft saturation), like the segment kernels' bail.
+// soft saturation), which resumes the kernel after it, like the segment
+// kernels' bail. ids, state and k1–k4 may start at any integrator; hs
+// and pk always point at element 0.
 //
 //go:noescape
 func laneCombine16(n int, ids *int32, state, k1, k2, k3, k4, hs, pk *float64, ovThresh float64) int

@@ -110,14 +110,25 @@ func expectLaneMatchesScalar(t testing.TB, simL *Simulator, lane int, simS *Simu
 	}
 }
 
+// hotLevel overdrives one lane's DAC levels in TestLaneMatchesScalar's
+// hot case: that lane's solution lies past full scale, so its integrators
+// ramp into saturation and some of its ops overflow, while the other
+// fifteen lanes stay in range. The 16-lane kernels then bail on the hot
+// lane's saturating ops and must resume on the clean ops after them in
+// the same segment (about 16k such resumes in the segment kernels and
+// 250 in laneCombine16 over the case's two runs).
+const hotLevel = 100.0
+
 // TestLaneMatchesScalar is the lane identity differential: every lane of
 // a lane-batched run must be bit-identical — states, net values, ADC
 // codes, overflow latches, peak trackers, step counts, and dt — to a
 // scalar fused run configured with that lane's parameters, across
 // several RunLanes calls (lanes tick raggedly: each carries its own dt).
+// hot ≥ 0 overdrives that lane by hotLevel.
 func TestLaneMatchesScalar(t *testing.T) {
 	const l = 6
-	for _, B := range []int{1, 2, 7, 16} {
+	for _, tc := range []struct{ B, hot int }{{1, -1}, {2, -1}, {7, -1}, {16, -1}, {16, 3}} {
+		B := tc.B
 		simL, err := NewSimulator(buildPoissonNetlist(t, l, settleRHS), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +138,16 @@ func TestLaneMatchesScalar(t *testing.T) {
 		}
 		for lane := 0; lane < B; lane++ {
 			applyLaneParamsLane(t, simL, lane)
+		}
+		if tc.hot >= 0 {
+			levelScale, _, _ := laneParams(tc.hot)
+			for _, b := range simL.nl.Blocks() {
+				if b.Kind == KindDAC {
+					if err := simL.SetLaneLevel(b, tc.hot, b.Level*levelScale*hotLevel); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 		}
 		simL.ReloadLaneSteps()
 		simL.Reset()
@@ -143,6 +164,13 @@ func TestLaneMatchesScalar(t *testing.T) {
 		for lane := 0; lane < B; lane++ {
 			nlS := buildPoissonNetlist(t, l, settleRHS)
 			applyLaneParamsScalar(nlS, lane)
+			if lane == tc.hot {
+				for _, b := range nlS.Blocks() {
+					if b.Kind == KindDAC {
+						b.Level *= hotLevel
+					}
+				}
+			}
 			simS, err := NewSimulator(nlS, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +178,7 @@ func TestLaneMatchesScalar(t *testing.T) {
 			simS.SetEngine(EngineFused)
 			simS.Run(d1)
 			simS.Run(d2)
-			expectLaneMatchesScalar(t, simL, lane, simS, fmt.Sprintf("B=%d", B))
+			expectLaneMatchesScalar(t, simL, lane, simS, fmt.Sprintf("B=%d hot=%d", B, tc.hot))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -153,22 +152,12 @@ func (c *Client) traceCtx(ctx context.Context) context.Context {
 	})
 }
 
-// gzipMinBytes is the encoded-body size above which the client
-// compresses uploads. Below it the gzip header and flush overhead eats
-// the win; above it (cold registrations of large operators, dense batch
-// bodies) compression is nearly free CPU against real wire bytes.
-const gzipMinBytes = 16 << 10
-
-// gzipWriterPool recycles client-side compressors (Reset per use).
-var gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-
-// do runs one JSON round trip: in (if non-nil) is the request body, out
-// (if non-nil) decodes the answer. Bodies over gzipMinBytes are sent
-// with Content-Encoding: gzip. 429s become *BusyError, other non-2xx
-// answers *RemoteError with the server's stable code preserved.
+// do runs one JSON round trip: in (if non-nil) is the request body,
+// sent as plain JSON, and out (if non-nil) decodes the answer. 429s
+// become *BusyError, other non-2xx answers *RemoteError with the
+// server's stable code preserved.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
-	gzipped := false
 	if in != nil {
 		// Encode through a pooled buffer; the transport is done reading the
 		// body (including any GetBody re-sends) by the time Do returns, so
@@ -178,24 +167,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if err := json.NewEncoder(buf).Encode(in); err != nil {
 			return fmt.Errorf("serve: encoding request: %w", err)
 		}
-		if buf.Len() >= gzipMinBytes {
-			zbuf := getBuf()
-			defer putBuf(zbuf)
-			zw := gzipWriterPool.Get().(*gzip.Writer)
-			zw.Reset(zbuf)
-			_, werr := zw.Write(buf.Bytes())
-			cerr := zw.Close()
-			gzipWriterPool.Put(zw)
-			// Compression failing, or not shrinking the body, just falls
-			// back to the plain send.
-			if werr == nil && cerr == nil && zbuf.Len() < buf.Len() {
-				body = bytes.NewReader(zbuf.Bytes())
-				gzipped = true
-			}
-		}
-		if body == nil {
-			body = bytes.NewReader(buf.Bytes())
-		}
+		body = bytes.NewReader(buf.Bytes())
 	}
 	httpReq, err := http.NewRequestWithContext(c.traceCtx(ctx), method, c.BaseURL+path, body)
 	if err != nil {
@@ -203,9 +175,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	if in != nil {
 		httpReq.Header.Set("Content-Type", "application/json")
-		if gzipped {
-			httpReq.Header.Set("Content-Encoding", "gzip")
-		}
 	}
 	if c.Tenant != "" {
 		httpReq.Header.Set("X-Alad-Tenant", c.Tenant)

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -366,35 +369,57 @@ func TestOperatorClientEnsureCaching(t *testing.T) {
 	}
 }
 
-// TestOperatorGzipWirePath uploads an operator big enough to trip the
-// client's gzip threshold and asserts (a) the server inflated it
-// correctly — the by-ref solve answers sanely — and (b) the wire-byte
-// histogram recorded the compressed size, far below the raw JSON.
+// TestOperatorGzipWirePath hand-gzips an operator upload and PUTs it
+// over raw HTTP with Content-Encoding: gzip, asserting (a) the server
+// inflated it correctly — the by-ref solve answers sanely — and (b) the
+// wire-byte histogram recorded the compressed size, far below the raw
+// JSON. serve.Client sends plain JSON, so this is the path a client that
+// compresses its own bodies takes.
 func TestOperatorGzipWirePath(t *testing.T) {
 	s, client, done := newTestServer(t, Config{})
 	defer done()
 	ctx := context.Background()
 
-	const n = 3000 // raw triplet JSON ≫ gzipMinBytes
+	const n = 3000
 	a := diagOp(n, 2)
-	reg := OperatorRequest{N: n, A: MatrixEntries(a)}
-	raw, err := json.Marshal(reg)
+	raw, err := json.Marshal(OperatorRequest{N: n, A: MatrixEntries(a)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) < 2*gzipMinBytes {
-		t.Fatalf("test operator too small to exercise gzip: %dB", len(raw))
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
 	}
-	info, err := client.RegisterOperator(ctx, reg)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	zlen := int64(zbuf.Len())
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPut, client.BaseURL+"/v1/operators", &zbuf)
 	if err != nil {
+		t.Fatal(err)
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Encoding", "gzip")
+	httpResp, err := http.DefaultClient.Do(httpReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(httpResp.Body)
+		t.Fatalf("gzip upload answered %d: %s", httpResp.StatusCode, msg)
+	}
+	var info OperatorInfo
+	if err := json.NewDecoder(httpResp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
 	sum, count := s.Metrics().RequestBytes("operators")
 	if count != 1 {
 		t.Fatalf("operator route saw %d requests", count)
 	}
-	if sum >= int64(len(raw))/2 {
-		t.Fatalf("wire bytes %d not compressed (raw %d)", sum, len(raw))
+	if sum != zlen || sum >= int64(len(raw))/2 {
+		t.Fatalf("wire bytes %d, want the compressed %d (raw %d)", sum, zlen, len(raw))
 	}
 
 	// Round trip: the inflated operator solves by reference (diagonal
@@ -405,6 +430,48 @@ func TestOperatorGzipWirePath(t *testing.T) {
 	}
 	if len(resp.U) != n || resp.Residual > 1e-9 {
 		t.Fatalf("by-ref solve of gzip-uploaded operator: n=%d residual=%v", len(resp.U), resp.Residual)
+	}
+}
+
+// TestClientSendsPlainJSON is the client-side counterpart: a
+// serve.Client registration far above 16 KiB arrives with no
+// Content-Encoding, and the wire histogram records exactly the encoded
+// JSON length.
+func TestClientSendsPlainJSON(t *testing.T) {
+	s, err := New(Config{Pool: testPoolConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var encodings []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && r.URL.Path == "/v1/operators" {
+			encodings = append(encodings, r.Header.Get("Content-Encoding"))
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+
+	const n = 3000
+	reg := OperatorRequest{N: n, A: MatrixEntries(diagOp(n, 2))}
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(reg); err != nil {
+		t.Fatal(err)
+	}
+	if enc.Len() < 64<<10 {
+		t.Fatalf("test operator too small: %dB", enc.Len())
+	}
+	if _, err := client.RegisterOperator(ctx, reg); err != nil {
+		t.Fatal(err)
+	}
+	if len(encodings) != 1 || encodings[0] != "" {
+		t.Fatalf("registration arrived with Content-Encoding %q, want one plain upload", encodings)
+	}
+	sum, count := s.Metrics().RequestBytes("operators")
+	if count != 1 || sum != int64(enc.Len()) {
+		t.Fatalf("operator route recorded %d bytes over %d requests, want %d over 1", sum, count, enc.Len())
 	}
 }
 
