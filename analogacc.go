@@ -85,8 +85,6 @@ type (
 	NonlinearODEOptions = core.NonlinearODEOptions
 	// Farm is a pool of accelerators for parallel block solves.
 	Farm = core.Farm
-	// ParallelStats reports a multi-chip decomposed solve.
-	ParallelStats = core.ParallelStats
 	// ChipSpec parameterizes a chip design (macroblocks, converters,
 	// bandwidth, mismatch).
 	ChipSpec = chip.Spec

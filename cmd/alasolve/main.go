@@ -46,7 +46,7 @@ func main() {
 		bandwidth = flag.Float64("bandwidth", 20e3, "analog bandwidth in Hz")
 		calibrate = flag.Bool("calibrate", false, "run the chip init calibration first")
 		maxLanes  = flag.Int("max-lanes", 0, "batch mode: cap on lane-parallel right-hand sides per wave (0 = device limit, 1 = sequential); bit-identical at any width")
-		jobs      = flag.Int("j", 0, "decomposed backend: chips to fan block solves out over (default: one per block; local solves build max(j,2) chips)")
+		jobs      = flag.Int("j", 0, "decomposed backend: chips to fan block solves out over (default: one per block; local solves build j chips, default 2)")
 		blockSize = flag.Int("block", 0, "decomposed backend: variables per block (default: auto)")
 		server    = flag.String("server", "", "alad daemon address(es), comma-separated: submit the solve remotely instead of solving in-process; with a federation node list, solves go to the fingerprint's owner node first and fail over down the rank")
 		conc      = flag.Int("concurrency", 1, "with -server: fire N concurrent copies of this solve, demonstrating the daemon's wave coalescer; each answer prints its coalesced=<bool> wave_lanes=<n> provenance")

@@ -137,12 +137,12 @@ func runParallel(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("bench: parallel %d chips: %w", chips, err)
 		}
 		if chips == 1 {
-			oneChipCritical = stats.AnalogTimeCritical
+			oneChipCritical = stats.AnalogCritical
 		}
 		t.AddRow(chips, stats.Sweeps,
-			fmt.Sprintf("%.3e", stats.AnalogTimeTotal),
-			fmt.Sprintf("%.3e", stats.AnalogTimeCritical),
-			fmt.Sprintf("%.2fx", oneChipCritical/stats.AnalogTimeCritical),
+			fmt.Sprintf("%.3e", stats.AnalogTime),
+			fmt.Sprintf("%.3e", stats.AnalogCritical),
+			fmt.Sprintf("%.2fx", oneChipCritical/stats.AnalogCritical),
 			fmt.Sprintf("%.1e", la.RelativeResidual(prob.A, x, prob.B)))
 	}
 	t.Notes = append(t.Notes,

@@ -53,7 +53,7 @@ func BackendUsage() string { return strings.Join(Backends(), " | ") }
 // IsAnalogBackend reports whether the backend runs on exactly one
 // accelerator chip (and therefore needs one checked out of a pool, or
 // built ad hoc). The decomposed backend is analog too but fans out over
-// several chips through a core.SessionProvider, so it is routed
+// several block workers through a core.WorkerProvider, so it is routed
 // separately.
 func IsAnalogBackend(name string) bool {
 	return name == BackendAnalog || name == BackendAnalogRefined
@@ -95,10 +95,10 @@ type SolveParams struct {
 	// (default: chosen by the provider, or n split over max(Workers, 2)
 	// ad-hoc chips).
 	BlockSize int
-	// Provider supplies chips for the decomposed backend (the serve
-	// pool); nil builds Workers identical simulated chips sized for one
-	// block.
-	Provider core.SessionProvider
+	// Provider lends block workers to the decomposed backend (the serve
+	// pool); nil builds Workers (default 2) identical simulated chips
+	// sized for one block.
+	Provider core.WorkerProvider
 	// OnSweep observes decomposed outer sweeps (the daemon's per-sweep
 	// latency histogram).
 	OnSweep func(sweep int, residual float64, elapsed time.Duration)
@@ -274,27 +274,26 @@ func solveAnalog(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector
 }
 
 // solveDecomposed runs the parallel block-Jacobi backend. With a provider
-// (the serve pool) chips are leased; without one it fabricates Workers
-// identical simulated chips sized for one block — identical specs and
-// seeds, so the answer does not depend on which chip solves which block.
+// (the serve pool) workers are leased; without one it fabricates Workers
+// (default 2) identical simulated chips sized for one block — identical
+// specs and seeds, so the answer does not depend on which chip solves
+// which block.
 func solveDecomposed(ctx context.Context, a *la.CSR, b la.Vector, p SolveParams) (Outcome, error) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 2
-	}
 	prov := p.Provider
 	size := p.BlockSize
 	if prov == nil {
+		chips := p.Workers
+		if chips <= 0 {
+			chips = 2
+		}
 		if size <= 0 {
-			parts := workers
-			if parts < 2 {
-				parts = 2
-			}
+			parts := max(chips, 2)
 			size = (a.Dim() + parts - 1) / parts
 		}
-		spec := chip.ScaledSpec(size, p.ADCBits, p.Bandwidth, a.MaxRowNNZ()+1)
-		spec.FanoutsPerMB = (a.MaxRowNNZ()+3)/3 + 1
-		accs := make(core.Accelerators, workers)
+		// SpecFor's rule for a's rows, on a chip of one block's order.
+		spec := SpecFor(a, p.ADCBits, p.Bandwidth)
+		spec.Macroblocks = size
+		accs := make(core.Accelerators, chips)
 		for i := range accs {
 			acc, _, err := core.NewSimulated(spec)
 			if err != nil {
@@ -315,10 +314,9 @@ func solveDecomposed(ctx context.Context, a *la.CSR, b la.Vector, p SolveParams)
 	innerTol := p.Tol / 10
 	pd := &core.ParallelDecompose{
 		Provider: prov,
-		Workers:  workers,
+		Workers:  p.Workers,
 		Opt: core.DecomposeOptions{
 			BlockSize:      size,
-			Jacobi:         true,
 			OuterTolerance: p.Tol,
 			Inner:          core.SolveOptions{Tolerance: innerTol, MaxLanes: p.MaxLanes},
 		},

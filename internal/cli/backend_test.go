@@ -52,7 +52,7 @@ func TestSolveSystemAllBackends(t *testing.T) {
 			t.Errorf("%s: empty cost note", backend)
 		}
 		// The decomposed backend is analog too, but routed through a
-		// SessionProvider rather than a single checked-out chip.
+		// WorkerProvider rather than a single checked-out chip.
 		analog := IsAnalogBackend(backend) || backend == BackendDecomposed
 		if analog != out.Analog {
 			t.Errorf("%s: Analog flag %v", backend, out.Analog)

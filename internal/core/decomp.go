@@ -10,35 +10,22 @@ import (
 	"analogacc/internal/la"
 )
 
-// Parallel domain decomposition over leased chips. Section IV-B's parallel
-// form — "the subproblems can be solved separately on multiple
+// Parallel domain decomposition over leased block workers. Section IV-B's
+// parallel form — "the subproblems can be solved separately on multiple
 // accelerators" — only pays off if each accelerator programs its block's
 // principal submatrix once and then keeps it resident: the matrix
 // configuration is O(block²) crossbar work, while the per-sweep right-hand
 // side rewrite (b_s − A_off·x) is O(block). ParallelDecompose is that
-// engine. It is deliberately ignorant of where chips come from: a
-// SessionProvider hands it K accelerators, which makes the same engine run
-// against a plain slice of drivers (Accelerators, the Farm) and against
-// the serve package's warm chip pool.
-
-// SessionProvider supplies the accelerators a parallel decomposed solve
-// fans out over. sample is a representative block submatrix: every
-// returned accelerator must be able to program it (and, for contiguous
-// equal-size decompositions, therefore every block). Providers may return
-// fewer than want chips — the engine schedules blocks over whatever it
-// gets — but must return at least one or an error. The release function,
-// if non-nil, is called exactly once when the solve is done with the
-// chips.
-type SessionProvider interface {
-	AcquireChips(ctx context.Context, sample Matrix, want int) (accs []*Accelerator, release func(), err error)
-}
+// engine. It is deliberately ignorant of where its workers come from: a
+// WorkerProvider lends them, which makes the same engine run against a
+// plain slice of accelerators (Accelerators, the Farm), the serve package's
+// warm chip pool, and a federation node that adds peer nodes to its pool.
 
 // BlockWorker is one lane of a decomposed solve: anything that can hold a
 // block matrix resident and solve batches of right-hand sides against it.
-// A local *Accelerator is the in-process form (see accWorker); a
-// federation peer reached over the serve wire protocol is the remote one.
-// Workers are driven by a single goroutine each, so implementations need
-// no internal locking.
+// A local *Accelerator is the in-process form; a federation peer reached
+// over the serve wire protocol is the remote one. Workers are driven by a
+// single goroutine each, so implementations need no internal locking.
 type BlockWorker interface {
 	// OpenBlock makes the block matrix resident on the worker and returns
 	// a session to solve against it. The engine opens each distinct block
@@ -56,39 +43,42 @@ type BlockSession interface {
 	SolveBatchRefinedItems(ctx context.Context, items []BatchItem, opt SolveOptions) ([]la.Vector, []Stats, []float64, error)
 }
 
-// WorkerProvider is the generalized SessionProvider seam: providers that
-// can lend block workers beyond local accelerators (the federation tier
-// lends remote peer nodes) implement it, and ParallelDecompose prefers it
-// over AcquireChips when present.
+// OpenBlock implements BlockWorker: the block is programmed through a
+// Session pinned to this chip.
+func (acc *Accelerator) OpenBlock(a *la.CSR) (BlockSession, error) { return acc.BeginSession(a) }
+
+// Odometer implements BlockWorker from the accelerator's cumulative
+// counters.
+func (acc *Accelerator) Odometer() (float64, int, int) {
+	return acc.AnalogTime(), acc.Runs(), acc.Configurations()
+}
+
+// WorkerProvider lends the block workers a parallel decomposed solve fans
+// out over, and sizes its blocks.
 type WorkerProvider interface {
+	// AcquireWorkers lends up to want workers. sample is a representative
+	// block submatrix: every returned worker must be able to hold it (and,
+	// for contiguous equal-size decompositions, therefore every block).
+	// Providers may return fewer than want workers — the engine schedules
+	// blocks over whatever it gets — but must return at least one or an
+	// error. The release function, if non-nil, is called exactly once
+	// when the solve is done with the workers.
 	AcquireWorkers(ctx context.Context, sample Matrix, want int) (workers []BlockWorker, release func(), err error)
-}
-
-// accWorker adapts a local accelerator to BlockWorker.
-type accWorker struct{ acc *Accelerator }
-
-func (w accWorker) OpenBlock(a *la.CSR) (BlockSession, error) { return w.acc.BeginSession(a) }
-
-func (w accWorker) Odometer() (float64, int, int) {
-	return w.acc.AnalogTime(), w.acc.Runs(), w.acc.Configurations()
-}
-
-// BlockSizer is optionally implemented by providers that can choose the
-// largest block size their chips accommodate for a given system. The
-// engine consults it when DecomposeOptions.BlockSize is unset.
-type BlockSizer interface {
+	// MaxBlockSize is the largest contiguous block order of a that the
+	// provider's workers hold (see LargestBlock), or 0 for no choice. The
+	// engine uses it when DecomposeOptions.BlockSize is unset.
 	MaxBlockSize(a *la.CSR) int
 }
 
-// Accelerators adapts a plain slice of drivers to SessionProvider: it
+// Accelerators adapts a plain slice of accelerators to WorkerProvider: it
 // lends every accelerator that fits the sample block, up to want. The
 // zero-cost release makes this the in-process form used by Farm and the
 // CLI's local decomposed backend.
 type Accelerators []*Accelerator
 
-// AcquireChips implements SessionProvider.
-func (s Accelerators) AcquireChips(_ context.Context, sample Matrix, want int) ([]*Accelerator, func(), error) {
-	var fit []*Accelerator
+// AcquireWorkers implements WorkerProvider.
+func (s Accelerators) AcquireWorkers(_ context.Context, sample Matrix, want int) ([]BlockWorker, func(), error) {
+	var fit []BlockWorker
 	var lastErr error
 	for _, acc := range s {
 		if err := acc.Fits(sample); err != nil {
@@ -109,7 +99,7 @@ func (s Accelerators) AcquireChips(_ context.Context, sample Matrix, want int) (
 	return fit, nil, nil
 }
 
-// MaxBlockSize implements BlockSizer using the first accelerator's
+// MaxBlockSize implements WorkerProvider using the first accelerator's
 // capacity (a homogeneous farm is the common case).
 func (s Accelerators) MaxBlockSize(a *la.CSR) int {
 	if len(s) == 0 {
@@ -119,7 +109,7 @@ func (s Accelerators) MaxBlockSize(a *la.CSR) int {
 }
 
 // ParallelDecompose runs block-Jacobi outer sweeps with the block solves
-// fanned out over chips leased from a SessionProvider. Each block's
+// fanned out over workers leased from a WorkerProvider. Each block's
 // submatrix is programmed onto its chip once, through a pinned Session;
 // between sweeps only the O(block) right-hand side moves. Blocks are
 // grouped by identical submatrices and the groups are kept contiguous per
@@ -133,14 +123,14 @@ func (s Accelerators) MaxBlockSize(a *la.CSR) int {
 // diagonally dominant systems; the payoff is that K chips cut the analog
 // critical path by ~K and the answer is bit-identical for any K.
 type ParallelDecompose struct {
-	// Provider leases the chips. Required.
-	Provider SessionProvider
-	// Workers caps how many chips are requested (default and upper bound:
-	// one per block).
+	// Provider leases the workers. Required.
+	Provider WorkerProvider
+	// Workers caps how many workers are requested (default and upper
+	// bound: one per block).
 	Workers int
 	// Opt tunes the decomposition. Jacobi semantics are implied by the
 	// parallel schedule regardless of Opt.Jacobi; BlockSize defaults to
-	// the provider's BlockSizer choice when unset.
+	// the provider's MaxBlockSize when unset.
 	Opt DecomposeOptions
 	// OnSweep, if non-nil, observes every completed outer sweep (the
 	// serve layer feeds its per-sweep latency histogram with it).
@@ -180,7 +170,7 @@ type decompBlock struct {
 // inside the per-block analog solves (settle/refinement checkpoints).
 func (pd *ParallelDecompose) Solve(ctx context.Context, a *la.CSR, b la.Vector) (u la.Vector, stats DecomposeStats, err error) {
 	if pd.Provider == nil {
-		return nil, stats, fmt.Errorf("core: ParallelDecompose needs a SessionProvider")
+		return nil, stats, fmt.Errorf("core: ParallelDecompose needs a WorkerProvider")
 	}
 	opt := pd.Opt.withDefaults()
 	n := a.Dim()
@@ -189,11 +179,9 @@ func (pd *ParallelDecompose) Solve(ctx context.Context, a *la.CSR, b la.Vector) 
 	}
 	size := opt.BlockSize
 	if size <= 0 {
-		if bs, ok := pd.Provider.(BlockSizer); ok {
-			size = bs.MaxBlockSize(a)
-		}
+		size = pd.Provider.MaxBlockSize(a)
 		if size <= 0 {
-			return nil, stats, fmt.Errorf("core: no block size: set DecomposeOptions.BlockSize or use a provider with BlockSizer")
+			return nil, stats, fmt.Errorf("core: no block size: set DecomposeOptions.BlockSize or use a provider that chooses one")
 		}
 	}
 	if size > n {
@@ -231,21 +219,7 @@ func (pd *ParallelDecompose) Solve(ctx context.Context, a *la.CSR, b la.Vector) 
 	if want <= 0 || want > len(blocks) {
 		want = len(blocks)
 	}
-	// Prefer the generalized worker seam (remote-capable providers); fall
-	// back to wrapping plain accelerators from AcquireChips.
-	var (
-		bws     []BlockWorker
-		release func()
-	)
-	if wp, ok := pd.Provider.(WorkerProvider); ok {
-		bws, release, err = wp.AcquireWorkers(ctx, blocks[0].sub, want)
-	} else {
-		var accs []*Accelerator
-		accs, release, err = pd.Provider.AcquireChips(ctx, blocks[0].sub, want)
-		for _, acc := range accs {
-			bws = append(bws, accWorker{acc: acc})
-		}
-	}
+	bws, release, err := pd.Provider.AcquireWorkers(ctx, blocks[0].sub, want)
 	if release != nil {
 		defer release()
 	}
@@ -253,7 +227,7 @@ func (pd *ParallelDecompose) Solve(ctx context.Context, a *la.CSR, b la.Vector) 
 		return nil, stats, err
 	}
 	if len(bws) == 0 {
-		return nil, stats, fmt.Errorf("core: provider returned no chips")
+		return nil, stats, fmt.Errorf("core: provider returned no workers")
 	}
 	stats.Chips = len(bws)
 

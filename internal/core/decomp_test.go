@@ -187,9 +187,9 @@ func TestParallelDecomposeErrors(t *testing.T) {
 	if _, _, err := (&ParallelDecompose{}).Solve(context.Background(), a, b); err == nil {
 		t.Fatal("nil provider accepted")
 	}
-	// No block size and a provider without BlockSizer hints.
-	bare := providerFunc(func(ctx context.Context, sample Matrix, want int) ([]*Accelerator, func(), error) {
-		return mkAccs(t, 1, 4, 4), nil, nil
+	// No block size and a provider that chooses none.
+	bare := providerFunc(func(ctx context.Context, sample Matrix, want int) ([]BlockWorker, func(), error) {
+		return []BlockWorker{mkAccs(t, 1, 4, 4)[0]}, nil, nil
 	})
 	if _, _, err := (&ParallelDecompose{Provider: bare}).Solve(context.Background(), a, b); err == nil {
 		t.Fatal("missing block size accepted")
@@ -207,11 +207,13 @@ func TestParallelDecomposeErrors(t *testing.T) {
 	}
 }
 
-type providerFunc func(ctx context.Context, sample Matrix, want int) ([]*Accelerator, func(), error)
+type providerFunc func(ctx context.Context, sample Matrix, want int) ([]BlockWorker, func(), error)
 
-func (f providerFunc) AcquireChips(ctx context.Context, sample Matrix, want int) ([]*Accelerator, func(), error) {
+func (f providerFunc) AcquireWorkers(ctx context.Context, sample Matrix, want int) ([]BlockWorker, func(), error) {
 	return f(ctx, sample, want)
 }
+
+func (providerFunc) MaxBlockSize(*la.CSR) int { return 0 }
 
 // TestLightCommitSkipsRebuild verifies the chip-level fast path the pinned
 // sessions ride on: once a matrix is programmed, further solves on the

@@ -20,10 +20,10 @@ type DecomposeOptions struct {
 	// BlockSize caps variables per block (default: the chip's capacity
 	// for this matrix structure).
 	BlockSize int
-	// GaussSeidel uses the freshest block values within a sweep (block
-	// Gauss-Seidel, default) instead of the previous sweep's (block
-	// Jacobi). Jacobi is what runs when blocks solve in parallel on
-	// multiple accelerators.
+	// Jacobi makes SolveDecomposed read the previous sweep's values
+	// (block Jacobi) instead of the freshest ones within a sweep (block
+	// Gauss-Seidel, the default). ParallelDecompose always runs Jacobi,
+	// since blocks solving in parallel cannot see each other's updates.
 	Jacobi bool
 	// OuterTolerance is the global stop: ‖b − A·x‖∞ ≤ OuterTolerance·‖b‖∞
 	// (default 1e-6).
@@ -102,28 +102,28 @@ func blockRanges(n, size int) [][]int {
 	return blocks
 }
 
-// maxBlockSize finds the largest contiguous block size of A that fits the
-// chip, by shrinking from the converter capacity until Fits accepts every
-// block.
-func (acc *Accelerator) maxBlockSize(a *la.CSR) int {
-	size := acc.MaxVariables()
-	if size > a.Dim() {
-		size = a.Dim()
-	}
-	for size > 1 {
-		ok := true
+// LargestBlock returns the largest contiguous block order, at most
+// largest, at which fits accepts every block of A (the last block may be
+// shorter than size). Section IV-B wants blocks as large as the chip
+// allows, so the search starts at largest and shrinks by 3/4 only while
+// some block's structure is too dense; it bottoms out at 1.
+func LargestBlock(a *la.CSR, largest int, fits func(size int, block *la.CSR) error) int {
+next:
+	for size := min(largest, a.Dim()); size > 1; size = size * 3 / 4 {
 		for _, idx := range blockRanges(a.Dim(), size) {
-			if err := acc.Fits(a.Submatrix(idx)); err != nil {
-				ok = false
-				break
+			if fits(size, a.Submatrix(idx)) != nil {
+				continue next
 			}
 		}
-		if ok {
-			return size
-		}
-		size = size * 3 / 4
+		return size
 	}
 	return 1
+}
+
+// maxBlockSize is the largest contiguous block order of A that fits the
+// chip, starting from its converter capacity.
+func (acc *Accelerator) maxBlockSize(a *la.CSR) int {
+	return LargestBlock(a, acc.MaxVariables(), func(_ int, block *la.CSR) error { return acc.Fits(block) })
 }
 
 // SolveDecomposed solves A·x = b for systems larger than the chip by block

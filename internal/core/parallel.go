@@ -47,33 +47,13 @@ func (f *Farm) AnalogTime() float64 {
 	return t
 }
 
-// ParallelStats reports a parallel decomposed solve.
-type ParallelStats struct {
-	Blocks int
-	Sweeps int
-	Chips  int
-	// AnalogTimeTotal is the summed analog seconds across all chips.
-	AnalogTimeTotal float64
-	// AnalogTimeCritical approximates elapsed analog time: the maximum
-	// per-chip analog seconds (chips run their blocks concurrently).
-	AnalogTimeCritical float64
-	Residual           float64
-}
-
 // SolveDecomposedParallel solves A·x = b by block-Jacobi decomposition
 // with blocks distributed over the farm's chips and solved concurrently
 // within each sweep. It is a thin front over ParallelDecompose with the
-// farm as the session provider: each block's matrix is pinned to its chip
-// once, so matrix reprogramming only happens when a chip switches between
-// blocks with different matrices.
-func (f *Farm) SolveDecomposedParallel(a *la.CSR, b la.Vector, opt DecomposeOptions) (la.Vector, ParallelStats, error) {
-	stats := ParallelStats{Chips: len(f.accs)}
+// farm's chips as the block workers: each block's matrix is pinned to its
+// chip once, so matrix reprogramming only happens when a chip switches
+// between blocks with different matrices.
+func (f *Farm) SolveDecomposedParallel(a *la.CSR, b la.Vector, opt DecomposeOptions) (la.Vector, DecomposeStats, error) {
 	pd := &ParallelDecompose{Provider: Accelerators(f.accs), Workers: len(f.accs), Opt: opt}
-	x, ds, err := pd.Solve(context.Background(), a, b)
-	stats.Blocks = ds.Blocks
-	stats.Sweeps = ds.Sweeps
-	stats.AnalogTimeTotal = ds.AnalogTime
-	stats.AnalogTimeCritical = ds.AnalogCritical
-	stats.Residual = ds.Residual
-	return x, stats, err
+	return pd.Solve(context.Background(), a, b)
 }

@@ -59,12 +59,12 @@ func TestParallelDecompositionMatchesSerial(t *testing.T) {
 	if !x.Equal(exact, exact.NormInf()*0.01+1e-3) {
 		t.Fatalf("parallel error %v", la.Sub2(x, exact).NormInf())
 	}
-	if stats.AnalogTimeTotal <= 0 || stats.AnalogTimeCritical <= 0 {
+	if stats.AnalogTime <= 0 || stats.AnalogCritical <= 0 {
 		t.Fatalf("time accounting: %+v", stats)
 	}
 	// Critical path must be shorter than total (3 chips share the work).
-	if stats.AnalogTimeCritical >= stats.AnalogTimeTotal {
-		t.Fatalf("no parallel speedup: critical %v vs total %v", stats.AnalogTimeCritical, stats.AnalogTimeTotal)
+	if stats.AnalogCritical >= stats.AnalogTime {
+		t.Fatalf("no parallel speedup: critical %v vs total %v", stats.AnalogCritical, stats.AnalogTime)
 	}
 	if farm.AnalogTime() <= 0 {
 		t.Fatal("farm analog time not accounted")
@@ -121,7 +121,7 @@ func TestParallelSingleChipDegeneratesToSerialJacobi(t *testing.T) {
 		t.Fatalf("x=%v want %v", x, want)
 	}
 	// One chip: critical path equals total.
-	if stats.AnalogTimeCritical != stats.AnalogTimeTotal {
+	if stats.AnalogCritical != stats.AnalogTime {
 		t.Fatalf("single-chip accounting: %+v", stats)
 	}
 }

@@ -34,31 +34,20 @@ func NewProvider(local *serve.PoolProvider, members *Membership, metrics *Metric
 	return &Provider{local: local, members: members, metrics: metrics}
 }
 
-// AcquireChips implements core.SessionProvider by delegation; the engine
-// prefers AcquireWorkers and never calls this when the provider also
-// implements WorkerProvider, but the interface requires it.
-func (p *Provider) AcquireChips(ctx context.Context, sample core.Matrix, want int) ([]*core.Accelerator, func(), error) {
-	return p.local.AcquireChips(ctx, sample, want)
-}
-
-// MaxBlockSize implements core.BlockSizer with the local pool's
+// MaxBlockSize implements core.WorkerProvider with the local pool's
 // capacity. The cluster is homogeneous by configuration (every node's
 // classes use the same specs), so local capacity is cluster capacity.
 func (p *Provider) MaxBlockSize(a *la.CSR) int { return p.local.MaxBlockSize(a) }
 
-// AcquireWorkers implements core.WorkerProvider: local chips first (one
-// blocking checkout, the rest opportunistic), then one remote worker per
-// available peer until want is met. Remote lanes only join when the
-// local pool is exhausted — a local chip is always cheaper than a wire
-// round trip per sweep.
+// AcquireWorkers implements core.WorkerProvider: the local pool's chips
+// first (one blocking checkout, the rest opportunistic), then one remote
+// worker per available peer until want is met. Remote lanes only join
+// when the local pool is exhausted — a local chip is always cheaper than
+// a wire round trip per sweep.
 func (p *Provider) AcquireWorkers(ctx context.Context, sample core.Matrix, want int) ([]core.BlockWorker, func(), error) {
-	accs, release, err := p.local.AcquireChips(ctx, sample, want)
+	workers, release, err := p.local.AcquireWorkers(ctx, sample, want)
 	if err != nil {
 		return nil, nil, err
-	}
-	workers := make([]core.BlockWorker, 0, want)
-	for _, acc := range accs {
-		workers = append(workers, localWorker{acc: acc})
 	}
 	if p.members != nil {
 		for _, addr := range p.members.Members() {
@@ -76,16 +65,6 @@ func (p *Provider) AcquireWorkers(ctx context.Context, sample core.Matrix, want 
 		}
 	}
 	return workers, release, nil
-}
-
-// localWorker adapts a pooled accelerator to core.BlockWorker (the same
-// shape core uses internally for plain providers).
-type localWorker struct{ acc *core.Accelerator }
-
-func (w localWorker) OpenBlock(a *la.CSR) (core.BlockSession, error) { return w.acc.BeginSession(a) }
-
-func (w localWorker) Odometer() (float64, int, int) {
-	return w.acc.AnalogTime(), w.acc.Runs(), w.acc.Configurations()
 }
 
 // remoteWorker is one peer node acting as a block lane. The engine

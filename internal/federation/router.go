@@ -136,7 +136,7 @@ func (rt *Router) route(fp uint64) (target, label string, next []string) {
 // node) and books the wire bytes on the wrapped server's per-route
 // histogram — routed requests bypass the server's own handlers.
 func (rt *Router) decode(w http.ResponseWriter, r *http.Request, route string, req any) bool {
-	n, err := serve.DecodeRequest(w, r, 32<<20, req)
+	n, err := serve.DecodeRequest(w, r, serve.MaxBodyBytes, req)
 	rt.server.Metrics().ObserveRequestBytes(route, n)
 	if err != nil {
 		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: "decoding request: " + err.Error()})
@@ -191,10 +191,10 @@ func retriable(err error) bool {
 	return true // transport-level failure
 }
 
-// requestFingerprint resolves the routing fingerprint of one solve: a
-// by-reference request's fingerprint parses straight off the wire —
-// routing never touches a matrix body — and a by-value request hashes
-// its built matrix as before.
+// requestFingerprint resolves the routing fingerprint of one request: a
+// by-reference solve's fingerprint parses straight off the wire —
+// routing never touches a matrix body — and a by-value request (every
+// registration) hashes its built matrix.
 func requestFingerprint(ref string, build func() (*la.CSR, error)) (uint64, error) {
 	if ref != "" {
 		return serve.ParseFingerprint(ref)
@@ -206,15 +206,32 @@ func requestFingerprint(ref string, build func() (*la.CSR, error)) (uint64, erro
 	return la.Fingerprint(a), nil
 }
 
-func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req serve.SolveRequest
-	if !rt.decode(w, r, "solve", &req) {
+// endpoint is one routed route's part in serveRouted: how to fingerprint
+// its request, serve it on this node, and forward it to a peer.
+type endpoint[Q, R any] struct {
+	// route names the endpoint in the wrapped server's byte histograms.
+	route       string
+	fingerprint func(*Q) (uint64, error)
+	local       func(context.Context, *Q) (R, *serve.APIError)
+	forward     func(*serve.Client, context.Context, Q) (R, error)
+	// stamp, if non-nil, records the route label on a solve's response;
+	// the solve is then booked in the routing metrics.
+	stamp func(R, string)
+}
+
+// serveRouted is the one route-and-forward loop behind every routed
+// endpoint: decode, serve a forwarded request here, fingerprint, route by
+// rendezvous, then serve locally or forward, failing over down the
+// ranking while a peer cannot serve.
+func serveRouted[Q, R any](rt *Router, w http.ResponseWriter, r *http.Request, ep endpoint[Q, R]) {
+	var req Q
+	if !rt.decode(w, r, ep.route, &req) {
 		return
 	}
 	// A request a peer already routed is served here unconditionally —
 	// the loop guard. The entry node stamps Affinity on the way back.
 	if r.Header.Get(serve.ForwardedHeader) != "" {
-		resp, aerr := rt.server.SolveDecoded(r.Context(), &req)
+		resp, aerr := ep.local(r.Context(), &req)
 		if aerr != nil {
 			rt.server.WriteAPIError(w, aerr)
 			return
@@ -222,10 +239,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusOK, resp)
 		return
 	}
-	fp, err := requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
-		a, _, err := req.BuildSystem()
-		return a, err
-	})
+	fp, err := ep.fingerprint(&req)
 	if err != nil {
 		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: err.Error()})
 		return
@@ -233,88 +247,63 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	target, label, next := rt.route(fp)
 	start := time.Now()
 	for {
+		var resp R
 		if target == rt.cfg.Self {
-			resp, aerr := rt.server.SolveDecoded(r.Context(), &req)
-			if aerr != nil {
+			var aerr *serve.APIError
+			if resp, aerr = ep.local(r.Context(), &req); aerr != nil {
 				rt.server.WriteAPIError(w, aerr)
 				return
 			}
-			resp.Affinity = label
+		} else if resp, err = ep.forward(rt.members.Client(target), r.Context(), req); err != nil {
+			rt.metrics.ForwardError()
+			// An unknown_operator answer is a 4xx and surfaces here: only
+			// the client can re-register (it holds the matrix; this router
+			// never saw more than the fingerprint).
+			if !retriable(err) || r.Context().Err() != nil {
+				writeClientErr(w, err)
+				return
+			}
+			rt.members.MarkUnhealthy(target)
+			target, label = rt.nextTarget(&next)
+			continue
+		}
+		if ep.stamp != nil {
+			ep.stamp(resp, label)
 			rt.metrics.Routed(label, time.Since(start))
-			rt.server.Metrics().ObserveResponseBytes("solve", int64(writeJSONStatus(w, http.StatusOK, resp)))
-			return
 		}
-		resp, err := rt.members.Client(target).Solve(r.Context(), req)
-		if err == nil {
-			resp.Affinity = label
-			rt.metrics.Routed(label, time.Since(start))
-			rt.server.Metrics().ObserveResponseBytes("solve", int64(writeJSONStatus(w, http.StatusOK, resp)))
-			return
-		}
-		rt.metrics.ForwardError()
-		// An unknown_operator answer is a 4xx and surfaces here: only the
-		// client can re-register (it holds the matrix; this router never
-		// saw more than the fingerprint).
-		if !retriable(err) || r.Context().Err() != nil {
-			writeClientErr(w, err)
-			return
-		}
-		rt.members.MarkUnhealthy(target)
-		target, label = rt.nextTarget(&next)
+		rt.server.Metrics().ObserveResponseBytes(ep.route, int64(writeJSONStatus(w, http.StatusOK, resp)))
+		return
 	}
 }
 
-func (rt *Router) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
-	var req serve.BatchSolveRequest
-	if !rt.decode(w, r, "solve_batch", &req) {
-		return
-	}
-	if r.Header.Get(serve.ForwardedHeader) != "" {
-		resp, aerr := rt.server.SolveBatchDecoded(r.Context(), &req)
-		if aerr != nil {
-			rt.server.WriteAPIError(w, aerr)
-			return
-		}
-		writeJSONStatus(w, http.StatusOK, resp)
-		return
-	}
-	fp, err := requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
-		a, _, err := req.BuildSystem()
-		return a, err
+func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
+	serveRouted(rt, w, r, endpoint[serve.SolveRequest, *serve.SolveResponse]{
+		route: "solve",
+		fingerprint: func(req *serve.SolveRequest) (uint64, error) {
+			return requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
+				a, _, err := req.BuildSystem()
+				return a, err
+			})
+		},
+		local:   rt.server.SolveDecoded,
+		forward: (*serve.Client).Solve,
+		stamp:   func(resp *serve.SolveResponse, label string) { resp.Affinity = label },
 	})
-	if err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: err.Error()})
-		return
-	}
-	target, label, next := rt.route(fp)
-	start := time.Now()
-	for {
-		if target == rt.cfg.Self {
-			resp, aerr := rt.server.SolveBatchDecoded(r.Context(), &req)
-			if aerr != nil {
-				rt.server.WriteAPIError(w, aerr)
-				return
-			}
-			resp.Affinity = label
-			rt.metrics.Routed(label, time.Since(start))
-			rt.server.Metrics().ObserveResponseBytes("solve_batch", int64(writeJSONStatus(w, http.StatusOK, resp)))
-			return
-		}
-		resp, err := rt.members.Client(target).SolveBatch(r.Context(), req)
-		if err == nil {
-			resp.Affinity = label
-			rt.metrics.Routed(label, time.Since(start))
-			rt.server.Metrics().ObserveResponseBytes("solve_batch", int64(writeJSONStatus(w, http.StatusOK, resp)))
-			return
-		}
-		rt.metrics.ForwardError()
-		if !retriable(err) || r.Context().Err() != nil {
-			writeClientErr(w, err)
-			return
-		}
-		rt.members.MarkUnhealthy(target)
-		target, label = rt.nextTarget(&next)
-	}
+}
+
+func (rt *Router) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
+	serveRouted(rt, w, r, endpoint[serve.BatchSolveRequest, *serve.BatchSolveResponse]{
+		route: "solve_batch",
+		fingerprint: func(req *serve.BatchSolveRequest) (uint64, error) {
+			return requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
+				a, _, err := req.BuildSystem()
+				return a, err
+			})
+		},
+		local:   rt.server.SolveBatchDecoded,
+		forward: (*serve.Client).SolveBatch,
+		stamp:   func(resp *serve.BatchSolveResponse, label string) { resp.Affinity = label },
+	})
 }
 
 // handleOperatorPut routes a registration to the fingerprint's
@@ -322,48 +311,17 @@ func (rt *Router) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 // by-reference solves for it will route. Forwarded registrations (and
 // self-owned ones) register locally.
 func (rt *Router) handleOperatorPut(w http.ResponseWriter, r *http.Request) {
-	var req serve.OperatorRequest
-	if !rt.decode(w, r, "operators", &req) {
-		return
-	}
-	if r.Header.Get(serve.ForwardedHeader) != "" {
-		info, aerr := rt.server.RegisterOperatorDecoded(&req)
-		if aerr != nil {
-			rt.server.WriteAPIError(w, aerr)
-			return
-		}
-		writeJSONStatus(w, http.StatusOK, info)
-		return
-	}
-	a, err := req.Build()
-	if err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: err.Error()})
-		return
-	}
-	target, _, next := rt.route(la.Fingerprint(a))
-	for {
-		if target == rt.cfg.Self {
-			info, aerr := rt.server.RegisterOperatorDecoded(&req)
-			if aerr != nil {
-				rt.server.WriteAPIError(w, aerr)
-				return
-			}
-			rt.server.Metrics().ObserveResponseBytes("operators", int64(writeJSONStatus(w, http.StatusOK, info)))
-			return
-		}
-		info, err := rt.members.Client(target).RegisterOperator(r.Context(), req)
-		if err == nil {
-			rt.server.Metrics().ObserveResponseBytes("operators", int64(writeJSONStatus(w, http.StatusOK, info)))
-			return
-		}
-		rt.metrics.ForwardError()
-		if !retriable(err) || r.Context().Err() != nil {
-			writeClientErr(w, err)
-			return
-		}
-		rt.members.MarkUnhealthy(target)
-		target, _ = rt.nextTarget(&next)
-	}
+	serveRouted(rt, w, r, endpoint[serve.OperatorRequest, *serve.OperatorInfo]{
+		route: "operators",
+		fingerprint: func(req *serve.OperatorRequest) (uint64, error) {
+			return requestFingerprint("", req.Build)
+		},
+		local: func(_ context.Context, req *serve.OperatorRequest) (*serve.OperatorInfo, *serve.APIError) {
+			info, aerr := rt.server.RegisterOperatorDecoded(req)
+			return &info, aerr
+		},
+		forward: (*serve.Client).RegisterOperator,
+	})
 }
 
 // nextTarget pops the first available failover candidate (fallback

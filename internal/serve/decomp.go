@@ -7,7 +7,7 @@ import (
 	"analogacc/internal/la"
 )
 
-// PoolProvider adapts the chip pool to core.SessionProvider, which is how
+// PoolProvider adapts the chip pool to core.WorkerProvider, which is how
 // a decomposed solve fans out over the daemon's warm chips: the first chip
 // is a normal blocking checkout (honoring the request deadline and the
 // admission discipline), every further worker up to want is opportunistic
@@ -17,12 +17,12 @@ type PoolProvider struct {
 	pool *Pool
 }
 
-// DecompProvider returns the pool's session provider for decomposed
+// DecompProvider returns the pool's worker provider for decomposed
 // solves.
 func (p *Pool) DecompProvider() *PoolProvider { return &PoolProvider{pool: p} }
 
-// AcquireChips implements core.SessionProvider.
-func (pp *PoolProvider) AcquireChips(ctx context.Context, sample core.Matrix, want int) ([]*core.Accelerator, func(), error) {
+// AcquireWorkers implements core.WorkerProvider.
+func (pp *PoolProvider) AcquireWorkers(ctx context.Context, sample core.Matrix, want int) ([]core.BlockWorker, func(), error) {
 	first, err := pp.pool.Checkout(ctx, sample)
 	if err != nil {
 		return nil, nil, err
@@ -36,59 +36,28 @@ func (pp *PoolProvider) AcquireChips(ctx context.Context, sample core.Matrix, wa
 		}
 		chips = append(chips, c)
 	}
-	accs := make([]*core.Accelerator, len(chips))
+	workers := make([]core.BlockWorker, len(chips))
 	for i, c := range chips {
-		accs[i] = c.Acc
+		workers[i] = c.Acc
 	}
 	release := func() {
 		for _, c := range chips {
 			pp.pool.Checkin(c)
 		}
 	}
-	return accs, release, nil
+	return workers, release, nil
 }
 
-// MaxBlockSize implements core.BlockSizer: the largest contiguous block
-// order whose every submatrix fits the pool's largest size class. Bigger
-// blocks mean fewer outer sweeps (Section IV-B wants block matrices
-// large), so the search starts at the largest class dimension and shrinks
-// only when the matrix structure is too dense for the class budget.
+// MaxBlockSize implements core.WorkerProvider: the largest contiguous
+// block order whose every submatrix fits the class that would serve it,
+// searched down from the pool's largest class dimension.
 func (pp *PoolProvider) MaxBlockSize(a *la.CSR) int {
 	cfg := pp.pool.cfg
 	largest := cfg.MinClass
 	for largest*2 <= cfg.MaxDim {
 		largest *= 2
 	}
-	size := largest
-	if size > a.Dim() {
-		size = a.Dim()
-	}
-	for size > 1 {
-		if pp.fitsAll(a, size) {
-			return size
-		}
-		size = size * 3 / 4
-	}
-	return 1
-}
-
-// fitsAll checks every contiguous block of the given size against the
-// class that would serve it.
-func (pp *PoolProvider) fitsAll(a *la.CSR, size int) bool {
-	spec := pp.pool.specFor(pp.pool.classFor(size))
-	n := a.Dim()
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		if core.SpecFits(spec, a.Submatrix(idx)) != nil {
-			return false
-		}
-	}
-	return true
+	return core.LargestBlock(a, largest, func(size int, block *la.CSR) error {
+		return core.SpecFits(pp.pool.specFor(pp.pool.classFor(size)), block)
+	})
 }

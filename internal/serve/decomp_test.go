@@ -69,7 +69,7 @@ func TestPoolProviderDegradesUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs, release, err := p.DecompProvider().AcquireChips(context.Background(), a, 3)
+	accs, release, err := p.DecompProvider().AcquireWorkers(context.Background(), a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPoolProviderDegradesUnderLoad(t *testing.T) {
 	release()
 	p.Checkin(hostage)
 	// With the pool idle, want=3 gets both chips of the class (cap 2).
-	accs, release, err = p.DecompProvider().AcquireChips(context.Background(), a, 3)
+	accs, release, err = p.DecompProvider().AcquireWorkers(context.Background(), a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,4 +142,22 @@ func TestPoolProviderSolvesOversized(t *testing.T) {
 	}
 	p.Checkin(c1)
 	p.Checkin(c2)
+}
+
+// TestServeDecomposedWorkersDefault pins the documented default of an
+// unset workers field: one worker per block, bounded by what the pool
+// lends. Four blocks on four idle class-8 chips use all four.
+func TestServeDecomposedWorkersDefault(t *testing.T) {
+	_, client, done := newTestServer(t, Config{Pool: PoolConfig{ChipsPerClass: 4, WarmSizes: []int{8}, MinClass: 8, MaxDim: 8}})
+	defer done()
+	const n = 32
+	a := la.Tridiag(n, -1, 4, -1)
+	req := SolveRequest{Backend: "decomposed", N: n, A: MatrixEntries(a), B: la.Constant(n, 1), Tol: 1e-6}
+	resp, err := client.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := resp.Decompose; d == nil || d.Blocks != 4 || d.Chips != 4 {
+		t.Fatalf("workers unset: decompose stats %+v, want 4 blocks on 4 chips", d)
+	}
 }

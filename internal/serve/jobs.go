@@ -149,7 +149,7 @@ func (s *Server) jobTerminal(j *jobs.Job) {
 // its only option: accepted work survives overload and restarts.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobSubmitRequest
-	nreq, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
+	nreq, err := DecodeRequest(w, r, MaxBodyBytes, &req)
 	s.metrics.ObserveRequestBytes("jobs", nreq)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
@@ -260,8 +260,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad wait %q: %v", waitArg, err)
 			return
 		}
-		if wait > s.cfg.MaxTimeout {
-			wait = s.cfg.MaxTimeout
+		if wait > maxTimeout {
+			wait = maxTimeout
 		}
 		if wait > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), wait)

@@ -369,7 +369,7 @@ func TestJobGroupRidesOneWave(t *testing.T) {
 // TestAdaptiveRetryAfter checks the hint scales with queue depth and the
 // service-time moving average, and respects its floor.
 func TestAdaptiveRetryAfter(t *testing.T) {
-	s, _, done := newTestServer(t, Config{QueueBound: 4, RetryAfter: time.Second})
+	s, _, done := newTestServer(t, Config{QueueBound: 4})
 	defer done()
 
 	// No latency history: the hint is the configured floor.

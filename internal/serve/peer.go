@@ -163,7 +163,7 @@ type BlockSolveResponse struct {
 
 func (s *Server) handlePeerBlock(w http.ResponseWriter, r *http.Request) {
 	var req BlockSolveRequest
-	n, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
+	n, err := DecodeRequest(w, r, MaxBodyBytes, &req)
 	s.metrics.ObserveRequestBytes("peer_block", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)

@@ -90,7 +90,7 @@ func (s *Server) resolve(solo *SolveRequest, batch *BatchSolveRequest) (*call, *
 			"backend %q does not support batch solves", c.backend)
 	}
 	if c.params.Tol <= 0 {
-		c.params.Tol = s.cfg.Tol
+		c.params.Tol = defaultTol
 	}
 
 	var err error

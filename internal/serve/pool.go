@@ -51,10 +51,6 @@ type PoolConfig struct {
 	// (defaults 12 bits, 20 kHz).
 	ADCBits   int
 	Bandwidth float64
-	// MulsPerMB is the multiplier budget per macroblock (default 8:
-	// seven coefficients plus the bias path — enough for 3-D stencil
-	// rows; denser rows escalate to a larger class).
-	MulsPerMB int
 	// SkipCalibrate leaves chips untrimmed at build (tests only; real
 	// serving wants calibrated chips).
 	SkipCalibrate bool
@@ -78,9 +74,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.Bandwidth <= 0 {
 		c.Bandwidth = 20e3
-	}
-	if c.MulsPerMB <= 0 {
-		c.MulsPerMB = 8
 	}
 	if c.WarmSizes == nil {
 		c.WarmSizes = []int{4}
@@ -190,11 +183,14 @@ func (p *Pool) classFor(dim int) int {
 	return class
 }
 
+// mulsPerMB is every class's multiplier budget per macroblock: seven
+// coefficients plus the bias path — enough for 3-D stencil rows; denser
+// rows escalate to a larger class.
+const mulsPerMB = 8
+
 // specFor is the chip design of one size class.
 func (p *Pool) specFor(class int) chip.Spec {
-	spec := chip.ScaledSpec(class, p.cfg.ADCBits, p.cfg.Bandwidth, p.cfg.MulsPerMB)
-	spec.FanoutsPerMB = 2
-	return spec
+	return chip.ScaledSpec(class, p.cfg.ADCBits, p.cfg.Bandwidth, mulsPerMB)
 }
 
 func (p *Pool) subpoolFor(class int) *subpool {

@@ -157,7 +157,7 @@ func TestPoolLazyEscalation(t *testing.T) {
 		t.Fatalf("warm pool built %d chips, want 2", got)
 	}
 	// A dense 4x4 system: too many multipliers per row for class 4's
-	// budget? No — 5 muls/row fits MulsPerMB=8; but its fanout demand
+	// budget? No — 5 muls/row fits mulsPerMB = 8; but its fanout demand
 	// escalates past class 4 (each variable feeds 4 rows + ADC with only
 	// 2 trees of 4 ways per macroblock).
 	n := 4

@@ -27,23 +27,14 @@ type Config struct {
 	// Retry-After hint instead of queueing unboundedly (default 64).
 	QueueBound int
 	// DefaultTimeout is the per-request solve deadline when the request
-	// carries none (default 30s); MaxTimeout clamps what a request may
-	// ask for (default 2m).
+	// carries none (default 30s; maxTimeout clamps what a request may ask
+	// for).
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// RetryAfter is the floor of the backoff hint sent with 429s
-	// (default 1s). The hint itself adapts upward with load: see
-	// Server.retryAfter.
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies (default 32 MiB).
-	MaxBodyBytes int64
 	// MaxBatchRHS caps how many right-hand sides one /v1/solve/batch
 	// request may carry (default 64). A batch holds one chip and one
 	// admission slot for its whole (clamped) timeout, so the cap bounds
 	// how long a single request can monopolize a chip class.
 	MaxBatchRHS int
-	// Tol is the default solve tolerance for requests that carry none.
-	Tol float64
 
 	// JobStore is the async job journal path. Empty runs the job queue
 	// in memory: the /v1/jobs API works, but submissions do not survive
@@ -61,9 +52,6 @@ type Config struct {
 	JobMaxQueued int
 	// JobTenantQuota caps one tenant's live jobs (default 0: unlimited).
 	JobTenantQuota int
-	// JobRetainDone caps terminal jobs kept for dedup and history
-	// (default 512).
-	JobRetainDone int
 	// JobExecDelay is a fault-injection hold between leasing and
 	// executing each job (zero in production; crash tests use it to pin
 	// a job mid-flight deterministically).
@@ -79,6 +67,20 @@ type Config struct {
 	RegistryMaxBytes int64
 }
 
+// Service limits every deployment runs at the same value.
+const (
+	// maxTimeout clamps the deadline a request (or a job wait) may ask for.
+	maxTimeout = 2 * time.Minute
+	// retryAfterFloor is the floor of the backoff hint sent with 429s; the
+	// hint itself adapts upward with load (see Server.retryAfter).
+	retryAfterFloor = time.Second
+	// MaxBodyBytes bounds request bodies, here and on a federation
+	// router's routed endpoints.
+	MaxBodyBytes = 32 << 20
+	// defaultTol is the solve tolerance for requests that carry none.
+	defaultTol = 1e-8
+)
+
 func (c Config) withDefaults() Config {
 	if c.QueueBound <= 0 {
 		c.QueueBound = 64
@@ -86,29 +88,14 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
 	if c.MaxBatchRHS <= 0 {
 		c.MaxBatchRHS = 64
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-8
 	}
 	if c.JobWorkers == 0 {
 		c.JobWorkers = 2
 	}
 	if c.JobMaxQueued <= 0 {
 		c.JobMaxQueued = 256
-	}
-	if c.JobRetainDone <= 0 {
-		c.JobRetainDone = 512
 	}
 	if c.RegistryMaxOps <= 0 {
 		c.RegistryMaxOps = 256
@@ -146,10 +133,10 @@ type Server struct {
 	// /healthz (pure liveness) stays green through the drain.
 	draining atomic.Bool
 
-	// decompProvider lends chips to decomposed solves. Defaults to the
-	// local pool; a federation router swaps in a provider that also
+	// decompProvider lends block workers to decomposed solves. Defaults to
+	// the local pool; a federation router swaps in a provider that also
 	// scatter-gathers blocks across peer nodes.
-	decompProvider core.SessionProvider
+	decompProvider core.WorkerProvider
 
 	// coalesce groups concurrent same-operator analog solo solves into
 	// lane waves; every analog solo solve goes through it.
@@ -189,7 +176,6 @@ func New(cfg Config) (*Server, error) {
 		LeaseTTL:    cfg.JobLeaseTTL,
 		MaxQueued:   cfg.JobMaxQueued,
 		TenantQuota: cfg.JobTenantQuota,
-		RetainDone:  cfg.JobRetainDone,
 		OnTerminal:  s.jobTerminal,
 	})
 	if err != nil {
@@ -261,9 +247,10 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether a shutdown drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// SetDecompProvider overrides the chip provider decomposed solves fan out
-// over (the federation router installs its scatter-gather provider here).
-func (s *Server) SetDecompProvider(p core.SessionProvider) { s.decompProvider = p }
+// SetDecompProvider overrides the worker provider decomposed solves fan
+// out over (the federation router installs its scatter-gather provider
+// here).
+func (s *Server) SetDecompProvider(p core.WorkerProvider) { s.decompProvider = p }
 
 // PauseJobs stops the job queue from leasing new work; already-leased
 // jobs keep running. First step of a graceful drain.
@@ -306,10 +293,10 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 
 // retryAfter is the adaptive 429 backoff hint: the expected wait for a
 // slot is roughly (queue depth + 1) × the moving-average service time,
-// floored at the configured hint and capped so a load spike never tells
+// floored at retryAfterFloor and capped so a load spike never tells
 // clients to go away for minutes.
 func (s *Server) retryAfter() time.Duration {
-	hint := s.cfg.RetryAfter
+	hint := retryAfterFloor
 	if avg := s.metrics.AvgServiceTime(); avg > 0 {
 		if est := time.Duration(s.QueueDepth()+1) * avg; est > hint {
 			hint = est
@@ -339,8 +326,8 @@ func (s *Server) clampTimeout(timeoutMs int) time.Duration {
 	if timeoutMs > 0 {
 		t = time.Duration(timeoutMs) * time.Millisecond
 	}
-	if t > s.cfg.MaxTimeout {
-		t = s.cfg.MaxTimeout
+	if t > maxTimeout {
+		t = maxTimeout
 	}
 	return t
 }
@@ -470,7 +457,7 @@ func (s *Server) admitAndRun(ctx context.Context, solo *SolveRequest, batch *Bat
 // backpressured) → resolve → run under deadline → respond.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	n, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
+	n, err := DecodeRequest(w, r, MaxBodyBytes, &req)
 	s.metrics.ObserveRequestBytes("solve", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
@@ -491,7 +478,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // rewrites in between.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSolveRequest
-	n, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
+	n, err := DecodeRequest(w, r, MaxBodyBytes, &req)
 	s.metrics.ObserveRequestBytes("solve_batch", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
@@ -509,7 +496,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 // upload-once half of the by-reference wire path.
 func (s *Server) handleOperatorPut(w http.ResponseWriter, r *http.Request) {
 	var req OperatorRequest
-	n, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes, &req)
+	n, err := DecodeRequest(w, r, MaxBodyBytes, &req)
 	s.metrics.ObserveRequestBytes("operators", n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)

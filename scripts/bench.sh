@@ -2,7 +2,10 @@
 # Regenerates a BENCH_*.json file deterministically from `go test -bench`:
 # fixed benchtime, fixed benchmark selection, one JSON emitter. Custom
 # b.ReportMetric values (configs/op, sweeps/op, ...) are captured alongside
-# the standard ns/bytes/allocs columns.
+# the standard ns/bytes/allocs columns. Every suite runs RUNS times
+# (`-count`) and each column records the per-benchmark median of those
+# runs: single runs of one tree swing 1.5-2x on a shared host, so one run
+# cannot show a change smaller than that.
 #
 # Usage: scripts/bench.sh <suite> [benchtime]
 #
@@ -73,44 +76,69 @@ case "$SUITE" in
 	;;
 esac
 OUT="BENCH_${SUITE}.json"
+RUNS=5
 
-RAW=$(go test "$PKG" -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem)
+RAW=$(go test "$PKG" -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -count "$RUNS")
 echo "$RAW"
 
 echo "$RAW" | awk -v host="$(uname -sm)" -v go="$(go env GOVERSION)" -v desc="$DESC" '
-BEGIN {
-	print "{"
-	printf "  \"suite\": \"%s\",\n", desc
-	printf "  \"go\": \"%s\",\n", go
-	printf "  \"host\": \"%s\",\n", host
-	print "  \"benchmarks\": ["
-	first = 1
+# median sorts the n values vals[1..n] (insertion sort: n is the run
+# count) and returns the middle one, or the mean of the middle two.
+function median(vals, n,    i, j, v) {
+	for (i = 2; i <= n; i++) {
+		v = vals[i]
+		for (j = i - 1; j >= 1 && vals[j] + 0 > v + 0; j--) vals[j + 1] = vals[j]
+		vals[j + 1] = v
+	}
+	if (n % 2) return vals[(n + 1) / 2]
+	return (vals[n / 2] + vals[n / 2 + 1]) / 2
 }
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
-	ns = ""; bytes = ""; allocs = ""; extras = ""
-	# Fields after the iteration count come in value-unit pairs; standard
-	# units get their own keys, anything else (ReportMetric) is kept under
-	# its unit name with / mapped to _per_.
-	for (i = 3; i < NF; i += 2) {
-		val = $i; unit = $(i + 1)
-		if (unit == "ns/op") ns = val
-		else if (unit == "B/op") bytes = val
-		else if (unit == "allocs/op") allocs = val
-		else {
-			key = unit
-			gsub(/\//, "_per_", key)
-			extras = extras sprintf(", \"%s\": %s", key, val)
-		}
+	if (!(name in runs)) {
+		order[++names] = name
+		ncols[name] = 0
 	}
-	if (!first) printf ",\n"
-	first = 0
-	printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}", \
-		name, $2, ns, bytes, allocs, extras
+	r = ++runs[name]
+	# Fields after the iteration count come in value-unit pairs; standard
+	# units get their own keys (columns 2-4), anything else (ReportMetric)
+	# is kept under its unit name with / mapped to _per_, in output order.
+	key[name, 1] = "iterations"; val[name, 1, r] = $2
+	key[name, 2] = "ns_per_op"; key[name, 3] = "bytes_per_op"; key[name, 4] = "allocs_per_op"
+	cols = 4
+	for (i = 3; i < NF; i += 2) {
+		unit = $(i + 1)
+		if (unit == "ns/op") c = 2
+		else if (unit == "B/op") c = 3
+		else if (unit == "allocs/op") c = 4
+		else {
+			c = ++cols
+			key[name, c] = unit
+			gsub(/\//, "_per_", key[name, c])
+		}
+		val[name, c, r] = $i
+	}
+	ncols[name] = cols
 }
 END {
-	print "\n  ]"
+	print "{"
+	printf "  \"suite\": \"%s\",\n", desc
+	printf "  \"go\": \"%s\",\n", go
+	printf "  \"host\": \"%s\",\n", host
+	printf "  \"statistic\": \"median of each column over the runs\",\n"
+	print "  \"benchmarks\": ["
+	for (b = 1; b <= names; b++) {
+		name = order[b]
+		line = sprintf("    {\"name\": \"%s\", \"runs\": %d", name, runs[name])
+		for (c = 1; c <= ncols[name]; c++) {
+			n = 0
+			for (r = 1; r <= runs[name]; r++) vals[++n] = val[name, c, r]
+			line = line sprintf(", \"%s\": %s", key[name, c], median(vals, n))
+		}
+		printf "%s}%s\n", line, (b < names ? "," : "")
+	}
+	print "  ]"
 	print "}"
 }' > "$OUT"
 

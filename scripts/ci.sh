@@ -24,7 +24,7 @@ go test -tags fpdebug ./internal/core
 
 # The parallel decomposition engine is the newest concurrent path — pinned
 # sessions, per-chip scratch, the Jacobi sweep barrier, and the pool-backed
-# SessionProvider. Run its tests a second time under -race with -count=2 to
+# WorkerProvider. Run its tests a second time under -race with -count=2 to
 # shake out schedule-dependent interleavings the full-suite pass may miss.
 go test -race -count=2 -run 'ParallelDecompose|PoolProvider|PoolTryCheckout|ServeDecomposed|FansOut' ./internal/core ./internal/serve
 
