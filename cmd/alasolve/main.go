@@ -45,7 +45,6 @@ func main() {
 		adcBits   = flag.Int("adc-bits", 12, "analog chip converter resolution")
 		bandwidth = flag.Float64("bandwidth", 20e3, "analog bandwidth in Hz")
 		calibrate = flag.Bool("calibrate", false, "run the chip init calibration first")
-		maxLanes  = flag.Int("max-lanes", 0, "batch mode: cap on lane-parallel right-hand sides per wave (0 = device limit, 1 = sequential); bit-identical at any width")
 		jobs      = flag.Int("j", 0, "decomposed backend: chips to fan block solves out over (default: one per block; local solves build j chips, default 2)")
 		blockSize = flag.Int("block", 0, "decomposed backend: variables per block (default: auto)")
 		server    = flag.String("server", "", "alad daemon address(es), comma-separated: submit the solve remotely instead of solving in-process; with a federation node list, solves go to the fingerprint's owner node first and fail over down the rank")
@@ -158,7 +157,7 @@ func main() {
 			fail("%v", err)
 		}
 		if *async {
-			req := buildBatchRequest(a, rhs, *backend, *tol, *maxLanes, *deadline)
+			req := buildBatchRequest(a, rhs, *backend, *tol, *deadline)
 			submitJob(newRemote(), serve.JobSubmitRequest{Tenant: *tenant, Batch: &req}, *wait, *quiet)
 			return
 		}
@@ -171,7 +170,6 @@ func main() {
 			ADCBits:   *adcBits,
 			Bandwidth: *bandwidth,
 			Calibrate: *calibrate,
-			MaxLanes:  *maxLanes,
 		})
 		return
 	}
@@ -235,7 +233,7 @@ func solveBatch(a *la.CSR, rhs []la.Vector, mc *federation.MultiClient, backend 
 	items := make([]item, 0, len(rhs))
 	var summary string
 	if mc != nil {
-		req := buildBatchRequest(a, rhs, backend, p.Tol, p.MaxLanes, deadline)
+		req := buildBatchRequest(a, rhs, backend, p.Tol, deadline)
 		// Register-then-solve: the batch goes out by fingerprint, so re-runs
 		// against the same daemon skip re-uploading the matrix entirely.
 		resp, entry, err := mc.SolveBatchOperator(context.Background(), serve.PrepareOperator(a), req)
@@ -246,7 +244,7 @@ func solveBatch(a *la.CSR, rhs []la.Vector, mc *federation.MultiClient, backend 
 			ex := fmt.Sprintf("residual %.3e", it.Residual)
 			if s := it.Analog; s != nil {
 				ex += fmt.Sprintf(", analog time %.3e s, %d runs, %d refinements", s.AnalogSeconds, s.Runs, s.Refinements)
-				if s.Lanes > 1 {
+				if s.Lanes > 0 {
 					ex += fmt.Sprintf(", %d lanes", s.Lanes)
 				}
 			}
@@ -298,8 +296,8 @@ func buildSolveRequest(a *la.CSR, b la.Vector, backend string, tol float64, dead
 }
 
 // buildBatchRequest is buildSolveRequest's multi-RHS counterpart.
-func buildBatchRequest(a *la.CSR, rhs []la.Vector, backend string, tol float64, maxLanes int, deadline time.Duration) serve.BatchSolveRequest {
-	req := serve.BatchSolveRequest{Backend: backend, N: a.Dim(), Tol: tol, MaxLanes: maxLanes}
+func buildBatchRequest(a *la.CSR, rhs []la.Vector, backend string, tol float64, deadline time.Duration) serve.BatchSolveRequest {
+	req := serve.BatchSolveRequest{Backend: backend, N: a.Dim(), Tol: tol}
 	for i := 0; i < a.Dim(); i++ {
 		a.VisitRow(i, func(j int, v float64) {
 			req.A = append(req.A, serve.Entry{Row: i, Col: j, Val: v})

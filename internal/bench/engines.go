@@ -78,7 +78,7 @@ func runEngines(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"both engines integrate the identical RK4 recurrence in the identical summation order, so the solutions must be bit-identical — any NO row is a bug, not noise",
-		"wall times are this host's; the fused kernel's advantage is measured precisely by scripts/bench.sh 5 (BENCH_5.json)",
+		"wall times are this host's; the fused kernel's advantage is measured precisely by scripts/bench.sh 1 (BENCH_1.json)",
 	)
 	return t, nil
 }

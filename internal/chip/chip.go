@@ -284,13 +284,13 @@ func (c *Chip) setAnaInputEn(idx int, enable bool) isa.Status {
 
 // --- Lane-batched configuration ---
 
-// setLanes stages the lane count for the next commit. Staging a new
-// width clears every per-lane override: a lane program always starts
-// from the scalar registers and diverges lane by lane, which is what
-// lets the host reuse one matrix configuration across batch waves of
-// different widths.
+// setLanes stages the lane count for the next commit: 0 (scalar mode)
+// or circuit.LaneWidth, the one width the lane file has. Staging clears
+// every per-lane override: a lane program always starts from the scalar
+// registers and diverges lane by lane, which is what lets the host reuse
+// one matrix configuration across batch waves.
 func (c *Chip) setLanes(n int) isa.Status {
-	if n < 0 || n > circuit.MaxLanes {
+	if n != 0 && n != circuit.LaneWidth {
 		return isa.StatusExceeded
 	}
 	c.lanes = n
@@ -441,12 +441,14 @@ func (c *Chip) commitParams() isa.Status {
 func (c *Chip) applyLanes() isa.Status {
 	if c.lanes == 0 {
 		if c.sim.Lanes() != 0 {
-			c.sim.ConfigureLanes(0)
+			c.sim.ConfigureLanes(false)
 		}
 		return isa.StatusOK
 	}
-	if err := c.sim.ConfigureLanes(c.lanes); err != nil {
-		// Lane mode needs the fused engine and a noise-free spec.
+	// Lane mode needs the AVX2 lane kernels (the pure-Go lane loops settle
+	// a right-hand side slower than a scalar run does), the fused engine
+	// and a noise-free spec.
+	if !circuit.LaneKernels() || c.sim.ConfigureLanes(true) != nil {
 		return isa.StatusBadState
 	}
 	apply := func(store [][]float64, blocks []*circuit.Block,

@@ -619,10 +619,10 @@ func TestAutoStepFactor(t *testing.T) {
 		if c.cfg.NoiseSigma > 0 {
 			continue // lanes are noise-free only
 		}
-		if err := sim.ConfigureLanes(3); err != nil {
+		if err := sim.ConfigureLanes(true); err != nil {
 			t.Fatal(err)
 		}
-		for l := 0; l < 3; l++ {
+		for l := 0; l < LaneWidth; l++ {
 			if sim.LaneDt(l) != sim.Dt() {
 				t.Errorf("%s: lane %d dt %v, scalar %v", c.name, l, sim.LaneDt(l), sim.Dt())
 			}

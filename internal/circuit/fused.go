@@ -168,10 +168,9 @@ type fusedProg struct {
 	cone, rec fusedStream
 	syncedGen uint64
 
-	// Lane fold generation and width the streams' lane constants were
-	// last synced to.
+	// Lane fold generation the streams' lane constants were last synced
+	// to. The width never changes, and every entry into lane mode refolds.
 	syncedLaneGen uint64
-	laneB         int
 }
 
 // buildFused computes the topological levels and the materialised
@@ -561,11 +560,10 @@ func (f *fusedProg) syncLanes(s *Simulator) int {
 		f.syncFold()
 	}
 	lp := s.lprog
-	if f.syncedLaneGen != lp.foldGen || f.laneB != lp.lanes {
+	if f.syncedLaneGen != lp.foldGen {
 		f.cone.syncFoldLanes(lp)
 		f.rec.syncFoldLanes(lp)
 		f.syncedLaneGen = lp.foldGen
-		f.laneB = lp.lanes
 	}
 	return lp.lanes
 }
@@ -586,16 +584,16 @@ func (f *fusedProg) evalLanes(s *Simulator, ts, state []float64) {
 // order is the scalar stream order, so each lane is bit-identical to a
 // scalar run with that lane's parameters.
 //
-// At B = 16 the state and linear segments run on the AVX2 kernels, which
-// stop at the first op with a lane beyond full scale: that one op runs
-// in the Go loop (soft saturation lives only there), and the kernel
-// resumes at the next.
+// Where the CPU has them, the AVX2 kernels run the state and linear
+// segments and stop at the first op with a lane beyond full scale: that
+// one op runs in the Go loop (soft saturation lives only there), and the
+// kernel resumes at the next.
 func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, st *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
-	avx := laneAVX && B == 16
+	avx := laneAVX
 	for _, sg := range st.segs {
 		ops := st.ops[sg.start:sg.end]
 		lg := st.laneG[int(sg.start)*B : int(sg.end)*B]
@@ -843,7 +841,7 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, st *fu
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
 	lanePeak := s.peak
-	avx := laneAVX && B == 16
+	avx := laneAVX
 	for _, sg := range st.segs {
 		ops := st.ops[sg.start:sg.end]
 		ids := st.ids[sg.start:sg.end]

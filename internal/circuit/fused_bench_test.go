@@ -2,9 +2,9 @@ package circuit
 
 import "testing"
 
-// Suite-5 benchmarks: the fused kernel on the fig8 Poisson gradient-flow
-// netlist, at the classic 32×32 size (1024 states) and at 128×128 (16384
-// states). scripts/bench.sh 5 renders these into BENCH_5.json.
+// The fused kernel on the fig8 Poisson gradient-flow netlist, at the
+// classic 32×32 size (1024 states) and at 128×128 (16384 states).
+// scripts/bench.sh 1 renders these into BENCH_1.json.
 
 func benchEngineSim(tb testing.TB, l int, eng Engine) *Simulator {
 	tb.Helper()

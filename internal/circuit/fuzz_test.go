@@ -72,23 +72,27 @@ func FuzzEngineEquivalence(f *testing.F) {
 }
 
 // FuzzLaneEquivalence fuzzes the lane identity guarantee on the same
-// randomized netlists: a lane-batched fused run at width B (1..MaxLanes,
-// per-lane diverged DAC levels, multiplier gains, and integrator initial
-// conditions) must be bit-identical, lane by lane, to scalar fused runs
-// configured with each lane's parameters. `saturate` slams the lane
+// randomized netlists: a LaneWidth-lane fused run must be bit-identical,
+// lane by lane, to scalar fused runs configured with each lane's
+// parameters. The first k = lanes%LaneWidth + 1 lanes carry a batch of k
+// items (per-lane diverged DAC levels, multiplier gains, and integrator
+// initial conditions); the rest keep the scalar registers ConfigureLanes
+// replicated, as lanes nobody programmed. `saturate` slams the items'
 // initial conditions against the rails to cover the per-lane softSat and
-// overflow-latch paths. Lane mode models a noise-free datapath, so unlike
-// FuzzEngineEquivalence the configuration never draws noise.
+// overflow-latch paths. The lane run repeats with the AVX2 kernels (where
+// the CPU has them) and on the pure-Go lane loops. Lane mode models a
+// noise-free datapath, so unlike FuzzEngineEquivalence the configuration
+// never draws noise.
 //
-// The checked-in corpus under testdata/fuzz pins widths 1, 2, 7, and 16;
-// `go test -fuzz=FuzzLaneEquivalence` explores further.
+// The checked-in corpus under testdata/fuzz pins batches of 1, 2, 7, and
+// 16 items; `go test -fuzz=FuzzLaneEquivalence` explores further.
 func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(int64(0), byte(8), byte(0), false)
 	f.Add(int64(3), byte(21), byte(1), true)
 	f.Add(int64(7), byte(33), byte(6), false)
 	f.Add(int64(11), byte(14), byte(15), true)
 	f.Fuzz(func(t *testing.T, seed int64, steps byte, lanes byte, saturate bool) {
-		B := int(lanes)%MaxLanes + 1
+		k := int(lanes)%LaneWidth + 1
 		cfg := Config{
 			Bandwidth:   20e3,
 			OffsetSigma: 0.01,
@@ -107,7 +111,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 			sim.SetEngine(EngineFused)
 			return sim
 		}
-		// satIC derives lane l's integrator initial condition: near the
+		// satIC derives item l's integrator initial condition: near the
 		// rails when saturating, a small per-lane offset otherwise.
 		satIC := func(l int) float64 {
 			if saturate {
@@ -115,42 +119,56 @@ func FuzzLaneEquivalence(f *testing.F) {
 			}
 			return 0.01 * float64(l)
 		}
-		simL := build()
-		if err := simL.ConfigureLanes(B); err != nil {
-			t.Fatal(err)
-		}
-		for lane := 0; lane < B; lane++ {
-			applyLaneParamsLane(t, simL, lane)
-			for _, b := range simL.nl.Blocks() {
-				if b.Kind == KindIntegrator {
-					if err := simL.SetLaneIC(b, lane, satIC(lane)); err != nil {
-						t.Fatal(err)
+		// runLanes programs the k items into a fresh lane-mode simulator
+		// and runs it for a fractional duration, so every lane crosses
+		// the remainder-step path.
+		runLanes := func() (*Simulator, float64) {
+			simL := build()
+			if err := simL.ConfigureLanes(true); err != nil {
+				t.Fatal(err)
+			}
+			for lane := 0; lane < k; lane++ {
+				applyLaneParamsLane(t, simL, lane)
+				for _, b := range simL.nl.Blocks() {
+					if b.Kind == KindIntegrator {
+						if err := simL.SetLaneIC(b, lane, satIC(lane)); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
-		}
-		simL.ReloadLaneSteps()
-		simL.Reset()
-		// Fractional duration: every lane crosses the remainder-step path.
-		d := (float64(int(steps)%48) + 0.5) * simL.LaneDt(0)
-		if err := simL.RunLanes(d); err != nil {
-			t.Fatal(err)
-		}
-		for lane := 0; lane < B; lane++ {
-			nlS, _, _ := buildRandomNetlist(t, rand.New(rand.NewSource(seed)), cfg)
-			applyLaneParamsScalar(nlS, lane)
-			for _, b := range nlS.Blocks() {
-				if b.Kind == KindIntegrator {
-					b.IC = satIC(lane)
-				}
-			}
-			simS, err := NewSimulator(nlS, 0)
-			if err != nil {
+			simL.ReloadLaneSteps()
+			simL.Reset()
+			d := (float64(int(steps)%48) + 0.5) * simL.LaneDt(0)
+			if err := simL.RunLanes(d); err != nil {
 				t.Fatal(err)
 			}
-			simS.SetEngine(EngineFused)
-			simS.Run(d)
-			expectLaneMatchesScalar(t, simL, lane, simS, fmt.Sprintf("seed=%d B=%d", seed, B))
+			return simL, d
+		}
+		// The scalar references are built per kernel mode: reading an
+		// ADC latches its overflow, so a reference serves one comparison.
+		for _, kernels := range kernelModes() {
+			var simL *Simulator
+			var d float64
+			withKernels(kernels, func() { simL, d = runLanes() })
+			for lane := 0; lane < LaneWidth; lane++ {
+				nlS, _, _ := buildRandomNetlist(t, rand.New(rand.NewSource(seed)), cfg)
+				if lane < k {
+					applyLaneParamsScalar(nlS, lane)
+					for _, b := range nlS.Blocks() {
+						if b.Kind == KindIntegrator {
+							b.IC = satIC(lane)
+						}
+					}
+				}
+				simS, err := NewSimulator(nlS, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				simS.SetEngine(EngineFused)
+				simS.Run(d)
+				expectLaneMatchesScalar(t, simL, lane, simS, fmt.Sprintf("seed=%d items=%d kernels=%t", seed, k, kernels))
+			}
 		}
 	})
 }

@@ -25,11 +25,16 @@ import (
 // analog duration, not the same step count. The differential tests in
 // lanes_test.go and FuzzLaneEquivalence enforce this.
 
-// MaxLanes bounds the lane width a Simulator accepts. The cap keeps the
-// lane-contiguous buffers cache-resident; wider batches are chunked by
-// the caller (core.SolveBatch runs waves of at most its own compiled-in
-// width, which must not exceed this).
-const MaxLanes = 16
+// LaneWidth is the one lane width: a Simulator in lane mode advances
+// exactly this many lanes, the AVX2 kernels' four 4-wide vectors, and
+// the chip's setLanes accepts it or 0. Narrower batches run scalar
+// (core.Session.solvePass); wider ones run in waves of this width.
+const LaneWidth = 16
+
+// LaneKernels reports whether this CPU runs the AVX2 lane kernels. Without
+// them a lane wave walks the pure-Go lane loops, which cost more per
+// right-hand side than scalar runs, so the chip refuses lane mode there.
+func LaneKernels() bool { return laneAVX }
 
 // laneProg holds the per-lane folded constants of a compiled program:
 // the lane-indexed counterparts of program.gain/cval/craw, refreshed by
@@ -48,15 +53,15 @@ type laneProg struct {
 // laneIdx addresses a per-block lane slot.
 func (s *Simulator) laneIdx(id, lane int) int { return id*s.lanes + lane }
 
-// ConfigureLanes switches the simulator into lane-batched mode with
-// width B (1 ≤ B ≤ MaxLanes), or back to scalar mode with B = 0. Every
-// lane's parameters are (re)initialised from the blocks' current scalar
-// parameters; use SetLaneGain/SetLaneLevel/SetLaneIC to diverge
-// individual lanes, then Reset to load initial conditions. Lane mode
-// requires the fused engine and a noise-free configuration (per-lane
-// noise streams would break the identity guarantee).
-func (s *Simulator) ConfigureLanes(lanes int) error {
-	if lanes == 0 {
+// ConfigureLanes switches the simulator into lane-batched mode, LaneWidth
+// lanes wide, or back to scalar mode. Every lane's parameters are
+// (re)initialised from the blocks' current scalar parameters; use
+// SetLaneGain/SetLaneLevel/SetLaneIC to diverge individual lanes, then
+// Reset to load initial conditions. Lane mode requires the fused engine
+// and a noise-free configuration (per-lane noise streams would break the
+// identity guarantee).
+func (s *Simulator) ConfigureLanes(on bool) error {
+	if !on {
 		s.lanes = 0
 		s.resizeLatches()
 		// Keep lprog (and its foldGen) across teardown: the fused engine
@@ -70,15 +75,13 @@ func (s *Simulator) ConfigureLanes(lanes int) error {
 		}
 		return nil
 	}
-	if lanes < 0 || lanes > MaxLanes {
-		return fmt.Errorf("circuit: lane width %d outside 1..%d", lanes, MaxLanes)
-	}
 	if s.EngineSelected() != EngineFused {
 		return fmt.Errorf("circuit: lane batching requires the fused engine (have %v)", s.EngineSelected())
 	}
 	if s.nl.cfg.NoiseSigma > 0 {
 		return fmt.Errorf("circuit: lane batching requires a noise-free configuration")
 	}
+	lanes := LaneWidth
 	s.lanes = lanes
 	nb := len(s.nl.blocks)
 	ni := len(s.integrators)
@@ -317,7 +320,7 @@ func (s *Simulator) stageLanes(dst, tmp, cs []float64) {
 	k := s.k
 	B := s.lanes
 	i0 := 0
-	if laneAVX && B == 16 && len(p.intNet) > 0 && len(nv) > 0 {
+	if laneAVX && len(p.intNet) > 0 && len(nv) > 0 {
 		var tp, cp *float64
 		if tmp != nil {
 			tp, cp = &tmp[0], &cs[0]
@@ -381,11 +384,11 @@ func (s *Simulator) stepLanesH(hs []float64, active []bool) {
 	s.stageLanes(k4, nil, nil)
 	fs, sat := s.nl.cfg.FullScale, s.nl.cfg.SatLevel
 	ovThresh := fs * (1 + 1e-12)
-	// With every lane active at B = 16 the AVX2 kernel combines; an
-	// integrator with a lane beyond the overflow threshold runs alone in
-	// the Go loop (overflow latch + soft saturation), and the kernel
-	// resumes at the next.
-	avx := laneAVX && B == 16
+	// With every lane active the AVX2 kernel combines; an integrator with
+	// a lane beyond the overflow threshold runs alone in the Go loop
+	// (overflow latch + soft saturation), and the kernel resumes at the
+	// next.
+	avx := laneAVX
 	for l := 0; avx && l < B; l++ {
 		avx = active[l]
 	}

@@ -4,7 +4,8 @@ package circuit
 
 // laneAVX reports whether the hand-written AVX2 lane kernels are usable
 // on this CPU. The kernels cover the fused lane segment walks at the
-// full wave width (16 lanes = four 4-wide vectors). Bit-identity with
+// lane width (16 lanes = four 4-wide vectors). Tests switch it off to
+// check the pure-Go lane loops on every op. Bit-identity with
 // the pure-Go loops holds by construction: every arithmetic instruction
 // is a plain IEEE vmulpd/vaddpd/vmaxpd on the same values (gc never
 // contracts mul+add into FMA on amd64), and an op whose raw value would

@@ -2,9 +2,10 @@
 
 package circuit
 
-// Non-amd64 builds run the pure-Go lane loops unconditionally; the
-// constant false lets the compiler drop the kernel call sites.
-const laneAVX = false
+// Non-amd64 builds have no lane kernels: the pure-Go lane loops are the
+// test reference, and the chip refuses lane mode (LaneKernels). A
+// variable, like amd64's, so tests that switch the kernels compile here.
+var laneAVX = false
 
 func laneSegLin16(ops *fusedOp, n int, nv, lg *float64, un *bool, fs float64, store bool) int {
 	return 0

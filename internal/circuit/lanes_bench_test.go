@@ -2,16 +2,14 @@ package circuit
 
 import "testing"
 
-// Suite-6 benchmarks: lane-batched fused execution against the sequential
-// batch path on the fig8 Poisson gradient-flow netlist at the classic
-// 32×32 size (1024 states). One "op" advances sixteen solve instances —
-// either as one 16-lane fused run streaming 16 lanes per op record, or as
-// sixteen scalar fused simulators stepped back to back (what a batch of
-// right-hand sides cost before lanes). scripts/bench.sh 6 renders these
-// into BENCH_6.json; the lane/sequential ratio is the per-op dispatch
-// amortization the batched settle path rides on.
-
-const laneBenchB = 16
+// Lane-batched fused execution against the sequential batch path on the
+// fig8 Poisson gradient-flow netlist at the classic 32×32 size (1024
+// states). One "op" advances sixteen solve instances — either as one
+// 16-lane fused run streaming 16 lanes per op record, or as sixteen
+// scalar fused simulators stepped back to back (the path every batch
+// narrower than a full wave takes). scripts/bench.sh 1 renders these into
+// BENCH_1.json with the engine microbenchmarks; the lane/sequential ratio
+// is the per-op dispatch amortization the batched settle path rides on.
 
 // laneBenchRHS keeps the benchmark solves in-scale: the l=32 Poisson
 // equilibrium peaks near 0.0737·(l+1)²·rhs, so 0.009 settles just under
@@ -31,17 +29,17 @@ func benchLaneDivergeDAC(level float64, k int) float64 {
 	return level * (1 - 0.02*float64(k))
 }
 
-func benchLaneSim(tb testing.TB, l, lanes int) *Simulator {
+func benchLaneSim(tb testing.TB, l int) *Simulator {
 	tb.Helper()
 	sim, err := NewSimulator(buildPoissonNetlist(tb, l, laneBenchRHS), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	sim.SetEngine(EngineFused)
-	if err := sim.ConfigureLanes(lanes); err != nil {
+	if err := sim.ConfigureLanes(true); err != nil {
 		tb.Fatal(err)
 	}
-	for lane := 0; lane < lanes; lane++ {
+	for lane := 0; lane < LaneWidth; lane++ {
 		for _, b := range sim.nl.Blocks() {
 			if b.Kind == KindDAC {
 				if err := sim.SetLaneLevel(b, lane, benchLaneDivergeDAC(b.Level, lane)); err != nil {
@@ -78,7 +76,7 @@ func benchScalarSims(tb testing.TB, l, n int) []*Simulator {
 // BenchmarkStepBatch32Lanes16 advances all 16 instances one RK4 step as a
 // single lane-batched run.
 func BenchmarkStepBatch32Lanes16(b *testing.B) {
-	sim := benchLaneSim(b, 32, laneBenchB)
+	sim := benchLaneSim(b, 32)
 	d := sim.LaneDt(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -93,7 +91,7 @@ func BenchmarkStepBatch32Lanes16(b *testing.B) {
 // step each as sixteen back-to-back scalar fused runs — the pre-lane
 // batch path's cost per settle-poll step.
 func BenchmarkStepBatch32Sequential16(b *testing.B) {
-	sims := benchScalarSims(b, 32, laneBenchB)
+	sims := benchScalarSims(b, 32, LaneWidth)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,7 +104,7 @@ func BenchmarkStepBatch32Sequential16(b *testing.B) {
 // BenchmarkRunBatch32Lanes16 advances all 16 instances through a 50-step
 // segment lane-parallel: the shape of one settle-polling chunk.
 func BenchmarkRunBatch32Lanes16(b *testing.B) {
-	sim := benchLaneSim(b, 32, laneBenchB)
+	sim := benchLaneSim(b, 32)
 	d := 50 * sim.LaneDt(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -120,7 +118,7 @@ func BenchmarkRunBatch32Lanes16(b *testing.B) {
 // BenchmarkRunBatch32Sequential16 runs the same 50-step segment on each of
 // the sixteen scalar simulators in turn.
 func BenchmarkRunBatch32Sequential16(b *testing.B) {
-	sims := benchScalarSims(b, 32, laneBenchB)
+	sims := benchScalarSims(b, 32, LaneWidth)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -113,92 +113,119 @@ func expectLaneMatchesScalar(t testing.TB, simL *Simulator, lane int, simS *Simu
 // hotLevel overdrives one lane's DAC levels in TestLaneMatchesScalar's
 // hot case: that lane's solution lies past full scale, so its integrators
 // ramp into saturation and some of its ops overflow, while the other
-// fifteen lanes stay in range. The 16-lane kernels then bail on the hot
+// fifteen lanes stay in range. The AVX2 kernels then bail on the hot
 // lane's saturating ops and must resume on the clean ops after them in
 // the same segment (about 16k such resumes in the segment kernels and
 // 250 in laneCombine16 over the case's two runs).
 const hotLevel = 100.0
+
+// kernelModes lists the lane kernel settings a differential covers: the
+// AVX2 kernels where this CPU has them, and the pure-Go lane loops, the
+// kernels' bail path, always.
+func kernelModes() []bool {
+	if laneAVX {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// withKernels runs f with the lane kernels switched on or off. Only a
+// mode from kernelModes may be asked for.
+func withKernels(on bool, f func()) {
+	saved := laneAVX
+	laneAVX = on
+	defer func() { laneAVX = saved }()
+	f()
+}
 
 // TestLaneMatchesScalar is the lane identity differential: every lane of
 // a lane-batched run must be bit-identical — states, net values, ADC
 // codes, overflow latches, peak trackers, step counts, and dt — to a
 // scalar fused run configured with that lane's parameters, across
 // several RunLanes calls (lanes tick raggedly: each carries its own dt).
-// hot ≥ 0 overdrives that lane by hotLevel.
+// hot ≥ 0 overdrives that lane by hotLevel. Each case runs with the AVX2
+// kernels (where the CPU has them) and on the pure-Go lane loops.
 func TestLaneMatchesScalar(t *testing.T) {
 	const l = 6
-	for _, tc := range []struct{ B, hot int }{{1, -1}, {2, -1}, {7, -1}, {16, -1}, {16, 3}} {
-		B := tc.B
-		simL, err := NewSimulator(buildPoissonNetlist(t, l, settleRHS), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := simL.ConfigureLanes(B); err != nil {
-			t.Fatal(err)
-		}
-		for lane := 0; lane < B; lane++ {
-			applyLaneParamsLane(t, simL, lane)
-		}
-		if tc.hot >= 0 {
-			levelScale, _, _ := laneParams(tc.hot)
-			for _, b := range simL.nl.Blocks() {
-				if b.Kind == KindDAC {
-					if err := simL.SetLaneLevel(b, tc.hot, b.Level*levelScale*hotLevel); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		simL.ReloadLaneSteps()
-		simL.Reset()
-		// Two runs with an awkward fractional duration in between: lanes
-		// hit the remainder-step path at different points.
-		d1 := 130.5 * simL.LaneDt(0)
-		d2 := 77.25 * simL.LaneDt(B-1)
-		if err := simL.RunLanes(d1); err != nil {
-			t.Fatal(err)
-		}
-		if err := simL.RunLanes(d2); err != nil {
-			t.Fatal(err)
-		}
-		for lane := 0; lane < B; lane++ {
-			nlS := buildPoissonNetlist(t, l, settleRHS)
-			applyLaneParamsScalar(nlS, lane)
-			if lane == tc.hot {
-				for _, b := range nlS.Blocks() {
-					if b.Kind == KindDAC {
-						b.Level *= hotLevel
-					}
-				}
-			}
-			simS, err := NewSimulator(nlS, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			simS.SetEngine(EngineFused)
-			simS.Run(d1)
-			simS.Run(d2)
-			expectLaneMatchesScalar(t, simL, lane, simS, fmt.Sprintf("B=%d hot=%d", B, tc.hot))
+	for _, hot := range []int{-1, 3} {
+		for _, kernels := range kernelModes() {
+			withKernels(kernels, func() { laneMatchesScalar(t, l, hot, fmt.Sprintf("hot=%d kernels=%t", hot, kernels)) })
 		}
 	}
 }
 
+func laneMatchesScalar(t *testing.T, l, hot int, tag string) {
+	t.Helper()
+	const B = LaneWidth
+	simL, err := NewSimulator(buildPoissonNetlist(t, l, settleRHS), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := simL.ConfigureLanes(true); err != nil {
+		t.Fatal(err)
+	}
+	for lane := 0; lane < B; lane++ {
+		applyLaneParamsLane(t, simL, lane)
+	}
+	if hot >= 0 {
+		levelScale, _, _ := laneParams(hot)
+		for _, b := range simL.nl.Blocks() {
+			if b.Kind == KindDAC {
+				if err := simL.SetLaneLevel(b, hot, b.Level*levelScale*hotLevel); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	simL.ReloadLaneSteps()
+	simL.Reset()
+	// Two runs with an awkward fractional duration in between: lanes
+	// hit the remainder-step path at different points.
+	d1 := 130.5 * simL.LaneDt(0)
+	d2 := 77.25 * simL.LaneDt(B-1)
+	if err := simL.RunLanes(d1); err != nil {
+		t.Fatal(err)
+	}
+	if err := simL.RunLanes(d2); err != nil {
+		t.Fatal(err)
+	}
+	for lane := 0; lane < B; lane++ {
+		nlS := buildPoissonNetlist(t, l, settleRHS)
+		applyLaneParamsScalar(nlS, lane)
+		if lane == hot {
+			for _, b := range nlS.Blocks() {
+				if b.Kind == KindDAC {
+					b.Level *= hotLevel
+				}
+			}
+		}
+		simS, err := NewSimulator(nlS, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simS.SetEngine(EngineFused)
+		simS.Run(d1)
+		simS.Run(d2)
+		expectLaneMatchesScalar(t, simL, lane, simS, tag)
+	}
+}
+
 // TestLaneReentryRefold pins the fold-generation contract across lane-mode
-// teardown: leaving lane mode (ConfigureLanes(0)) and re-entering with the
-// SAME width and the same number of refolds must not leave the fused
-// kernel's materialised constants pointing at the previous lane program.
+// teardown: leaving lane mode (ConfigureLanes(false)) and re-entering with
+// the same number of refolds must not leave the fused kernel's
+// materialised constants pointing at the previous lane program.
 // (Regression: a fresh laneProg restarted foldGen at zero, so the second
 // session's generation could collide with the last synced one and the RK4
 // trial stages silently kept the first session's biases.)
 func TestLaneReentryRefold(t *testing.T) {
-	const l, B = 6, 4
+	const l, B = 6, LaneWidth
 	simL, err := NewSimulator(buildPoissonNetlist(t, l, settleRHS), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(perm func(int) int) float64 {
 		t.Helper()
-		if err := simL.ConfigureLanes(B); err != nil {
+		if err := simL.ConfigureLanes(true); err != nil {
 			t.Fatal(err)
 		}
 		for lane := 0; lane < B; lane++ {
@@ -229,9 +256,9 @@ func TestLaneReentryRefold(t *testing.T) {
 		return d
 	}
 	// Session 1, then a teardown, then session 2 with the lanes'
-	// parameter sets reversed — same width, same refold count.
+	// parameter sets reversed — same refold count.
 	run(func(lane int) int { return lane })
-	if err := simL.ConfigureLanes(0); err != nil {
+	if err := simL.ConfigureLanes(false); err != nil {
 		t.Fatal(err)
 	}
 	d2 := run(func(lane int) int { return B - 1 - lane })
@@ -263,32 +290,29 @@ func TestLaneConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.ConfigureLanes(4); err == nil {
+	if err := sim.ConfigureLanes(true); err == nil {
 		t.Fatal("lane mode accepted a noisy configuration")
 	}
 	sim2, err := NewSimulator(buildPoissonNetlist(t, 2, settleRHS), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim2.ConfigureLanes(MaxLanes + 1); err == nil {
-		t.Fatal("lane mode accepted a width beyond MaxLanes")
-	}
 	sim2.SetEngine(EngineReference)
-	if err := sim2.ConfigureLanes(2); err == nil {
+	if err := sim2.ConfigureLanes(true); err == nil {
 		t.Fatal("lane mode accepted a non-fused engine")
 	}
 	sim2.SetEngine(EngineFused)
-	if err := sim2.ConfigureLanes(2); err != nil {
+	if err := sim2.ConfigureLanes(true); err != nil {
 		t.Fatal(err)
 	}
-	if sim2.Lanes() != 2 {
-		t.Fatalf("Lanes() = %d, want 2", sim2.Lanes())
+	if sim2.Lanes() != LaneWidth {
+		t.Fatalf("Lanes() = %d, want %d", sim2.Lanes(), LaneWidth)
 	}
-	if err := sim2.ConfigureLanes(0); err != nil {
+	if err := sim2.ConfigureLanes(false); err != nil {
 		t.Fatal(err)
 	}
 	if sim2.Lanes() != 0 {
-		t.Fatal("ConfigureLanes(0) did not restore scalar mode")
+		t.Fatal("ConfigureLanes(false) did not restore scalar mode")
 	}
 	// Scalar stepping still works after leaving lane mode.
 	sim2.Reset()

@@ -79,11 +79,6 @@ type SolveParams struct {
 	Bandwidth float64
 	// Calibrate runs the chip init sequence before solving.
 	Calibrate bool
-	// MaxLanes caps how many right-hand sides a batch solve drives
-	// lane-parallel through the chip (0 = device limit, 1 = one at a
-	// time). Lane widths are bit-identical, so this changes speed, never
-	// answers.
-	MaxLanes int
 	// Acc, if non-nil, is a pre-built accelerator the analog backends run
 	// on (the serve pool's warm chips); nil builds a chip sized by
 	// SpecFor. Digital backends ignore it.
@@ -133,8 +128,8 @@ type Outcome struct {
 	Overflows   int
 	Refinements int
 	ScaleS      float64
-	// Lanes is the widest lane wave this answer settled in; 0 when every
-	// run took the scalar path.
+	// Lanes is the lane width (16) when this answer settled in a full
+	// lane wave; 0 when every run took the scalar path.
 	Lanes int
 	// Decompose carries the outer-iteration stats of a decomposed solve.
 	Decompose *core.DecomposeStats
@@ -236,7 +231,7 @@ func solveAnalog(ctx context.Context, backend string, a *la.CSR, rhs []la.Vector
 	if err != nil {
 		return nil, err
 	}
-	opt := core.SolveOptions{Tolerance: p.Tol, Calibrate: p.Calibrate, MaxLanes: p.MaxLanes}
+	opt := core.SolveOptions{Tolerance: p.Tol, Calibrate: p.Calibrate}
 	var (
 		us    []la.Vector
 		stats []core.Stats
@@ -318,7 +313,7 @@ func solveDecomposed(ctx context.Context, a *la.CSR, b la.Vector, p SolveParams)
 		Opt: core.DecomposeOptions{
 			BlockSize:      size,
 			OuterTolerance: p.Tol,
-			Inner:          core.SolveOptions{Tolerance: innerTol, MaxLanes: p.MaxLanes},
+			Inner:          core.SolveOptions{Tolerance: innerTol},
 		},
 		OnSweep: p.OnSweep,
 	}

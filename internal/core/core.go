@@ -85,7 +85,8 @@ type Accelerator struct {
 	// laneSupport caches the lane-batched-mode probe: 0 unknown, 1 the
 	// device accepted a setLanes commit, -1 it answered StatusBadOpcode
 	// (an older device) or refused lane mode at commit (a noisy or
-	// interpreter datapath); batches then run scalar without re-probing.
+	// interpreter datapath, or a CPU without the lane kernels); batches
+	// then run scalar without re-probing.
 	laneSupport int8
 }
 

@@ -321,8 +321,9 @@ func (pd *ParallelDecompose) Solve(ctx context.Context, a *la.CSR, b la.Vector) 
 // pinned session, and write the solution into this block's slice of
 // xNext. Blocks partition the index range, so writes are disjoint across
 // workers. Contiguous runs of same-group blocks (the common case after
-// the group-sorted schedule) solve as one batch: on a lane-capable chip
-// all of a run's residual systems settle in one wave.
+// the group-sorted schedule) solve as one batch on one session: on a
+// lane-capable chip a run of 16 or more settles in full lane waves, and
+// a shorter one runs its blocks one after another.
 func (w *chipWorker) sweep(ctx context.Context, a *la.CSR, b, x, xNext la.Vector, sweep int, inner SolveOptions) {
 	for lo := 0; lo < len(w.blocks); {
 		hi := lo + 1

@@ -5,21 +5,17 @@ import (
 	"errors"
 	"fmt"
 
+	"analogacc/internal/circuit"
 	"analogacc/internal/la"
 )
-
-// MaxBatchLanes bounds how many right-hand sides one wave drives through
-// the chip's lane-batched mode. The host never asks for more; a chip with
-// a smaller lane file rejects setLanes with StatusExceeded and the batch
-// falls back to sequential solves.
-const MaxBatchLanes = 16
 
 // errLanesUnsupported signals (internally) that the device behind this
 // driver has no lane-batched mode: either it answered setLanes with
 // StatusBadOpcode (an older device), or the commit rejected the lane
-// configuration (a noisy spec, or a chip built on the interpreter
-// engine). The pass executor catches it and runs its jobs scalar instead;
-// the probe is not repeated (Accelerator.laneSupport).
+// configuration (a noisy spec, a chip built on the interpreter engine, or
+// a CPU without the AVX2 lane kernels). The pass executor catches it and
+// runs its jobs scalar instead; the probe is not repeated
+// (Accelerator.laneSupport).
 var errLanesUnsupported = errors.New("core: device has no lane-batched mode")
 
 // BatchItem is one right-hand side of SolveBatchRefinedItems, carrying the
@@ -100,16 +96,13 @@ func (s *Session) exitLaneMode() error {
 	return nil
 }
 
-// runLaneWaves drives every queued job to completion (result, fallback
-// mark, or error) through lane waves of up to MaxLanes right-hand sides.
-// Overflowed jobs rejoin the queue at a doubled sigma, exactly one scalar
-// rescale attempt each. Any job-level failure stops the engine early (the
-// batch aborts); the chip is returned to scalar mode on every exit.
+// runLaneWaves drives queued jobs through full waves of circuit.LaneWidth
+// right-hand sides while the queue holds that many. Overflowed jobs rejoin
+// the queue at a doubled sigma, exactly one scalar rescale attempt each.
+// It returns with the jobs that never filled a wave still pending (not
+// done, no error), and stops early at a job-level failure; solvePass
+// finishes both. The chip is returned to scalar mode on every exit.
 func (s *Session) runLaneWaves(ctx context.Context, queue []*settleJob, opt SolveOptions) (err error) {
-	width := opt.MaxLanes
-	if width <= 0 || width > MaxBatchLanes {
-		width = MaxBatchLanes
-	}
 	tols, floor := s.settleTolerances()
 	entered := false
 	defer func() {
@@ -119,22 +112,18 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*settleJob, opt Solv
 			}
 		}
 	}()
-	for len(queue) > 0 {
+	for len(queue) >= circuit.LaneWidth {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("core: batch aborted with %d solves pending: %w", len(queue), cerr)
 		}
-		b := width
-		if b > len(queue) {
-			b = len(queue)
-		}
-		wave := queue[:b]
-		queue = queue[b:]
+		wave := queue[:circuit.LaneWidth]
+		queue = queue[circuit.LaneWidth:]
 		if perr := s.programWave(wave, floor, true); perr != nil {
 			return perr
 		}
 		for _, job := range wave {
 			if job.err != nil {
-				return nil // unresolvable at this sigma: caller reports
+				return nil // unresolvable at this sigma: solvePass reports
 			}
 		}
 		entered = true
@@ -148,10 +137,10 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*settleJob, opt Solv
 		}
 		for _, job := range wave {
 			if job.err != nil {
-				return nil // settle/rescale failure: caller reports
+				return nil // settle/rescale failure: solvePass reports
 			}
-			if job.done && job.stats.Lanes < len(wave) {
-				job.stats.Lanes = len(wave)
+			if job.done {
+				job.stats.Lanes = circuit.LaneWidth
 			}
 		}
 	}
@@ -163,59 +152,57 @@ func (s *Session) runLaneWaves(ctx context.Context, queue []*settleJob, opt Solv
 // done (u, gain, stats) or failed (err). Every job solves from the
 // session's entry state — the entry value scale, and σ from its own
 // learned gain — so an answer does not depend on how the jobs are packed.
-// At least two jobs on a chip with lanes ride lane waves, and a lane job
-// that settles deep inside the dynamic range reruns alone from entry
-// state, because a boost reprograms the value scale all lanes share.
-// Otherwise each job runs the scalar attempt loop in turn. A failed job
-// ends the pass early, leaving later jobs unsolved; callers report the
-// first failed job in order. The returned error is the lane engine's own
-// transport or context failure.
+// Lanes pay only as full waves on the AVX2 kernels, so a pass of at least
+// circuit.LaneWidth jobs on a chip with lane mode first runs full waves
+// (runLaneWaves); every job they leave pending — the remainder that never
+// filled a wave, overflow requeues, the jobs after a failure — then runs
+// the scalar attempt loop in order, from the entry value scale, keeping
+// the σ and Stats its lane attempts reached. A lane job that settles deep
+// inside the dynamic range reruns alone from entry state, because a boost
+// reprograms the value scale all lanes share. A failed job ends the pass,
+// leaving later jobs unsolved, so callers report the first failed job in
+// order — the one the scalar loop alone would have hit. The returned
+// error is the lane engine's own transport or context failure.
 func (s *Session) solvePass(ctx context.Context, jobs []*settleJob, opt SolveOptions) error {
 	if err := s.prepare(opt); err != nil {
 		return err
 	}
 	entryS := s.sc.S
-	if len(jobs) >= 2 && opt.MaxLanes != 1 && s.acc.spec.NoiseSigma == 0 && s.acc.laneSupport >= 0 {
-		// Lanes model a noise-free datapath: one shared op stream cannot
-		// carry independent noise draws.
-		for _, job := range jobs {
-			s.startJob(job, opt)
-		}
-		err := s.runLaneWaves(ctx, jobs, opt)
-		if !errors.Is(err, errLanesUnsupported) {
-			if err != nil {
-				return err
-			}
-			for _, job := range jobs {
-				if job.err != nil {
-					break
-				}
-				if job.fallback {
-					s.runAlone(ctx, job, entryS, opt)
-					if job.err != nil {
-						break
-					}
-				}
-			}
-			return nil
+	for _, job := range jobs {
+		s.startJob(job, opt)
+	}
+	// Lanes model a noise-free datapath: one shared op stream cannot
+	// carry independent noise draws.
+	if len(jobs) >= circuit.LaneWidth && s.acc.spec.NoiseSigma == 0 && s.acc.laneSupport >= 0 {
+		if err := s.runLaneWaves(ctx, jobs, opt); err != nil && !errors.Is(err, errLanesUnsupported) {
+			return err
 		}
 	}
 	for _, job := range jobs {
-		if s.runAlone(ctx, job, entryS, opt); job.err != nil {
+		if job.err != nil {
+			break
+		}
+		if job.done {
+			continue
+		}
+		if s.runScalar(ctx, job, entryS, opt); job.err != nil {
 			break
 		}
 	}
 	return nil
 }
 
-// runAlone solves one job by the scalar attempt loop from the entry value
-// scale; any failure lands in job.err.
-func (s *Session) runAlone(ctx context.Context, job *settleJob, entryS float64, opt SolveOptions) {
+// runScalar finishes one job by the scalar attempt loop from the entry
+// value scale: a lane fallback starts over, any other job goes on from
+// the σ and Stats it reached. Any failure lands in job.err.
+func (s *Session) runScalar(ctx context.Context, job *settleJob, entryS float64, opt SolveOptions) {
 	if err := s.setScale(entryS); err != nil {
 		job.err = err
 		return
 	}
-	s.startJob(job, opt)
+	if job.fallback {
+		s.startJob(job, opt)
+	}
 	job.err = s.attempts(ctx, job, opt)
 }
 

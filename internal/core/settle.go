@@ -11,8 +11,8 @@ import (
 )
 
 // settleJob tracks one right-hand side through the settle loop. A scalar
-// solve attempt is a one-job wave on scalarLane; a lane wave carries up to
-// MaxBatchLanes jobs, one per lane.
+// solve attempt is a one-job wave on scalarLane; a lane wave carries
+// circuit.LaneWidth jobs, one per lane.
 type settleJob struct {
 	idx    int       // position in the batch
 	rhs    la.Vector // caller's right-hand side (never mutated)

@@ -8,60 +8,59 @@ import (
 	"testing"
 
 	"analogacc/internal/chip"
+	"analogacc/internal/circuit"
 	"analogacc/internal/isa"
 	"analogacc/internal/la"
 	"analogacc/internal/pde"
 )
 
 // statsBesideLanes clears the one Stats field that legitimately differs
-// across lane widths (the wave width an item rode).
+// between lane and scalar runs (the wave width an item rode).
 func statsBesideLanes(s Stats) Stats {
 	s.Lanes = 0
 	return s
 }
 
-// TestSolveBatchStatsMatchScalar pins per-item cost accounting across lane
-// widths: a scalar solve is a one-job wave through the same settle loop,
-// so every Stats field an item reports — analog time to the last bit,
-// runs, rescales, overflows, refinements, scaling, residual and settle
-// time — must equal the width-1 (sequential scalar) batch's, for plain
-// batches with the dynamic-range boost on and for refined batches.
+// TestSolveBatchStatsMatchScalar pins per-item cost accounting across the
+// lane and scalar paths: a scalar solve is a one-job wave through the same
+// settle loop, so every Stats field an item reports — analog time to the
+// last bit, runs, rescales, overflows, refinements, scaling, residual and
+// settle time — must equal the same batch's on a device without lane
+// mode, at every size in batchSizes, for plain batches with the
+// dynamic-range boost on and for refined batches.
 func TestSolveBatchStatsMatchScalar(t *testing.T) {
-	a, rhs := lane6System()
-	type solveFn func(*Session, SolveOptions) ([]la.Vector, []Stats, error)
+	a, _ := lane6System()
+	type solveFn func(*Session, []la.Vector) ([]la.Vector, []Stats, error)
 	modes := []struct {
 		name  string
-		opt   SolveOptions
 		solve solveFn
 	}{
-		{"SolveBatch", SolveOptions{}, func(s *Session, o SolveOptions) ([]la.Vector, []Stats, error) {
-			return s.SolveBatch(context.Background(), rhs, o)
+		{"SolveBatch", func(s *Session, rhs []la.Vector) ([]la.Vector, []Stats, error) {
+			return s.SolveBatch(context.Background(), rhs, SolveOptions{})
 		}},
-		{"SolveBatchRefined", SolveOptions{Tolerance: 1e-8}, func(s *Session, o SolveOptions) ([]la.Vector, []Stats, error) {
-			return s.SolveBatchRefined(context.Background(), rhs, o)
+		{"SolveBatchRefined", func(s *Session, rhs []la.Vector) ([]la.Vector, []Stats, error) {
+			return s.SolveBatchRefined(context.Background(), rhs, SolveOptions{Tolerance: 1e-8})
 		}},
 	}
 	for _, m := range modes {
-		run := func(width int) []Stats {
-			o := m.opt
-			o.MaxLanes = width
-			acc := simAcc(t, lane6Spec())
+		run := func(acc *Accelerator, rhs []la.Vector) []Stats {
 			sess, err := acc.BeginSession(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, stats, err := m.solve(sess, o)
+			_, stats, err := m.solve(sess, rhs)
 			if err != nil {
-				t.Fatalf("%s width %d: %v", m.name, width, err)
+				t.Fatalf("%s %d items: %v", m.name, len(rhs), err)
 			}
 			return stats
 		}
-		ref := run(1)
-		for _, width := range []int{2, 7, 16} {
-			got := run(width)
-			for k := range rhs {
-				if statsBesideLanes(got[k]) != statsBesideLanes(ref[k]) {
-					t.Errorf("%s width %d rhs %d:\n got %+v\nwant %+v", m.name, width, k, got[k], ref[k])
+		for _, k := range batchSizes {
+			rhs := lane6Batch(k)
+			ref := run(scalarAcc(t, lane6Spec()), rhs)
+			got := run(simAcc(t, lane6Spec()), rhs)
+			for i := range rhs {
+				if statsBesideLanes(got[i]) != statsBesideLanes(ref[i]) {
+					t.Errorf("%s %d items rhs %d:\n got %+v\nwant %+v", m.name, k, i, got[i], ref[i])
 				}
 			}
 		}
@@ -125,9 +124,11 @@ func recordedAcc(t *testing.T, spec chip.Spec) (*Accelerator, *trafficRecorder) 
 // order, opcodes and payload lengths of every request frame, from the
 // first configuration write to the last readout. A scalar solve that
 // boosts, one that overflows, a refined solve at 8-bit ADCs (alone, and
-// as a one-item batch), and a refined lane batch at widths 16 and 2 each
-// hash to a recorded constant. A change to the settle schedule moves these on purpose and
-// must say why.
+// as a one-item batch), and refined batches of 7 items (scalar), 16 (one
+// full lane wave) and 23 (a full wave plus a scalar remainder) each hash
+// to a recorded constant; the two lane batches run only on a CPU with the
+// lane kernels. A change to the settle schedule moves these on purpose
+// and must say why.
 func TestSettleISATraffic(t *testing.T) {
 	boostA, boostB := boostSystem()
 	boostSpec := chip.ScaledSpec(10, 12, 20e3, 11)
@@ -141,15 +142,15 @@ func TestSettleISATraffic(t *testing.T) {
 	overflowSpec := chip.PrototypeSpec()
 	overflowSpec.ADCBits = 12
 	overflowSpec.DACBits = 12
-	laneA, laneRHS := lane6System()
-	laneBatch := func(width int) func(*Accelerator) error {
+	laneA, _ := lane6System()
+	laneBatch := func(items int) func(*Accelerator) error {
 		return func(acc *Accelerator) error {
 			sess, err := acc.BeginSession(laneA)
 			if err != nil {
 				return err
 			}
-			_, _, err = sess.SolveBatchRefined(context.Background(), laneRHS,
-				SolveOptions{Tolerance: 1e-8, MaxLanes: width})
+			_, _, err = sess.SolveBatchRefined(context.Background(), lane6Batch(items),
+				SolveOptions{Tolerance: 1e-8})
 			return err
 		}
 	}
@@ -159,6 +160,7 @@ func TestSettleISATraffic(t *testing.T) {
 		solve  func(*Accelerator) error
 		frames int
 		hash   uint64
+		lanes  bool // runs lane waves: pinned only where the CPU has the lane kernels
 	}{
 		{"boost", boostSpec, func(acc *Accelerator) error {
 			_, st, err := acc.Solve(boostA, boostB, SolveOptions{})
@@ -166,19 +168,19 @@ func TestSettleISATraffic(t *testing.T) {
 				t.Errorf("boost solve never boosted: %+v", st)
 			}
 			return err
-		}, 906, 0xba7ccc16db68b06d},
+		}, 906, 0xba7ccc16db68b06d, false},
 		{"overflow", overflowSpec, func(acc *Accelerator) error {
 			_, st, err := acc.Solve(overflowA, overflowB, SolveOptions{})
 			if err == nil && st.Overflows == 0 {
 				t.Errorf("overflow solve never overflowed: %+v", st)
 			}
 			return err
-		}, 159, 0x708226c339d2f75f},
+		}, 159, 0x708226c339d2f75f, false},
 		{"refined-eq2-8bit", chip.PrototypeSpec(), func(acc *Accelerator) error {
 			a, b := eq2System()
 			_, _, err := acc.SolveRefined(a, b, SolveOptions{Tolerance: 1e-7})
 			return err
-		}, 128, 0x32763497d8dc341a},
+		}, 128, 0x32763497d8dc341a, false},
 		// A one-item batch is a solo solve: the same frames as above.
 		{"refined-eq2-8bit-one-item-batch", chip.PrototypeSpec(), func(acc *Accelerator) error {
 			a, b := eq2System()
@@ -188,11 +190,16 @@ func TestSettleISATraffic(t *testing.T) {
 			}
 			_, _, err = sess.SolveBatchRefined(context.Background(), []la.Vector{b}, SolveOptions{Tolerance: 1e-7})
 			return err
-		}, 128, 0x32763497d8dc341a},
-		{"lane6-refined-width16", lane6Spec(), laneBatch(16), 1483, 0x7b61940491f26972},
-		{"lane6-refined-width2", lane6Spec(), laneBatch(2), 1759, 0xe533d28620b57c85},
+		}, 128, 0x32763497d8dc341a, false},
+		{"lane6-refined-7-items", lane6Spec(), laneBatch(7), 2062, 0xf3e3043334617a07, false},
+		{"lane6-refined-16-items", lane6Spec(), laneBatch(16), 3335, 0x835d4eef9b206f02, true},
+		{"lane6-refined-23-items", lane6Spec(), laneBatch(23), 5186, 0x90ac24be2a9727a5, true},
 	}
 	for _, c := range cases {
+		if c.lanes && !circuit.LaneKernels() {
+			t.Logf("%s: no lane kernels on this CPU, so no lane waves to pin", c.name)
+			continue
+		}
 		acc, rec := recordedAcc(t, c.spec)
 		if err := c.solve(acc); err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -42,12 +42,6 @@ type SolveOptions struct {
 	// each block very little, so most block solves become pure digital
 	// residual checks. The vector is copied, never mutated.
 	Guess la.Vector
-	// MaxLanes caps how many right-hand sides a batch solve drives
-	// lane-parallel through the chip in one wave. 0 means the full
-	// MaxBatchLanes; 1 disables the lane path entirely (every item then
-	// runs the scalar attempt loop in turn). Values above MaxBatchLanes
-	// are clamped.
-	MaxLanes int
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -95,12 +89,12 @@ type Stats struct {
 	// everything armed, including failed scale attempts and the last
 	// chunk's overshoot.
 	SettleTime float64
-	// Lanes is the widest lane wave that produced (part of) this answer:
-	// batch solves on a lane-capable chip report the wave width their
-	// settle ran at, 0 means every run took the scalar path. Purely
-	// observational — lane widths are bit-identical — but it lets callers
-	// (and the CI smoke) assert the vectorized path actually engaged
-	// instead of silently falling back.
+	// Lanes is the width of the lane wave that produced (part of) this
+	// answer: circuit.LaneWidth when a pass settled it in a full wave, 0
+	// when every run took the scalar path. Purely observational — lane
+	// and scalar runs are bit-identical — but it lets callers (and the CI
+	// smoke) assert the vectorized path actually engaged instead of
+	// silently falling back.
 	Lanes int
 }
 
@@ -385,9 +379,10 @@ func (s *Session) SolveForRefinedCtx(ctx context.Context, b la.Vector, opt Solve
 // SolveBatch solves A·u = rhs[k] for every right-hand side against the one
 // compiled session: the matrix is programmed (at most) once and only the
 // DAC biases are rewritten between items, so a batch of N costs one
-// configuration instead of N. On a chip with lane-batched mode the items
-// additionally solve lane-parallel, up to MaxBatchLanes per wave, all
-// sharing each integration sweep. Every item solves from batch-entry
+// configuration instead of N. On a chip with lane-batched mode a batch of
+// at least circuit.LaneWidth items additionally solves lane-parallel in
+// full waves, each sharing its integration sweeps, and the remainder
+// runs scalar. Every item solves from batch-entry
 // session state (see solvePass), so results are identical whichever way
 // the items run — and identical to solving each right-hand side alone
 // against a fresh copy of this session. The session leaves carrying the
@@ -440,8 +435,8 @@ func (s *Session) SolveBatch(ctx context.Context, rhs []la.Vector, opt SolveOpti
 
 // SolveBatchRefined is SolveBatch with Algorithm 2 refinement per item:
 // every right-hand side is driven to opt.Tolerance while the matrix stays
-// resident across the whole batch, with each refinement pass vectorized
-// across lanes where the chip supports it.
+// resident across the whole batch, with each refinement pass running full
+// lane waves where the chip supports them.
 func (s *Session) SolveBatchRefined(ctx context.Context, rhs []la.Vector, opt SolveOptions) ([]la.Vector, []Stats, error) {
 	items := make([]BatchItem, len(rhs))
 	for k, b := range rhs {
@@ -453,9 +448,9 @@ func (s *Session) SolveBatchRefined(ctx context.Context, rhs []la.Vector, opt So
 
 // SolveBatchRefinedItems is Algorithm 2, the one refinement loop behind
 // every refined solve: each pass solves the residuals of the items not yet
-// at opt.Tolerance as one solvePass (a lane wave where the chip has lanes),
-// each at its own learned scale, and accumulates the corrections
-// digitally. Per-item Guess seeds the digital accumulator and per-item
+// at opt.Tolerance as one solvePass (full lane waves where there are
+// enough items and the chip has lanes), each at its own learned scale,
+// and accumulates the corrections digitally. Per-item Guess seeds the digital accumulator and per-item
 // SigmaGain seeds the dynamic-range scale — the state a decomposition
 // sweep carries per block. Returns positional solutions, stats, and each
 // item's learned sigmaGain for the caller to thread into its next batch;

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"analogacc/internal/chip"
+	"analogacc/internal/circuit"
 	"analogacc/internal/isa"
 	"analogacc/internal/la"
 	"analogacc/internal/pde"
@@ -113,7 +114,7 @@ func poolOperator(seed int64, rhsCount int) (*la.CSR, []la.Vector) {
 // 2-D Poisson chips at L = 3–12 with 8- and 12-bit ADCs; a calibrated
 // class-16 12-bit pool chip running six banded operators × 8 right-hand
 // sides through SolveRefined at 1e-8, solo and as 16-lane refined
-// batches; and the FuzzLaneBatchWidths corpus inputs, at their lane width.
+// batches; and the FuzzLaneBatchWidths corpus inputs.
 func TestSolveStepFidelity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves every case twice at the transient step")
@@ -169,13 +170,11 @@ func TestSolveStepFidelity(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			opt := refined
-			opt.MaxLanes = MaxBatchLanes
-			u, st, err := sess.SolveBatchRefined(context.Background(), rhs, opt)
+			u, st, err := sess.SolveBatchRefined(context.Background(), rhs, refined)
 			if err != nil {
 				return nil, nil, err
 			}
-			if st[0].Lanes != MaxBatchLanes {
+			if circuit.LaneKernels() && st[0].Lanes != circuit.LaneWidth {
 				return nil, nil, errors.New("batch did not ride one 16-lane wave")
 			}
 			us, stats = append(us, u...), append(stats, st...)
@@ -184,7 +183,8 @@ func TestSolveStepFidelity(t *testing.T) {
 	})
 
 	// testdata/fuzz/FuzzLaneBatchWidths, replayed as that target builds
-	// its chips and batches (at the input's width only).
+	// its chips, on batches of 2–9 items: the sizes it drew before the lane
+	// width was fixed, all of which now run scalar.
 	corpus := []struct {
 		name                string
 		seed                int64
@@ -200,7 +200,6 @@ func TestSolveStepFidelity(t *testing.T) {
 	for _, c := range corpus {
 		n := 2 + int(c.order)%7
 		k := 2 + int(c.items)%8
-		w := 2 + int(c.width)%15
 		a, rhs := fuzzBandSystem(c.seed, n, k+1)
 		warm, rhs := rhs[k], rhs[:k]
 		spec := chip.ScaledSpec(n, 12, 20e3, a.MaxRowNNZ()+1)
@@ -216,12 +215,10 @@ func TestSolveStepFidelity(t *testing.T) {
 					return nil, nil, err
 				}
 			}
-			opt := SolveOptions{MaxLanes: w}
 			if c.refinedBatch {
-				opt.Tolerance = 1e-8
-				return sess.SolveBatchRefined(context.Background(), rhs, opt)
+				return sess.SolveBatchRefined(context.Background(), rhs, SolveOptions{Tolerance: 1e-8})
 			}
-			return sess.SolveBatch(context.Background(), rhs, opt)
+			return sess.SolveBatch(context.Background(), rhs, SolveOptions{})
 		})
 	}
 }

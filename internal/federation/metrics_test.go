@@ -66,6 +66,47 @@ func servedScrape(t *testing.T) string {
 	return text
 }
 
+// routeSample reads one sample of a per-route series from node's /metrics.
+func routeSample(t *testing.T, node *clusterNode, name, route string) float64 {
+	t.Helper()
+	text, err := node.client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range parseExposition(t, text) {
+		if l.kind == "sample" && l.name == name && l.labels["route"] == route {
+			return l.value
+		}
+	}
+	t.Fatalf("no %s{route=%q} sample", name, route)
+	return 0
+}
+
+// TestForwardedSolveBooksResponseBytes sends a solve to the node that does
+// not own its operator: the owner serves the forwarded request, so it
+// must book the answer in its response-byte histogram, as it books the
+// request in its request-byte histogram.
+func TestForwardedSolveBooksResponseBytes(t *testing.T) {
+	nodes := newCluster(t, 2, testPool(), false)
+	req := OperatorRequest(3, 8, 1e-8)
+	owner := ownerIndex(t, nodes, req)
+	reqBefore := routeSample(t, nodes[owner], "alad_request_bytes_count", "solve")
+	respBefore := routeSample(t, nodes[owner], "alad_response_bytes_count", "solve")
+	resp, err := nodes[1-owner].client.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("node%d", owner); resp.ServedBy != want || resp.Affinity != RouteHit {
+		t.Fatalf("solve served by %q with affinity %q, want the owner %q and %q", resp.ServedBy, resp.Affinity, want, RouteHit)
+	}
+	if got := routeSample(t, nodes[owner], "alad_request_bytes_count", "solve"); got != reqBefore+1 {
+		t.Fatalf("owner booked %v forwarded requests, want %v", got, reqBefore+1)
+	}
+	if got := routeSample(t, nodes[owner], "alad_response_bytes_count", "solve"); got != respBefore+1 {
+		t.Fatalf("owner booked %v responses to forwarded solves, want %v", got, respBefore+1)
+	}
+}
+
 // expLine is one line of a text exposition: a HELP or TYPE comment line
 // (kind "HELP"/"TYPE", text holding the help or the type) or a sample.
 type expLine struct {

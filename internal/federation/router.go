@@ -220,34 +220,33 @@ type endpoint[Q, R any] struct {
 }
 
 // serveRouted is the one route-and-forward loop behind every routed
-// endpoint: decode, serve a forwarded request here, fingerprint, route by
-// rendezvous, then serve locally or forward, failing over down the
-// ranking while a peer cannot serve.
+// endpoint: decode, fingerprint, route by rendezvous, then serve locally
+// or forward, failing over down the ranking while a peer cannot serve.
+// A request a peer already routed takes the loop's local branch at once —
+// the loop guard — unstamped and unbooked in the routing metrics: the
+// entry node stamps Affinity on the way back. Either way the one write at
+// the end books the response bytes.
 func serveRouted[Q, R any](rt *Router, w http.ResponseWriter, r *http.Request, ep endpoint[Q, R]) {
 	var req Q
 	if !rt.decode(w, r, ep.route, &req) {
 		return
 	}
-	// A request a peer already routed is served here unconditionally —
-	// the loop guard. The entry node stamps Affinity on the way back.
-	if r.Header.Get(serve.ForwardedHeader) != "" {
-		resp, aerr := ep.local(r.Context(), &req)
-		if aerr != nil {
-			rt.server.WriteAPIError(w, aerr)
+	forwarded := r.Header.Get(serve.ForwardedHeader) != ""
+	target, label, next := rt.cfg.Self, "", []string(nil)
+	if !forwarded {
+		fp, err := ep.fingerprint(&req)
+		if err != nil {
+			writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: err.Error()})
 			return
 		}
-		writeJSONStatus(w, http.StatusOK, resp)
-		return
+		target, label, next = rt.route(fp)
 	}
-	fp, err := ep.fingerprint(&req)
-	if err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: err.Error()})
-		return
-	}
-	target, label, next := rt.route(fp)
 	start := time.Now()
 	for {
-		var resp R
+		var (
+			resp R
+			err  error
+		)
 		if target == rt.cfg.Self {
 			var aerr *serve.APIError
 			if resp, aerr = ep.local(r.Context(), &req); aerr != nil {
@@ -267,7 +266,7 @@ func serveRouted[Q, R any](rt *Router, w http.ResponseWriter, r *http.Request, e
 			target, label = rt.nextTarget(&next)
 			continue
 		}
-		if ep.stamp != nil {
+		if ep.stamp != nil && !forwarded {
 			ep.stamp(resp, label)
 			rt.metrics.Routed(label, time.Since(start))
 		}

@@ -173,8 +173,8 @@ func (h *Host) ReadExp() ([]byte, error) {
 
 // SetLanes stages the lane count: the next commit replicates the
 // datapath's unit parameters across `lanes` independent lanes (0 returns
-// the chip to scalar mode). A device without lane support answers
-// StatusBadOpcode.
+// the chip to scalar mode). The simulated chip accepts only 0 and its
+// lane width, 16. A device without lane support answers StatusBadOpcode.
 func (h *Host) SetLanes(lanes uint16) error {
 	_, err := h.call(OpSetLanes, PutU16(nil, lanes))
 	return err

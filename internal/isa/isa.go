@@ -42,13 +42,13 @@ const (
 	OpCfgReset Opcode = 0x10
 
 	// Lane-batched extension (not in Table I): the chip replicates the
-	// committed datapath's unit parameters across B independent lanes and
-	// steps all lanes through one shared op stream. Topology, LUT
+	// committed datapath's unit parameters across its 16 lanes and steps
+	// all lanes through one shared op stream. Topology, LUT
 	// contents, trims and mismatch are shared; DAC levels, constant
 	// multiplier gains and integrator initial conditions may be
 	// overridden per lane. An older device answers these opcodes with
 	// StatusBadOpcode, which is how the host probes for lane support.
-	OpSetLanes        Opcode = 0x11 // config: lane count (0 = scalar mode)
+	OpSetLanes        Opcode = 0x11 // config: lane count (16, or 0 = scalar mode)
 	OpSetIntInitLane  Opcode = 0x12 // config: per-lane integrator initial condition
 	OpSetMulGainLane  Opcode = 0x13 // config: per-lane multiplier gain
 	OpSetDacConstLane Opcode = 0x14 // config: per-lane DAC constant bias

@@ -105,7 +105,7 @@ type Job struct {
 	// Affinity is an optional co-scheduling hint: queued jobs sharing a
 	// non-zero affinity are worth executing together (alad sets it to the
 	// matrix fingerprint so same-operator solves drain as one coalesced
-	// lane wave). Zero means no affinity; the journal carries it like any
+	// wave). Zero means no affinity; the journal carries it like any
 	// other submit field, so it survives restarts.
 	Affinity uint64 `json:"affinity,omitempty"`
 	// Payload is the opaque request body.

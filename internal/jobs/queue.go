@@ -529,7 +529,7 @@ func (q *Queue) leaseLocked(j *Job, owner string) *Job {
 // non-zero affinity, earliest submissions first across every tenant —
 // the fingerprint-sticky half of wave scheduling: a worker that just
 // leased a job calls this to drain its operator-mates into the same
-// Exec call, where they join one lane wave together. Returns nil when
+// Exec call, where they join one wave together. Returns nil when
 // nothing matches (or the queue is paused/closed). Once the mates are
 // drained it passes the wake on if other work is still queued (see
 // Lease).

@@ -104,7 +104,7 @@ func (w *Workers) loop(ctx context.Context, owner string) {
 		}
 		// Fingerprint-sticky dispatch: the job's queued operator-mates
 		// join it in one Exec call, so the executor can seal their solves
-		// into one lane wave.
+		// into one wave.
 		group := []*Job{j}
 		if j.Affinity != 0 {
 			group = append(group, w.q.LeaseMatching(owner, j.Affinity, maxWaveMates)...)

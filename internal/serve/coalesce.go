@@ -6,17 +6,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"analogacc/internal/circuit"
 	"analogacc/internal/cli"
-	"analogacc/internal/core"
 	"analogacc/internal/la"
 )
 
 // Dynamic micro-batching. The paper's economics amortize one matrix
-// programming across many solves; the lane engine (§12) settles up to 16
+// programming across many solves; the lane engine (§12) settles 16
 // right-hand sides in one fused wave. The coalescer closes the gap for
 // concurrent *solo* requests: in-flight solves of the same operator
 // (fingerprint + order + backend + tolerance) are grouped and executed
-// as one Session.SolveBatch wave on one checked-out chip. Every analog
+// as one Session.SolveBatch on one checked-out chip — a full lane wave
+// when 16 board, the scalar attempt loop per member for 2–15. Every analog
 // solo solve enrolls: a request nobody joins rides a wave of one, which
 // dispatches exactly like an uncoalesced solve. Packing independence
 // makes the grouping invisible to callers — every lane solves from
@@ -29,7 +30,7 @@ import (
 // stays open through the checkout stall, so under load same-operator
 // arrivals pile into the waiting wave — the continuous-batching shape,
 // with the chip pool as the pacing clock. A wave closes the moment it
-// fills core.MaxBatchLanes lanes. Members that must ride together (a
+// fills circuit.LaneWidth lanes. Members that must ride together (a
 // job and its leased operator-mates) join in one critical section.
 
 // The boarding debounce (see run): with the chip in hand, a wave seals
@@ -117,7 +118,7 @@ type coalescer struct {
 }
 
 func newCoalescer(s *Server) *coalescer {
-	maxLanes := core.MaxBatchLanes
+	maxLanes := circuit.LaneWidth
 	if s.cfg.MaxBatchRHS > 0 && s.cfg.MaxBatchRHS < maxLanes {
 		maxLanes = s.cfg.MaxBatchRHS
 	}

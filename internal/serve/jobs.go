@@ -186,7 +186,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if cli.IsAnalogBackend(c.backend) {
 		// The matrix fingerprint is the job's scheduling affinity: workers
 		// drain same-affinity jobs together so they arrive at the
-		// coalescer as one lane wave (fingerprint-sticky scheduling).
+		// coalescer as one wave (fingerprint-sticky scheduling).
 		// Digital solves gain nothing from waves, so they keep affinity 0
 		// (FIFO).
 		affinity = opFP

@@ -42,7 +42,7 @@ type PeerStatsResponse struct {
 	// async-job wave lanes the coalescer is draining. Queue depth alone
 	// misses them, so routers add this in before saturation-gating.
 	ExtraLanes int64 `json:"extra_lanes,omitempty"`
-	// Coalesced counts requests this node served from shared lane waves
+	// Coalesced counts requests this node served from shared waves
 	// (lifetime), the cluster-wide coalescing odometer.
 	Coalesced int64 `json:"coalesced_total,omitempty"`
 }
@@ -77,7 +77,6 @@ type BlockOptions struct {
 	DisableBoost   bool    `json:"disable_boost,omitempty"`
 	Tolerance      float64 `json:"tolerance,omitempty"`
 	MaxRefinements int     `json:"max_refinements,omitempty"`
-	MaxLanes       int     `json:"max_lanes,omitempty"`
 }
 
 func (o BlockOptions) toCore() core.SolveOptions {
@@ -88,7 +87,6 @@ func (o BlockOptions) toCore() core.SolveOptions {
 		DisableBoost:   o.DisableBoost,
 		Tolerance:      o.Tolerance,
 		MaxRefinements: o.MaxRefinements,
-		MaxLanes:       o.MaxLanes,
 	}
 }
 
@@ -101,7 +99,6 @@ func BlockOptionsFromCore(o core.SolveOptions) BlockOptions {
 		DisableBoost:   o.DisableBoost,
 		Tolerance:      o.Tolerance,
 		MaxRefinements: o.MaxRefinements,
-		MaxLanes:       o.MaxLanes,
 	}
 }
 

@@ -65,7 +65,7 @@ func (s *Server) resolve(solo *SolveRequest, batch *BatchSolveRequest) (*call, *
 	if batch != nil {
 		backend, ref, rows = &batch.Backend, batch.Fingerprint, batch.RHS
 		byValue = batch.N > 0 || len(batch.A) > 0 || batch.System != "" || batch.MatrixMarket != ""
-		c.params.Tol, c.params.MaxLanes, c.timeoutMs = batch.Tol, batch.MaxLanes, batch.TimeoutMs
+		c.params.Tol, c.timeoutMs = batch.Tol, batch.TimeoutMs
 	} else {
 		backend, ref = &solo.Backend, solo.Fingerprint
 		if len(solo.B) > 0 {
@@ -268,7 +268,7 @@ func (s *Server) render(c *call, r waveResult, elapsed time.Duration) any {
 		}
 		for k, out := range r.outs {
 			resp.Items[k] = renderItem(c.a, c.rhs[k], out, r.class)
-			// Wave provenance: the widest lane group any item rode.
+			// Wave provenance: the lane width, if any item rode a wave.
 			resp.WaveLanes = max(resp.WaveLanes, out.Lanes)
 		}
 		resp.Coalesced = resp.WaveLanes >= 2

@@ -180,10 +180,6 @@ type BatchSolveRequest struct {
 
 	// Tol is the convergence / refinement tolerance (default 1e-8).
 	Tol float64 `json:"tol,omitempty"`
-	// MaxLanes caps how many right-hand sides the chip drives
-	// lane-parallel (0 = device limit, 1 = sequential). Lane widths are
-	// bit-identical; this trades latency, never answers.
-	MaxLanes int `json:"max_lanes,omitempty"`
 	// TimeoutMs caps the whole batch's solve deadline; the server clamps
 	// it to its own maximum. Zero means the server default.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
@@ -226,8 +222,8 @@ type AnalogStats struct {
 	ScaleS float64 `json:"scale_s"`
 	// ChipClass is the pool size class the chip came from.
 	ChipClass int `json:"chip_class,omitempty"`
-	// Lanes is the widest lane wave this item settled in; absent when
-	// every run took the scalar path.
+	// Lanes is the chip's lane width (16) when this item settled in a full
+	// lane wave; absent when every run took the scalar path.
 	Lanes int `json:"lanes,omitempty"`
 }
 
@@ -274,11 +270,13 @@ type SolveResponse struct {
 	// is the owner), or "random" (affinity disabled). Empty outside a
 	// federation.
 	Affinity string `json:"affinity,omitempty"`
-	// Coalesced reports that this solve shared a lane wave with other
-	// concurrent same-operator requests; WaveLanes is the wave width it
-	// rode in (1 when it sealed with no companions; absent when the solve
-	// never rode a wave: digital and decomposed backends). Answers
-	// are bit-identical either way — this is provenance, not semantics.
+	// Coalesced reports that this solve shared a coalescer wave (one chip
+	// checkout) with other concurrent same-operator requests; WaveLanes is
+	// that wave's size (1 when it sealed with no companions; absent when
+	// the solve never rode a wave: digital and decomposed backends). A
+	// wave of 16 settles as one lane wave, a smaller one runs its members
+	// scalar. Answers are bit-identical either way — this is provenance,
+	// not semantics.
 	Coalesced bool `json:"coalesced,omitempty"`
 	WaveLanes int  `json:"wave_lanes,omitempty"`
 }
@@ -303,9 +301,10 @@ type BatchSolveResponse struct {
 	ServedBy string `json:"served_by,omitempty"`
 	Affinity string `json:"affinity,omitempty"`
 	// Coalesced / WaveLanes report intra-batch lane sharing: WaveLanes is
-	// the widest lane wave any item settled in, Coalesced whether at
-	// least two right-hand sides shared a wave. Provenance only — answers
-	// are bit-identical at any lane width.
+	// the chip's lane width (16) when any item settled in a full lane
+	// wave, Coalesced whether right-hand sides shared one. A batch of
+	// fewer than 16 runs scalar and reports neither. Provenance only —
+	// answers are bit-identical either way.
 	Coalesced bool `json:"coalesced,omitempty"`
 	WaveLanes int  `json:"wave_lanes,omitempty"`
 }

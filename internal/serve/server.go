@@ -139,7 +139,7 @@ type Server struct {
 	decompProvider core.WorkerProvider
 
 	// coalesce groups concurrent same-operator analog solo solves into
-	// lane waves; every analog solo solve goes through it.
+	// waves; every analog solo solve goes through it.
 	coalesce *coalescer
 
 	// solve is the backend dispatch every call's right-hand sides go

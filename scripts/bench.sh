@@ -9,11 +9,9 @@
 #
 # Usage: scripts/bench.sh <suite> [benchtime]
 #
-#   scripts/bench.sh 1       # BENCH_1.json: circuit hot-loop microbenchmarks
+#   scripts/bench.sh 1       # BENCH_1.json: circuit engines, fused kernel and 16-lane runs
 #   scripts/bench.sh 3 10x   # BENCH_3.json: decomposition scaling
 #   scripts/bench.sh 4       # BENCH_4.json: session cache + batch solves
-#   scripts/bench.sh 5       # BENCH_5.json: fused step kernel at 32x32 and 128x128
-#   scripts/bench.sh 6       # BENCH_6.json: lane-batched vs sequential batch
 #   scripts/bench.sh 7       # BENCH_7.json: federation zipf-load routing policies
 #   scripts/bench.sh 8       # BENCH_8.json: micro-batching coalescer on a hot operator
 #   scripts/bench.sh 9       # BENCH_9.json: operator registry by-reference wire path
@@ -24,9 +22,9 @@ SUITE="${1:?usage: scripts/bench.sh <suite-number> [benchtime]}"
 case "$SUITE" in
 1)
 	PKG=./internal/circuit
-	BENCH='Eval|Step'
+	BENCH='Eval|Step|RunBatch'
 	BENCHTIME="${2:-1s}"
-	DESC="internal/circuit hot loop (32x32 Poisson fig8 netlist): reference interpreter vs fused kernel eval and RK4 step"
+	DESC="internal/circuit hot loop on the fig8 Poisson netlist: reference interpreter vs fused kernel eval and RK4 step (32x32 and 128x128), and 16 solve instances at 32x32 as one 16-lane run vs sixteen scalar fused runs (one RK4 step and one 50-step settle segment)"
 	;;
 3)
 	PKG=./internal/core
@@ -39,18 +37,6 @@ case "$SUITE" in
 	BENCH='PoolCheckout|BatchSolve16|SequentialSolve16'
 	BENCHTIME="${2:-20x}"
 	DESC="session cache + batch solves: warm vs cold pool checkout (configs/hits per op) and batch-of-16 vs 16 sequential sessions (rescales per op)"
-	;;
-5)
-	PKG=./internal/circuit
-	BENCH='(Eval|Step)(32|128)'
-	BENCHTIME="${2:-1s}"
-	DESC="fused kernel: eval and RK4 step on the fig8 Poisson netlist at 32x32 and 128x128"
-	;;
-6)
-	PKG=./internal/circuit
-	BENCH='Batch32'
-	BENCHTIME="${2:-2s}"
-	DESC="lane-batched fused engine vs sequential batch path: 16 solve instances on the 32x32 Poisson fig8 netlist, one RK4 step and one 50-step settle segment, as a single 16-lane run vs sixteen scalar fused runs"
 	;;
 7)
 	PKG=./internal/federation
@@ -71,7 +57,7 @@ case "$SUITE" in
 	DESC="operator registry by-reference wire path: encoded request bytes for the n=1024 2-D Poisson operator by value vs by fingerprint, hot-operator p50/p99 latency and solves/s both ways over HTTP, and durable-job WAL bytes per job after the submit-time payload rewrite"
 	;;
 *)
-	echo "bench.sh: unknown suite $SUITE (known: 1, 3, 4, 5, 6, 7, 8, 9)" >&2
+	echo "bench.sh: unknown suite $SUITE (known: 1, 3, 4, 7, 8, 9)" >&2
 	exit 2
 	;;
 esac

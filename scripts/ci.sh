@@ -13,6 +13,10 @@ if [ -n "$UNFORMATTED" ]; then
 	exit 1
 fi
 go vet ./...
+# The lane kernels are amd64 assembly; vet an arm64 build too, so the
+# kernel stubs (internal/circuit/lanes_avx_stub.go) and every test that
+# switches the kernels off keep compiling without them.
+GOARCH=arm64 go vet ./...
 go build ./...
 go test -race ./...
 
@@ -76,10 +80,12 @@ go test -race -count=2 -run 'TestCoalesce|TestCrossPath|TestJobGroupRidesOneWave
 go test -race -count=2 ./internal/metric ./internal/federation
 
 # End-to-end serve smoke: start a real alad daemon on a random port, solve the Equation 2 system through serve.Client, scrape
-# /metrics to confirm the solve counter moved, POST /v1/solve/batch and
-# assert the items settled lane-parallel, round-trip alasolve -server,
-# alasolve -rhs-file (which must also ride a lane wave), and the
-# alasolve -async / -job flow, then SIGTERM and assert a clean drain.
+# /metrics to confirm the solve counter moved, POST a 3-RHS
+# /v1/solve/batch and assert its items ran scalar (narrower than a lane
+# wave), round-trip alasolve -server, alasolve -rhs-file with 16
+# right-hand sides (which must settle at 16 lanes where the CPU has the
+# lane kernels), and the alasolve -async / -job flow, then SIGTERM and
+# assert a clean drain.
 # Finally the crash-replay gauntlet: submit a job against a journal-backed
 # daemon, SIGKILL it mid-solve, restart on the same store, and assert the
 # job completes exactly once, bit-identically, on attempt 2, with the
@@ -99,10 +105,12 @@ go run ./scripts/smoke -alad "$BIN/alad" -alasolve "$BIN/alasolve"
 
 # Engine equivalence: the fused kernel (scalar and lane) must stay
 # bit-identical to the reference interpreter. The fuzz seed corpora replay
-# the checked-in differential cases through both engines and through lane
-# widths 1/2/7/16 (16 is the AVX2 kernel path on amd64), and the core
-# lane-batch differentials hold wave answers equal to scalar solves
-# end-to-end.
+# the checked-in differential cases through both engines and through full
+# 16-lane runs carrying batches of 1/2/7/16 items, each on the AVX2
+# kernels (where the CPU has them) and on the pure-Go lane loops, and the
+# core lane-batch differentials hold batches of full waves plus a scalar
+# remainder equal, end to end, to the same batch on a device without lane
+# mode.
 go test -race -count=2 -run 'Fused|Lane|EngineEquivalence|Fuzz' ./internal/circuit
 go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
 
@@ -113,12 +121,12 @@ go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
 (cd perfbench && go vet . && go test .)
 
 # A bounded fuzz pass past the seed corpora: 20 s of fresh randomized
-# netlists through each differential (reference vs fused kernel; lane
-# widths vs scalar runs), then 20 s of random diagonally dominant banded
-# systems through the core batch differential (a batch at width 1 vs at
-# width w: the same error text, or bit-identical answers and equal
-# per-item Stats). The seed corpora above replay only the checked-in
-# cases; this explores new ones.
+# netlists through each differential (reference vs fused kernel; a
+# 16-lane run vs scalar runs), then 20 s of random diagonally dominant
+# banded systems through the core batch differential (16–47 items on a
+# device without lane mode vs on a lane-capable chip: the same error
+# text, or bit-identical answers and equal per-item Stats). The seed
+# corpora above replay only the checked-in cases; this explores new ones.
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 20s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 20s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneBatchWidths$' -fuzztime 20s ./internal/core

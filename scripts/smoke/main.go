@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"analogacc/internal/circuit"
 	"analogacc/internal/la"
 	"analogacc/internal/serve"
 	"analogacc/internal/solvers"
@@ -213,12 +214,11 @@ func main() {
 			die("batch u[%d] = %v, want %v", i, batchResp.Items[0].U[i], want[i])
 		}
 	}
-	// The batch must have settled as one 3-wide lane wave, not by
-	// silently falling back to scalar solves; every item reports the wave
-	// width it rode.
+	// Three right-hand sides do not fill a lane wave, so every item runs
+	// the scalar attempt loop and reports no lane width.
 	for k, it := range batchResp.Items {
-		if it.Analog == nil || it.Analog.Lanes != len(batchResp.Items) {
-			die("batch item %d did not settle lane-parallel: analog=%+v", k, it.Analog)
+		if it.Analog == nil || it.Analog.Lanes != 0 {
+			die("batch item %d rode a lane wave narrower than %d: analog=%+v", k, circuit.LaneWidth, it.Analog)
 		}
 	}
 	text, err = client.Metrics(ctx)
@@ -233,8 +233,8 @@ func main() {
 	if m == nil || m[1] == "0" {
 		die("session cache never hit: %q in metrics", hitsRe.String())
 	}
-	fmt.Fprintf(os.Stderr, "[smoke] session cache ok: hits=%s, batch of %d served at %d lanes\n",
-		m[1], len(batchResp.Items), batchResp.Items[0].Analog.Lanes)
+	fmt.Fprintf(os.Stderr, "[smoke] session cache ok: hits=%s, batch of %d served scalar\n",
+		m[1], len(batchResp.Items))
 
 	// 3.7. Micro-batching coalescer: eight concurrent identical solo
 	// solves of a fresh operator (n=8, so the settle is long enough for
@@ -369,9 +369,14 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[smoke] alasolve -server ok\n")
 
-		// Batch mode over the wire: two right-hand sides, one programming.
+		// Batch mode over the wire: a full lane wave of right-hand sides,
+		// one programming.
 		rhsFile := fmt.Sprintf("%s/smoke-rhs-%d.txt", os.TempDir(), os.Getpid())
-		if err := os.WriteFile(rhsFile, []byte("0.5 0.3\n-0.2 0.4\n"), 0o644); err != nil {
+		var rows strings.Builder
+		for k := 0; k < circuit.LaneWidth; k++ {
+			fmt.Fprintf(&rows, "%g %g\n", 0.5-0.05*float64(k), 0.3+0.02*float64(k))
+		}
+		if err := os.WriteFile(rhsFile, []byte(rows.String()), 0o644); err != nil {
 			die("writing rhs file: %v", err)
 		}
 		defer os.Remove(rhsFile)
@@ -379,15 +384,21 @@ func main() {
 		if err != nil {
 			die("alasolve -rhs-file: %v\n%s", err, out)
 		}
-		if !strings.Contains(string(out), "# rhs 1") || !strings.Contains(string(out), "2 rhs served by") {
+		if !strings.Contains(string(out), "# rhs 15") || !strings.Contains(string(out), fmt.Sprintf("%d rhs served by", circuit.LaneWidth)) {
 			die("alasolve -rhs-file output malformed:\n%s", out)
 		}
-		// Both right-hand sides must ride one 2-wide lane wave on the
-		// daemon's fused engine, and the per-item cost line says so.
-		if !strings.Contains(string(out), "2 lanes") {
-			die("alasolve -rhs-file did not settle lane-parallel:\n%s", out)
+		// Every right-hand side settles in the one full lane wave on the
+		// daemon's fused engine where the CPU has the lane kernels, and
+		// the per-item cost line says so; elsewhere the chip refuses lane
+		// mode and every item runs scalar.
+		want := 0
+		if circuit.LaneKernels() {
+			want = circuit.LaneWidth
 		}
-		fmt.Fprintf(os.Stderr, "[smoke] alasolve -rhs-file ok (lane-parallel)\n")
+		if got := strings.Count(string(out), fmt.Sprintf(", %d lanes", circuit.LaneWidth)); got != want {
+			die("alasolve -rhs-file: %d rhs settled at %d lanes, want %d:\n%s", got, circuit.LaneWidth, want, out)
+		}
+		fmt.Fprintf(os.Stderr, "[smoke] alasolve -rhs-file ok (%d rhs, lane kernels %t)\n", circuit.LaneWidth, circuit.LaneKernels())
 
 		// Async round trip: submit with -async, then fetch the result by
 		// job ID with -wait.
