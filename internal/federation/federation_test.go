@@ -1,8 +1,12 @@
 package federation
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -34,10 +38,11 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 type clusterNode struct {
-	server *serve.Server
-	router *Router
-	ts     *httptest.Server
-	client *serve.Client
+	server  *serve.Server
+	router  *Router
+	ts      *httptest.Server
+	client  *serve.Client
+	handler *swapHandler
 }
 
 // newCluster starts n federated nodes with identical tiny pools. Every
@@ -63,7 +68,7 @@ func newClusterWith(t *testing.T, n int, cfg serve.Config, disabled bool) []*clu
 		}
 		handlers[i] = &swapHandler{h: s.Handler()}
 		ts := httptest.NewServer(handlers[i])
-		nodes[i] = &clusterNode{server: s, ts: ts, client: serve.NewClient(ts.URL)}
+		nodes[i] = &clusterNode{server: s, ts: ts, client: serve.NewClient(ts.URL), handler: handlers[i]}
 		urls[i] = ts.URL
 	}
 	for i, nd := range nodes {
@@ -446,5 +451,91 @@ func TestFederationScatterGatherBitIdentical(t *testing.T) {
 		if fedResp.U[i] != baseResp.U[i] {
 			t.Fatalf("u[%d]: federated %v != standalone %v (bit-identity broken)", i, fedResp.U[i], baseResp.U[i])
 		}
+	}
+}
+
+// A non-owner forwards the body bytes it received, unchanged, rather
+// than encoding its decoded copy again: a by-value solve and a
+// registration sent indented (which any re-encoding would compact) reach
+// the owner byte for byte, and the forwarded solve's answer is
+// bit-identical to the same solve sent to the owner directly.
+func TestRouterForwardsReceivedBytes(t *testing.T) {
+	nodes := newCluster(t, 2, testPool(), false)
+	req := OperatorRequest(4, 8, 1e-8)
+	owner := ownerIndex(t, nodes, req)
+	entry := nodes[1-owner]
+
+	var (
+		mu       sync.Mutex
+		received [][]byte // bodies the owner received as forwards
+	)
+	inner := nodes[owner].router.Handler()
+	nodes[owner].handler.Set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(serve.ForwardedHeader) != "" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			received = append(received, body)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	post := func(method, path string, v, out any) []byte {
+		t.Helper()
+		body, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq, err := http.NewRequest(method, entry.ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s %s: status %d: %s", method, path, resp.StatusCode, msg)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(received) != 1 || !bytes.Equal(received[0], body) {
+			t.Fatalf("%s %s: the owner received %d forwards %q, want the %d bytes sent to the entry node", method, path, len(received), received, len(body))
+		}
+		received = nil
+		return body
+	}
+
+	var forwarded serve.SolveResponse
+	post(http.MethodPost, "/v1/solve", req, &forwarded)
+	wantNode := fmt.Sprintf("node%d", owner)
+	if forwarded.ServedBy != wantNode || forwarded.Affinity != RouteHit {
+		t.Fatalf("solve served by %q with affinity %q, want the owner %q and %q", forwarded.ServedBy, forwarded.Affinity, wantNode, RouteHit)
+	}
+	direct, err := nodes[owner].client.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.U) != len(forwarded.U) {
+		t.Fatalf("direct solve answered %d values, forwarded %d", len(direct.U), len(forwarded.U))
+	}
+	for i := range direct.U {
+		if math.Float64bits(direct.U[i]) != math.Float64bits(forwarded.U[i]) {
+			t.Fatalf("u[%d]: forwarded %v, direct on the owner %v", i, forwarded.U[i], direct.U[i])
+		}
+	}
+
+	var info serve.OperatorInfo
+	post(http.MethodPut, "/v1/operators", serve.OperatorRequest{N: req.N, A: req.A}, &info)
+	if info.ServedBy != wantNode {
+		t.Fatalf("registration served by %q, want the owner %q", info.ServedBy, wantNode)
 	}
 }

@@ -131,18 +131,24 @@ func (rt *Router) route(fp uint64) (target, label string, next []string) {
 	return rt.cfg.Self, RouteFallback, nil
 }
 
-// decode strictly unmarshals a request body through serve.DecodeRequest
-// (so gzip uploads work on routed endpoints exactly as on a standalone
-// node) and books the wire bytes on the wrapped server's per-route
-// histogram — routed requests bypass the server's own handlers.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, route string, req any) bool {
-	n, err := serve.DecodeRequest(w, r, serve.MaxBodyBytes, req)
-	rt.server.Metrics().ObserveRequestBytes(route, n)
-	if err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: "decoding request: " + err.Error()})
-		return false
+// decode reads a request body through serve.ReadRequest and strictly
+// decodes it into req (so gzip uploads work on routed endpoints exactly
+// as on a standalone node), booking the wire bytes on the wrapped
+// server's per-route histogram — routed requests bypass the server's own
+// handlers. It returns the body, whose plain JSON a forward sends on
+// unchanged; the caller releases it.
+func (rt *Router) decode(w http.ResponseWriter, r *http.Request, route string, req any) (serve.Body, bool) {
+	body, err := serve.ReadRequest(w, r, serve.MaxBodyBytes)
+	rt.server.Metrics().ObserveRequestBytes(route, body.Wire)
+	if err == nil {
+		err = body.Decode(req)
 	}
-	return true
+	if err != nil {
+		body.Release()
+		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Code: serve.CodeBadRequest, Error: "decoding request: " + err.Error()})
+		return serve.Body{}, false
+	}
+	return body, true
 }
 
 // writeJSONStatus writes one JSON body and returns its byte count (for
@@ -207,30 +213,32 @@ func requestFingerprint(ref string, build func() (*la.CSR, error)) (uint64, erro
 }
 
 // endpoint is one routed route's part in serveRouted: how to fingerprint
-// its request, serve it on this node, and forward it to a peer.
+// its request and serve it on this node. A peer serves it from the same
+// method and path, sent the body bytes this node received.
 type endpoint[Q, R any] struct {
 	// route names the endpoint in the wrapped server's byte histograms.
 	route       string
 	fingerprint func(*Q) (uint64, error)
-	local       func(context.Context, *Q) (R, *serve.APIError)
-	forward     func(*serve.Client, context.Context, Q) (R, error)
+	local       func(context.Context, *Q) (*R, *serve.APIError)
 	// stamp, if non-nil, records the route label on a solve's response;
 	// the solve is then booked in the routing metrics.
-	stamp func(R, string)
+	stamp func(*R, string)
 }
 
 // serveRouted is the one route-and-forward loop behind every routed
 // endpoint: decode, fingerprint, route by rendezvous, then serve locally
-// or forward, failing over down the ranking while a peer cannot serve.
-// A request a peer already routed takes the loop's local branch at once —
-// the loop guard — unstamped and unbooked in the routing metrics: the
-// entry node stamps Affinity on the way back. Either way the one write at
-// the end books the response bytes.
+// or forward the received body bytes, failing over down the ranking
+// while a peer cannot serve. A request a peer already routed takes the
+// loop's local branch at once — the loop guard — unstamped and unbooked
+// in the routing metrics: the entry node stamps Affinity on the way
+// back. Either way the one write at the end books the response bytes.
 func serveRouted[Q, R any](rt *Router, w http.ResponseWriter, r *http.Request, ep endpoint[Q, R]) {
 	var req Q
-	if !rt.decode(w, r, ep.route, &req) {
+	body, ok := rt.decode(w, r, ep.route, &req)
+	if !ok {
 		return
 	}
+	defer body.Release()
 	forwarded := r.Header.Get(serve.ForwardedHeader) != ""
 	target, label, next := rt.cfg.Self, "", []string(nil)
 	if !forwarded {
@@ -243,28 +251,28 @@ func serveRouted[Q, R any](rt *Router, w http.ResponseWriter, r *http.Request, e
 	}
 	start := time.Now()
 	for {
-		var (
-			resp R
-			err  error
-		)
+		var resp *R
 		if target == rt.cfg.Self {
 			var aerr *serve.APIError
 			if resp, aerr = ep.local(r.Context(), &req); aerr != nil {
 				rt.server.WriteAPIError(w, aerr)
 				return
 			}
-		} else if resp, err = ep.forward(rt.members.Client(target), r.Context(), req); err != nil {
-			rt.metrics.ForwardError()
-			// An unknown_operator answer is a 4xx and surfaces here: only
-			// the client can re-register (it holds the matrix; this router
-			// never saw more than the fingerprint).
-			if !retriable(err) || r.Context().Err() != nil {
-				writeClientErr(w, err)
-				return
+		} else {
+			resp = new(R)
+			if err := rt.members.Client(target).Forward(r.Context(), r.Method, r.URL.Path, body.JSON, resp); err != nil {
+				rt.metrics.ForwardError()
+				// An unknown_operator answer is a 4xx and surfaces here:
+				// only the client can re-register (it holds the matrix;
+				// this router never saw more than the fingerprint).
+				if !retriable(err) || r.Context().Err() != nil {
+					writeClientErr(w, err)
+					return
+				}
+				rt.members.MarkUnhealthy(target)
+				target, label = rt.nextTarget(&next)
+				continue
 			}
-			rt.members.MarkUnhealthy(target)
-			target, label = rt.nextTarget(&next)
-			continue
 		}
 		if ep.stamp != nil && !forwarded {
 			ep.stamp(resp, label)
@@ -276,7 +284,7 @@ func serveRouted[Q, R any](rt *Router, w http.ResponseWriter, r *http.Request, e
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
-	serveRouted(rt, w, r, endpoint[serve.SolveRequest, *serve.SolveResponse]{
+	serveRouted(rt, w, r, endpoint[serve.SolveRequest, serve.SolveResponse]{
 		route: "solve",
 		fingerprint: func(req *serve.SolveRequest) (uint64, error) {
 			return requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
@@ -284,14 +292,13 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 				return a, err
 			})
 		},
-		local:   rt.server.SolveDecoded,
-		forward: (*serve.Client).Solve,
-		stamp:   func(resp *serve.SolveResponse, label string) { resp.Affinity = label },
+		local: rt.server.SolveDecoded,
+		stamp: func(resp *serve.SolveResponse, label string) { resp.Affinity = label },
 	})
 }
 
 func (rt *Router) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
-	serveRouted(rt, w, r, endpoint[serve.BatchSolveRequest, *serve.BatchSolveResponse]{
+	serveRouted(rt, w, r, endpoint[serve.BatchSolveRequest, serve.BatchSolveResponse]{
 		route: "solve_batch",
 		fingerprint: func(req *serve.BatchSolveRequest) (uint64, error) {
 			return requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
@@ -299,9 +306,8 @@ func (rt *Router) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 				return a, err
 			})
 		},
-		local:   rt.server.SolveBatchDecoded,
-		forward: (*serve.Client).SolveBatch,
-		stamp:   func(resp *serve.BatchSolveResponse, label string) { resp.Affinity = label },
+		local: rt.server.SolveBatchDecoded,
+		stamp: func(resp *serve.BatchSolveResponse, label string) { resp.Affinity = label },
 	})
 }
 
@@ -310,7 +316,7 @@ func (rt *Router) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 // by-reference solves for it will route. Forwarded registrations (and
 // self-owned ones) register locally.
 func (rt *Router) handleOperatorPut(w http.ResponseWriter, r *http.Request) {
-	serveRouted(rt, w, r, endpoint[serve.OperatorRequest, *serve.OperatorInfo]{
+	serveRouted(rt, w, r, endpoint[serve.OperatorRequest, serve.OperatorInfo]{
 		route: "operators",
 		fingerprint: func(req *serve.OperatorRequest) (uint64, error) {
 			return requestFingerprint("", req.Build)
@@ -319,7 +325,6 @@ func (rt *Router) handleOperatorPut(w http.ResponseWriter, r *http.Request) {
 			info, aerr := rt.server.RegisterOperatorDecoded(req)
 			return &info, aerr
 		},
-		forward: (*serve.Client).RegisterOperator,
 	})
 }
 

@@ -18,40 +18,59 @@ type CSR struct {
 }
 
 // COOEntry is a coordinate-format triplet used to assemble CSR matrices.
+// Its JSON form, {"i":row,"j":col,"v":val}, is the service's wire form of
+// a matrix entry (serve.Entry).
 type COOEntry struct {
-	Row, Col int
-	Val      float64
+	Row int     `json:"i"`
+	Col int     `json:"j"`
+	Val float64 `json:"v"`
 }
 
 // NewCSR assembles an n×n CSR matrix from coordinate entries. Duplicate
 // (row, col) entries are summed, as in standard finite-element assembly.
 // Explicit zeros that result from cancellation are kept structurally.
+// Entries already in strictly row-major order (rows ascending, columns
+// strictly ascending within a row, as VisitRow emits them) hold no
+// duplicates, so they are stored as given, without the sorted copy.
 func NewCSR(n int, entries []COOEntry) (*CSR, error) {
-	for _, e := range entries {
+	rowMajor := true
+	for k, e := range entries {
 		if e.Row < 0 || e.Row >= n || e.Col < 0 || e.Col >= n {
 			return nil, fmt.Errorf("la: CSR entry (%d,%d) out of range for n=%d: %w", e.Row, e.Col, n, ErrDimension)
 		}
+		if k > 0 {
+			p := entries[k-1]
+			rowMajor = rowMajor && (p.Row < e.Row || p.Row == e.Row && p.Col < e.Col)
+		}
 	}
-	sorted := make([]COOEntry, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
 	m := &CSR{n: n, rowPtr: make([]int, n+1)}
-	for k := 0; k < len(sorted); {
-		e := sorted[k]
-		v := e.Val
-		k++
-		for k < len(sorted) && sorted[k].Row == e.Row && sorted[k].Col == e.Col {
-			v += sorted[k].Val
-			k++
+	if rowMajor && len(entries) > 0 {
+		m.colIdx, m.values = make([]int, len(entries)), make([]float64, len(entries))
+		for k, e := range entries {
+			m.colIdx[k], m.values[k] = e.Col, e.Val
+			m.rowPtr[e.Row+1]++
 		}
-		m.colIdx = append(m.colIdx, e.Col)
-		m.values = append(m.values, v)
-		m.rowPtr[e.Row+1]++
+	} else {
+		sorted := make([]COOEntry, len(entries))
+		copy(sorted, entries)
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].Row != sorted[j].Row {
+				return sorted[i].Row < sorted[j].Row
+			}
+			return sorted[i].Col < sorted[j].Col
+		})
+		for k := 0; k < len(sorted); {
+			e := sorted[k]
+			v := e.Val
+			k++
+			for k < len(sorted) && sorted[k].Row == e.Row && sorted[k].Col == e.Col {
+				v += sorted[k].Val
+				k++
+			}
+			m.colIdx = append(m.colIdx, e.Col)
+			m.values = append(m.values, v)
+			m.rowPtr[e.Row+1]++
+		}
 	}
 	for i := 0; i < n; i++ {
 		m.rowPtr[i+1] += m.rowPtr[i]

@@ -3,6 +3,8 @@ package la
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -224,5 +226,105 @@ func TestPropBlockPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortAssembled is NewCSR's general path, kept verbatim as the reference
+// for its row-major shortcut: copy, sort by (row, col), sum duplicates.
+func sortAssembled(n int, entries []COOEntry) *CSR {
+	sorted := append([]COOEntry(nil), entries...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Row != sorted[j].Row {
+			return sorted[i].Row < sorted[j].Row
+		}
+		return sorted[i].Col < sorted[j].Col
+	})
+	m := &CSR{n: n, rowPtr: make([]int, n+1)}
+	for k := 0; k < len(sorted); {
+		e := sorted[k]
+		v := e.Val
+		k++
+		for k < len(sorted) && sorted[k].Row == e.Row && sorted[k].Col == e.Col {
+			v += sorted[k].Val
+			k++
+		}
+		m.colIdx = append(m.colIdx, e.Col)
+		m.values = append(m.values, v)
+		m.rowPtr[e.Row+1]++
+	}
+	for i := 0; i < n; i++ {
+		m.rowPtr[i+1] += m.rowPtr[i]
+	}
+	return m
+}
+
+// identicalCSR reports whether two CSRs are bit-identical: order, pattern,
+// and every stored value's bits (so -0 and explicit zeros count), with
+// an empty matrix's nil slices told apart from empty ones.
+func identicalCSR(a, b *CSR) bool {
+	if a.n != b.n || !reflect.DeepEqual(a.rowPtr, b.rowPtr) || !reflect.DeepEqual(a.colIdx, b.colIdx) || len(a.values) != len(b.values) || (a.values == nil) != (b.values == nil) {
+		return false
+	}
+	for k := range a.values {
+		if math.Float64bits(a.values[k]) != math.Float64bits(b.values[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewCSRRowMajorShortcut holds NewCSR's row-major shortcut to its
+// general path: strictly row-major triplets (explicit ±0 among them) and
+// a shuffled copy build bit-identical CSRs, the row-major build
+// allocates only the matrix itself, and inputs with duplicates or out of
+// order build what the general path always built.
+func TestNewCSRRowMajorShortcut(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(24)
+		var rowMajor []COOEntry
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if r.Float64() < 0.3 {
+					v := r.NormFloat64()
+					switch r.Intn(8) {
+					case 0:
+						v = 0
+					case 1:
+						v = math.Copysign(0, -1)
+					}
+					rowMajor = append(rowMajor, COOEntry{Row: i, Col: j, Val: v})
+				}
+			}
+		}
+		shuffled := append([]COOEntry(nil), rowMajor...)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		fast := MustCSR(n, rowMajor)
+		if !identicalCSR(fast, MustCSR(n, shuffled)) || !identicalCSR(fast, sortAssembled(n, rowMajor)) {
+			t.Fatalf("trial %d (n=%d, %d entries): row-major and shuffled builds differ", trial, n, len(rowMajor))
+		}
+		if len(rowMajor) > 0 {
+			if allocs := testing.AllocsPerRun(3, func() { MustCSR(n, rowMajor) }); allocs > 4 {
+				t.Fatalf("trial %d: row-major build made %v allocations, want the matrix's 4", trial, allocs)
+			}
+		}
+
+		// Duplicates (a repeated entry, split values) and out-of-order
+		// input go through the sort.
+		messy := append([]COOEntry(nil), shuffled...)
+		for k := r.Intn(4); k > 0 && len(rowMajor) > 0; k-- {
+			e := rowMajor[r.Intn(len(rowMajor))]
+			e.Val = r.NormFloat64()
+			messy = append(messy, e)
+		}
+		if len(rowMajor) > 1 && r.Intn(2) == 0 {
+			messy = append(append([]COOEntry(nil), rowMajor...), rowMajor[len(rowMajor)-1])
+		}
+		if got := MustCSR(n, messy); !identicalCSR(got, sortAssembled(n, messy)) {
+			t.Fatalf("trial %d (n=%d): %d entries with duplicates or out of order build differently from the sort path", trial, n, len(messy))
+		}
+	}
+	if !identicalCSR(MustCSR(3, nil), sortAssembled(3, nil)) {
+		t.Fatal("an empty build differs from the sort path's")
 	}
 }

@@ -58,42 +58,83 @@ func writeJSON(w http.ResponseWriter, status int, v any) int {
 }
 
 // DecodeRequest strictly unmarshals one JSON request body into v,
-// transparently inflating Content-Encoding: gzip uploads. limit bounds
+// transparently inflating Content-Encoding: gzip uploads (ReadRequest,
+// then Body.Decode). The returned count is the wire (possibly
+// compressed) byte size, which is what the request-size histograms
+// observe.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) (int64, error) {
+	body, err := ReadRequest(w, r, limit)
+	defer body.Release()
+	if err != nil {
+		return body.Wire, err
+	}
+	return body.Wire, body.Decode(v)
+}
+
+// Body is one request body as ReadRequest leaves it. Exported so the
+// federation router decodes exactly like the server it fronts and
+// forwards the same bytes.
+type Body struct {
+	// JSON is the plain (inflated) body, in pooled scratch: valid until
+	// Release.
+	JSON []byte
+	// Wire is the body's size on the wire, compressed if it came gzipped.
+	Wire int64
+
+	raw, inflated *bytes.Buffer
+}
+
+// ReadRequest reads one request body into pooled scratch. limit bounds
 // both the wire bytes (via MaxBytesReader, so oversized bodies close the
 // connection properly) and the inflated size — a compressed body may not
-// expand past what an uncompressed one could carry. The returned count is
-// the wire (possibly compressed) byte size, which is what the
-// request-size histograms observe. Exported so the federation router
-// decodes exactly like the server it fronts.
-func DecodeRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) (int64, error) {
+// expand past what an uncompressed one could carry. On error the Body
+// still reports the wire bytes read (zero when the read itself failed);
+// release it either way.
+func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64) (Body, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	buf := getBuf()
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return 0, err
+	b := Body{raw: getBuf()}
+	if _, err := b.raw.ReadFrom(r.Body); err != nil {
+		return b, err
 	}
-	wire := int64(buf.Len())
-	data := buf.Bytes()
+	b.Wire = int64(b.raw.Len())
+	b.JSON = b.raw.Bytes()
 	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
+		zr, err := gzip.NewReader(bytes.NewReader(b.JSON))
 		if err != nil {
-			return wire, fmt.Errorf("serve: gzip request body: %w", err)
+			return b, fmt.Errorf("serve: gzip request body: %w", err)
 		}
-		inflated := getBuf()
-		defer putBuf(inflated)
+		b.inflated = getBuf()
 		// Read one byte past the limit so "exactly at" and "over" are
 		// distinguishable without trusting the gzip size trailer.
-		if _, err := inflated.ReadFrom(&limitedReader{r: zr, n: limit + 1}); err != nil {
-			return wire, fmt.Errorf("serve: inflating request body: %w", err)
+		if _, err := b.inflated.ReadFrom(&limitedReader{r: zr, n: limit + 1}); err != nil {
+			return b, fmt.Errorf("serve: inflating request body: %w", err)
 		}
-		if int64(inflated.Len()) > limit {
-			return wire, fmt.Errorf("serve: gzip request body inflates past the %d byte limit", limit)
+		if int64(b.inflated.Len()) > limit {
+			return b, fmt.Errorf("serve: gzip request body inflates past the %d byte limit", limit)
 		}
-		data = inflated.Bytes()
+		b.JSON = b.inflated.Bytes()
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	return b, nil
+}
+
+// Decode strictly unmarshals the body into v: in one pass where
+// decodeOnePass accepts it, otherwise through encoding/json with
+// DisallowUnknownFields, which gives the same struct wherever both
+// accept and the only answer for every other body.
+func (b *Body) Decode(v any) error {
+	if decodeOnePass(b.JSON, v) {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(b.JSON))
 	dec.DisallowUnknownFields()
-	return wire, dec.Decode(v)
+	return dec.Decode(v)
+}
+
+// Release returns the body's scratch to the pool; JSON is dead after it.
+func (b *Body) Release() {
+	putBuf(b.raw)
+	putBuf(b.inflated)
+	*b = Body{}
 }
 
 // limitedReader is io.LimitedReader without the io import dance: reads at

@@ -152,28 +152,82 @@ func (c *Client) traceCtx(ctx context.Context) context.Context {
 	})
 }
 
-// do runs one JSON round trip: in (if non-nil) is the request body,
-// sent as plain JSON, and out (if non-nil) decodes the answer. 429s
-// become *BusyError, other non-2xx answers *RemoteError with the
-// server's stable code preserved.
+// do runs one JSON round trip with no 429 retries; see doRetry.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		// Encode through a pooled buffer; the transport is done reading the
-		// body (including any GetBody re-sends) by the time Do returns, so
-		// the deferred put cannot recycle bytes still in flight.
-		buf := getBuf()
-		defer putBuf(buf)
-		if err := json.NewEncoder(buf).Encode(in); err != nil {
-			return fmt.Errorf("serve: encoding request: %w", err)
-		}
-		body = bytes.NewReader(buf.Bytes())
+	return c.encodeAndSend(ctx, method, path, in, out, 0)
+}
+
+// doRetry runs one JSON round trip: in (if non-nil) is encoded once as
+// the body, sent as plain JSON, and out (if non-nil) decodes the answer.
+// A 429 answer is retried per MaxRetries.
+func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) error {
+	return c.encodeAndSend(ctx, method, path, in, out, c.MaxRetries)
+}
+
+// encodeAndSend encodes in (if non-nil) once and sends it.
+func (c *Client) encodeAndSend(ctx context.Context, method, path string, in, out any, retries int) error {
+	if in == nil {
+		return c.send(ctx, method, path, nil, out, retries)
 	}
-	httpReq, err := http.NewRequestWithContext(c.traceCtx(ctx), method, c.BaseURL+path, body)
+	// Encode through a pooled buffer; the transport is done reading the
+	// body (including any GetBody re-sends) by the time send returns, so
+	// the deferred put cannot recycle bytes still in flight.
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(in); err != nil {
+		return fmt.Errorf("serve: encoding request: %w", err)
+	}
+	return c.send(ctx, method, path, buf.Bytes(), out, retries)
+}
+
+// Forward sends body, a request already in JSON, to path as it is — a
+// federation router passes on the bytes it received rather than encoding
+// its decoded copy again — and decodes the answer into out. Errors and
+// 429 retries are as in Solve.
+func (c *Client) Forward(ctx context.Context, method, path string, body []byte, out any) error {
+	return c.send(ctx, method, path, body, out, c.MaxRetries)
+}
+
+// send runs one round trip with body (nil: none), then up to retries
+// re-sends of the same bytes after a 429, each sleeping a jittered
+// (0.5×–1.5×) multiple of the server's Retry-After hint, bounded and
+// context-aware. Jitter keeps a burst of bounced clients from
+// re-arriving in lockstep.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any, retries int) error {
+	for attempt := 0; ; attempt++ {
+		err := c.exchange(ctx, method, path, body, out)
+		var busy *BusyError
+		if err == nil || !errors.As(err, &busy) || attempt >= retries {
+			return err
+		}
+		delay := busy.RetryAfter
+		if delay <= 0 {
+			delay = time.Second
+		}
+		if delay > 30*time.Second {
+			delay = 30 * time.Second
+		}
+		delay = delay/2 + time.Duration(rand.Int63n(int64(delay)))
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(delay):
+		}
+	}
+}
+
+// exchange is one HTTP round trip. 429s become *BusyError, other non-2xx
+// answers *RemoteError with the server's stable code preserved.
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte, out any) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	httpReq, err := http.NewRequestWithContext(c.traceCtx(ctx), method, c.BaseURL+path, rd)
 	if err != nil {
 		return err
 	}
-	if in != nil {
+	if body != nil {
 		httpReq.Header.Set("Content-Type", "application/json")
 	}
 	if c.Tenant != "" {
@@ -215,33 +269,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("serve: decoding response: %w", err)
 	}
 	return nil
-}
-
-// doRetry wraps do with the opt-in 429 retry loop: up to MaxRetries
-// re-attempts, each sleeping a jittered (0.5×–1.5×) multiple of the
-// server's Retry-After hint, bounded and context-aware. Jitter keeps a
-// burst of bounced clients from re-arriving in lockstep.
-func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) error {
-	for attempt := 0; ; attempt++ {
-		err := c.do(ctx, method, path, in, out)
-		var busy *BusyError
-		if err == nil || !errors.As(err, &busy) || attempt >= c.MaxRetries {
-			return err
-		}
-		delay := busy.RetryAfter
-		if delay <= 0 {
-			delay = time.Second
-		}
-		if delay > 30*time.Second {
-			delay = 30 * time.Second
-		}
-		delay = delay/2 + time.Duration(rand.Int63n(int64(delay)))
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(delay):
-		}
-	}
 }
 
 // Solve submits one request and returns the server's answer. A full

@@ -100,7 +100,7 @@ func TestOperatorByRefValidation(t *testing.T) {
 	}{
 		{SolveRequest{Backend: "cg", Fingerprint: "deadbeef", B: []float64{1, 1}}, CodeUnknownOperator, http.StatusNotFound},
 		{SolveRequest{Backend: "cg", Fingerprint: "not-hex"}, CodeBadRequest, http.StatusBadRequest},
-		{SolveRequest{Backend: "cg", Fingerprint: "deadbeef", N: 2, A: []Entry{{0, 0, 1}}}, CodeBadRequest, http.StatusBadRequest},
+		{SolveRequest{Backend: "cg", Fingerprint: "deadbeef", N: 2, A: []Entry{{Row: 0, Col: 0, Val: 1}}}, CodeBadRequest, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		_, err := client.Solve(ctx, c.req)

@@ -214,7 +214,7 @@ func (s *Server) solveBlock(ctx context.Context, req *BlockSolveRequest) (*Block
 		a = blk
 		registered = true
 	} else {
-		built, err := buildCSR(req.N, req.A)
+		built, err := la.NewCSRChecked(req.N, req.A)
 		if err != nil {
 			return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
 		}

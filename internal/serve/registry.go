@@ -142,11 +142,7 @@ func (r *opRegistry) replay(payload []byte) error {
 	if err := json.Unmarshal(payload, &op); err != nil {
 		return fmt.Errorf("undecodable operator: %v", err)
 	}
-	entries := make([]la.COOEntry, len(op.A))
-	for i, e := range op.A {
-		entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-	}
-	a, err := la.NewCSR(op.N, entries)
+	a, err := la.NewCSR(op.N, op.A)
 	if err != nil {
 		return fmt.Errorf("invalid operator: %w", err)
 	}

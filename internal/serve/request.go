@@ -19,12 +19,10 @@ import (
 	"analogacc/internal/la"
 )
 
-// Entry is one matrix coefficient in the structured request form.
-type Entry struct {
-	Row int     `json:"i"`
-	Col int     `json:"j"`
-	Val float64 `json:"v"`
-}
+// Entry is one matrix coefficient in the structured request form,
+// {"i":row,"j":col,"v":val}. It is la's assembly triplet itself, so a
+// decoded request's entries go to la.NewCSRChecked without a copy.
+type Entry = la.COOEntry
 
 // SolveRequest asks the service to solve A·u = b. Exactly one of the
 // four payload forms must be present:
@@ -142,18 +140,8 @@ func (f matrixForm) build() (*la.CSR, la.Vector, error) {
 	if len(f.a) == 0 {
 		return nil, nil, fmt.Errorf("serve: structured request needs matrix entries in A")
 	}
-	a, err := buildCSR(f.n, f.a)
+	a, err := la.NewCSRChecked(f.n, f.a)
 	return a, nil, err
-}
-
-// buildCSR materializes structured triplets of order n under
-// la.NewCSRChecked's bound.
-func buildCSR(n int, a []Entry) (*la.CSR, error) {
-	entries := make([]la.COOEntry, len(a))
-	for i, e := range a {
-		entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-	}
-	return la.NewCSRChecked(n, entries)
 }
 
 // BatchSolveRequest asks the service to solve A·u = b for several

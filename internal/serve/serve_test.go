@@ -140,9 +140,9 @@ func TestServeValidation(t *testing.T) {
 		code string
 	}{
 		{eq2Request("typo"), CodeBadBackend},
-		{SolveRequest{Backend: "cg"}, CodeBadRequest},                                        // no payload form
-		{SolveRequest{Backend: "cg", N: 1, A: []Entry{{0, 0, 1}}, B: nil}, CodeBadRequest},   // missing b
-		{SolveRequest{Backend: "cg", System: "n 1\na 0 0 1\nb 0 1\n", N: 1}, CodeBadRequest}, // two forms
+		{SolveRequest{Backend: "cg"}, CodeBadRequest},                                                     // no payload form
+		{SolveRequest{Backend: "cg", N: 1, A: []Entry{{Row: 0, Col: 0, Val: 1}}, B: nil}, CodeBadRequest}, // missing b
+		{SolveRequest{Backend: "cg", System: "n 1\na 0 0 1\nb 0 1\n", N: 1}, CodeBadRequest},              // two forms
 	}
 	for _, c := range cases {
 		_, err := client.Solve(ctx, c.req)

@@ -140,9 +140,13 @@ go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 20s ./internal/la
 
 # 20 s each of random request bodies through the server's decoder, plain
 # and gzip (no panic, the body limit holds on the wire and after
-# inflation), and of random strings through the fingerprint wire form
-# (no panic, every formatted fingerprint parses back to itself).
+# inflation), of random bodies through the one-pass decoder against
+# encoding/json (whatever it accepts, encoding/json accepts as the same
+# struct, and every body decodes to encoding/json's struct or error), and
+# of random strings through the fingerprint wire form (no panic, every
+# formatted fingerprint parses back to itself).
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 20s ./internal/serve
+go test -run '^$' -fuzz '^FuzzDecodeOnePass$' -fuzztime 20s ./internal/serve
 go test -run '^$' -fuzz '^FuzzParseFingerprint$' -fuzztime 20s ./internal/serve
 
 # 20 s of random bytes through the journal reader under the job WAL and

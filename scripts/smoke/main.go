@@ -42,6 +42,13 @@ type daemon struct {
 	drained chan bool
 }
 
+// started holds every alad process the smoke launched, so that die can
+// stop them all before it exits.
+var (
+	startedMu sync.Mutex
+	started   []*exec.Cmd
+)
+
 // startDaemon launches alad with the given extra flags (every daemon
 // gets -addr 127.0.0.1:0) and waits for it to announce its port.
 func startDaemon(aladPath string, extra ...string) *daemon {
@@ -54,6 +61,9 @@ func startDaemon(aladPath string, extra ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		die("starting alad: %v", err)
 	}
+	startedMu.Lock()
+	started = append(started, cmd)
+	startedMu.Unlock()
 	d := &daemon{cmd: cmd, drained: make(chan bool, 1)}
 	addrCh := make(chan string, 1)
 	go func() {
@@ -144,8 +154,8 @@ func main() {
 	// decomposed fan-out path with a modest n=16 system; pooled chips run
 	// the lane-capable fused kernel, so step 3.5's batch must report
 	// settling lane-parallel. -pool 1 gives step 3.7's waves one chip to
-	// queue for.
-	d := startDaemon(*aladPath, "-pool", "1", "-warm", "2", "-queue", "8", "-max-dim", "8")
+	// queue for, and -max-batch 4096 lets its batch hold that chip.
+	d := startDaemon(*aladPath, "-pool", "1", "-warm", "2", "-queue", "16", "-max-dim", "8", "-max-batch", "4096")
 	defer d.cmd.Process.Kill()
 	client := d.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -237,14 +247,31 @@ func main() {
 		m[1], len(batchResp.Items))
 
 	// 3.7. Micro-batching coalescer: eight concurrent identical solo
-	// solves of a fresh operator (n=8, so the settle is long enough for
-	// genuine overlap) must share lane waves instead of settling one at
-	// a time on the single chip. A wave does not wait for companions: the
-	// first request may take the chip alone, but the others board the next
-	// wave while it holds the chip, so at least two must report
+	// solves of a fresh operator (n=8) must share waves instead of
+	// settling one at a time on the single chip. A wave does not wait for
+	// companions, so the chip is occupied first: a batch of holdRHS
+	// right-hand sides on another n=8 operator holds the one class-8 chip
+	// from its checkout until it returns, which outlasts the eight
+	// arrivals, and the wave waiting behind it boards them. (-queue 16
+	// admits the batch and all eight at once.) At least two must report
 	// wave_lanes > 1, every residual must clear the tolerance, and —
-	// packing independence — every lane's answer must be bit-identical
-	// to every other's.
+	// packing independence — every answer must be bit-identical to every
+	// other's.
+	const holdRHS = 4096
+	holdReq := serve.BatchSolveRequest{Backend: "analog-refined", Tol: 1e-8}
+	hold := tridiag(8, 5, 1e-8)
+	holdReq.N, holdReq.A = hold.N, hold.A
+	for k := 0; k < holdRHS; k++ {
+		holdReq.RHS = append(holdReq.RHS, hold.B)
+	}
+	var held *serve.BatchSolveResponse
+	holdErr := make(chan error, 1)
+	go func() {
+		var err error
+		held, err = client.SolveBatch(ctx, holdReq)
+		holdErr <- err
+	}()
+	waitMetric(ctx, client, `alad_pool_chips_free{class="8"} 0`)
 	var (
 		coWG    sync.WaitGroup
 		coMu    sync.Mutex
@@ -273,6 +300,9 @@ func main() {
 	if coErr != nil {
 		die("coalesced solve: %v", coErr)
 	}
+	if err := <-holdErr; err != nil {
+		die("chip-holding batch: %v", err)
+	}
 	if shared < 2 {
 		die("coalescer never shared a wave: %d/8 requests report wave_lanes > 1", shared)
 	}
@@ -299,8 +329,8 @@ func main() {
 	if cm == nil || cm[1] == "0" {
 		die("coalesced request counter never moved: %q", coalescedRe.String())
 	}
-	fmt.Fprintf(os.Stderr, "[smoke] coalescer ok: %d/8 requests shared waves, %s waves fired, %s coalesced\n",
-		shared, wm[1], cm[1])
+	fmt.Fprintf(os.Stderr, "[smoke] coalescer ok: %d/8 requests shared waves, %s waves fired, %s coalesced, behind a %d-RHS batch of %.0f ms\n",
+		shared, wm[1], cm[1], holdRHS, held.ElapsedMs)
 
 	// 4. Oversized solve: n=16 against -max-dim 8 is bigger than any chip
 	// class, so the daemon must partition it and fan the blocks out through
@@ -329,11 +359,7 @@ func main() {
 	if dec == nil || dec.Blocks < 2 || dec.Sweeps < 1 || dec.Chips < 1 {
 		die("oversized solve missing decompose stats: %+v", dec)
 	}
-	ents := make([]la.COOEntry, len(bigA))
-	for i, e := range bigA {
-		ents[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-	}
-	ref, err := solvers.SolveCSRDirect(la.MustCSR(big, ents), la.Vector(bigB))
+	ref, err := solvers.SolveCSRDirect(la.MustCSR(big, bigA), la.Vector(bigB))
 	if err != nil {
 		die("digital reference: %v", err)
 	}
@@ -805,7 +831,14 @@ func crashReplay(ctx context.Context, aladPath string) {
 	d2.terminate()
 }
 
+// die reports a failed step, SIGKILLs every daemon the smoke started
+// (one already gone just fails its Kill) and exits 1.
 func die(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "smoke: "+format+"\n", args...)
+	startedMu.Lock()
+	for _, cmd := range started {
+		_ = cmd.Process.Kill()
+	}
+	startedMu.Unlock()
 	os.Exit(1)
 }
