@@ -124,9 +124,9 @@ func PrototypeChip() ChipSpec { return chip.PrototypeSpec() }
 // the given ADC resolution and bandwidth (Section V). mulsPerVariable <= 0
 // picks a default that fits 2-D stencil rows plus the bias path. It is a
 // linear-solve design: it sets ChipSpec.SolveStep, so a noise-free chip
-// simulates at ten times the transient step with the same settled
-// answers, and ODE mode refuses it with ErrSolveStep (use PrototypeChip,
-// or clear the field).
+// simulates at ten times the transient step, its solves meeting the same
+// tolerance though not always with the same bits, and ODE mode refuses it
+// with ErrSolveStep (use PrototypeChip, or clear the field).
 func ScaledChip(n, adcBits int, bandwidthHz float64, mulsPerVariable int) ChipSpec {
 	return chip.ScaledSpec(n, adcBits, bandwidthHz, mulsPerVariable)
 }

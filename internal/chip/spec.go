@@ -57,10 +57,12 @@ type Spec struct {
 	Engine string
 	// SolveStep steps the simulation at RK4's stability limit, ten times
 	// the default step, on a noise-free chip (circuit.Config.SolveStep).
-	// Another simulation-fidelity knob: settled codes stay the same,
-	// while transients such as an undamped loop's amplitude do not, so
-	// only ScaledSpec, the linear-solve design, sets it, and ODE mode
-	// refuses a chip that has it.
+	// Another simulation-fidelity knob: a linear solve still meets its
+	// tolerance, and its settled codes match the default step's on core's
+	// TestSolveStepFidelity cases but need not elsewhere, while transients
+	// such as an undamped loop's amplitude do not hold at all, so only
+	// ScaledSpec, the linear-solve design, sets it, and ODE mode refuses a
+	// chip that has it.
 	SolveStep bool
 }
 

@@ -275,7 +275,7 @@ func TestMembershipGatesOnDrainAndSaturation(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	m := NewMembership("self", []string{ts.URL}, 50*time.Millisecond, 0.75)
+	m := NewMembership("self", []string{ts.URL}, 50*time.Millisecond)
 	ctx := context.Background()
 
 	m.PollOnce(ctx)

@@ -19,7 +19,6 @@ import (
 type Membership struct {
 	self     string
 	interval time.Duration
-	satFrac  float64
 
 	mu    sync.Mutex
 	peers map[string]*peerState
@@ -59,21 +58,20 @@ type PeerInfo struct {
 	CacheMiss  int64
 }
 
+// saturationFrac is the admission-queue fraction past which a peer
+// counts saturated and stops being a routing target.
+const saturationFrac = 0.75
+
 // NewMembership builds the peer table. self is this node's advertised
 // address (always a member, never polled — local state is read
-// directly); peerAddrs are the other nodes. satFrac is the queue-depth
-// fraction past which a peer counts saturated (0 defaults to 0.75).
-func NewMembership(self string, peerAddrs []string, interval time.Duration, satFrac float64) *Membership {
+// directly); peerAddrs are the other nodes.
+func NewMembership(self string, peerAddrs []string, interval time.Duration) *Membership {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if satFrac <= 0 {
-		satFrac = 0.75
 	}
 	m := &Membership{
 		self:     self,
 		interval: interval,
-		satFrac:  satFrac,
 		peers:    make(map[string]*peerState),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -225,7 +223,7 @@ func (m *Membership) Available(addr string) bool {
 	// advertised extra lanes are added in: saturation gating must see the
 	// chips' true load, not just the HTTP queue.
 	load := float64(ps.queueDepth) + float64(ps.extraLanes)
-	if ps.queueBound > 0 && load >= m.satFrac*float64(ps.queueBound) {
+	if ps.queueBound > 0 && load >= saturationFrac*float64(ps.queueBound) {
 		return false
 	}
 	return true

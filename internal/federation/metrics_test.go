@@ -393,6 +393,7 @@ var seriesContract = []struct{ name, typ, keys string }{
 	{"alad_jobs_torn_dropped_total", "counter", ""},
 	{"alad_jobs_wal_records_total", "counter", ""},
 	{"alad_jobs_wal_bytes", "gauge", ""},
+	{"alad_jobs_operators", "gauge", ""},
 	{"alad_service_time_ewma_seconds", "gauge", ""},
 	{"alad_request_seconds", "histogram", ""},
 	{"alad_sweep_seconds", "histogram", ""},
@@ -402,7 +403,6 @@ var seriesContract = []struct{ name, typ, keys string }{
 	{"alad_coalesce_wait_seconds", "histogram", ""},
 	{"alad_registry_operators", "gauge", ""},
 	{"alad_registry_bytes", "gauge", ""},
-	{"alad_registry_pinned_operators", "gauge", ""},
 	{"alad_registry_hits_total", "counter", ""},
 	{"alad_registry_misses_total", "counter", ""},
 	{"alad_registry_evictions_total", "counter", ""},

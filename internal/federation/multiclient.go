@@ -79,65 +79,58 @@ func (m *MultiClient) Endpoints() []string {
 }
 
 // order ranks the endpoints for one request: rendezvous order on the
-// request fingerprint (parsed straight off a by-reference request,
-// hashed from the built system otherwise), input order when the request
-// doesn't parse (the server will reject it with a proper error).
-func (m *MultiClient) order(req *serve.SolveRequest) []string {
+// request fingerprint (ref parsed, for a by-reference request, or the
+// hash of the matrix build makes), input order when the request doesn't
+// parse (the server will reject it with a proper error).
+func (m *MultiClient) order(ref string, build func() (*la.CSR, error)) []string {
 	if len(m.endpoints) == 1 {
 		return m.endpoints
 	}
-	fp, err := requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
-		a, _, err := req.BuildSystem()
-		return a, err
-	})
+	fp, err := requestFingerprint(ref, build)
 	if err != nil {
 		return m.endpoints
 	}
 	return Rank(m.endpoints, fp)
 }
 
-// Solve sends the request to the fingerprint's rendezvous owner among
-// the configured endpoints, walking down the rank on retriable failures.
-// It returns the response plus the endpoint that answered.
-func (m *MultiClient) Solve(ctx context.Context, req serve.SolveRequest) (*serve.SolveResponse, string, error) {
+// failover sends one request down the ranked endpoints, moving on past
+// retriable failures. It returns the response plus the endpoint that
+// answered.
+func failover[R any](ctx context.Context, m *MultiClient, order []string, send func(*serve.Client) (R, error)) (R, string, error) {
+	var zero R
 	var lastErr error
-	for _, ep := range m.order(&req) {
-		resp, err := m.clients[ep].Solve(ctx, req)
+	for _, ep := range order {
+		resp, err := send(m.clients[ep])
 		if err == nil {
 			return resp, ep, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil || !retriable(err) {
-			return nil, ep, err
+			return zero, ep, err
 		}
 	}
-	return nil, "", lastErr
+	return zero, "", lastErr
+}
+
+// Solve sends the request to the fingerprint's rendezvous owner among
+// the configured endpoints, walking down the rank on retriable failures.
+// It returns the response plus the endpoint that answered.
+func (m *MultiClient) Solve(ctx context.Context, req serve.SolveRequest) (*serve.SolveResponse, string, error) {
+	order := m.order(req.Fingerprint, func() (*la.CSR, error) {
+		a, _, err := req.BuildSystem()
+		return a, err
+	})
+	return failover(ctx, m, order, func(c *serve.Client) (*serve.SolveResponse, error) { return c.Solve(ctx, req) })
 }
 
 // SolveBatch is Solve's multi-RHS counterpart with the same endpoint
 // ranking and failover walk.
 func (m *MultiClient) SolveBatch(ctx context.Context, req serve.BatchSolveRequest) (*serve.BatchSolveResponse, string, error) {
-	order := m.endpoints
-	if len(m.endpoints) > 1 {
-		if fp, err := requestFingerprint(req.Fingerprint, func() (*la.CSR, error) {
-			a, _, err := req.BuildSystem()
-			return a, err
-		}); err == nil {
-			order = Rank(m.endpoints, fp)
-		}
-	}
-	var lastErr error
-	for _, ep := range order {
-		resp, err := m.clients[ep].SolveBatch(ctx, req)
-		if err == nil {
-			return resp, ep, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !retriable(err) {
-			return nil, ep, err
-		}
-	}
-	return nil, "", lastErr
+	order := m.order(req.Fingerprint, func() (*la.CSR, error) {
+		a, _, err := req.BuildSystem()
+		return a, err
+	})
+	return failover(ctx, m, order, func(c *serve.Client) (*serve.BatchSolveResponse, error) { return c.SolveBatch(ctx, req) })
 }
 
 // SolveOperator solves by reference against the operator's rendezvous
@@ -145,40 +138,14 @@ func (m *MultiClient) SolveBatch(ctx context.Context, req serve.BatchSolveReques
 // (serve.Client caches acknowledgements per endpoint). Failover walks
 // the rank like Solve; each endpoint's client re-registers as needed.
 func (m *MultiClient) SolveOperator(ctx context.Context, op *serve.PreparedOperator, req serve.SolveRequest) (*serve.SolveResponse, string, error) {
-	order := m.endpoints
-	if len(m.endpoints) > 1 {
-		order = Rank(m.endpoints, op.Fingerprint())
-	}
-	var lastErr error
-	for _, ep := range order {
-		resp, err := m.clients[ep].SolveOperator(ctx, op, req)
-		if err == nil {
-			return resp, ep, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !retriable(err) {
-			return nil, ep, err
-		}
-	}
-	return nil, "", lastErr
+	return failover(ctx, m, Rank(m.endpoints, op.Fingerprint()), func(c *serve.Client) (*serve.SolveResponse, error) {
+		return c.SolveOperator(ctx, op, req)
+	})
 }
 
 // SolveBatchOperator is SolveOperator's multi-RHS counterpart.
 func (m *MultiClient) SolveBatchOperator(ctx context.Context, op *serve.PreparedOperator, req serve.BatchSolveRequest) (*serve.BatchSolveResponse, string, error) {
-	order := m.endpoints
-	if len(m.endpoints) > 1 {
-		order = Rank(m.endpoints, op.Fingerprint())
-	}
-	var lastErr error
-	for _, ep := range order {
-		resp, err := m.clients[ep].SolveBatchOperator(ctx, op, req)
-		if err == nil {
-			return resp, ep, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !retriable(err) {
-			return nil, ep, err
-		}
-	}
-	return nil, "", lastErr
+	return failover(ctx, m, Rank(m.endpoints, op.Fingerprint()), func(c *serve.Client) (*serve.BatchSolveResponse, error) {
+		return c.SolveBatchOperator(ctx, op, req)
+	})
 }

@@ -90,14 +90,7 @@ func (w *remoteWorker) OpenBlock(a *la.CSR) (core.BlockSession, error) {
 	// of O(nnz). The peer's session cache recognizes the fingerprint on
 	// call 2+ and adopts the resident programming, so only the first call
 	// pays configuration cost too.
-	n := a.Dim()
-	entries := make([]serve.Entry, 0, a.NNZ())
-	for i := 0; i < n; i++ {
-		a.VisitRow(i, func(j int, v float64) {
-			entries = append(entries, serve.Entry{Row: i, Col: j, Val: v})
-		})
-	}
-	return &remoteSession{w: w, n: n, entries: entries, fp: serve.FormatFingerprint(la.Fingerprint(a))}, nil
+	return &remoteSession{w: w, n: a.Dim(), entries: serve.MatrixEntries(a), fp: serve.FormatFingerprint(la.Fingerprint(a))}, nil
 }
 
 type remoteSession struct {

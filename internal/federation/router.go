@@ -23,9 +23,6 @@ type Config struct {
 	Peers []string
 	// PollInterval is the membership refresh period (default 1s).
 	PollInterval time.Duration
-	// SaturationFrac is the admission-queue fraction past which a peer
-	// stops being a routing target (default 0.75).
-	SaturationFrac float64
 	// Disabled turns affinity off: requests route to a uniformly random
 	// healthy member instead of the rendezvous owner. The measurement
 	// baseline, and an escape hatch.
@@ -69,7 +66,7 @@ func NewRouter(cfg Config, s *serve.Server) *Router {
 	rt := &Router{
 		cfg:     cfg,
 		server:  s,
-		members: NewMembership(cfg.Self, cfg.Peers, cfg.PollInterval, cfg.SaturationFrac),
+		members: NewMembership(cfg.Self, cfg.Peers, cfg.PollInterval),
 		metrics: NewMetrics(),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
@@ -190,11 +187,7 @@ func retriable(err error) bool {
 	if errors.As(err, &remote) {
 		return remote.StatusCode >= 500
 	}
-	var busy *serve.BusyError
-	if errors.As(err, &busy) {
-		return true
-	}
-	return true // transport-level failure
+	return true // a 429 (*serve.BusyError) or a transport-level failure
 }
 
 // requestFingerprint resolves the routing fingerprint of one request: a

@@ -37,7 +37,16 @@
 //     to a fresh file which atomically replaces the old one, so the
 //     journal never grows without bound across restarts;
 //   - damage other than a torn final frame fails Open and leaves the
-//     file as it was.
+//     file as it was;
+//   - a job that names an operator carries it: the queue journals the
+//     operator's bytes just before the submit record, under the same
+//     fsync, unless it still has them from an earlier frame of the same
+//     file. It holds them in memory while a queued, leased or running job
+//     names the operator, and keeps recently released operators, up to a
+//     fixed byte bound, until the next boot compaction. So no accepted job
+//     outlives its operator, a job on an operator whose last job just
+//     ended does not journal it again, and an operator frame whose submit
+//     record was lost holds nothing.
 //
 // The package is dependency-free (stdlib only) and knows nothing about
 // solving: payloads and results are opaque bytes, execution is a
@@ -108,6 +117,10 @@ type Job struct {
 	// wave). Zero means no affinity; the journal carries it like any
 	// other submit field, so it survives restarts.
 	Affinity uint64 `json:"affinity,omitempty"`
+	// Operator is the caller's fingerprint of the operator the payload
+	// references (zero: none). While the job is live the queue holds the
+	// operator's bytes (Queue.Operator).
+	Operator uint64 `json:"operator,omitempty"`
 	// Payload is the opaque request body.
 	Payload []byte `json:"payload,omitempty"`
 
@@ -138,6 +151,23 @@ type Job struct {
 	Deduped bool `json:"-"`
 }
 
+// Submission is one job to enqueue (Queue.Submit).
+type Submission struct {
+	Tenant, Kind string
+	// Fingerprint content-addresses the request; see Job.Fingerprint.
+	Fingerprint uint64
+	// Affinity is the co-scheduling hint; see Job.Affinity.
+	Affinity uint64
+	// Operator names the operator Payload references (zero: none), and
+	// OperatorBytes are its serialized form, of which the queue keeps a
+	// copy. They may be nil while the queue has the operator
+	// (Queue.Operator); when it does not, Submit refuses a nil
+	// OperatorBytes with ErrNoOperator.
+	Operator      uint64
+	OperatorBytes []byte
+	Payload       []byte
+}
+
 // clone returns an independent copy safe to hand outside the queue lock.
 func (j *Job) clone() *Job {
 	c := *j
@@ -166,4 +196,7 @@ var (
 	ErrBadTransition = errors.New("jobs: illegal state transition")
 	// ErrClosed: the queue has shut down.
 	ErrClosed = errors.New("jobs: queue closed")
+	// ErrNoOperator: the submission names an operator without its bytes,
+	// and the queue does not have them; resubmit with OperatorBytes.
+	ErrNoOperator = errors.New("jobs: operator not held; submit its bytes")
 )

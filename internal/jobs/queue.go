@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -35,13 +36,6 @@ type Config struct {
 	RetainDone int
 	// Clock injects time for tests (default time.Now).
 	Clock func() time.Time
-	// OnTerminal, when set, observes every live terminal transition
-	// (done, failed, cancelled) with a copy of the job. It runs under the
-	// queue lock and must not call back into the queue; alad uses it to
-	// release operator-registry pins held by by-reference payloads. Boot
-	// replay does not fire it — replayed terminal jobs finished in a
-	// previous process whose pins died with it.
-	OnTerminal func(j *Job)
 }
 
 func (c Config) withDefaults() Config {
@@ -85,8 +79,12 @@ type Stats struct {
 	Compactions int64
 	// TornDropped counts torn tail records dropped during replay.
 	TornDropped int64
-	WALRecords  int64
-	WALBytes    int64
+	// WALRecords counts frames appended, operator frames included.
+	WALRecords int64
+	WALBytes   int64
+	// Operators gauges the operators held for live jobs; released
+	// operators the queue still keeps are not counted.
+	Operators int
 }
 
 // Queue is the durable job queue. All methods are safe for concurrent
@@ -108,6 +106,16 @@ type Queue struct {
 	live map[string]int
 	// byFP indexes the most recent job per fingerprint (dedup).
 	byFP map[uint64]string
+	// operators holds, per operator fingerprint, the bytes of an operator
+	// whose frame is in the current journal file: held while live
+	// (queued, leased or running) jobs name it, then released, and kept
+	// until released operators exceed the retain bounds or the next boot
+	// compaction drops them.
+	operators map[uint64]*heldOperator
+	// released lists the released operators, most recently released
+	// first; releasedBytes sums their frames.
+	released      list.List
+	releasedBytes int
 	// doneOrder tracks terminal jobs oldest-first for retention.
 	doneOrder []string
 	nextSeq   uint64
@@ -134,15 +142,16 @@ type Queue struct {
 func Open(cfg Config) (*Queue, error) {
 	cfg = cfg.withDefaults()
 	q := &Queue{
-		cfg:      cfg,
-		jobs:     make(map[string]*Job),
-		pending:  make(map[string][]string),
-		live:     make(map[string]int),
-		byFP:     make(map[uint64]string),
-		waiters:  make(map[string][]chan *Job),
-		cancels:  make(map[string]context.CancelFunc),
-		wake:     make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
+		cfg:       cfg,
+		jobs:      make(map[string]*Job),
+		pending:   make(map[string][]string),
+		live:      make(map[string]int),
+		byFP:      make(map[uint64]string),
+		operators: make(map[uint64]*heldOperator),
+		waiters:   make(map[string][]chan *Job),
+		cancels:   make(map[string]context.CancelFunc),
+		wake:      make(chan struct{}, 1),
+		closedCh:  make(chan struct{}),
 	}
 	if cfg.Path == "" {
 		return q, nil
@@ -156,9 +165,13 @@ func Open(cfg Config) (*Queue, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.dropReleasedLocked() // compaction writes only the held operators' frames
 	recs := q.snapshotRecords()
 	q.log, err = journal.Create(cfg.Path, walMagic, len(recs), func(i int) ([]byte, error) {
-		return json.Marshal(&recs[i])
+		if f := recs[i].opFrame; f != nil {
+			return f, nil
+		}
+		return json.Marshal(recs[i].rec)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: compacting journal: %w", err)
@@ -173,14 +186,22 @@ func Open(cfg Config) (*Queue, error) {
 // replay streams the journal at path through applyLocked, then reclaims
 // orphaned leases: the process that held every lease is the one that
 // died, so leased/running jobs go back to queued (or to cancelled if
-// their cancellation was already requested) with attempts preserved.
+// their cancellation was already requested) with attempts preserved. An
+// operator frame is copied aside for the record after it; whatever that
+// record does not take is dropped.
 func (q *Queue) replay(path string) (frames int, err error) {
+	var opFrame []byte // the operator frame just read, if any
 	torn, err := journal.Read(path, walMagic, func(payload []byte) error {
 		frames++
+		if len(payload) > 0 && payload[0] == operatorTag {
+			opFrame = append([]byte(nil), payload...)
+			return nil
+		}
 		var rec walRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("undecodable record: %v", err)
 		}
+		rec.opFrame, opFrame = opFrame, nil
 		if rec.Op == opMeta {
 			if rec.NextSeq > q.nextSeq {
 				q.nextSeq = rec.NextSeq
@@ -188,7 +209,7 @@ func (q *Queue) replay(path string) (frames int, err error) {
 			return nil
 		}
 		if err := q.applyLocked(&rec); err != nil {
-			return fmt.Errorf("%s %s: %w", rec.Op, rec.ID, err)
+			return fmt.Errorf("%s %s: %w", rec.Op, rec.jobID(), err)
 		}
 		if rec.Seq >= q.nextSeq {
 			q.nextSeq = rec.Seq + 1
@@ -231,20 +252,105 @@ func (q *Queue) replay(path string) (frames int, err error) {
 	return frames, nil
 }
 
+// snapFrame is one frame of a compacted journal: a record, or an
+// operator frame.
+type snapFrame struct {
+	rec     *walRecord
+	opFrame []byte
+}
+
 // snapshotRecords renders live state as a compact journal: one meta
-// record, then every retained job as a snap record in submit order.
-func (q *Queue) snapshotRecords() []walRecord {
+// record, then every retained job as a snap record in submit order, the
+// first live job naming each held operator preceded by its frame.
+func (q *Queue) snapshotRecords() []snapFrame {
 	all := make([]*Job, 0, len(q.jobs))
 	for _, j := range q.jobs {
 		all = append(all, j)
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].SubmitSeq < all[b].SubmitSeq })
-	recs := make([]walRecord, 0, len(all)+1)
-	recs = append(recs, walRecord{Op: opMeta, NextSeq: q.nextSeq})
+	recs := make([]snapFrame, 0, len(all)+len(q.operators)+1)
+	recs = append(recs, snapFrame{rec: &walRecord{Op: opMeta, NextSeq: q.nextSeq}})
+	written := make(map[uint64]bool, len(q.operators))
 	for _, j := range all {
-		recs = append(recs, walRecord{Seq: j.SubmitSeq, Op: opSnap, ID: j.ID, Job: j})
+		if h := q.operators[j.Operator]; h != nil && !j.State.Terminal() && !written[j.Operator] {
+			written[j.Operator] = true
+			recs = append(recs, snapFrame{opFrame: h.frame})
+		}
+		recs = append(recs, snapFrame{rec: &walRecord{Seq: j.SubmitSeq, Op: opSnap, Job: j}})
 	}
 	return recs
+}
+
+// retainOperators and retainOperatorBytes bound the released operators
+// the queue keeps, so that a job on an operator whose last job has ended
+// can name it without journaling its bytes again: a submit-and-wait loop
+// on one operator writes it once per boot. Replay releases and drops
+// operators in the same order as the run that wrote the journal, so it
+// must drop none sooner: lowering either bound needs a new walMagic.
+const (
+	retainOperators     = 8
+	retainOperatorBytes = 1 << 20
+)
+
+// heldOperator is an operator whose frame (operatorTag, then the bytes)
+// is in the current journal file: how many live jobs name it, and while
+// none does, its place in q.released.
+type heldOperator struct {
+	fp    uint64
+	frame []byte
+	refs  int
+	idle  *list.Element
+}
+
+// holdLocked takes live job j's hold on its operator. opFrame is the
+// operator frame journaled just before j's record, nil when there was
+// none; checkLocked has made sure it is there when the queue does not
+// have the operator yet.
+func (q *Queue) holdLocked(j *Job, opFrame []byte) {
+	if j.Operator == 0 {
+		return
+	}
+	h := q.operators[j.Operator]
+	switch {
+	case h == nil:
+		h = &heldOperator{fp: j.Operator, frame: opFrame}
+		q.operators[j.Operator] = h
+	case h.idle != nil:
+		q.released.Remove(h.idle)
+		h.idle = nil
+		q.releasedBytes -= len(h.frame)
+	}
+	h.refs++
+}
+
+// releaseLocked drops a job's hold on operator fp as the job turns
+// terminal. The last hold releases the operator; released operators
+// beyond the retain bounds are dropped, least recently released first.
+func (q *Queue) releaseLocked(fp uint64) {
+	h := q.operators[fp]
+	if h == nil {
+		return
+	}
+	if h.refs--; h.refs > 0 {
+		return
+	}
+	h.idle = q.released.PushFront(h)
+	q.releasedBytes += len(h.frame)
+	for q.released.Len() > retainOperators || q.releasedBytes > retainOperatorBytes {
+		old := q.released.Remove(q.released.Back()).(*heldOperator)
+		q.releasedBytes -= len(old.frame)
+		delete(q.operators, old.fp)
+	}
+}
+
+// dropReleasedLocked forgets every released operator: their frames do
+// not survive compaction.
+func (q *Queue) dropReleasedLocked() {
+	for e := q.released.Front(); e != nil; e = e.Next() {
+		delete(q.operators, e.Value.(*heldOperator).fp)
+	}
+	q.released.Init()
+	q.releasedBytes = 0
 }
 
 // transitions maps each patch op to the state it moves a job into;
@@ -258,8 +364,11 @@ var transitions = map[string]State{
 // applying it, so commit can journal a transition before making it.
 func (q *Queue) checkLocked(rec *walRecord) error {
 	if rec.Op == opSubmit || rec.Op == opSnap {
-		if rec.Job == nil {
+		switch j := rec.Job; {
+		case j == nil:
 			return fmt.Errorf("%s record without job", rec.Op)
+		case j.Operator != 0 && !j.State.Terminal() && rec.opFrame == nil && q.operators[j.Operator] == nil:
+			return fmt.Errorf("job names operator %016x, which no operator frame carries", j.Operator)
 		}
 		return nil
 	}
@@ -296,6 +405,7 @@ func (q *Queue) applyLocked(rec *walRecord) error {
 		q.noteTenantLocked(j.Tenant)
 		if !j.State.Terminal() {
 			q.live[j.Tenant]++
+			q.holdLocked(j, rec.opFrame)
 		} else {
 			q.doneOrder = append(q.doneOrder, j.ID)
 		}
@@ -343,6 +453,7 @@ func (q *Queue) applyLocked(rec *walRecord) error {
 	if to.Terminal() && !from.Terminal() {
 		q.live[j.Tenant]--
 		q.doneOrder = append(q.doneOrder, j.ID)
+		q.releaseLocked(j.Operator)
 	}
 	return nil
 }
@@ -389,7 +500,9 @@ func (q *Queue) queuedCountLocked() int {
 // commit checks a record, journals it, then applies it: a transition
 // whose append fails never becomes visible, so a retry after the error
 // cannot dedup onto a job that was never journaled. sync=true forces an
-// fsync (submissions, terminal outcomes, cancel requests).
+// fsync (submissions, terminal outcomes, cancel requests); a record's
+// operator frame goes just before it, under the same fsync. A terminal
+// transition is counted and then finished (finishLocked).
 func (q *Queue) commit(rec *walRecord, sync bool) error {
 	if err := q.checkLocked(rec); err != nil {
 		return err
@@ -399,12 +512,32 @@ func (q *Queue) commit(rec *walRecord, sync bool) error {
 		if err != nil {
 			return fmt.Errorf("jobs: encoding wal record: %w", err)
 		}
+		if rec.opFrame != nil {
+			if err := q.log.Append(false, rec.opFrame); err != nil {
+				return fmt.Errorf("jobs: %w", err)
+			}
+			q.walRecords++
+		}
 		if err := q.log.Append(sync, payload); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
 		q.walRecords++
 	}
-	return q.applyLocked(rec)
+	if err := q.applyLocked(rec); err != nil {
+		return err
+	}
+	switch rec.Op {
+	case opDone:
+		q.completed++
+	case opFail:
+		q.failedTot++
+	case opCancel:
+		q.cancelledTot++
+	default:
+		return nil
+	}
+	q.finishLocked(q.jobs[rec.ID])
+	return nil
 }
 
 // wakeWorkers nudges one idle worker without blocking.
@@ -425,22 +558,19 @@ func (q *Queue) Closed() <-chan struct{} { return q.closedCh }
 // Submit appends a new job. A submission whose fingerprint matches a
 // live or completed job of the same kind is answered by that job (its
 // copy has Deduped set) without enqueueing anything — completed results
-// replay from the store instead of re-solving.
-func (q *Queue) Submit(tenant, kind string, fingerprint uint64, payload []byte) (*Job, error) {
-	return q.SubmitAffinity(tenant, kind, fingerprint, 0, payload)
-}
-
-// SubmitAffinity is Submit with a co-scheduling affinity (see
-// Job.Affinity): workers drain queued same-affinity jobs together via
-// LeaseMatching.
-func (q *Queue) SubmitAffinity(tenant, kind string, fingerprint, affinity uint64, payload []byte) (*Job, error) {
+// replay from the store instead of re-solving. Queued jobs sharing a
+// non-zero affinity are drained together by LeaseMatching. A submission
+// that names an operator the queue does not have (Queue.Operator)
+// journals the operator's bytes as a frame just before its submit
+// record, under the same fsync.
+func (q *Queue) Submit(s Submission) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil, ErrClosed
 	}
-	if id, ok := q.byFP[fingerprint]; ok {
-		if j, ok := q.jobs[id]; ok && j.Kind == kind && j.State != StateFailed && j.State != StateCancelled {
+	if id, ok := q.byFP[s.Fingerprint]; ok {
+		if j, ok := q.jobs[id]; ok && j.Kind == s.Kind && j.State != StateFailed && j.State != StateCancelled {
 			q.deduped++
 			c := j.clone()
 			c.Deduped = true
@@ -450,24 +580,32 @@ func (q *Queue) SubmitAffinity(tenant, kind string, fingerprint, affinity uint64
 	if q.queuedCountLocked() >= q.cfg.MaxQueued {
 		return nil, ErrBacklog
 	}
-	if q.cfg.TenantQuota > 0 && q.live[tenant] >= q.cfg.TenantQuota {
+	if q.cfg.TenantQuota > 0 && q.live[s.Tenant] >= q.cfg.TenantQuota {
 		return nil, ErrQuota
+	}
+	var opFrame []byte
+	if _, have := q.operators[s.Operator]; s.Operator != 0 && !have {
+		if s.OperatorBytes == nil {
+			return nil, ErrNoOperator
+		}
+		opFrame = append([]byte{operatorTag}, s.OperatorBytes...)
 	}
 	now := q.cfg.Clock().UnixNano()
 	seq := q.nextSeq
 	j := &Job{
 		ID:          fmt.Sprintf("j-%08x", seq),
-		Tenant:      tenant,
-		Kind:        kind,
-		Fingerprint: fingerprint,
-		Affinity:    affinity,
-		Payload:     payload,
+		Tenant:      s.Tenant,
+		Kind:        s.Kind,
+		Fingerprint: s.Fingerprint,
+		Affinity:    s.Affinity,
+		Operator:    s.Operator,
+		Payload:     s.Payload,
 		State:       StateQueued,
 		SubmitSeq:   seq,
 		SubmittedNs: now,
 		UpdatedNs:   now,
 	}
-	rec := &walRecord{Seq: seq, Op: opSubmit, NowNs: now, ID: j.ID, Job: j}
+	rec := &walRecord{Seq: seq, Op: opSubmit, Job: j, opFrame: opFrame}
 	q.nextSeq = seq + 1
 	if err := q.commit(rec, true); err != nil {
 		return nil, err
@@ -475,6 +613,19 @@ func (q *Queue) SubmitAffinity(tenant, kind string, fingerprint, affinity uint64
 	q.submitted++
 	q.wakeWorkers()
 	return j.clone(), nil
+}
+
+// Operator returns the bytes of operator fp while a live job names it,
+// and after that while the queue keeps the released operator (see
+// retainOperators). The bytes are shared: callers must not modify
+// them.
+func (q *Queue) Operator(fp uint64) ([]byte, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if h := q.operators[fp]; h != nil {
+		return h.frame[1:], true
+	}
+	return nil, false
 }
 
 // Lease hands the next runnable job to owner, or nil when the queue is
@@ -630,12 +781,7 @@ func (q *Queue) Complete(id, owner string, result []byte) error {
 	}
 	rec := &walRecord{Seq: q.nextSeq, Op: opDone, NowNs: q.cfg.Clock().UnixNano(), ID: j.ID, Result: result}
 	q.nextSeq++
-	if err := q.commit(rec, true); err != nil {
-		return err
-	}
-	q.completed++
-	q.finishLocked(j)
-	return nil
+	return q.commit(rec, true)
 }
 
 // Fail records a job's failure — or its cancellation, when the failure
@@ -653,16 +799,7 @@ func (q *Queue) Fail(id, owner, code, msg string) error {
 	}
 	rec := &walRecord{Seq: q.nextSeq, Op: op, NowNs: q.cfg.Clock().UnixNano(), ID: j.ID, ErrCode: code, ErrMsg: msg}
 	q.nextSeq++
-	if err := q.commit(rec, true); err != nil {
-		return err
-	}
-	if op == opCancel {
-		q.cancelledTot++
-	} else {
-		q.failedTot++
-	}
-	q.finishLocked(j)
-	return nil
+	return q.commit(rec, true)
 }
 
 // Cancel asks for a job's cancellation. Queued jobs cancel immediately;
@@ -685,8 +822,6 @@ func (q *Queue) Cancel(id string) (*Job, error) {
 		if err := q.commit(rec, true); err != nil {
 			return nil, err
 		}
-		q.cancelledTot++
-		q.finishLocked(j)
 	case StateLeased, StateRunning:
 		if !j.CancelRequested {
 			rec := &walRecord{Seq: q.nextSeq, Op: opCancelReq, NowNs: now, ID: j.ID}
@@ -702,17 +837,14 @@ func (q *Queue) Cancel(id string) (*Job, error) {
 	return j.clone(), nil
 }
 
-// finishLocked runs terminal-transition bookkeeping: waiter resolution,
-// the terminal observer, and retention eviction.
+// finishLocked runs terminal-transition bookkeeping: waiter resolution
+// and retention eviction.
 func (q *Queue) finishLocked(j *Job) {
 	if chans := q.waiters[j.ID]; len(chans) > 0 {
 		for _, ch := range chans {
 			ch <- j.clone()
 		}
 		delete(q.waiters, j.ID)
-	}
-	if q.cfg.OnTerminal != nil {
-		q.cfg.OnTerminal(j.clone())
 	}
 	q.evictDoneLocked()
 }
@@ -747,21 +879,14 @@ func (q *Queue) ExpireLeases() int {
 	n := 0
 	for _, j := range expired {
 		rec := &walRecord{Seq: q.nextSeq, Op: opRequeue, NowNs: now, ID: j.ID}
-		op := opRequeue
 		if j.CancelRequested {
-			op = opCancel
-			rec = &walRecord{Seq: q.nextSeq, Op: opCancel, NowNs: now, ID: j.ID,
-				ErrCode: "cancelled", ErrMsg: "cancelled while lease expired"}
+			rec.Op, rec.ErrCode, rec.ErrMsg = opCancel, "cancelled", "cancelled while lease expired"
 		}
 		q.nextSeq++
 		if err := q.commit(rec, false); err != nil {
 			continue
 		}
 		q.leaseExpired++
-		if op == opCancel {
-			q.cancelledTot++
-			q.finishLocked(j)
-		}
 		n++
 	}
 	if n > 0 {
@@ -938,6 +1063,7 @@ func (q *Queue) Stats() Stats {
 		Deduped:      q.deduped,
 		Compactions:  q.compactions,
 		TornDropped:  q.tornDropped,
+		Operators:    len(q.operators) - q.released.Len(),
 	}
 	for _, j := range q.jobs {
 		switch j.State {

@@ -103,7 +103,7 @@ func TestDuplicateSubmitDedup(t *testing.T) {
 	j := mustSubmit(t, q, "a", 42, "p")
 
 	// Dedup against a live (queued) job.
-	dup, err := q.Submit("a", "solve", 42, []byte("p"))
+	dup, err := q.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: 42, Payload: []byte("p")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDuplicateSubmitDedup(t *testing.T) {
 	if err := q.Complete(j.ID, "w0", []byte("the answer")); err != nil {
 		t.Fatal(err)
 	}
-	dup2, err := q.Submit("b", "solve", 42, []byte("p"))
+	dup2, err := q.Submit(Submission{Tenant: "b", Kind: "solve", Fingerprint: 42, Payload: []byte("p")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDuplicateSubmitDedup(t *testing.T) {
 	}
 
 	// A different kind with the same fingerprint is NOT deduplicated.
-	other, err := q.Submit("a", "batch", 42, []byte("p"))
+	other, err := q.Submit(Submission{Tenant: "a", Kind: "batch", Fingerprint: 42, Payload: []byte("p")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDuplicateSubmitDedup(t *testing.T) {
 	if err := q.Fail(jf.ID, "w1", "solve_failed", "boom"); err != nil {
 		t.Fatal(err)
 	}
-	again, err := q.Submit("a", "solve", 99, []byte("p"))
+	again, err := q.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: 99, Payload: []byte("p")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDedupSurvivesRestart(t *testing.T) {
 	q.Close()
 
 	q2 := mustOpen(t, testConfig(t, path))
-	dup, err := q2.Submit("a", "solve", 7, []byte("p"))
+	dup, err := q2.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: 7, Payload: []byte("p")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +310,11 @@ func TestTenantFairSchedulingAndQuota(t *testing.T) {
 	}
 
 	// alice holds 4 live jobs = her quota; the fifth submission bounces.
-	if _, err := q.Submit("alice", "solve", 30, []byte("p")); !errors.Is(err, ErrQuota) {
+	if _, err := q.Submit(Submission{Tenant: "alice", Kind: "solve", Fingerprint: 30, Payload: []byte("p")}); !errors.Is(err, ErrQuota) {
 		t.Fatalf("quota not enforced: %v", err)
 	}
 	// bob is under quota and unaffected.
-	if _, err := q.Submit("bob", "solve", 31, []byte("p")); err != nil {
+	if _, err := q.Submit(Submission{Tenant: "bob", Kind: "solve", Fingerprint: 31, Payload: []byte("p")}); err != nil {
 		t.Fatalf("bob blocked by alice's quota: %v", err)
 	}
 }
@@ -323,7 +323,7 @@ func TestBacklogBound(t *testing.T) {
 	q := mustOpen(t, Config{LeaseTTL: time.Second, MaxQueued: 2})
 	mustSubmit(t, q, "a", 1, "p")
 	mustSubmit(t, q, "a", 2, "p")
-	if _, err := q.Submit("a", "solve", 3, []byte("p")); !errors.Is(err, ErrBacklog) {
+	if _, err := q.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: 3, Payload: []byte("p")}); !errors.Is(err, ErrBacklog) {
 		t.Fatalf("backlog not enforced: %v", err)
 	}
 }
@@ -361,7 +361,7 @@ func TestLeaseRelaysWake(t *testing.T) {
 func TestLeaseMatchingRelaysWake(t *testing.T) {
 	q := mustOpen(t, Config{LeaseTTL: time.Second})
 	for fp := uint64(1); fp <= 2; fp++ {
-		if _, err := q.SubmitAffinity("a", "solve", fp, 7, []byte("mate")); err != nil {
+		if _, err := q.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: fp, Affinity: 7, Payload: []byte("mate")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,7 +432,7 @@ func TestRetentionEviction(t *testing.T) {
 		t.Fatal("newest terminal job evicted")
 	}
 	// An evicted fingerprint no longer answers duplicates.
-	if dup, _ := q.Submit("a", "solve", 1, []byte("p")); dup == nil || dup.Deduped {
+	if dup, _ := q.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: 1, Payload: []byte("p")}); dup == nil || dup.Deduped {
 		t.Fatalf("evicted job still deduplicating: %+v", dup)
 	}
 }
@@ -536,7 +536,7 @@ func TestWorkersExecLeasedGroup(t *testing.T) {
 		if i == 1 {
 			affinity = 9
 		}
-		j, err := q.SubmitAffinity("a", "solve", uint64(i+1), affinity, []byte(fmt.Sprintf("p%d", i)))
+		j, err := q.Submit(Submission{Tenant: "a", Kind: "solve", Fingerprint: uint64(i + 1), Affinity: affinity, Payload: []byte(fmt.Sprintf("p%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,5 +600,78 @@ func TestWaitHonorsContext(t *testing.T) {
 	q.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d waiters leaked", n)
+	}
+}
+
+// TestOperatorHoldsUnderConcurrency races submissions on three shared
+// operators against workers finishing their jobs. Each submitter sends
+// the operator's bytes only after the queue refuses a bytes-less
+// submission (ErrNoOperator), as serve does; every executing job must
+// read its operator back, and once every job is done, live and replayed,
+// nothing stays held.
+func TestOperatorHoldsUnderConcurrency(t *testing.T) {
+	cfg := Config{Path: filepath.Join(t.TempDir(), "jobs.wal"), LeaseTTL: time.Second}
+	q := mustOpen(t, cfg)
+	opBytes := func(op uint64) []byte { return []byte(fmt.Sprintf("operator-%d", op)) }
+	w := StartWorkers(q, 2, func(group []*Task) {
+		for _, task := range group {
+			if b, ok := q.Operator(task.Job.Operator); !ok || string(b) != string(opBytes(task.Job.Operator)) {
+				task.ErrCode, task.ErrMsg = "no_operator", fmt.Sprintf("operator %d read as %q (held %v)", task.Job.Operator, b, ok)
+				continue
+			}
+			task.Result = []byte("ok")
+		}
+	}, 0)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		w.Stop(ctx)
+	}()
+
+	const submitters, each = 4, 25
+	ids := make(chan string, submitters*each)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				op := uint64(1 + (g+i)%3)
+				s := Submission{Tenant: "a", Kind: "solve", Fingerprint: uint64(1000*g + i + 1), Affinity: op, Operator: op, Payload: []byte("p")}
+				j, err := q.Submit(s)
+				if errors.Is(err, ErrNoOperator) {
+					s.OperatorBytes = opBytes(op)
+					j, err = q.Submit(s)
+				}
+				if err != nil {
+					t.Errorf("submit %d/%d: %v", g, i, err)
+					return
+				}
+				ids <- j.ID
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(ids)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for id := range ids {
+		j, err := q.Wait(ctx, id)
+		if err != nil {
+			t.Fatalf("wait %s: %v", id, err)
+		}
+		if j.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, j.State, j.ErrMsg)
+		}
+	}
+	if s := q.Stats(); s.Operators != 0 || s.Completed != submitters*each {
+		t.Fatalf("after every job finished: %d operators held, %d completed", s.Operators, s.Completed)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q2 := mustOpen(t, cfg)
+	if s := q2.Stats(); s.Operators != 0 || s.Done != submitters*each {
+		t.Fatalf("after replay: %d operators held, %d done", s.Operators, s.Done)
 	}
 }

@@ -152,16 +152,15 @@ func (c *Client) traceCtx(ctx context.Context) context.Context {
 	})
 }
 
-// do runs one JSON round trip with no 429 retries; see doRetry.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.encodeAndSend(ctx, method, path, in, out, 0)
-}
-
-// doRetry runs one JSON round trip: in (if non-nil) is encoded once as
-// the body, sent as plain JSON, and out (if non-nil) decodes the answer.
-// A 429 answer is retried per MaxRetries.
-func (c *Client) doRetry(ctx context.Context, method, path string, in, out any) error {
-	return c.encodeAndSend(ctx, method, path, in, out, c.MaxRetries)
+// roundTrip runs one JSON round trip: in (if non-nil) is encoded once as
+// the body and sent as plain JSON, a 429 answer is re-sent up to retries
+// times, and the answer decodes into an R.
+func roundTrip[R any](ctx context.Context, c *Client, retries int, method, path string, in any) (*R, error) {
+	out := new(R)
+	if err := c.encodeAndSend(ctx, method, path, in, out, retries); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // encodeAndSend encodes in (if non-nil) once and sends it.
@@ -275,22 +274,14 @@ func (c *Client) exchange(ctx context.Context, method, path string, body []byte,
 // admission queue surfaces as *BusyError (retried per MaxRetries);
 // other failures as *RemoteError.
 func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
-	var out SolveResponse
-	if err := c.doRetry(ctx, http.MethodPost, "/v1/solve", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[SolveResponse](ctx, c, c.MaxRetries, http.MethodPost, "/v1/solve", req)
 }
 
 // SolveBatch submits one multi-RHS request: the daemon programs the
 // matrix once and solves every right-hand side on the resident
 // configuration. Errors surface exactly as in Solve.
 func (c *Client) SolveBatch(ctx context.Context, req BatchSolveRequest) (*BatchSolveResponse, error) {
-	var out BatchSolveResponse
-	if err := c.doRetry(ctx, http.MethodPost, "/v1/solve/batch", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[BatchSolveResponse](ctx, c, c.MaxRetries, http.MethodPost, "/v1/solve/batch", req)
 }
 
 // PreparedOperator pairs a matrix's wire fingerprint with the upload
@@ -326,11 +317,7 @@ func (p *PreparedOperator) Fingerprint() uint64 { return p.fp }
 // RegisterOperator uploads one operator (PUT /v1/operators) and returns
 // the registry's record of it.
 func (c *Client) RegisterOperator(ctx context.Context, req OperatorRequest) (*OperatorInfo, error) {
-	var out OperatorInfo
-	if err := c.doRetry(ctx, http.MethodPut, "/v1/operators", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[OperatorInfo](ctx, c, c.MaxRetries, http.MethodPut, "/v1/operators", req)
 }
 
 // EnsureOperator registers op with this endpoint unless a previous call
@@ -376,55 +363,44 @@ func IsUnknownOperator(err error) bool {
 func (c *Client) SolveOperator(ctx context.Context, op *PreparedOperator, req SolveRequest) (*SolveResponse, error) {
 	req.Fingerprint = op.FP
 	req.N, req.A, req.System, req.MatrixMarket = 0, nil, "", ""
-	if err := c.EnsureOperator(ctx, op); err != nil {
-		return nil, err
-	}
-	resp, err := c.Solve(ctx, req)
-	if IsUnknownOperator(err) {
-		c.forgetOperator(op.fp)
-		if rerr := c.EnsureOperator(ctx, op); rerr != nil {
-			return nil, rerr
-		}
-		return c.Solve(ctx, req)
-	}
-	return resp, err
+	return withOperator(ctx, c, op, func() (*SolveResponse, error) { return c.Solve(ctx, req) })
 }
 
 // SolveBatchOperator is SolveOperator's multi-RHS counterpart.
 func (c *Client) SolveBatchOperator(ctx context.Context, op *PreparedOperator, req BatchSolveRequest) (*BatchSolveResponse, error) {
 	req.Fingerprint = op.FP
 	req.N, req.A, req.System, req.MatrixMarket = 0, nil, "", ""
+	return withOperator(ctx, c, op, func() (*BatchSolveResponse, error) { return c.SolveBatch(ctx, req) })
+}
+
+// withOperator makes sure c's endpoint holds op, then sends a request that
+// references it; an unknown_operator answer (the endpoint evicted it)
+// forgets the acknowledgement, registers again and resends once.
+func withOperator[R any](ctx context.Context, c *Client, op *PreparedOperator, send func() (R, error)) (R, error) {
+	var zero R
 	if err := c.EnsureOperator(ctx, op); err != nil {
-		return nil, err
+		return zero, err
 	}
-	resp, err := c.SolveBatch(ctx, req)
+	resp, err := send()
 	if IsUnknownOperator(err) {
 		c.forgetOperator(op.fp)
 		if rerr := c.EnsureOperator(ctx, op); rerr != nil {
-			return nil, rerr
+			return zero, rerr
 		}
-		return c.SolveBatch(ctx, req)
+		return send()
 	}
 	return resp, err
 }
 
 // ListOperators fetches the endpoint's resident operators, MRU first.
 func (c *Client) ListOperators(ctx context.Context) (*OperatorListResponse, error) {
-	var out OperatorListResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/operators", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[OperatorListResponse](ctx, c, 0, http.MethodGet, "/v1/operators", nil)
 }
 
 // SubmitJob enqueues an asynchronous solve and returns its accepted (or
 // deduplicated) status without waiting for the result.
 func (c *Client) SubmitJob(ctx context.Context, req JobSubmitRequest) (*JobStatus, error) {
-	var out JobStatus
-	if err := c.doRetry(ctx, http.MethodPost, "/v1/jobs", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[JobStatus](ctx, c, c.MaxRetries, http.MethodPost, "/v1/jobs", req)
 }
 
 // Job fetches one job's status. A positive wait long-polls: the server
@@ -435,11 +411,7 @@ func (c *Client) Job(ctx context.Context, id string, wait time.Duration) (*JobSt
 	if wait > 0 {
 		path += "?wait=" + url.QueryEscape(wait.String())
 	}
-	var out JobStatus
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[JobStatus](ctx, c, 0, http.MethodGet, path, nil)
 }
 
 // WaitJob long-polls until the job reaches a terminal state or ctx
@@ -464,11 +436,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
 // status (terminal jobs come back unchanged; running ones report
 // cancellation once their worker acknowledges).
 func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
-	var out JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/cancel", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[JobStatus](ctx, c, 0, http.MethodPost, "/v1/jobs/"+url.PathEscape(id)+"/cancel", nil)
 }
 
 // ListJobs fetches job statuses, optionally filtered by tenant and
@@ -485,8 +453,8 @@ func (c *Client) ListJobs(ctx context.Context, tenant, state string) ([]JobStatu
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	var out JobListResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
+	out, err := roundTrip[JobListResponse](ctx, c, 0, http.MethodGet, path, nil)
+	if err != nil {
 		return nil, err
 	}
 	return out.Jobs, nil
@@ -495,77 +463,52 @@ func (c *Client) ListJobs(ctx context.Context, tenant, state string) ([]JobStatu
 // PeerStats fetches a node's federation view: identity, load, drain
 // state, and which fingerprints its pool holds resident.
 func (c *Client) PeerStats(ctx context.Context) (*PeerStatsResponse, error) {
-	var out PeerStatsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/peer/stats", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[PeerStatsResponse](ctx, c, 0, http.MethodGet, "/v1/peer/stats", nil)
 }
 
 // SolveBlock solves one block batch on a peer node — the wire form of
 // core.BlockSession, used by the federation scatter-gather provider.
 func (c *Client) SolveBlock(ctx context.Context, req BlockSolveRequest) (*BlockSolveResponse, error) {
-	var out BlockSolveResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/peer/block", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return roundTrip[BlockSolveResponse](ctx, c, 0, http.MethodPost, "/v1/peer/block", req)
 }
 
 // Readyz checks the daemon's readiness endpoint: nil only when the node
 // is accepting new work (not draining, admission queue below bound).
 func (c *Client) Readyz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(c.traceCtx(ctx), http.MethodGet, c.BaseURL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: readyz status %d", resp.StatusCode)
-	}
-	return nil
+	_, err := c.get(c.traceCtx(ctx), "readyz")
+	return err
 }
 
 // Healthz checks the daemon's health endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: healthz status %d", resp.StatusCode)
-	}
-	return nil
+	_, err := c.get(ctx, "healthz")
+	return err
 }
 
 // Metrics fetches the raw /metrics text (the smoke test scrapes it).
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
+	raw, err := c.get(ctx, "metrics")
+	return string(raw), err
+}
+
+// get fetches the plain endpoint /name and returns the body of a 200
+// answer.
+func (c *Client) get(ctx context.Context, name string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/"+name, nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("serve: metrics status %d", resp.StatusCode)
+		return nil, fmt.Errorf("serve: %s status %d", name, resp.StatusCode)
 	}
-	return string(raw), nil
+	return raw, nil
 }

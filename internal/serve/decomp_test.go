@@ -12,7 +12,7 @@ import (
 
 func testDecompPool(t *testing.T) *Pool {
 	t.Helper()
-	p, err := NewPool(PoolConfig{ChipsPerClass: 2, WarmSizes: []int{2}, MinClass: 2, MaxDim: 8, SkipCalibrate: true})
+	p, err := NewPool(PoolConfig{ChipsPerClass: 2, WarmSizes: []int{2}, MinClass: 2, MaxDim: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,11 +83,11 @@ func jobStatus(j *jobs.Job) JobStatus {
 }
 
 // jobFingerprint content-addresses a request: the matrix fingerprint
-// mixed with everything else that changes the answer (kind, backend,
-// tolerance, every right-hand side). Two submissions with equal
+// opFP mixed with everything else that changes the answer (kind,
+// backend, tolerance, every right-hand side). Two submissions with equal
 // fingerprints are the same work, so the second is served from the
 // store instead of re-solving.
-func jobFingerprint(kind, backend string, tol float64, a *la.CSR, rhs []la.Vector) uint64 {
+func jobFingerprint(kind, backend string, tol float64, opFP uint64, rhs []la.Vector) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(x uint64) {
 		for i := 0; i < 8; i++ {
@@ -106,7 +106,7 @@ func jobFingerprint(kind, backend string, tol float64, a *la.CSR, rhs []la.Vecto
 	mixStr(kind)
 	mixStr(backend)
 	mix(math.Float64bits(tol))
-	mix(la.Fingerprint(a))
+	mix(opFP)
 	mix(uint64(len(rhs)))
 	for _, b := range rhs {
 		for _, v := range b {
@@ -114,32 +114,6 @@ func jobFingerprint(kind, backend string, tol float64, a *la.CSR, rhs []la.Vecto
 		}
 	}
 	return h
-}
-
-// payloadFingerprint extracts the operator fingerprint from a
-// by-reference job payload (solve and batch payloads share the
-// `fingerprint` field). False for by-value payloads.
-func payloadFingerprint(payload []byte) (uint64, bool) {
-	var ref struct {
-		Fingerprint string `json:"fingerprint"`
-	}
-	if json.Unmarshal(payload, &ref) != nil || ref.Fingerprint == "" {
-		return 0, false
-	}
-	fp, err := ParseFingerprint(ref.Fingerprint)
-	return fp, err == nil
-}
-
-// jobTerminal is the queue's terminal-transition observer: a job that
-// carried a by-reference payload held one registry pin from submission
-// (or boot replay); release it now that the job can never run again.
-func (s *Server) jobTerminal(j *jobs.Job) {
-	if s.registry == nil {
-		return
-	}
-	if fp, ok := payloadFingerprint(j.Payload); ok {
-		s.registry.unpin(fp)
-	}
 }
 
 // handleJobSubmit validates eagerly (bad requests fail at submit, not
@@ -172,16 +146,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Batch != nil {
 		kind, wire = JobKindBatch, req.Batch
 	}
-	c, aerr := s.resolve(req.Solve, req.Batch)
+	c, aerr := s.resolve(req.Solve, req.Batch, true)
 	if aerr != nil {
 		s.WriteAPIError(w, aerr)
 		return
 	}
 	opFP := c.fp
 	if !c.byRef {
-		opFP = la.Fingerprint(c.a)
+		// Persist the reference, not the matrix: the payload shrinks from
+		// O(nnz) to O(n·rhs), and the queue journals the operator once for
+		// all the live jobs that name it. The registry's in-memory tier
+		// serves later by-reference requests on it; the job itself does not
+		// depend on the registry.
+		opFP, _, _ = s.registry.registerEphemeral(c.a)
+		wire = c.byReference(opFP)
 	}
-	fp := jobFingerprint(kind, c.backend, c.params.Tol, c.a, c.rhs)
+	fp := jobFingerprint(kind, c.backend, c.params.Tol, opFP, c.rhs)
 	var affinity uint64
 	if cli.IsAnalogBackend(c.backend) {
 		// The matrix fingerprint is the job's scheduling affinity: workers
@@ -191,60 +171,32 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// (FIFO).
 		affinity = opFP
 	}
-	// Persist the reference, not the matrix: a by-value submission
-	// registers its operator (journaled beside the WAL) and the job
-	// payload shrinks from O(nnz) to O(n·rhs) — crash replay re-resolves
-	// through the registry journal. The registration is pinned for the
-	// job's lifetime so no amount of registry churn can evict the
-	// operator out from under the accepted job (released at the job's
-	// terminal transition — or right below, when the submission dedups
-	// or fails to enqueue). If the operator exceeds the registry cap,
-	// keep the fat by-value payload: durability wins.
-	pinned := false
-	unpin := func() {
-		if pinned {
-			s.registry.unpin(opFP)
-		}
-	}
-	if _, _, rerr := s.registry.registerPinned(c.a); rerr == nil {
-		pinned = true
-		if !c.byRef {
-			wire = c.byReference(opFP)
-		}
-	} else if c.byRef {
-		s.writeError(w, http.StatusInternalServerError, CodeInternal, "pinning operator: %v", rerr)
-		return
-	}
-	payload, err := json.Marshal(wire)
+	sub := jobs.Submission{Tenant: tenant, Kind: kind, Fingerprint: fp, Affinity: affinity, Operator: opFP}
+	sub.Payload, err = json.Marshal(wire)
 	if err != nil {
-		unpin()
 		s.writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
 	}
-
-	j, err := s.jobs.SubmitAffinity(tenant, kind, fp, affinity, payload)
+	j, err := s.jobs.Submit(sub)
+	if errors.Is(err, jobs.ErrNoOperator) {
+		// The queue does not have the operator: serialize it.
+		if sub.OperatorBytes, err = operatorPayload(c.a); err == nil {
+			j, err = s.jobs.Submit(sub)
+		}
+	}
 	switch {
 	case errors.Is(err, jobs.ErrBacklog):
-		unpin()
 		s.writeBusy(w, CodeBusy, "job queue backlog full (%d jobs)", s.cfg.JobMaxQueued)
 		return
 	case errors.Is(err, jobs.ErrQuota):
-		unpin()
 		s.writeBusy(w, CodeQuota, "tenant %q has reached its quota of %d live jobs", tenant, s.cfg.JobTenantQuota)
 		return
 	case errors.Is(err, jobs.ErrClosed):
-		unpin()
 		s.writeError(w, http.StatusServiceUnavailable, CodeInternal, "job queue shutting down")
 		return
 	case err != nil:
-		unpin()
 		s.writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
-	}
-	if j.Deduped {
-		// An existing job answered the submission; it holds (or already
-		// released) its own pin, so this submission's pin is surplus.
-		unpin()
 	}
 	s.metrics.ObserveResponseBytes("jobs", int64(writeJSON(w, http.StatusAccepted, jobStatus(j))))
 }
@@ -392,5 +344,5 @@ func (s *Server) jobCall(j *jobs.Job) (*call, *APIError) {
 	if err := json.Unmarshal(j.Payload, dst); err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "decoding job payload: %v", err)
 	}
-	return s.resolve(solo, batch)
+	return s.resolve(solo, batch, true)
 }

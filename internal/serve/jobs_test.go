@@ -482,10 +482,11 @@ func TestJobLongPollReturnsEarly(t *testing.T) {
 
 // TestJobPinSurvivesRegistryChurn is the regression for the accepted-
 // then-orphaned job: submit rewrites a by-value payload to a
-// by-reference one, so the referenced operator must be pinned against
-// LRU eviction until the job reaches a terminal state — otherwise
-// registry churn between accept and execute turns a durably accepted
-// job into a terminal unknown_operator failure.
+// by-reference one, so the job must keep its operator however the
+// registry churns before it runs — otherwise registry churn between
+// accept and execute turns a durably accepted job into a terminal
+// unknown_operator failure. The job queue holds the operator for the
+// live job (Stats().Operators), independent of the registry.
 func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 	s, client, done := newTestServer(t, Config{JobWorkers: -1, RegistryMaxOps: 1})
 	defer done()
@@ -496,8 +497,8 @@ func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A duplicate submit dedups onto the queued job; its transient pin
-	// must be released (checked at the end via pinnedCount).
+	// A duplicate submit dedups onto the queued job and holds nothing
+	// more.
 	req2 := eq2Request("analog-refined")
 	dup, err := client.SubmitJob(ctx, JobSubmitRequest{Solve: &req2})
 	if err != nil {
@@ -506,12 +507,12 @@ func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 	if dup.ID != st.ID {
 		t.Fatalf("duplicate submit created a second job %s (want dedup onto %s)", dup.ID, st.ID)
 	}
-	if got := s.Snapshot().RegistryPinned; got != 1 {
-		t.Fatalf("registry_pinned_operators = %d after submit, want 1", got)
+	if got := s.Snapshot().Jobs.Operators; got != 1 {
+		t.Fatalf("jobs_operators = %d after submit, want 1", got)
 	}
 
-	// Churn the 1-op registry far past its cap: without the pin, the
-	// job's operator is the first eviction victim.
+	// Churn the 1-op registry far past its cap: the job's operator is the
+	// first eviction victim.
 	for i := 0; i < 8; i++ {
 		if _, _, err := s.registry.register(diagOp(4, float64(i+2))); err != nil {
 			t.Fatal(err)
@@ -522,6 +523,9 @@ func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 	if j == nil || j.ID != st.ID {
 		t.Fatalf("lease answered %+v, want job %s", j, st.ID)
 	}
+	if _, resident := s.registry.lookup(j.Operator); resident {
+		t.Fatal("registry churn left the job's operator resident; the case shows nothing")
+	}
 	if err := s.jobs.Start(j.ID, "test-worker"); err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +533,7 @@ func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 	s.executeJobs([]*jobs.Task{task})
 	raw, code, msg := task.Result, task.ErrCode, task.ErrMsg
 	if code != "" {
-		t.Fatalf("pinned job failed after registry churn: %s: %s", code, msg)
+		t.Fatalf("job failed after registry churn: %s: %s", code, msg)
 	}
 	var resp SolveResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
@@ -548,18 +552,17 @@ func TestJobPinSurvivesRegistryChurn(t *testing.T) {
 		}
 	}
 
-	// Terminal transition releases the pin — including the extra
-	// refcount the deduped submit must not have leaked.
+	// The terminal transition releases the operator.
 	if err := s.jobs.Complete(j.ID, "test-worker", raw); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.registry.pinnedCount(); got != 0 {
-		t.Fatalf("pinnedCount = %d after job completion, want 0 (pin leaked)", got)
+	if got := s.Snapshot().Jobs.Operators; got != 0 {
+		t.Fatalf("jobs_operators = %d after job completion, want 0 (operator leaked)", got)
 	}
 }
 
 // TestJobPinReleasedOnCancel checks the other terminal edge: cancelling
-// a queued job must release its operator pin so the registry can evict.
+// a queued job releases its operator.
 func TestJobPinReleasedOnCancel(t *testing.T) {
 	s, client, done := newTestServer(t, Config{JobWorkers: -1, RegistryMaxOps: 1})
 	defer done()
@@ -570,21 +573,21 @@ func TestJobPinReleasedOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.registry.pinnedCount(); got != 1 {
-		t.Fatalf("pinnedCount = %d after submit, want 1", got)
+	if got := s.jobs.Stats().Operators; got != 1 {
+		t.Fatalf("%d operators held after submit, want 1", got)
 	}
 	if _, err := client.CancelJob(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.registry.pinnedCount(); got != 0 {
-		t.Fatalf("pinnedCount = %d after cancel, want 0", got)
+	if got := s.jobs.Stats().Operators; got != 0 {
+		t.Fatalf("%d operators held after cancel, want 0", got)
 	}
 }
 
-// TestJobPinRestoredAcrossRestart crash-replays a queued by-reference
-// job into a cap-squeezed registry: the boot scan of the job WAL must
-// seed pins before journal replay, so the squeeze keeps the operator
-// the job needs and the replayed job still executes.
+// TestJobPinRestoredAcrossRestart crash-replays a queued job into a
+// server whose 1-op registry replays only the newest registration: the
+// job's operator comes back from the job WAL, not the registry, and the
+// replayed job still executes.
 func TestJobPinRestoredAcrossRestart(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "jobs.wal")
 	cfg := Config{Pool: testPoolConfig(), JobWorkers: -1, JobStore: store}
@@ -601,9 +604,6 @@ func TestJobPinRestoredAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More durable registrations after the job's: under a 1-op replay
-	// cap, the MRU-last squeeze would keep only the newest operator and
-	// drop the job's — unless the pin carries it through.
 	if _, _, err := s1.registry.register(diagOp(4, 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -621,8 +621,8 @@ func TestJobPinRestoredAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.registry.pinnedCount(); got != 1 {
-		t.Fatalf("pinnedCount = %d after replay, want 1", got)
+	if got := s2.jobs.Stats().Operators; got != 1 {
+		t.Fatalf("%d operators held after replay, want 1", got)
 	}
 	j := s2.jobs.Lease("w")
 	if j == nil || j.ID != st.ID {
@@ -635,12 +635,54 @@ func TestJobPinRestoredAcrossRestart(t *testing.T) {
 	s2.executeJobs([]*jobs.Task{task})
 	raw, code, msg := task.Result, task.ErrCode, task.ErrMsg
 	if code != "" {
-		t.Fatalf("replayed job failed under cap squeeze: %s: %s", code, msg)
+		t.Fatalf("replayed job failed under a 1-op registry: %s: %s", code, msg)
 	}
 	if err := s2.jobs.Complete(j.ID, "w", raw); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.registry.pinnedCount(); got != 0 {
-		t.Fatalf("pinnedCount = %d after completion, want 0", got)
+	if got := s2.jobs.Stats().Operators; got != 0 {
+		t.Fatalf("%d operators held after completion, want 0", got)
+	}
+}
+
+// TestJobOnReleasedOperatorWritesNoFrame runs submit-and-wait loops on
+// one operator, by value and by reference (registered with PUT): the
+// first job journals the operator's frame, and a job submitted after the
+// previous one finished journals none, because the queue keeps the
+// released operator whose frame is already in the WAL.
+func TestJobOnReleasedOperatorWritesNoFrame(t *testing.T) {
+	for _, byRef := range []bool{false, true} {
+		s, client, done := newTestServer(t, Config{JobStore: filepath.Join(t.TempDir(), "jobs.wal")})
+		ctx := context.Background()
+		base := eq2Request("cg")
+		if byRef {
+			info, err := client.RegisterOperator(ctx, OperatorRequest{N: base.N, A: base.A})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base = SolveRequest{Backend: "cg", Fingerprint: info.Fingerprint, Tol: base.Tol}
+		}
+		var frames []int64
+		for i := 0; i < 3; i++ {
+			req := base
+			req.B = []float64{0.5, float64(i + 1)}
+			before := s.jobs.Stats().WALRecords
+			st, err := client.SubmitJob(ctx, JobSubmitRequest{Solve: &req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final, err := client.WaitJob(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != string(jobs.StateDone) {
+				t.Fatalf("by-ref %v, job %d ended %s: %s", byRef, i, final.State, final.Error)
+			}
+			frames = append(frames, s.jobs.Stats().WALRecords-before)
+		}
+		if frames[0] != frames[1]+1 || frames[2] != frames[1] {
+			t.Fatalf("by-ref %v: jobs journaled %v frames, want the first one more (its operator) and the rest equal", byRef, frames)
+		}
+		done()
 	}
 }

@@ -41,12 +41,12 @@ func scaledEq2(s float64) SolveRequest {
 	return req
 }
 
-// TestJournalDamageFailsBoot damages a store the three ways a disk or an
+// TestJournalDamageFailsBoot damages a store the ways a disk or an
 // editor can, and checks the one damage policy: New fails with an error
 // naming the file (and, for checksum damage, the frame and its offset)
-// and leaves the damaged file byte-identical. The ops journal carries a
-// by-reference job's operator after the damaged frame, which a
-// best-effort replay would silently lose.
+// and leaves the damaged file byte-identical. The ops journal carries
+// registered operators after the damaged frame, and the WAL a queued
+// job's operator frame, which a best-effort replay would silently lose.
 func TestJournalDamageFailsBoot(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -58,12 +58,12 @@ func TestJournalDamageFailsBoot(t *testing.T) {
 			path := store + ".ops"
 			raw := mustRead(t, path)
 			ends := frameEnds(t, raw)
-			if len(ends) != 5 {
-				t.Fatalf("ops journal holds %d frames, want 4", len(ends)-1)
+			if len(ends) != 4 {
+				t.Fatalf("ops journal holds %d frames, want 3", len(ends)-1)
 			}
-			raw[ends[2]+12+3] ^= 0x20 // a payload byte of frame 2
+			raw[ends[1]+12+3] ^= 0x20 // a payload byte of frame 1; frame 2 follows it
 			mustWrite(t, path, raw)
-			return path, []string{"frame 2", fmt.Sprintf("offset %d", ends[2]), "checksum mismatch"}
+			return path, []string{"frame 1", fmt.Sprintf("offset %d", ends[1]), "checksum mismatch"}
 		}},
 		{"ops-foreign-bytes", func(t *testing.T, store string) (string, []string) {
 			path := store + ".ops"
@@ -75,6 +75,18 @@ func TestJournalDamageFailsBoot(t *testing.T) {
 			raw[8+2] ^= 0x01 // frame 0's length grows by 64 KiB
 			mustWrite(t, store, raw)
 			return store, []string{"frame 0", "offset 8", "checksum mismatch"}
+		}},
+		{"wal-operator-frame-byte", func(t *testing.T, store string) (string, []string) {
+			// The boot snapshot's meta frame, then the job's operator frame
+			// and its submit frame.
+			raw := mustRead(t, store)
+			ends := frameEnds(t, raw)
+			if len(ends) != 4 {
+				t.Fatalf("WAL holds %d frames, want 3", len(ends)-1)
+			}
+			raw[ends[1]+12+5] ^= 0x20 // a payload byte of the operator frame
+			mustWrite(t, store, raw)
+			return store, []string{"frame 1", fmt.Sprintf("offset %d", ends[1]), "checksum mismatch"}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,10 +126,10 @@ func TestJournalDamageFailsBoot(t *testing.T) {
 
 // TestByRefJobsReplayAtEveryWALFrame queues by-reference jobs on distinct
 // operators, then boots on the job WAL cut at every frame boundary with
-// the operator journal intact — the state the ops-before-WAL fsync order
-// guarantees after a crash. Every replayed job must resolve its operator
-// and answer bit-identically to the solo solve: no by-reference job
-// outlives its operator.
+// no operator journal: each job's operator rides the WAL just before its
+// submit record. Every replayed job must resolve its operator and answer
+// bit-identically to the solo solve, and an operator frame cut off from
+// its submit record holds nothing: no job outlives its operator.
 func TestByRefJobsReplayAtEveryWALFrame(t *testing.T) {
 	pool := PoolConfig{ChipsPerClass: 1, WarmSizes: []int{2}, MinClass: 2, MaxDim: 32}
 	store := filepath.Join(t.TempDir(), "jobs.wal")
@@ -139,19 +151,18 @@ func TestByRefJobsReplayAtEveryWALFrame(t *testing.T) {
 		t.Fatalf("queued %d jobs, want %d", got, len(solo))
 	}
 	done()
-	wal, ops := mustRead(t, store), mustRead(t, store+".ops")
+	wal := mustRead(t, store)
 
 	// The WAL holds the magic and the boot snapshot (one meta frame),
-	// then one submit frame per job.
+	// then an operator frame and a submit frame per job.
 	ends := frameEnds(t, wal)
-	if len(ends) != 2+len(solo) {
-		t.Fatalf("WAL holds %d frames, want a meta frame and %d submits", len(ends)-1, len(solo))
+	if len(ends) != 2+2*len(solo) {
+		t.Fatalf("WAL holds %d frames, want a meta frame and %d operator and submit pairs", len(ends)-1, len(solo))
 	}
 	for i, end := range ends {
-		queued := max(i-1, 0)
+		queued := max(i-1, 0) / 2
 		cut := filepath.Join(t.TempDir(), "jobs.wal")
 		mustWrite(t, cut, wal[:end])
-		mustWrite(t, cut+".ops", ops)
 		s2, err := New(Config{Pool: pool, JobWorkers: -1, JobStore: cut})
 		if err != nil {
 			t.Fatalf("cut at %d: %v", end, err)
@@ -160,9 +171,14 @@ func TestByRefJobsReplayAtEveryWALFrame(t *testing.T) {
 			s2.Close()
 			t.Fatalf("cut at %d replayed %d jobs, want %d", end, got, queued)
 		}
+		if got := s2.jobs.Stats().Operators; got != queued {
+			s2.Close()
+			t.Fatalf("cut at %d holds %d operators for %d jobs", end, got, queued)
+		}
 		for k := 0; k < queued; k++ {
 			j := s2.jobs.Lease("w")
-			if _, byRef := payloadFingerprint(j.Payload); !byRef {
+			var stored SolveRequest
+			if err := json.Unmarshal(j.Payload, &stored); err != nil || stored.Fingerprint == "" {
 				t.Fatalf("cut at %d: job %s was journaled by value", end, j.ID)
 			}
 			if err := s2.jobs.Start(j.ID, "w"); err != nil {

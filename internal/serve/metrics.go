@@ -196,11 +196,8 @@ type Snapshot struct {
 	SessionCacheMisses    int64
 	SessionCacheEvictions int64
 
-	// Operator registry occupancy and traffic. RegistryPinned counts
-	// operators held by queued/leased durable jobs, which are exempt from
-	// LRU eviction.
+	// Operator registry occupancy and traffic.
 	RegistryOps       int
-	RegistryPinned    int
 	RegistryHits      int64
 	RegistryMisses    int64
 	RegistryEvictions int64
@@ -221,7 +218,6 @@ func (s *Server) Snapshot() Snapshot {
 		SessionCacheHits:      s.pool.CacheHits(),
 		SessionCacheMisses:    s.pool.CacheMisses(),
 		SessionCacheEvictions: s.pool.CacheEvictions(),
-		RegistryPinned:        reg.pinnedCount(),
 		RegistryHits:          reg.hits.Load(),
 		RegistryMisses:        reg.misses.Load(),
 		RegistryEvictions:     reg.evictions.Load(),
@@ -306,6 +302,7 @@ func (m *Metrics) writeTo(out io.Writer, queueDepth int, pool *Pool, jq *jobs.Qu
 	w.Counter("alad_jobs_torn_dropped_total", "Torn final journal records dropped at replay.", float64(js.TornDropped))
 	w.Counter("alad_jobs_wal_records_total", "Records appended to the job journal.", float64(js.WALRecords))
 	w.Gauge("alad_jobs_wal_bytes", "Size of the job journal.", float64(js.WALBytes))
+	w.Gauge("alad_jobs_operators", "Operators the job journal holds for queued, leased or running jobs.", float64(js.Operators))
 	w.Gauge("alad_service_time_ewma_seconds", "Moving average of request latency behind the adaptive Retry-After hint.", m.AvgServiceTime().Seconds())
 	w.Histogram("alad_request_seconds", "Wall time of solve calls (requests and job executions), chip wait included.", m.latency)
 	w.Histogram("alad_sweep_seconds", "Wall time of decomposed outer sweeps.", m.sweep)
@@ -316,7 +313,6 @@ func (m *Metrics) writeTo(out io.Writer, queueDepth int, pool *Pool, jq *jobs.Qu
 	ops, opBytes := reg.stats()
 	w.Gauge("alad_registry_operators", "Operators resident in the registry.", float64(ops))
 	w.Gauge("alad_registry_bytes", "Bytes of operators resident in the registry.", float64(opBytes))
-	w.Gauge("alad_registry_pinned_operators", "Operators pinned by queued or leased durable jobs, exempt from eviction.", float64(reg.pinnedCount()))
 	w.Counter("alad_registry_hits_total", "By-reference operator lookups that found the operator.", float64(reg.hits.Load()))
 	w.Counter("alad_registry_misses_total", "By-reference operator lookups that missed.", float64(reg.misses.Load()))
 	w.Counter("alad_registry_evictions_total", "Operators evicted from the registry.", float64(reg.evictions.Load()))

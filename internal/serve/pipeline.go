@@ -51,10 +51,11 @@ type call struct {
 // (potentially large) matrix is even assembled, mirroring alasolve's
 // fail-fast rule. By-value forms build through BuildSystem; the
 // by-reference form resolves its fingerprint through the operator
-// registry, with a missing operator answered by the stable
+// registry, or through jobOperator when job is set (job submission and
+// execution), with a missing operator answered by the stable
 // unknown_operator code so clients can register-and-retry, and a solo
 // request's missing b defaulting to ones(n).
-func (s *Server) resolve(solo *SolveRequest, batch *BatchSolveRequest) (*call, *APIError) {
+func (s *Server) resolve(solo *SolveRequest, batch *BatchSolveRequest, job bool) (*call, *APIError) {
 	c := &call{solo: solo, batch: batch, params: cli.SolveParams{ADCBits: s.cfg.Pool.ADCBits, Bandwidth: s.cfg.Pool.Bandwidth}}
 	var (
 		backend *string
@@ -108,7 +109,14 @@ func (s *Server) resolve(solo *SolveRequest, batch *BatchSolveRequest) (*call, *
 			break
 		}
 		var ok bool
-		if c.a, ok = s.registry.lookup(c.fp); !ok {
+		if job {
+			c.a, ok, err = s.jobOperator(c.fp)
+		} else {
+			c.a, ok = s.registry.lookup(c.fp)
+		}
+		if err != nil {
+			return nil, apiErrorf(http.StatusInternalServerError, CodeInternal, "operator %s: %v", ref, err)
+		} else if !ok {
 			return nil, apiErrorf(http.StatusNotFound, CodeUnknownOperator,
 				"operator %s is not registered on this node; PUT /v1/operators and retry", ref)
 		}
@@ -136,6 +144,31 @@ func (s *Server) resolve(solo *SolveRequest, batch *BatchSolveRequest) (*call, *
 			len(c.rhs), s.cfg.MaxBatchRHS)
 	}
 	return c, nil
+}
+
+// jobOperator resolves a job's operator fingerprint from the registry
+// when the operator is resident there, and otherwise from the bytes the
+// job queue has for it (Queue.Operator); an operator parsed from those is
+// cached in the registry's in-memory tier. ok is false when neither has
+// the operator. Synchronous solves do not fall back to the queue: a miss
+// there answers unknown_operator without waiting on the queue's lock,
+// which job submissions hold across their fsync.
+func (s *Server) jobOperator(fp uint64) (a *la.CSR, ok bool, err error) {
+	if a, ok = s.registry.lookup(fp); ok {
+		return a, true, nil
+	}
+	raw, ok := s.jobs.Operator(fp)
+	if !ok {
+		return nil, false, nil
+	}
+	if a, err = parseOperator(raw); err != nil {
+		return nil, false, err
+	}
+	if got := la.Fingerprint(a); got != fp {
+		return nil, false, fmt.Errorf("the job queue holds operator %s under this fingerprint", FormatFingerprint(got))
+	}
+	_, _, _ = s.registry.registerEphemeral(a) // an operator over the byte cap is just not cached
+	return a, true, nil
 }
 
 // byReference is the call's request in by-reference form against

@@ -51,9 +51,6 @@ type PoolConfig struct {
 	// (defaults 12 bits, 20 kHz).
 	ADCBits   int
 	Bandwidth float64
-	// SkipCalibrate leaves chips untrimmed at build (tests only; real
-	// serving wants calibrated chips).
-	SkipCalibrate bool
 	// Seed varies per-chip process variation; each built chip draws from
 	// Seed offset by its class and slot so no two chips are identical.
 	Seed int64
@@ -235,15 +232,13 @@ func (p *Pool) build(sp *subpool, slot int) (*PooledChip, error) {
 		return nil, fmt.Errorf("%w: %w", errChipBuild, err)
 	}
 	p.builds.Add(1)
-	if !p.cfg.SkipCalibrate {
-		if _, err := acc.Calibrate(); err != nil {
-			sp.mu.Lock()
-			sp.built--
-			sp.mu.Unlock()
-			return nil, fmt.Errorf("%w: calibrating class-%d chip: %w", errChipBuild, sp.dim, err)
-		}
-		p.calibrations.Add(1)
+	if _, err := acc.Calibrate(); err != nil {
+		sp.mu.Lock()
+		sp.built--
+		sp.mu.Unlock()
+		return nil, fmt.Errorf("%w: calibrating class-%d chip: %w", errChipBuild, sp.dim, err)
 	}
+	p.calibrations.Add(1)
 	return &PooledChip{Acc: acc, Dev: dev, Class: sp.dim, slot: slot, calSeen: acc.CalibrationCount()}, nil
 }
 

@@ -29,10 +29,11 @@ import (
 // registry hit — the pool then finds or rebuilds the programming as usual.
 //
 // When the server runs with a durable job store, the registry journals
-// registrations beside it (JobStore + ".ops", an internal/journal file
-// with one wireOperator per frame) so crash replay of by-reference job
-// payloads re-resolves: the WAL frame holds O(n), the operator store
-// holds the O(nnz) matrix exactly once.
+// PUT /v1/operators registrations beside it (JobStore + ".ops", an
+// internal/journal file with one wireOperator per frame), so uploaded
+// operators survive a restart. The registry is a cache for jobs: a
+// durable job carries its own operator in the job WAL (internal/jobs),
+// and a by-value job submission registers only in the in-memory tier.
 
 // opsMagic tags the registry journal; bump it on any record format change.
 const opsMagic = "ALADOPS2"
@@ -48,9 +49,10 @@ type opEntry struct {
 	bytes int64
 	elem  *list.Element
 	// ephemeral marks an implicitly registered operator (federation
-	// sub-blocks): never journaled, skipped by compaction, lost on
-	// restart. Callers of the ephemeral tier always have a full-send
-	// fallback, so losing one costs a resend, not correctness.
+	// sub-blocks, job submissions): never journaled, skipped by
+	// compaction, lost on restart. Callers of the ephemeral tier always
+	// have a fallback (a full send, the job's own operator), so losing one
+	// costs a resend or a parse, not correctness.
 	ephemeral bool
 }
 
@@ -63,14 +65,6 @@ type opRegistry struct {
 	ops   map[uint64]*opEntry
 	lru   *list.List // front = most recently used
 	bytes int64
-	// pins refcounts operators that queued or leased durable jobs
-	// reference by fingerprint: a pinned operator is exempt from LRU
-	// eviction (and, being resident, survives journal compaction), so an
-	// accepted by-reference job can always re-resolve its matrix no
-	// matter how much the registry churns before the job runs. Pins may
-	// hold the store over its caps — durability of accepted work wins
-	// over the byte budget.
-	pins map[uint64]int
 
 	// Journal (nil when the registry is memory-only). appends counts
 	// records written since the last compaction; when it exceeds
@@ -92,23 +86,14 @@ func operatorCost(a *la.CSR) int64 {
 }
 
 // openRegistry builds the registry, replaying (and compacting) the
-// journal at path when non-empty. pins (may be nil) seeds the pin
-// refcounts before replay — the fingerprints queued durable jobs still
-// reference — so a cap squeeze during replay can never drop an operator
-// an accepted job depends on.
-func openRegistry(maxOps int, maxBytes int64, path string, pins map[uint64]int) (*opRegistry, error) {
+// journal at path when non-empty.
+func openRegistry(maxOps int, maxBytes int64, path string) (*opRegistry, error) {
 	r := &opRegistry{
 		maxOps:   maxOps,
 		maxBytes: maxBytes,
 		ops:      make(map[uint64]*opEntry),
 		lru:      list.New(),
 		path:     path,
-		pins:     make(map[uint64]int),
-	}
-	for fp, n := range pins {
-		if n > 0 {
-			r.pins[fp] = n
-		}
 	}
 	if path == "" {
 		return r, nil
@@ -126,11 +111,30 @@ func openRegistry(maxOps int, maxBytes int64, path string, pins map[uint64]int) 
 	return r, nil
 }
 
-// wireOperator is the journal payload: the matrix in triplet form. The
+// wireOperator is the operator's durable form, in the registry journal
+// and in a job's operator frame: the matrix in triplet form. The
 // fingerprint is recomputed on load, never trusted from disk.
 type wireOperator struct {
 	N int     `json:"n"`
 	A []Entry `json:"A"`
+}
+
+// operatorPayload encodes an operator in its durable form.
+func operatorPayload(a *la.CSR) ([]byte, error) {
+	return json.Marshal(wireOperator{N: a.Dim(), A: MatrixEntries(a)})
+}
+
+// parseOperator decodes an operatorPayload.
+func parseOperator(payload []byte) (*la.CSR, error) {
+	var op wireOperator
+	if err := json.Unmarshal(payload, &op); err != nil {
+		return nil, fmt.Errorf("undecodable operator: %v", err)
+	}
+	a, err := la.NewCSR(op.N, op.A)
+	if err != nil {
+		return nil, fmt.Errorf("invalid operator: %w", err)
+	}
+	return a, nil
 }
 
 // replay registers one journaled operator through the normal LRU path
@@ -138,31 +142,20 @@ type wireOperator struct {
 // recently appended survivors). A frame that does not decode into a
 // valid matrix fails the boot like any other damage.
 func (r *opRegistry) replay(payload []byte) error {
-	var op wireOperator
-	if err := json.Unmarshal(payload, &op); err != nil {
-		return fmt.Errorf("undecodable operator: %v", err)
-	}
-	a, err := la.NewCSR(op.N, op.A)
+	a, err := parseOperator(payload)
 	if err != nil {
-		return fmt.Errorf("invalid operator: %w", err)
+		return err
 	}
 	r.insert(la.Fingerprint(a), a, false)
 	return nil
 }
 
-// register adds (or refreshes) an operator and reports whether it was
-// already resident. An operator whose cost alone exceeds the byte cap is
-// rejected — the caller maps that to 413.
+// register adds (or refreshes) an operator and reports its fingerprint
+// and whether it was already resident. An operator whose cost alone
+// exceeds the byte cap is rejected, its fingerprint still reported — the
+// caller maps that to 413.
 func (r *opRegistry) register(a *la.CSR) (fp uint64, existed bool, err error) {
-	return r.registerOpts(a, true, false)
-}
-
-// registerPinned registers (or refreshes) an operator and takes one pin
-// on it, exempting it from eviction until a matching unpin. The pin is
-// only taken when registration fully succeeded (journal append
-// included), so a pinned fingerprint is always durably re-resolvable.
-func (r *opRegistry) registerPinned(a *la.CSR) (fp uint64, existed bool, err error) {
-	return r.registerOpts(a, true, true)
+	return r.registerOpts(a, true)
 }
 
 // registerEphemeral registers (or refreshes) an operator in the
@@ -170,12 +163,13 @@ func (r *opRegistry) registerPinned(a *la.CSR) (fp uint64, existed bool, err err
 // written to the registry journal and dropped by compaction. Federation
 // block workers use it for implicitly registered sub-blocks — they fall
 // back to a full send on a miss, so an fsync per sub-block inside the
-// solve path buys nothing.
+// solve path buys nothing — and job submissions for their operators,
+// which the job WAL carries.
 func (r *opRegistry) registerEphemeral(a *la.CSR) (fp uint64, existed bool, err error) {
-	return r.registerOpts(a, false, false)
+	return r.registerOpts(a, false)
 }
 
-func (r *opRegistry) registerOpts(a *la.CSR, durable, pin bool) (fp uint64, existed bool, err error) {
+func (r *opRegistry) registerOpts(a *la.CSR, durable bool) (fp uint64, existed bool, err error) {
 	fp = la.Fingerprint(a)
 	cost := operatorCost(a)
 	if cost > r.maxBytes {
@@ -195,41 +189,7 @@ func (r *opRegistry) registerOpts(a *la.CSR, durable, pin bool) (fp uint64, exis
 		}
 		e.ephemeral = false
 	}
-	if pin {
-		r.pins[fp]++
-	}
 	return fp, existed, nil
-}
-
-// pin takes one pin on a fingerprint without registering anything: the
-// boot path uses it indirectly (openRegistry's pins argument), the live
-// path pins through registerPinned.
-func (r *opRegistry) pin(fp uint64) {
-	r.mu.Lock()
-	r.pins[fp]++
-	r.mu.Unlock()
-}
-
-// unpin releases one pin. When the last pin drops the entry rejoins the
-// ordinary LRU economy, and any cap debt the pins were holding open is
-// collected immediately.
-func (r *opRegistry) unpin(fp uint64) {
-	r.mu.Lock()
-	switch n := r.pins[fp]; {
-	case n > 1:
-		r.pins[fp] = n - 1
-	case n == 1:
-		delete(r.pins, fp)
-		r.evictLocked()
-	}
-	r.mu.Unlock()
-}
-
-// pinnedCount snapshots how many distinct operators hold pins.
-func (r *opRegistry) pinnedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pins)
 }
 
 // insert adds one operator under r.mu (or before concurrency exists, in
@@ -250,23 +210,14 @@ func (r *opRegistry) insert(fp uint64, a *la.CSR, ephemeral bool) {
 }
 
 // evictLocked restores the caps (r.mu held): LRU entries fall first,
-// skipping pinned operators and the MRU entry itself. When everything
-// evictable is gone the store may stay over cap — pinned operators
-// belong to accepted durable jobs and must outlive any churn.
+// never the MRU entry itself.
 func (r *opRegistry) evictLocked() {
 	for len(r.ops) > r.maxOps || r.bytes > r.maxBytes {
-		var victim *opEntry
-		for el := r.lru.Back(); el != nil && el != r.lru.Front(); el = el.Prev() {
-			cand := el.Value.(*opEntry)
-			if r.pins[cand.fp] > 0 {
-				continue
-			}
-			victim = cand
-			break
-		}
-		if victim == nil {
+		el := r.lru.Back()
+		if el == r.lru.Front() {
 			return
 		}
+		victim := el.Value.(*opEntry)
 		r.lru.Remove(victim.elem)
 		delete(r.ops, victim.fp)
 		r.bytes -= victim.bytes
@@ -338,10 +289,6 @@ func (r *opRegistry) appendLocked(a *la.CSR) error {
 	}
 	r.appends++
 	return nil
-}
-
-func operatorPayload(a *la.CSR) ([]byte, error) {
-	return json.Marshal(wireOperator{N: a.Dim(), A: MatrixEntries(a)})
 }
 
 // compactLocked rewrites the journal with only the resident operators

@@ -21,7 +21,9 @@ import (
 // (the by-ref run also counts actual wire bytes per request); and
 // JobWALBytes measures the durable queue's bytes-per-job after the
 // submit-time payload rewrite, against the by-value payload each job
-// would have persisted before the registry existed.
+// would have persisted before the registry existed, while
+// JobWALBytesLoopByValue/ByRef measure it for jobs that run one at a
+// time.
 
 // benchPoisson1024 is the acceptance workload: the 32×32 2-D Poisson
 // operator (n=1024, ~5 nnz/row), far beyond the analog pool but exactly
@@ -127,9 +129,10 @@ func BenchmarkHotOperatorByValue(b *testing.B) { runRegistryHotBench(b, false) }
 func BenchmarkHotOperatorByRef(b *testing.B) { runRegistryHotBench(b, true) }
 
 // BenchmarkJobWALBytes submits distinct durable jobs over the same
-// operator and reports the WAL growth per job now that submit rewrites
-// payloads by-reference, next to the by-value payload size each job
-// used to persist.
+// operator and reports the store's growth per job now that submit
+// rewrites payloads by-reference: the job WAL alone, and every durable
+// byte (the WAL plus the operator journal beside it), next to the
+// by-value payload size each job used to persist.
 func BenchmarkJobWALBytes(b *testing.B) {
 	dir := b.TempDir()
 	store := filepath.Join(dir, "jobs.wal")
@@ -152,14 +155,7 @@ func BenchmarkJobWALBytes(b *testing.B) {
 	ctx := context.Background()
 
 	a, rhs := benchPoisson1024(b)
-	walSize := func() int64 {
-		st, err := os.Stat(store)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st.Size()
-	}
-	before := walSize()
+	walBefore, opsBefore := storeSizes(b, store)
 	var byValueBytes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,6 +174,94 @@ func BenchmarkJobWALBytes(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(walSize()-before)/float64(b.N), "wal_bytes/job")
+	reportStoreGrowth(b, store, walBefore, opsBefore)
 	b.ReportMetric(float64(byValueBytes), "byvalue_payload_bytes")
 }
+
+// storeSizes returns the sizes of a job store's WAL and of the operator
+// journal beside it.
+func storeSizes(b *testing.B, store string) (wal, ops int64) {
+	b.Helper()
+	for _, f := range []struct {
+		path string
+		size *int64
+	}{{store, &wal}, {store + ".ops", &ops}} {
+		st, err := os.Stat(f.path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		*f.size = st.Size()
+	}
+	return wal, ops
+}
+
+// reportStoreGrowth reports a job store's growth per job since the
+// sizes walBefore and opsBefore: the WAL alone, and every durable byte
+// (the WAL plus the operator journal).
+func reportStoreGrowth(b *testing.B, store string, walBefore, opsBefore int64) {
+	wal, ops := storeSizes(b, store)
+	b.ReportMetric(float64(wal-walBefore)/float64(b.N), "wal_bytes/job")
+	b.ReportMetric(float64(wal-walBefore+ops-opsBefore)/float64(b.N), "durable_bytes/job")
+}
+
+// runJobLoopBench submits durable cg jobs on the n=1024 operator one at a
+// time, each after the previous one has finished, as implicit time
+// stepping or `alasolve -async` in a loop does, and reports the store's
+// growth per job. By reference, the operator is registered with PUT
+// before the loop, outside the measured growth.
+func runJobLoopBench(b *testing.B, byRef bool) {
+	store := filepath.Join(b.TempDir(), "jobs.wal")
+	s, err := New(Config{
+		Pool:       PoolConfig{ChipsPerClass: 1, WarmSizes: []int{2}, MinClass: 2, MaxDim: 32},
+		QueueBound: 128,
+		JobStore:   store,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+
+	a, rhs := benchPoisson1024(b)
+	base := SolveRequest{Backend: "cg", N: a.Dim(), A: MatrixEntries(a), Tol: 1e-8}
+	if byRef {
+		info, err := client.RegisterOperator(ctx, OperatorRequest{N: a.Dim(), A: MatrixEntries(a)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		base = SolveRequest{Backend: "cg", Fingerprint: info.Fingerprint, Tol: 1e-8}
+	}
+	walBefore, opsBefore := storeSizes(b, store)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := base
+		req.B = append([]float64(nil), rhs...)
+		req.B[0] = float64(i + 1) // distinct rhs → distinct job, same operator
+		st, err := client.SubmitJob(ctx, JobSubmitRequest{Solve: &req})
+		if err != nil {
+			b.Fatal(err)
+		}
+		final, err := client.WaitJob(ctx, st.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if final.State != "done" {
+			b.Fatalf("job %d ended %s: %+v", i, final.State, final.Error)
+		}
+	}
+	b.StopTimer()
+	reportStoreGrowth(b, store, walBefore, opsBefore)
+}
+
+// BenchmarkJobWALBytesLoopByValue runs the job loop with the operator
+// sent by value on every submission.
+func BenchmarkJobWALBytesLoopByValue(b *testing.B) { runJobLoopBench(b, false) }
+
+// BenchmarkJobWALBytesLoopByRef runs the job loop by fingerprint against
+// an operator registered with PUT.
+func BenchmarkJobWALBytesLoopByRef(b *testing.B) { runJobLoopBench(b, true) }

@@ -36,7 +36,7 @@ func mustRegister(t *testing.T, r *opRegistry, a *la.CSR) uint64 {
 // operators and asserts the least recently used one fell out — and that
 // a lookup refreshes recency, changing who the next victim is.
 func TestRegistryLRUCountEviction(t *testing.T) {
-	r, err := openRegistry(2, 1<<30, "", nil)
+	r, err := openRegistry(2, 1<<30, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRegistryLRUCountEviction(t *testing.T) {
 // count and asserts residency never exceeds the cap.
 func TestRegistryByteCapEviction(t *testing.T) {
 	cost := operatorCost(diagOp(4, 1)) // all test operators cost the same
-	r, err := openRegistry(100, 2*cost+cost/2, "", nil)
+	r, err := openRegistry(100, 2*cost+cost/2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRegistryByteCapEviction(t *testing.T) {
 // exceeds the byte cap: the registry refuses it with the capacity
 // sentinel, and the HTTP surface maps that to 413 too_large.
 func TestRegistryOversizedRejected(t *testing.T) {
-	r, err := openRegistry(100, 64, "", nil)
+	r, err := openRegistry(100, 64, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRegistryOversizedRejected(t *testing.T) {
 // again to prove a torn write never blocks a boot.
 func TestRegistryJournalReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ops.journal")
-	r, err := openRegistry(8, 1<<30, path, nil)
+	r, err := openRegistry(8, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRegistryJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := openRegistry(8, 1<<30, path, nil)
+	r2, err := openRegistry(8, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRegistryJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	r3, err := openRegistry(8, 1<<30, path, nil)
+	r3, err := openRegistry(8, 1<<30, path)
 	if err != nil {
 		t.Fatalf("torn tail broke the boot: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestRegistryJournalReplay(t *testing.T) {
 
 	// Reopen under a tighter cap: boot compaction wrote MRU-last, so the
 	// replay squeeze keeps the most recently used operators.
-	r4, err := openRegistry(2, 1<<30, path, nil)
+	r4, err := openRegistry(2, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,73 +173,13 @@ func TestRegistryJournalReplay(t *testing.T) {
 	}
 }
 
-// TestRegistryPinExemptsEviction pins one operator, churns the registry
-// far past its caps, and asserts the pinned operator never falls out —
-// then unpins it and asserts it rejoins the ordinary LRU economy.
-func TestRegistryPinExemptsEviction(t *testing.T) {
-	r, err := openRegistry(2, 1<<30, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, _, err := r.registerPinned(diagOp(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i <= 8; i++ {
-		mustRegister(t, r, diagOp(4, float64(i)))
-	}
-	if _, ok := r.lookup(fp); !ok {
-		t.Fatal("pinned operator evicted by registry churn")
-	}
-	if r.pinnedCount() != 1 {
-		t.Fatalf("pinnedCount = %d, want 1", r.pinnedCount())
-	}
-	r.unpin(fp)
-	if r.pinnedCount() != 0 {
-		t.Fatalf("pinnedCount after unpin = %d, want 0", r.pinnedCount())
-	}
-	mustRegister(t, r, diagOp(4, 9))
-	mustRegister(t, r, diagOp(4, 10))
-	if _, ok := r.lookup(fp); ok {
-		t.Fatal("unpinned operator still exempt from eviction")
-	}
-}
-
-// TestRegistryUnpinCollectsCapDebt pins two operators into a 1-op
-// registry (pins may hold the store over cap) and asserts the debt is
-// collected the moment a pin is released, not lazily on the next insert.
-func TestRegistryUnpinCollectsCapDebt(t *testing.T) {
-	r, err := openRegistry(1, 1<<30, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp0, _, err := r.registerPinned(diagOp(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp1, _, err := r.registerPinned(diagOp(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops, _ := r.stats(); ops != 2 {
-		t.Fatalf("two pinned operators in a 1-op registry: resident %d, want 2 (pins override caps)", ops)
-	}
-	r.unpin(fp0)
-	if ops, _ := r.stats(); ops != 1 {
-		t.Fatalf("unpin left %d operators resident, want the cap (1) restored immediately", ops)
-	}
-	if _, ok := r.lookup(fp1); !ok {
-		t.Fatal("wrong victim: the still-pinned operator fell out")
-	}
-}
-
 // TestRegistryEphemeralTier checks the journal-less tier: an ephemeral
 // registration is resident and addressable but never journaled (lost on
 // restart), while a later durable registration of the same operator
 // promotes it into the journal.
 func TestRegistryEphemeralTier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ops.journal")
-	r, err := openRegistry(8, 1<<30, path, nil)
+	r, err := openRegistry(8, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +196,7 @@ func TestRegistryEphemeralTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := openRegistry(8, 1<<30, path, nil)
+	r2, err := openRegistry(8, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +218,7 @@ func TestRegistryEphemeralTier(t *testing.T) {
 	if err := r2.close(); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := openRegistry(8, 1<<30, path, nil)
+	r3, err := openRegistry(8, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,46 +228,11 @@ func TestRegistryEphemeralTier(t *testing.T) {
 	}
 }
 
-// TestRegistryReplayKeepsPinnedUnderCapSqueeze reopens a 3-operator
-// journal under a 1-op cap with a pin on the LRU-most operator — the one
-// a plain squeeze would drop first. The pin (queued durable jobs
-// reference it) must carry it through replay.
-func TestRegistryReplayKeepsPinnedUnderCapSqueeze(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ops.journal")
-	r, err := openRegistry(8, 1<<30, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := []uint64{
-		mustRegister(t, r, diagOp(4, 1)),
-		mustRegister(t, r, diagOp(6, 2)),
-		mustRegister(t, r, diagOp(8, 3)),
-	}
-	if err := r.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r2, err := openRegistry(1, 1<<30, path, map[uint64]int{fps[0]: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.close()
-	if _, ok := r2.lookup(fps[0]); !ok {
-		t.Fatal("replay cap squeeze dropped a pinned operator")
-	}
-	if _, ok := r2.lookup(fps[2]); !ok {
-		t.Fatal("replay cap squeeze dropped the MRU operator")
-	}
-	if _, ok := r2.lookup(fps[1]); ok {
-		t.Fatal("cap squeeze kept an unpinned non-MRU operator")
-	}
-}
-
 // TestRegistryConcurrentRegisterEvict hammers a tiny registry from many
 // goroutines so the race detector can see register, lookup, and evict
 // interleave. Correctness bar: no panic, no race, caps hold at the end.
 func TestRegistryConcurrentRegisterEvict(t *testing.T) {
-	r, err := openRegistry(4, 1<<30, "", nil)
+	r, err := openRegistry(4, 1<<30, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +285,7 @@ func TestRegistryUndecodableFrameFailsBoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.Close()
-		r, err := openRegistry(8, 1<<30, path, nil)
+		r, err := openRegistry(8, 1<<30, path)
 		if err == nil {
 			r.close()
 			t.Fatalf("payload %q replayed without error", bad)
@@ -397,7 +302,7 @@ func TestRegistryUndecodableFrameFailsBoot(t *testing.T) {
 // operators, and the file must stay bounded by the compaction cadence.
 func TestRegistryJournalCompactsWhileAppending(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ops.journal")
-	r, err := openRegistry(2, 1<<30, path, nil)
+	r, err := openRegistry(2, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +320,7 @@ func TestRegistryJournalCompactsWhileAppending(t *testing.T) {
 	if frames > 2+2*2+1 {
 		t.Fatalf("journal holds %d frames after 12 registrations, want at most a 2-op snapshot plus 5 appends", frames)
 	}
-	r2, err := openRegistry(2, 1<<30, path, nil)
+	r2, err := openRegistry(2, 1<<30, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,9 @@ type Config struct {
 	// RegistryMaxOps caps resident operators in the registry (default
 	// 256); RegistryMaxBytes caps their estimated resident bytes
 	// (default 256 MiB). LRU operators evict first when either cap is
-	// exceeded. When JobStore is set the registry journals registrations
-	// beside it (JobStore + ".ops") so by-reference job payloads
-	// re-resolve after a crash.
+	// exceeded. When JobStore is set the registry journals PUT
+	// /v1/operators registrations beside it (JobStore + ".ops") so they
+	// survive a restart.
 	RegistryMaxOps   int
 	RegistryMaxBytes int64
 }
@@ -166,32 +166,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.decompProvider = pool.DecompProvider()
 	s.coalesce = newCoalescer(s)
-	// The job queue opens first so the registry can learn which operator
-	// fingerprints replayed (still-queued) by-reference payloads depend
-	// on: those are pinned through the registry's own replay, exempting
-	// them from any cap squeeze — an accepted durable job must always be
-	// able to re-resolve its matrix.
 	s.jobs, err = jobs.Open(jobs.Config{
 		Path:        cfg.JobStore,
 		LeaseTTL:    cfg.JobLeaseTTL,
 		MaxQueued:   cfg.JobMaxQueued,
 		TenantQuota: cfg.JobTenantQuota,
-		OnTerminal:  s.jobTerminal,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening job store: %w", err)
-	}
-	pins := make(map[uint64]int)
-	for _, j := range s.jobs.List("", jobs.StateQueued) {
-		if fp, ok := payloadFingerprint(j.Payload); ok {
-			pins[fp]++
-		}
 	}
 	opsPath := ""
 	if cfg.JobStore != "" {
 		opsPath = cfg.JobStore + ".ops"
 	}
-	s.registry, err = openRegistry(cfg.RegistryMaxOps, cfg.RegistryMaxBytes, opsPath, pins)
+	s.registry, err = openRegistry(cfg.RegistryMaxOps, cfg.RegistryMaxBytes, opsPath)
 	if err != nil {
 		s.jobs.Close()
 		return nil, fmt.Errorf("serve: opening operator registry: %w", err)
@@ -443,7 +431,7 @@ func (s *Server) admitAndRun(ctx context.Context, solo *SolveRequest, batch *Bat
 		return nil, aerr
 	}
 	defer release()
-	c, aerr := s.resolve(solo, batch)
+	c, aerr := s.resolve(solo, batch, false)
 	if aerr != nil {
 		return nil, aerr
 	}

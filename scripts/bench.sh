@@ -54,7 +54,7 @@ case "$SUITE" in
 	PKG=./internal/serve
 	BENCH='RegistryRequestBytes|HotOperatorBy|JobWALBytes'
 	BENCHTIME="${2:-100x}"
-	DESC="operator registry by-reference wire path: encoded request bytes for the n=1024 2-D Poisson operator by value vs by fingerprint, hot-operator p50/p99 latency and solves/s both ways over HTTP, and durable-job WAL bytes per job after the submit-time payload rewrite"
+	DESC="operator registry by-reference wire path: encoded request bytes for the n=1024 2-D Poisson operator by value vs by fingerprint, hot-operator p50/p99 latency and solves/s both ways over HTTP, and durable-job bytes per job (the job WAL alone, and the WAL plus the operator journal) after the submit-time payload rewrite, for queued jobs and for submit-and-wait loops by value and by reference"
 	;;
 *)
 	echo "bench.sh: unknown suite $SUITE (known: 1, 3, 4, 7, 8, 9)" >&2

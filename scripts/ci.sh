@@ -40,19 +40,25 @@ go test -race -count=2 -run 'PoolAffinity|PoolLRU|PoolCalibrationDrift|PoolCache
 # journal (truncation at every byte offset, every single-byte flip, a
 # failed open/write/fsync/rename at every call, and the FuzzLogReplay
 # seed corpus), then the job queue on top of it (WAL replay at every
-# byte offset, journal-before-apply, lease expiry determinism,
-# fingerprint dedup, tenant fairness, and the worker loops) — all
-# schedule-sensitive, so run twice under -race. The serve-side pass
-# covers the job HTTP surface, adaptive Retry-After, the client's 429
-# retry loop, boots on damaged journals (which must fail, naming the
-# file, and leave it untouched), and by-reference jobs replayed from a
-# WAL cut at every frame boundary.
+# byte offset, operator frames written, shared, released and reused
+# and cut at every byte offset, released operators dropped past their
+# bounds in replay order, journal-before-apply, lease expiry
+# determinism, fingerprint dedup, tenant fairness, and the worker
+# loops) — all schedule-sensitive, so run twice under -race. The
+# serve-side pass covers the job HTTP surface, adaptive Retry-After, the
+# client's 429 retry loop, boots on damaged journals (a flipped byte in
+# a job's operator frame among them; each must fail, naming the file,
+# and leave it untouched), by-reference jobs replayed from a WAL cut at
+# every frame boundary with no operator journal, jobs keeping their
+# operators through registry churn, cancellation and a restart, and
+# submit-and-wait loops on one operator journaling it once.
 go test -race -count=2 ./internal/journal ./internal/jobs
 go test -race -count=2 -run 'Job|Journal|Retry|Busy' ./internal/serve
 
 # Operator registry: concurrent register/lookup racing LRU and
-# byte-cap eviction, journal replay with torn tails, and the
-# by-reference ≡ by-value differentials across solve, batch,
+# byte-cap eviction, replay of the journaled PUT registrations with torn
+# tails, the in-memory tier that peer blocks and job submissions use,
+# and the by-reference ≡ by-value differentials across solve, batch,
 # decomposed, async-job, and gzip-upload paths.
 go test -race -count=2 -run 'TestRegistry|TestOperator' ./internal/serve
 
